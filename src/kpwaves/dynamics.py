@@ -102,11 +102,34 @@ class Trajectory:
                                      f"{z.real:.17g}", f"{z.imag:.17g}"])
 
 
-def _rhs_gauged(box: LatticeBox, W: np.ndarray, eps: float, phase: np.ndarray,
-                ) -> np.ndarray:
-    """dW/dt for the gauged variable; phase = e^{i omega tau} at stage time."""
-    U = phase * W
-    return (-0.5j * eps) * box.n1 * np.conj(phase) * convolve(box, U, U)
+def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
+                  segments):
+    """Step U0 from t0 through (n_steps, h, t_end) segments by classical RK4.
+
+    Yields the state at each t_end, where the clock is reset to t_end.
+    """
+    om = box.dispersion().values
+
+    def rhs(W, phase):
+        # dW/dt for the gauged variable; phase = e^{i omega tau}
+        U = phase * W
+        return (-0.5j * eps) * box.n1 * np.conj(phase) * convolve(box, U, U)
+
+    W = U0 * np.exp(-1j * om * t0)
+    t = t0
+    for n_steps, h, t_end in segments:
+        for _ in range(n_steps):
+            ph1 = np.exp(1j * om * t)
+            ph2 = np.exp(1j * om * (t + 0.5 * h))
+            ph3 = np.exp(1j * om * (t + h))
+            k1 = rhs(W, ph1)
+            k2 = rhs(W + 0.5 * h * k1, ph2)
+            k3 = rhs(W + 0.5 * h * k2, ph2)
+            k4 = rhs(W + h * k3, ph3)
+            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        t = t_end
+        yield np.exp(1j * om * t) * W
 
 
 def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
@@ -118,29 +141,12 @@ def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
     within each segment.  Times must be monotone (increasing or
     decreasing away from t0).
     """
-    om = box.dispersion().values
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((len(times),) + U0.shape, dtype=np.complex128)
-    W = U0 * np.exp(-1j * om * t0)
-    t = t0
-    for i, target in enumerate(times):
-        span = target - t
-        if span != 0.0:
-            n_steps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                ph1 = np.exp(1j * om * t)
-                ph2 = np.exp(1j * om * (t + 0.5 * h))
-                ph3 = np.exp(1j * om * (t + h))
-                k1 = _rhs_gauged(box, W, eps, ph1)
-                k2 = _rhs_gauged(box, W + 0.5 * h * k1, eps, ph2)
-                k3 = _rhs_gauged(box, W + 0.5 * h * k2, eps, ph2)
-                k4 = _rhs_gauged(box, W + h * k3, eps, ph3)
-                W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-            t = target
-        out[i] = np.exp(1j * om * t) * W
-    return out
+    spans = np.diff(times, prepend=t0)
+    steps = np.where(spans == 0.0, 0, np.maximum(
+        1, np.ceil(np.abs(spans) / dt - 1e-12))).astype(np.int64)
+    segments = zip(steps, spans / np.maximum(steps, 1), times)
+    return np.array(list(_rk4_segments(box, U0, eps, t0, segments)))
 
 
 def integrate(u0: SpectralField, eps: float, t_end: float,
@@ -152,45 +158,21 @@ def integrate(u0: SpectralField, eps: float, t_end: float,
     NonFiniteError as soon as a recorded state goes non-finite.
     """
     span = t_end - t_start
-    if span == 0.0:
-        times = np.array([t_start])
-        coeffs = u0.coeffs[None, :].copy()
-        return Trajectory(box=u0.box, times=times, coeffs=coeffs, eps=eps,
-                          dt=cfg.dt, u0=u0.copy())
-    n_steps = max(1, int(np.ceil(abs(span) / cfg.dt - 1e-12)))
-    h = span / n_steps
-    record_at = list(range(0, n_steps, cfg.record_stride))
-    if record_at[-1] != n_steps:
-        record_at.append(n_steps)
-    times = t_start + h * np.asarray(record_at, dtype=float)
-    times[-1] = t_end
-    segments = np.asarray(record_at[1:], dtype=float) * h + t_start
-    box = u0.box
-    om = box.dispersion().values
-    coeffs = np.empty((len(times), box.size), dtype=np.complex128)
-    coeffs[0] = u0.coeffs
-    W = u0.coeffs * np.exp(-1j * om * t_start)
-    t = t_start
-    row = 1
-    for step_count, target in zip(np.diff(record_at), segments):
-        for _ in range(int(step_count)):
-            ph1 = np.exp(1j * om * t)
-            ph2 = np.exp(1j * om * (t + 0.5 * h))
-            ph3 = np.exp(1j * om * (t + h))
-            k1 = _rhs_gauged(box, W, eps, ph1)
-            k2 = _rhs_gauged(box, W + 0.5 * h * k1, eps, ph2)
-            k3 = _rhs_gauged(box, W + 0.5 * h * k2, eps, ph2)
-            k4 = _rhs_gauged(box, W + h * k3, eps, ph3)
-            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        t = float(target)
-        state = np.exp(1j * om * t) * W
+    n_steps = max(1, int(np.ceil(abs(span) / cfg.dt - 1e-12))) if span else 0
+    h = span / n_steps if n_steps else cfg.dt
+    record_at = list(range(0, n_steps, cfg.record_stride)) + [n_steps]
+    ends = np.asarray(record_at[1:], dtype=float) * h + t_start
+    segments = ((n, h, end) for n, end in zip(np.diff(record_at), ends))
+    coeffs = [u0.coeffs]
+    states = _rk4_segments(u0.box, u0.coeffs, eps, t_start, segments)
+    for t, state in zip(ends, states):
         if not np.all(np.isfinite(state.view(float))):
             raise NonFiniteError(f"state became non-finite at t = {t}")
-        coeffs[row] = state
-        row += 1
-    return Trajectory(box=box, times=times, coeffs=coeffs, eps=eps, dt=abs(h),
-                      u0=u0.copy())
+        coeffs.append(state)
+    times = np.append(t_start, ends)
+    times[-1] = t_end
+    return Trajectory(box=u0.box, times=times, coeffs=np.array(coeffs),
+                      eps=eps, dt=abs(h), u0=u0.copy())
 
 
 def calibrate_dt(box: LatticeBox, u0: SpectralField, eps: float, t: float,

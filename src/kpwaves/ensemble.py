@@ -396,15 +396,40 @@ def _fmt(x):
     return x
 
 
-def _accumulate(totals, U, idx_a, idx_b, idx_c=None, conj_b=False):
-    """Add batch sums of a pair or triple product into the accumulator."""
-    if idx_c is None:
-        X = U[:, idx_a] * (np.conj(U[:, idx_b]) if conj_b else U[:, idx_b])
-    else:
-        X = U[:, idx_a] * U[:, idx_b] * U[:, idx_c]
-    totals[0] += X.sum(axis=0)
-    totals[1] += (X.real ** 2).sum(axis=0)
-    totals[2] += (X.imag ** 2).sum(axis=0)
+# Samples per block of the fixed-order reductions below, and per Picard
+# evaluation in remainder_scan, whose temporaries hold one value per sample
+# and triple-table entry.
+_BLOCK = 64
+
+
+class _BlockSums:
+    """Sums over samples, taken in fixed blocks of sample index.
+
+    Per-sample rows are fed in sample order from sample 0, in batches of
+    any size.  The rows of samples [b B, (b + 1) B), B = _BLOCK, are
+    mapped to summand rows by `summands` and summed as one array, and the
+    block sums are added in block order, so the total is the same to the
+    last bit whatever the batch size and thread count.  Mapping one block
+    at a time also bounds the memory the summands take.
+    """
+
+    def __init__(self, summands):
+        self.summands = summands
+        self.total = 0.0
+        self._rows = None
+
+    def add(self, rows: np.ndarray) -> None:
+        if self._rows is not None:
+            rows = np.concatenate([self._rows, rows])
+        full = len(rows) - len(rows) % _BLOCK
+        for lo in range(0, full, _BLOCK):
+            self.total = self.total + self.summands(
+                rows[lo:lo + _BLOCK]).sum(axis=0)
+        self._rows = rows[full:].copy()
+
+    def finish(self) -> np.ndarray:
+        """The total with the last, partial block added."""
+        return self.total + self.summands(self._rows).sum(axis=0)
 
 
 def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
@@ -433,10 +458,15 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     tc = np.array([k for _, _, k in trip_idx], dtype=np.int64)
 
     n_pairs, n_trips = len(pair_idx), len(trip_idx)
-    pair_tot = [np.zeros(n_pairs, dtype=np.complex128),
-                np.zeros(n_pairs), np.zeros(n_pairs)]
-    trip_tot = [np.zeros(n_trips, dtype=np.complex128),
-                np.zeros(n_trips), np.zeros(n_trips)]
+    width = n_pairs + n_trips
+
+    def summands(U):
+        X = np.concatenate([U[:, pa] * np.conj(U[:, pb]),
+                            U[:, ta] * U[:, tb] * U[:, tc]], axis=1)
+        return np.concatenate([X.real, X.imag, X.real ** 2, X.imag ** 2],
+                              axis=1)
+
+    sums = _BlockSums(summands)
     failed: list[int] = []
     good = 0
 
@@ -452,16 +482,14 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                for s in range(0, cfg.sample_count, cfg.batch_size)]
 
     def reduce_all(results):
-        # Runs in fixed batch order regardless of thread count.
+        # Runs in fixed batch order regardless of thread count.  A failed
+        # sample keeps its row, zeroed, which leaves every sum unchanged.
         nonlocal good
         for idx, U, ok in results:
             failed.extend(int(i) for i in idx[~ok])
-            U = U[ok]
-            good += U.shape[0]
-            if n_pairs:
-                _accumulate(pair_tot, U, pa, pb, conj_b=True)
-            if n_trips:
-                _accumulate(trip_tot, U, ta, tb, tc)
+            good += int(ok.sum())
+            U[~ok] = 0.0
+            sums.add(U)
 
     if cfg.threads > 1 and len(batches) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -478,17 +506,18 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                             pair_moments={}, triple_moments={})
 
     ctx = theory.TheoryContext.from_profile(cfg.profile, cfg.law)
+    tot_re, tot_im, tot_re2, tot_im2 = sums.finish().reshape(4, width)
 
-    def finish(totals, count):
-        mean = totals[0] / count
-        var_re = np.maximum(totals[1] / count - mean.real ** 2, 0.0)
-        var_im = np.maximum(totals[2] / count - mean.imag ** 2, 0.0)
+    def finish(cols, count):
+        mean = (tot_re[cols] + 1j * tot_im[cols]) / count
+        var_re = np.maximum(tot_re2[cols] / count - mean.real ** 2, 0.0)
+        var_im = np.maximum(tot_im2[cols] / count - mean.imag ** 2, 0.0)
         se = np.sqrt((var_re + var_im) / max(count - 1, 1))
         return mean, se
 
     pair_entries = {}
     if n_pairs:
-        mean, se = finish(pair_tot, good)
+        mean, se = finish(slice(0, n_pairs), good)
         for r, (n, m) in enumerate(cfg.pairs):
             pred = theory.pair_prediction(ctx, n, m, cfg.t, cfg.eps)
             pair_entries[(tuple(n), tuple(m))] = MomentEntry(
@@ -496,7 +525,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                 std_error=float(se[r]), prediction=pred)
     trip_entries = {}
     if n_trips:
-        mean, se = finish(trip_tot, good)
+        mean, se = finish(slice(n_pairs, width), good)
         for r, (n, m, p) in enumerate(cfg.triples):
             pred = theory.triple_prediction(ctx, n, m, p, cfg.t, cfg.eps,
                                             kron=cfg.kron, sign=cfg.sign)
@@ -600,6 +629,8 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
         raise ValueError("eps values must be positive")
     if cfg.rotations < 1:
         raise ValueError("rotations must be >= 1")
+    if cfg.sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     if (sum(m[0] for m in cfg.triple) != 0
             or sum(m[1] for m in cfg.triple) != 0):
         raise ValueError(f"triple {cfg.triple} does not sum to zero")
@@ -616,10 +647,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
             for k in range(cfg.rotations)]
 
     nm = box.size
-    sum2 = {e: np.zeros(nm) for e in eps_grid}
-    sumsq2 = {e: np.zeros(nm) for e in eps_grid}
-    sum3 = {e: 0.0 + 0.0j for e in eps_grid}
-    sumsq3 = {e: 0.0 for e in eps_grid}
+    sums = _BlockSums(lambda rows: rows)
 
     done = 0
     while done < cfg.sample_count:
@@ -631,8 +659,9 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
         for rot in rots:
             U0 = G0 * rot * lam
             A = U0 * phase
-            B = _picard_b_coeffs(box, U0, cfg.t)
-            C = _picard_c_coeffs(box, U0, cfg.t)
+            B, C = (np.concatenate([f(box, U0[i:i + _BLOCK], cfg.t)
+                                    for i in range(0, nb, _BLOCK)])
+                    for f in (_picard_b_coeffs, _picard_c_coeffs))
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
                 r2 = (np.abs(U) ** 2 - np.abs(A) ** 2
@@ -652,24 +681,23 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
                                  + prod(a3, a3, c3) + prod(b3, b3, a3)
                                  + prod(b3, a3, b3) + prod(a3, b3, b3)))
                 acc3[e] += r3 / cfg.rotations
-        for e in eps_grid:
-            sum2[e] += acc2[e].sum(axis=0)
-            sumsq2[e] += (acc2[e] ** 2).sum(axis=0)
-            sum3[e] += acc3[e].sum()
-            sumsq3[e] += float((np.abs(acc3[e]) ** 2).sum())
+        sums.add(np.concatenate(
+            [np.column_stack([acc2[e], acc2[e] ** 2, acc3[e].real,
+                              acc3[e].imag, np.abs(acc3[e]) ** 2])
+             for e in eps_grid], axis=1))
         done += nb
 
     M = cfg.sample_count
     points = []
-    for e in eps_grid:
-        mean2 = sum2[e] / M
-        var2 = np.maximum(sumsq2[e] / M - mean2 ** 2, 0.0)
+    for e, tot in zip(eps_grid, sums.finish().reshape(len(eps_grid), -1)):
+        mean2 = tot[:nm] / M
+        var2 = np.maximum(tot[nm:2 * nm] / M - mean2 ** 2, 0.0)
         se2 = np.sqrt(var2 / M)
         agg = float(np.sqrt(np.sum(mean2 ** 2)))
         agg_err = float(np.sqrt(np.sum((mean2 * se2) ** 2))
                         / max(agg, np.finfo(float).tiny))
-        mean3 = sum3[e] / M
-        var3 = max(sumsq3[e] / M - abs(mean3) ** 2, 0.0)
+        mean3 = complex(tot[2 * nm], tot[2 * nm + 1]) / M
+        var3 = max(tot[2 * nm + 2] / M - abs(mean3) ** 2, 0.0)
         se3 = float(np.sqrt(var3 / M))
         points.append(ScanPoint(eps=e, pair_value=agg, pair_error=agg_err,
                                 triple_value=abs(mean3), triple_error=se3))

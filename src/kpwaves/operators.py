@@ -1,10 +1,11 @@
 """Bilinear and trilinear interaction operators on a truncated lattice.
 
-All operators are convolution sums restricted to a LatticeBox.  The pair
-and triple tables below enumerate the admissible index combinations once
-per box; every operator is then a weighted segment sum over those flat
-arrays, which keeps the per-call work fully vectorized and batch-friendly
-(leading axes of the coefficient arrays are broadcast through).
+All operators are convolution sums restricted to a LatticeBox; leading
+axes of the coefficient arrays are broadcast through.  The plain
+convolution is a product of FFTs on a zero-padded grid (see convolve).
+The phase-weighted forms carry split weights such as 1/delta that do not
+factor, so they are weighted segment sums over the pair and triple
+tables, which enumerate the admissible index combinations once per box.
 """
 
 from __future__ import annotations
@@ -144,27 +145,16 @@ def triple_table(box: LatticeBox) -> TripleTable:
 def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     """Sum contiguous segments of the last axis.
 
-    seg_starts has one more entry than there are segments; empty segments
-    yield zero.  np.add.reduceat would return values[start] for an empty
-    segment and cannot take start == len(values), so both cases are fixed
-    up explicitly.
+    seg_starts has one more entry than there are segments and ends at
+    values.shape[-1]; empty segments yield zero.
     """
-    n_out = len(seg_starts) - 1
-    n_vals = values.shape[-1]
-    out_shape = values.shape[:-1] + (n_out,)
-    if n_vals == 0 or n_out == 0:
-        return np.zeros(out_shape, dtype=values.dtype)
-    starts = seg_starts[:-1]
-    if starts[-1] == n_vals:
-        # Trailing empty segments start at len(values), which reduceat
-        # rejects; one zero of padding makes the index valid without
-        # touching any non-empty segment.
-        pad = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
-        values = np.concatenate([values, pad], axis=-1)
-    out = np.add.reduceat(values, starts, axis=-1)
-    empty = seg_starts[:-1] == seg_starts[1:]
-    if empty.any():
-        out[..., empty] = 0
+    out = np.zeros(values.shape[:-1] + (len(seg_starts) - 1,),
+                   dtype=values.dtype)
+    full = np.flatnonzero(np.diff(seg_starts))
+    if full.size:
+        # Only empty segments lie between two non-empty ones, so each
+        # reduceat slice ends where its own segment ends.
+        out[..., full] = np.add.reduceat(values, seg_starts[full], axis=-1)
     return out
 
 
@@ -176,10 +166,35 @@ def _check_same_box(*fields: SpectralField) -> LatticeBox:
     return box
 
 
+@lru_cache(maxsize=None)
+def _fft_embedding(box: LatticeBox) -> tuple[int, np.ndarray]:
+    """Grid length L and the grid position of every mode of the box."""
+    stride = 3 * box.n2_max + 1
+    length = (3 * box.n1_max + 1) * stride
+    return length, (box.n1 * stride + box.n2) % length
+
+
 def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Truncated convolution sum_{k+l=n} U_k V_l on raw coefficient arrays."""
-    pt = pair_table(box)
-    return segment_sum(U[..., pt.k_idx] * V[..., pt.l_idx], pt.seg_starts)
+    """Truncated convolution sum_{k+l=n} U_k V_l on raw coefficient arrays.
+
+    Mode n sits at (n1 S + n2) mod L on a periodic 1-D grid, S = 3 N2 + 1,
+    L = (3 N1 + 1) S, and the sum is the grid's cyclic convolution, by FFT.
+    It is alias-free on the box: |k2 + l2| <= 2 N2 keeps rows apart, and
+    the linear index of k + l differs from that of any box mode by at
+    most 3 N1 S + 3 N2 < L, so it wraps onto n only if k + l = n.
+    """
+    # np.fft loads on first use, so commands that never convolve skip it.
+    length, pos = _fft_embedding(box)
+    grid = np.zeros(U.shape[:-1] + (length,), dtype=np.complex128)
+    grid[..., pos] = U
+    np.fft.fft(grid, out=grid)
+    if V is U:
+        grid *= grid
+    else:
+        other = np.zeros(V.shape[:-1] + (length,), dtype=np.complex128)
+        other[..., pos] = V
+        grid = grid * np.fft.fft(other, out=other)
+    return np.fft.ifft(grid, out=grid)[..., pos]
 
 def _dx_product(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return 1j * box.n1 * convolve(box, U, V)

@@ -70,6 +70,15 @@ class TheoryContext:
         return cls(box=profile.box, lam2=lam * lam, m2=m2, m4=m4)
 
 
+def _one_minus_cos(d, t: float):
+    """(1 - cos(d t)) / d^2, written as 2 sin^2(d t / 2) / d^2.
+
+    The two forms are equal, but the first cancels every digit as d t
+    goes to zero, where the value tends to t^2 / 2.
+    """
+    return 2.0 * np.sin(0.5 * d * t) ** 2 / d ** 2
+
+
 def _pair_terms(ctx: TheoryContext, i_n: int):
     """Phases and coefficients of the generic part of the rate at mode i_n.
 
@@ -137,10 +146,10 @@ def f2_diag(ctx: TheoryContext, n, t: float) -> float:
     i_n = ctx.box.index(n)
     n1 = float(ctx.box.n1[i_n])
     d, coef = _pair_terms(ctx, i_n)
-    total = ctx.m2 ** 2 * float(np.sum(coef * (1.0 - np.cos(d * t)) / d ** 2))
+    total = ctx.m2 ** 2 * float(np.sum(coef * _one_minus_cos(d, t)))
     dk, ck = _kron_terms(ctx, i_n)
     if len(dk):
-        total += float(np.sum(ck * (1.0 - np.cos(dk * t)) / dk ** 2))
+        total += float(np.sum(ck * _one_minus_cos(dk, t)))
     return -n1 * total
 
 
@@ -152,14 +161,14 @@ def f2_diag_all(ctx: TheoryContext, t: float) -> np.ndarray:
     coef = (box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
             + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
             - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
-    kern = (1.0 - np.cos(pt.delta * t)) / pt.delta ** 2
+    kern = _one_minus_cos(pt.delta, t)
     sums = np.zeros(box.size)
     np.add.at(sums, pt.out_idx, coef * kern)
     out = ctx.m2 ** 2 * sums
     for i_n in range(box.size):
         dk, ck = _kron_terms(ctx, i_n)
         if len(dk):
-            out[i_n] += float(np.sum(ck * (1.0 - np.cos(dk * t)) / dk ** 2))
+            out[i_n] += float(np.sum(ck * _one_minus_cos(dk, t)))
     return -box.n1 * out
 
 
@@ -403,6 +412,6 @@ def box_limit_f2(n, N: int, lambda_N: float, t: float,
         return a1 ** 3 - a2.astype(float) ** 2 / a1
 
     d = om(K1, K2) + om(L1, L2) - omega((n1, n2))
-    total = float(np.sum(coef * (1.0 - np.cos(d * t)) / d ** 2))
+    total = float(np.sum(coef * _one_minus_cos(d, t)))
     return -n1 * m2 ** 2 * total
 

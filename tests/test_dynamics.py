@@ -85,6 +85,15 @@ def test_batched_evolution_matches_loop(box22, make_field):
         np.testing.assert_array_equal(joint[i], single)
 
 
+def test_split_batch_is_bitwise_identical(box22, make_field):
+    batch = np.stack([make_field(box22, hermitian=True).coeffs
+                      for _ in range(20)])
+    joint = evolve_coeffs(box22, batch, 0.15, [0.4, 0.7], 0.01)
+    split = [evolve_coeffs(box22, part, 0.15, [0.4, 0.7], 0.01)
+             for part in (batch[:7], batch[7:])]
+    np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
+
+
 class TestTrajectory:
     def test_recording_grid(self, box22, make_field):
         u0 = make_field(box22, hermitian=True)

@@ -208,6 +208,19 @@ class TestEstimateMoments:
         assert report.sample_count == 0
         assert report.pair_moments == {} and report.triple_moments == {}
 
+    def test_batch_size_does_not_change_results(self, box22):
+        diagonal = tuple((n, n) for n in box22)
+        reports = [estimate_moments(self.make_cfg(
+            box22, eps=0.1, sample_count=200, pairs=diagonal,
+            batch_size=size)) for size in (7, 16, 200)]
+        for other in reports[1:]:
+            for key, entry in reports[0].pair_moments.items():
+                assert other.pair_moments[key].estimate == entry.estimate
+                assert other.pair_moments[key].std_error == entry.std_error
+            for key, entry in reports[0].triple_moments.items():
+                assert other.triple_moments[key].estimate == entry.estimate
+                assert other.triple_moments[key].std_error == entry.std_error
+
     def test_threads_do_not_change_results(self, box22):
         serial = estimate_moments(self.make_cfg(box22, eps=0.1,
                                                 sample_count=64,
@@ -296,6 +309,10 @@ class TestScanValidation:
         with pytest.raises(ValueError):
             remainder_scan(self.base(box21, rotations=0))
 
+    def test_zero_samples_rejected(self, box21):
+        with pytest.raises(ValueError):
+            remainder_scan(self.base(box21, sample_count=0))
+
     def test_unbalanced_triple_rejected(self, box21):
         with pytest.raises(ValueError):
             remainder_scan(self.base(
@@ -307,6 +324,12 @@ class TestScanValidation:
         for point in result.points:
             assert point.pair_value >= 0 and point.triple_value >= 0
             assert np.isfinite(point.pair_error)
+
+    def test_batch_size_does_not_change_results(self, box21):
+        one, split = (remainder_scan(self.base(box21, sample_count=80,
+                                               rotations=2, batch_size=size))
+                      for size in (80, 7))
+        assert one == split
 
     def test_noise_dominated_property(self):
         clean = ScanResult(points=(), pair_slope=4.0, pair_slope_err=0.1,

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kpwaves
 from kpwaves import LatticeBox, SpectralField, delta, omega, dx_product, s_map, f_map
 from kpwaves.operators import (pair_table, triple_table, segment_sum,
                                convolve, _s_apply)
@@ -115,6 +120,55 @@ def test_convolve_against_oracle(box22, make_field):
     got = convolve(box22, u.coeffs, v.coeffs)
     want = conv_oracle(box22, u, v).coeffs
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def conv_brute(box, U, V):
+    """Double sum over (k, l) on raw, possibly batched coefficient arrays."""
+    out = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=complex)
+    for i, k in enumerate(box):
+        for j, l in enumerate(box):
+            n = (k[0] + l[0], k[1] + l[1])
+            if n in box:
+                out[..., box.index(n)] += U[..., i] * V[..., j]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (3, 0), (1, 3), (4, 1), (2, 5),
+                                   (5, 2), (3, 3)])
+def test_convolve_matches_double_sum(shape, rng):
+    box = LatticeBox(*shape)
+    U = rng.standard_normal((3, box.size)) + 1j * rng.standard_normal(
+        (3, box.size))
+    V = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
+    got = convolve(box, U, V)
+    assert got.shape == U.shape
+    np.testing.assert_allclose(got, conv_brute(box, U, V), rtol=0,
+                               atol=1e-14 * box.size)
+    np.testing.assert_allclose(convolve(box, U, U), conv_brute(box, U, U),
+                               rtol=0, atol=1e-14 * box.size)
+
+
+def test_convolve_empty_batch(box22):
+    U = np.zeros((0, box22.size), dtype=complex)
+    assert convolve(box22, U, U).shape == (0, box22.size)
+    assert convolve(box22, U, np.ones(box22.size)).shape == (0, box22.size)
+
+
+def test_convolve_square_path_is_bitwise_general_path(box33, rng):
+    U = rng.standard_normal((5, box33.size)) + 1j * rng.standard_normal(
+        (5, box33.size))
+    np.testing.assert_array_equal(convolve(box33, U, U),
+                                  convolve(box33, U, U.copy()))
+
+
+def test_cli_import_leaves_fft_unloaded():
+    src = os.path.dirname(os.path.dirname(kpwaves.__file__))
+    code = ("import sys, kpwaves.cli; "
+            "print('numpy.fft' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dx_product_definition(box22, make_field):

@@ -23,6 +23,7 @@ from kpwaves.theory import (
     weighted_sum_triple,
     zero_sum_triples,
     _f3_all,
+    _one_minus_cos,
 )
 
 
@@ -52,6 +53,14 @@ def test_context_rejects_misaligned_profile():
     box = LatticeBox(2, 2)
     with pytest.raises(ValueError):
         TheoryContext(box=box, lam2=np.ones(3), m2=1.0, m4=1.0)
+
+
+@pytest.mark.parametrize("d, t", [(1e-9, 1.0), (1e-6, 1.0), (4.0, 2.5e-10),
+                                  (4.0, 2.5e-7)])
+def test_one_minus_cos_is_stable_at_small_phase(d, t):
+    x = d * t
+    series = t * t / 2.0 * (1.0 - x * x / 12.0)
+    assert _one_minus_cos(d, t) == pytest.approx(series, rel=1e-14, abs=0)
 
 
 class TestPairCorrection:
