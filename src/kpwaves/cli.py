@@ -27,7 +27,7 @@ from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        g_moments, sample_u0, EnsembleConfig, estimate_moments,
                        ScanConfig, remainder_scan, remainder_growth,
-                       _FORMAT_VERSION as FORMAT_VERSION)
+                       _triple_indices, _FORMAT_VERSION as FORMAT_VERSION)
 from . import theory
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
@@ -305,6 +305,12 @@ def build_profile(cfg: ExperimentConfig, box: LatticeBox,
     return prof
 
 
+def _check_in_box(key: str, modes, box: LatticeBox) -> None:
+    for n in modes:
+        if n not in box:
+            raise ConfigError(f"{key}: mode {n} is outside {box!r}")
+
+
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     start, stop, step = cfg.t_grid
     return np.arange(start, stop + 0.5 * step, step)
@@ -573,6 +579,10 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     status = 0
     ran = False
     if len(cfg.eps) >= 3:
+        try:
+            _triple_indices(box, cfg.triple)
+        except ValueError as exc:
+            raise ConfigError(f"triple: {exc}") from None
         scan = remainder_scan(ScanConfig(
             profile=profile, law=law, eps_grid=cfg.eps, t=cfg.t,
             sample_count=cfg.sample_count, triple=cfg.triple,
@@ -655,6 +665,8 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
 def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     """Closed-form moment curves and weighted sums over a time grid."""
     box = LatticeBox(*cfg.box)
+    _check_in_box("mode", [cfg.mode], box)
+    _check_in_box("triple", cfg.triple, box)
     law = build_law(cfg)
     profile = build_profile(cfg, box, law)
     ctx = theory.TheoryContext.from_profile(profile, law)

@@ -610,6 +610,14 @@ class ScanResult:
         return self.pair_slope is None or self.triple_slope is None
 
 
+def _triple_indices(box: LatticeBox, triple) -> list:
+    """Box indices of a zero-sum triple; ValueError off the plane or box."""
+    if (sum(m[0] for m in triple) != 0
+            or sum(m[1] for m in triple) != 0):
+        raise ValueError(f"triple {triple} does not sum to zero")
+    return [box.index(n) for n in triple]
+
+
 def remainder_scan(cfg: ScanConfig) -> ScanResult:
     """Measure how fast the pair and triple remainders shrink with eps.
 
@@ -631,10 +639,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
         raise ValueError("rotations must be >= 1")
     if cfg.sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    if (sum(m[0] for m in cfg.triple) != 0
-            or sum(m[1] for m in cfg.triple) != 0):
-        raise ValueError(f"triple {cfg.triple} does not sum to zero")
-    tri = [box.index(n) for n in cfg.triple]
+    tri = _triple_indices(box, cfg.triple)
 
     lam = cfg.profile.lambdas()
     dt = cfg.dt

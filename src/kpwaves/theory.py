@@ -20,7 +20,7 @@ acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +43,23 @@ __all__ = [
     "triple_majorant",
     "box_limit_f2",
 ]
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """Flat (output mode, phase, coefficient) terms sorted by output mode.
+
+    starts[i]:starts[i+1] slices the terms of mode i.
+    """
+
+    out: np.ndarray
+    delta: np.ndarray
+    coef: np.ndarray
+    starts: np.ndarray
+
+    def at(self, i_n: int):
+        lo, hi = self.starts[i_n], self.starts[i_n + 1]
+        return self.coef[lo:hi], self.delta[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,45 @@ class TheoryContext:
         lam = profile.lambdas()
         return cls(box=profile.box, lam2=lam * lam, m2=m2, m4=m4)
 
+    @cached_property
+    def _f2_terms(self):
+        """Generic and repeated-index terms of the pair correction.
+
+        At mode n the correction is -n1 (m2^2 sum_g + sum_r) of
+        coef (1 - cos(delta t)) / delta^2, g over the splits k + l = n of
+        the pair table and r over the repeated-index corrections: the
+        split (-n, 2n) when 2n is in the box and the split (n/2, n/2)
+        when n has even coordinates with n/2 in the box, both carrying
+        the excess kurtosis factor m4 - 2 m2^2.
+        """
+        box = self.box
+        pt = pair_table(box)
+        L = self.lam2
+        coef = (box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
+                + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
+                - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
+        generic = _Terms(pt.out_idx, pt.delta, coef, pt.seg_starts)
+        om = self.dispersion.values
+        excess = self.m4 - 2.0 * self.m2 ** 2
+        n1, n2 = box.n1, box.n2
+        i_2n = box.lookup(2 * n1, 2 * n2)
+        even = (n1 % 2 == 0) & (n2 % 2 == 0)
+        i_half = np.where(even, box.lookup(n1 // 2, n2 // 2), -1)
+        dbl = np.flatnonzero(i_2n >= 0)
+        half = np.flatnonzero(i_half >= 0)
+        i_2n, i_half = i_2n[dbl], i_half[half]
+        out = np.concatenate([dbl, half])
+        delta = np.concatenate([om[box.conj_idx[dbl]] + om[i_2n] - om[dbl],
+                                2.0 * om[i_half] - om[half]])
+        coef = np.concatenate([excess * 2.0 * n1[dbl] * L[dbl] ** 2,
+                               -excess * (n1[half] / 2.0) * L[i_half] ** 2])
+        # Stable, so a mode with both corrections sums (-n, 2n) first.
+        order = np.argsort(out, kind="stable")
+        out = out[order]
+        kron = _Terms(out, delta[order], coef[order],
+                      np.searchsorted(out, np.arange(box.size + 1)))
+        return generic, kron
+
 
 def _one_minus_cos(d, t: float):
     """(1 - cos(d t)) / d^2, written as 2 sin^2(d t / 2) / d^2.
@@ -79,62 +135,41 @@ def _one_minus_cos(d, t: float):
     return 2.0 * np.sin(0.5 * d * t) ** 2 / d ** 2
 
 
-def _pair_terms(ctx: TheoryContext, i_n: int):
-    """Phases and coefficients of the generic part of the rate at mode i_n.
+def _f2_at(ctx: TheoryContext, n, term) -> float:
+    """-n1 (m2^2 sum_g term(coef, delta) + sum_r term(coef, delta)) at n.
 
-    Returns (delta, coef) arrays over the splits k + l = n; the rate is
-    -n1 m2^2 sum coef sin(delta t)/delta and its integral replaces
-    sin(delta t)/delta by (1 - cos(delta t))/delta^2.
+    g and r run over the generic and repeated-index terms of
+    TheoryContext._f2_terms; each sum is a pairwise np.sum.
     """
-    box = ctx.box
-    pt = pair_table(box)
-    lo, hi = pt.seg_starts[i_n], pt.seg_starts[i_n + 1]
-    k = pt.k_idx[lo:hi]
-    l = pt.l_idx[lo:hi]
-    L = ctx.lam2
-    coef = (box.n1[k] * L[i_n] * L[l]
-            + box.n1[l] * L[i_n] * L[k]
-            - box.n1[i_n] * L[k] * L[l])
-    return pt.delta[lo:hi], coef
+    i_n = ctx.box.index(n)
+    generic, kron = ctx._f2_terms
+    total = ctx.m2 ** 2 * float(np.sum(term(*generic.at(i_n))))
+    coef, delta = kron.at(i_n)
+    if len(coef):
+        total += float(np.sum(term(coef, delta)))
+    return -float(ctx.box.n1[i_n]) * total
 
 
-def _kron_terms(ctx: TheoryContext, i_n: int):
-    """Phases and coefficients of the repeated-index corrections at mode i_n.
+def _sum_by_mode(terms: _Terms, term, size: int) -> np.ndarray:
+    sums = np.zeros(size)
+    np.add.at(sums, terms.out, term(terms.coef, terms.delta))
+    return sums
 
-    The split (-n, 2n) contributes when 2n is in the box and the split
-    (n/2, n/2) when n has even coordinates with n/2 in the box.  Both
-    carry the excess kurtosis factor m4 - 2 m2^2.
-    """
-    box = ctx.box
-    om = ctx.dispersion.values
-    n1 = int(box.n1[i_n])
-    n2 = int(box.n2[i_n])
-    excess = ctx.m4 - 2.0 * ctx.m2 ** 2
-    deltas = []
-    coefs = []
-    i_2n = box.lookup(np.array([2 * n1]), np.array([2 * n2]))[0]
-    if i_2n >= 0:
-        i_neg = box.conj_idx[i_n]
-        deltas.append(om[i_neg] + om[i_2n] - om[i_n])
-        coefs.append(excess * 2.0 * n1 * ctx.lam2[i_n] ** 2)
-    if n1 % 2 == 0 and n2 % 2 == 0:
-        i_half = box.lookup(np.array([n1 // 2]), np.array([n2 // 2]))[0]
-        if i_half >= 0:
-            deltas.append(2.0 * om[i_half] - om[i_n])
-            coefs.append(-excess * (n1 / 2.0) * ctx.lam2[i_half] ** 2)
-    return (np.array(deltas, dtype=float), np.array(coefs, dtype=float))
+
+def _f2_bracket_all(ctx: TheoryContext, term) -> np.ndarray:
+    """The bracket of _f2_at for every mode, each sum taken in table order."""
+    generic, kron = ctx._f2_terms
+    size = ctx.box.size
+    out = ctx.m2 ** 2 * _sum_by_mode(generic, term, size)
+    # Only where repeated-index terms exist: adding 0.0 turns -0.0 into 0.0.
+    has = np.diff(kron.starts) > 0
+    out[has] += _sum_by_mode(kron, term, size)[has]
+    return out
 
 
 def g_n_rate(ctx: TheoryContext, n, t: float) -> float:
     """Instantaneous growth rate of the eps^2 pair correction at mode n."""
-    i_n = ctx.box.index(n)
-    n1 = float(ctx.box.n1[i_n])
-    d, coef = _pair_terms(ctx, i_n)
-    total = ctx.m2 ** 2 * float(np.sum(coef * np.sin(d * t) / d))
-    dk, ck = _kron_terms(ctx, i_n)
-    if len(dk):
-        total += float(np.sum(ck * np.sin(dk * t) / dk))
-    return -n1 * total
+    return _f2_at(ctx, n, lambda c, d: c * np.sin(d * t) / d)
 
 
 def f2_diag(ctx: TheoryContext, n, t: float) -> float:
@@ -143,62 +178,59 @@ def f2_diag(ctx: TheoryContext, n, t: float) -> float:
     Equals the time integral of g_n_rate from 0 to t; off-diagonal pair
     corrections vanish at this order, see pair_prediction.
     """
-    i_n = ctx.box.index(n)
-    n1 = float(ctx.box.n1[i_n])
-    d, coef = _pair_terms(ctx, i_n)
-    total = ctx.m2 ** 2 * float(np.sum(coef * _one_minus_cos(d, t)))
-    dk, ck = _kron_terms(ctx, i_n)
-    if len(dk):
-        total += float(np.sum(ck * _one_minus_cos(dk, t)))
-    return -n1 * total
+    return _f2_at(ctx, n, lambda c, d: c * _one_minus_cos(d, t))
 
 
 def f2_diag_all(ctx: TheoryContext, t: float) -> np.ndarray:
     """f2_diag for every mode of the box at once (vectorized)."""
-    box = ctx.box
-    pt = pair_table(box)
-    L = ctx.lam2
-    coef = (box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
-            + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
-            - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
-    kern = _one_minus_cos(pt.delta, t)
-    sums = np.zeros(box.size)
-    np.add.at(sums, pt.out_idx, coef * kern)
-    out = ctx.m2 ** 2 * sums
-    for i_n in range(box.size):
-        dk, ck = _kron_terms(ctx, i_n)
-        if len(dk):
-            out[i_n] += float(np.sum(ck * _one_minus_cos(dk, t)))
-    return -box.n1 * out
+    bracket = _f2_bracket_all(ctx, lambda c, d: c * _one_minus_cos(d, t))
+    return -ctx.box.n1 * bracket
 
 
 KRON_CONVENTIONS = ("half_opposite", "repeated")
 
 
-def _f3_parts(ctx: TheoryContext, n, m, p, kron: str):
-    """Static coefficients of F3: the cyclic m2^2 part and the Kronecker part."""
-    box = ctx.box
-    i = box.index(n)
-    j = box.index(m)
-    k = box.index(p)
-    if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
-        return None
+def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
+                  first=None, excess=None):
+    """Amplitude and phase Omega of F3 at triple indices (ints or arrays).
+
+    The amplitude is m2^2 * cyclic + excess * kronecker, with the first
+    coordinates taken from first (default box.n1) and excess defaulting
+    to m4 - 2 m2^2; the majorant passes their magnitudes.
+    """
+    if first is None:
+        first = ctx.box.n1
+    if excess is None:
+        excess = ctx.m4 - 2.0 * ctx.m2 ** 2
     L = ctx.lam2
-    n1, m1, p1 = float(box.n1[i]), float(box.n1[j]), float(box.n1[k])
-    cyc = n1 * L[j] * L[k] + m1 * L[k] * L[i] + p1 * L[i] * L[j]
+    n1, m1, p1 = (first[i].astype(float) for i in (i_n, i_m, i_p))
+    cyc = n1 * L[i_m] * L[i_p] + m1 * L[i_p] * L[i_n] + p1 * L[i_n] * L[i_m]
     if kron == "half_opposite":
-        kr = 0.5 * ((j == k) * n1 * L[j] ** 2
-                    + (k == i) * m1 * L[k] ** 2
-                    + (i == j) * p1 * L[i] ** 2)
+        kr = 0.5 * ((i_m == i_p) * n1 * L[i_m] ** 2
+                    + (i_p == i_n) * m1 * L[i_p] ** 2
+                    + (i_n == i_m) * p1 * L[i_n] ** 2)
     elif kron == "repeated":
-        kr = ((j == k) * m1 * L[j] ** 2
-              + (k == i) * p1 * L[k] ** 2
-              + (i == j) * n1 * L[i] ** 2)
+        kr = ((i_m == i_p) * m1 * L[i_m] ** 2
+              + (i_p == i_n) * p1 * L[i_p] ** 2
+              + (i_n == i_m) * n1 * L[i_n] ** 2)
     else:
         raise ValueError(f"unknown kron convention {kron!r}")
     om = ctx.dispersion.values
-    Om = om[i] + om[j] + om[k]
-    return cyc, kr, Om
+    return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
+
+
+def _f3_values(ctx: TheoryContext, i_n, i_m, i_p, t: float, kron: str,
+               sign: float):
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
+    return sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
+
+
+def _triple_index(box: LatticeBox, n, m, p):
+    """Mode indices of (n, m, p); None off the zero-sum plane."""
+    idx = [box.index(v) for v in (n, m, p)]
+    if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
+        return None
+    return idx
 
 
 def f3(ctx: TheoryContext, n, m, p, t: float,
@@ -215,22 +247,19 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
     weighted; the default (kron="half_opposite", sign=+1) is the variant
     confirmed by the Monte Carlo oracle in the acceptance tests.
     """
-    parts = _f3_parts(ctx, n, m, p, kron)
-    if parts is None:
+    idx = _triple_index(ctx.box, n, m, p)
+    if idx is None:
         return 0.0 + 0.0j
-    cyc, kr, Om = parts
-    amp = ctx.m2 ** 2 * cyc + (ctx.m4 - 2.0 * ctx.m2 ** 2) * kr
-    return complex(sign * (1.0 - np.exp(1j * Om * t)) / Om * amp)
+    return complex(_f3_values(ctx, *idx, t, kron, sign))
 
 
 def h_rate(ctx: TheoryContext, n, m, p, t: float,
            kron: str = "half_opposite", sign: float = 1.0) -> complex:
     """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
-    parts = _f3_parts(ctx, n, m, p, kron)
-    if parts is None:
+    idx = _triple_index(ctx.box, n, m, p)
+    if idx is None:
         return 0.0 + 0.0j
-    cyc, kr, Om = parts
-    amp = ctx.m2 ** 2 * cyc + (ctx.m4 - 2.0 * ctx.m2 ** 2) * kr
+    amp, Om = _f3_amplitude(ctx, *idx, kron)
     return complex(sign * (-1j) * np.exp(-1j * Om * t) * amp)
 
 
@@ -260,32 +289,6 @@ def zero_sum_triples(box: LatticeBox):
     return i_n[good], i_m[good], i_p[good]
 
 
-def _f3_all(ctx: TheoryContext, t: float, kron: str, sign: float):
-    """f3 over all ordered zero-sum triples of the box, vectorized."""
-    box = ctx.box
-    i_n, i_m, i_p = zero_sum_triples(box)
-    L = ctx.lam2
-    n1 = box.n1[i_n].astype(float)
-    m1 = box.n1[i_m].astype(float)
-    p1 = box.n1[i_p].astype(float)
-    cyc = n1 * L[i_m] * L[i_p] + m1 * L[i_p] * L[i_n] + p1 * L[i_n] * L[i_m]
-    if kron == "half_opposite":
-        kr = 0.5 * ((i_m == i_p) * n1 * L[i_m] ** 2
-                    + (i_p == i_n) * m1 * L[i_p] ** 2
-                    + (i_n == i_m) * p1 * L[i_n] ** 2)
-    elif kron == "repeated":
-        kr = ((i_m == i_p) * m1 * L[i_m] ** 2
-              + (i_p == i_n) * p1 * L[i_p] ** 2
-              + (i_n == i_m) * n1 * L[i_n] ** 2)
-    else:
-        raise ValueError(f"unknown kron convention {kron!r}")
-    om = ctx.dispersion.values
-    Om = om[i_n] + om[i_m] + om[i_p]
-    amp = ctx.m2 ** 2 * cyc + (ctx.m4 - 2.0 * ctx.m2 ** 2) * kr
-    vals = sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
-    return (i_n, i_m, i_p), vals, amp, Om
-
-
 def weighted_sum_pair(ctx: TheoryContext, s: float, t: float) -> float:
     """Weighted aggregate sum |n1| (|n1|+|n2|)^{2s} |F2(n, t)| over the box."""
     w = np.abs(ctx.box.n1) * hs_weights(ctx.box, s)
@@ -299,23 +302,18 @@ def pair_majorant(ctx: TheoryContext, s: float) -> float:
     bound follows from the triangle inequality term by term.
     """
     box = ctx.box
-    pt = pair_table(box)
-    L = ctx.lam2
-    coef = np.abs(box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
-                  + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
-                  - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
-    sums = np.zeros(box.size)
-    np.add.at(sums, pt.out_idx, coef * 2.0 / pt.delta ** 2)
-    per_mode = ctx.m2 ** 2 * sums
-    for i_n in range(box.size):
-        dk, ck = _kron_terms(ctx, i_n)
-        if len(dk):
-            per_mode[i_n] += float(np.sum(np.abs(ck) * 2.0 / dk ** 2))
+    per_mode = _f2_bracket_all(ctx, lambda c, d: np.abs(c) * 2.0 / d ** 2)
     # per_mode bounds the bracketed sum; the correction itself carries
     # another factor of n1, mirroring the -n1 prefactor in f2_diag_all.
     bound = np.abs(box.n1) * per_mode
     w = np.abs(box.n1) * hs_weights(box, s)
     return float(np.sum(w * bound))
+
+
+def _triple_weights(box: LatticeBox, s: float, i_n, i_m, i_p):
+    mag = (np.abs(box.n1) + np.abs(box.n2)).astype(float)
+    w = np.sqrt(np.abs(box.n1[i_n] * box.n1[i_m] * box.n1[i_p]).astype(float))
+    return w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
 
 
 def weighted_sum_triple(ctx: TheoryContext, s: float, t: float,
@@ -325,11 +323,9 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, t: float,
     The weight is sqrt(|n1 m1 p1|) ((|n|)(|m|)(|p|))^s with |n| the
     coordinate sum magnitude used by the Sobolev weights.
     """
-    box = ctx.box
-    (i_n, i_m, i_p), vals, _, _ = _f3_all(ctx, t, kron, sign)
-    mag = (np.abs(box.n1) + np.abs(box.n2)).astype(float)
-    w = np.sqrt(np.abs(box.n1[i_n] * box.n1[i_m] * box.n1[i_p]).astype(float))
-    w = w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
+    i_n, i_m, i_p = zero_sum_triples(ctx.box)
+    vals = _f3_values(ctx, i_n, i_m, i_p, t, kron, sign)
+    w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
     return float(np.sum(w * np.abs(vals)))
 
 
@@ -342,27 +338,10 @@ def triple_majorant(ctx: TheoryContext, s: float,
     """
     box = ctx.box
     i_n, i_m, i_p = zero_sum_triples(box)
-    L = ctx.lam2
-    n1 = box.n1[i_n].astype(float)
-    m1 = box.n1[i_m].astype(float)
-    p1 = box.n1[i_p].astype(float)
-    cyc = (np.abs(n1) * L[i_m] * L[i_p] + np.abs(m1) * L[i_p] * L[i_n]
-           + np.abs(p1) * L[i_n] * L[i_m])
-    if kron == "half_opposite":
-        kr = 0.5 * ((i_m == i_p) * np.abs(n1) * L[i_m] ** 2
-                    + (i_p == i_n) * np.abs(m1) * L[i_p] ** 2
-                    + (i_n == i_m) * np.abs(p1) * L[i_n] ** 2)
-    else:
-        kr = ((i_m == i_p) * np.abs(m1) * L[i_m] ** 2
-              + (i_p == i_n) * np.abs(p1) * L[i_p] ** 2
-              + (i_n == i_m) * np.abs(n1) * L[i_n] ** 2)
-    om = ctx.dispersion.values
-    Om = np.abs(om[i_n] + om[i_m] + om[i_p])
-    amp = ctx.m2 ** 2 * cyc + np.abs(ctx.m4 - 2.0 * ctx.m2 ** 2) * kr
-    mag = (np.abs(box.n1) + np.abs(box.n2)).astype(float)
-    w = np.sqrt(np.abs(box.n1[i_n] * box.n1[i_m] * box.n1[i_p]).astype(float))
-    w = w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
-    return float(np.sum(w * 2.0 / Om * amp))
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron, first=np.abs(box.n1),
+                            excess=abs(ctx.m4 - 2.0 * ctx.m2 ** 2))
+    w = _triple_weights(box, s, i_n, i_m, i_p)
+    return float(np.sum(w * 2.0 / np.abs(Om) * amp))
 
 
 def box_limit_f2(n, N: int, lambda_N: float, t: float,

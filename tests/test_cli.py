@@ -139,6 +139,18 @@ class TestRemainderScan:
                         "sample_count = 8\ndt = 0.05\n")
         assert main(["--config", cfg]) == 2
 
+    @pytest.mark.parametrize("extra, key", [
+        ("box = 1 1\n", "triple"),
+        ("box = 2 2\ntriple = 1 0 1 0 -1 0\n", "triple"),
+    ], ids=["outside-box", "nonzero-sum"])
+    def test_triple_outside_box_or_plane_exits_2(self, tmp_path, capsys,
+                                                   extra, key):
+        cfg = write_cfg(tmp_path,
+                        "command = remainder-scan\neps = 0.2 0.1 0.05\n"
+                        "sample_count = 8\ndt = 0.05\n" + extra)
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
     def test_noise_dominated_scan_exits_1(self, tmp_path, capsys):
         # Sub-resolution eps with a tiny ensemble: the pair remainder is
         # statistically indistinguishable from zero for this seed, so
@@ -195,6 +207,16 @@ class TestTheoryCurves:
         assert float(first["t"]) == 0.0
         for col in header[1:]:
             assert float(first[col]) == 0.0
+
+    @pytest.mark.parametrize("extra, key", [
+        ("box = 1 1\n", "triple"),
+        ("box = 3 3\nmode = 5 0\n", "mode"),
+    ], ids=["triple", "mode"])
+    def test_mode_outside_box_exits_2(self, tmp_path, capsys, extra, key):
+        cfg = write_cfg(tmp_path, "command = theory-curves\n"
+                        f"out = {tmp_path / 'tc.csv'}\n" + extra)
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     def test_json_structure_and_majorants(self, tmp_path, capsys):
         out_path = tmp_path / "tc.json"

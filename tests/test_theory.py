@@ -22,7 +22,6 @@ from kpwaves.theory import (
     weighted_sum_pair,
     weighted_sum_triple,
     zero_sum_triples,
-    _f3_all,
     _one_minus_cos,
 )
 
@@ -40,6 +39,69 @@ def ctx22_twopoint():
     profile = SpectrumProfile.power_decay(box, 0.7, 1.0)
     law = RandomLaw.two_point(0.5, 1.5, 0.3)
     return TheoryContext.from_profile(profile, law)
+
+
+def _f2_terms_reference(ctx, n):
+    """(coef, delta, generic) of every term of F2 at mode n, by brute force.
+
+    generic marks the splits k + l = n, weighted by m2^2; the others are
+    the repeated-index splits (-n, 2n) and (n/2, n/2) with the excess
+    kurtosis factor m4 - 2 m2^2.
+    """
+    box, L = ctx.box, ctx.lam2
+    i_n = box.index(n)
+    terms = []
+    for k in box:
+        l = (n[0] - k[0], n[1] - k[1])
+        if l in box:
+            i_k, i_l = box.index(k), box.index(l)
+            coef = (k[0] * L[i_n] * L[i_l] + l[0] * L[i_n] * L[i_k]
+                    - n[0] * L[i_k] * L[i_l])
+            terms.append((coef, omega(k) + omega(l) - omega(n), True))
+    excess = ctx.m4 - 2.0 * ctx.m2 ** 2
+    two_n = (2 * n[0], 2 * n[1])
+    if two_n in box:
+        d = omega((-n[0], -n[1])) + omega(two_n) - omega(n)
+        terms.append((excess * 2.0 * n[0] * L[i_n] ** 2, d, False))
+    half = (n[0] // 2, n[1] // 2)
+    if n[0] % 2 == 0 and n[1] % 2 == 0 and half in box:
+        d = 2.0 * omega(half) - omega(n)
+        coef = -excess * (n[0] / 2.0) * L[box.index(half)] ** 2
+        terms.append((coef, d, False))
+    return terms
+
+
+def _f2_bracket_reference(ctx, n, weight):
+    return sum((ctx.m2 ** 2 if generic else 1.0) * weight(coef, d)
+               for coef, d, generic in _f2_terms_reference(ctx, n))
+
+
+def _f3_amplitude_reference(ctx, n, m, p, kron, magnitudes=False):
+    """m2^2 * cyclic + (m4 - 2 m2^2) * kronecker of F3, one triple at a time.
+
+    magnitudes replaces the first coordinates and the excess kurtosis by
+    their absolute values, as in the time-uniform bound.
+    """
+    box, L = ctx.box, ctx.lam2
+    i, j, k = (box.index(v) for v in (n, m, p))
+    a, b, c = n[0], m[0], p[0]
+    excess = ctx.m4 - 2.0 * ctx.m2 ** 2
+    if magnitudes:
+        a, b, c, excess = abs(a), abs(b), abs(c), abs(excess)
+    cyc = a * L[j] * L[k] + b * L[k] * L[i] + c * L[i] * L[j]
+    if kron == "half_opposite":
+        kr = 0.5 * ((j == k) * a * L[j] ** 2 + (k == i) * b * L[k] ** 2
+                    + (i == j) * c * L[i] ** 2)
+    else:
+        kr = ((j == k) * b * L[j] ** 2 + (k == i) * c * L[k] ** 2
+              + (i == j) * a * L[i] ** 2)
+    return ctx.m2 ** 2 * cyc + excess * kr
+
+
+def _zero_sum_reference(box):
+    modes = list(box)
+    return [(n, m, (-n[0] - m[0], -n[1] - m[1])) for n in modes for m in modes
+            if (-n[0] - m[0], -n[1] - m[1]) in box]
 
 
 def test_context_from_profile(ctx33):
@@ -86,12 +148,36 @@ class TestPairCorrection:
         assert f2_diag(ctx33, (2, 1), 0.0) == 0.0
 
     def test_vectorized_matches_scalar(self, ctx22_twopoint):
+        # f2_diag and g_n_rate against the brute-force terms, f2_diag_all
+        # against f2_diag; in the 2x2 box six modes have 2n inside and six
+        # are even.
         ctx = ctx22_twopoint
-        t = 0.9
-        allvals = f2_diag_all(ctx, t)
-        for i, (n1, n2) in enumerate(ctx.box.modes):
-            single = f2_diag(ctx, (int(n1), int(n2)), t)
-            assert allvals[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
+        kron_modes = sum(not all(g for _, _, g in _f2_terms_reference(ctx, n))
+                         for n in ctx.box)
+        assert kron_modes == 12
+        for t in (0.0, 0.9, 7.5):
+            allvals = f2_diag_all(ctx, t)
+            for i, n in enumerate(ctx.box):
+                f2 = -n[0] * _f2_bracket_reference(
+                    ctx, n, lambda c, d: c * _one_minus_cos(d, t))
+                rate = -n[0] * _f2_bracket_reference(
+                    ctx, n, lambda c, d: c * np.sin(d * t) / d)
+                single = f2_diag(ctx, n, t)
+                assert single == pytest.approx(f2, rel=1e-12, abs=1e-15)
+                assert allvals[i] == pytest.approx(single, rel=1e-12,
+                                                   abs=1e-15)
+                assert g_n_rate(ctx, n, t) == pytest.approx(rate, rel=1e-12,
+                                                            abs=1e-15)
+
+    def test_majorant_matches_reference(self, ctx22_twopoint):
+        ctx = ctx22_twopoint
+        s = 1.0
+        expected = sum(
+            abs(n[0]) * (abs(n[0]) + abs(n[1])) ** (2 * s) * abs(n[0])
+            * _f2_bracket_reference(ctx, n,
+                                    lambda c, d: abs(c) * 2.0 / d ** 2)
+            for n in ctx.box)
+        assert pair_majorant(ctx, s) == pytest.approx(expected, rel=1e-12)
 
     def test_pair_prediction_structure(self, ctx22_twopoint):
         ctx = ctx22_twopoint
@@ -137,9 +223,17 @@ class TestTripleCorrection:
         b = f3(ctx, *args, kron="repeated")
         assert a != b
 
-    def test_unknown_convention_rejected(self, ctx33):
+    @pytest.mark.parametrize("fn", [
+        lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (-2, 0), 0.5, kron=kron),
+        lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (-2, 0), 0.5,
+                                 kron=kron),
+        lambda ctx, kron: weighted_sum_triple(ctx, 1.0, 0.5, kron=kron),
+        lambda ctx, kron: triple_majorant(ctx, 1.0, kron=kron),
+    ], ids=["f3", "h_rate", "weighted_sum_triple", "triple_majorant"])
+    def test_unknown_convention_rejected(self, ctx33, fn):
+        fn(ctx33, "repeated")
         with pytest.raises(ValueError):
-            f3(ctx33, (1, 0), (1, 0), (-2, 0), 0.5, kron="other")
+            fn(ctx33, "other")
 
     def test_triple_prediction_is_scaled_f3(self, ctx33):
         n, m, p, t, eps = (1, 1), (1, 0), (-2, -1), 0.8, 0.15
@@ -167,17 +261,36 @@ def test_zero_sum_triples_matches_brute_force(box22):
 
 
 @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
-def test_f3_all_matches_scalar(ctx22_twopoint, kron):
-    ctx = ctx22_twopoint
-    t, sign = 0.7, 1.0
-    (i_n, i_m, i_p), vals, _, _ = _f3_all(ctx, t, kron, sign)
-    modes = ctx.box.modes
-    for r in range(0, len(vals), 7):
-        n = tuple(map(int, modes[i_n[r]]))
-        m = tuple(map(int, modes[i_m[r]]))
-        p = tuple(map(int, modes[i_p[r]]))
-        single = f3(ctx, n, m, p, t, kron=kron, sign=sign)
-        assert vals[r] == pytest.approx(single, rel=1e-12, abs=1e-15)
+def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
+    # f3, h_rate, the weighted sum and its majorant against the
+    # one-triple formula, on every zero-sum triple of the box (repeated-
+    # index triples such as (1,0), (1,0), (-2,0) included), with excess
+    # kurtosis of either sign (two-point law > 0, Steinhaus < 0).
+    t, s = 0.7, 1.0
+    for ctx in (ctx22_twopoint, ctx33):
+        triples = _zero_sum_reference(ctx.box)
+        assert ((1, 0), (1, 0), (-2, 0)) in triples
+        for sign in (1.0, -1.0):
+            wsum = bound = 0.0
+            for n, m, p in triples:
+                Om = omega(n) + omega(m) + omega(p)
+                amp = _f3_amplitude_reference(ctx, n, m, p, kron)
+                val = sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
+                rate = sign * (-1j) * np.exp(-1j * Om * t) * amp
+                got = f3(ctx, n, m, p, t, kron=kron, sign=sign)
+                assert got == pytest.approx(val, rel=1e-12, abs=1e-15)
+                got = h_rate(ctx, n, m, p, t, kron=kron, sign=sign)
+                assert got == pytest.approx(rate, rel=1e-12, abs=1e-15)
+                w = np.sqrt(abs(n[0] * m[0] * p[0])) * (
+                    (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
+                    * (abs(p[0]) + abs(p[1]))) ** s
+                wsum += w * abs(val)
+                bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
+                    ctx, n, m, p, kron, magnitudes=True)
+            got = weighted_sum_triple(ctx, s, t, kron=kron, sign=sign)
+            assert got == pytest.approx(wsum, rel=1e-12)
+            assert triple_majorant(ctx, s, kron=kron) == pytest.approx(
+                bound, rel=1e-12)
 
 
 class TestWeightedSums:
@@ -185,14 +298,15 @@ class TestWeightedSums:
         assert weighted_sum_pair(ctx33, 1.0, 0.0) == 0.0
         assert weighted_sum_triple(ctx33, 1.0, 0.0) == 0.0
 
-    def test_majorants_dominate_on_grid(self, ctx22_twopoint):
+    @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
+    def test_majorants_dominate_on_grid(self, ctx22_twopoint, kron):
         ctx = ctx22_twopoint
         s = 1.0
         pm = pair_majorant(ctx, s)
-        tm = triple_majorant(ctx, s)
+        tm = triple_majorant(ctx, s, kron=kron)
         for t in np.arange(0.0, 20.0, 0.5):
             assert weighted_sum_pair(ctx, s, t) <= pm
-            assert weighted_sum_triple(ctx, s, t) <= tm
+            assert weighted_sum_triple(ctx, s, t, kron=kron) <= tm
 
     def test_majorants_grow_with_box(self):
         # With a fixed unnormalized profile, enlarging the box only adds
