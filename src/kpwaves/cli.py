@@ -15,23 +15,23 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .lattice import LatticeBox, SpectralField, hs_norm, apply_free_flow
-from .operators import pair_table, dx_product, s_map, f_map
-from .picard import (picard_b, picard_c, f_integral, extract_w, extract_d,
-                     PicardBundle, lambda_eps, invert_lambda_eps)
+from .lattice import LatticeBox, SpectralField
+from .operators import pair_table
+from .picard import resonance_margin, identity_residuals, w_residual
 from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
-                       g_moments, sample_u0, EnsembleConfig, estimate_moments,
-                       ScanConfig, remainder_scan, remainder_growth,
-                       _triple_indices, _FORMAT_VERSION as FORMAT_VERSION)
+                       g_moments, sample_u0, EnsembleConfig, MomentReport,
+                       estimate_moments, ScanConfig, remainder_scan,
+                       remainder_growth, _triple_indices)
 from . import theory
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
+FORMAT_VERSION = "kpwaves-report-1"
 IDENTITY_TOL = 1e-10
 
 
@@ -252,7 +252,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if parser is None:
             raise ConfigError(f"{key}: unknown configuration key")
         parsed[key] = parser(text)
-    return ExperimentConfig(**parsed)
+    cfg = ExperimentConfig(**parsed)
+    if cfg.command != "verify" and not cfg.out:
+        raise ConfigError("out: this command requires an output path")
+    return cfg
 
 
 def build_law(cfg: ExperimentConfig) -> RandomLaw:
@@ -344,21 +347,24 @@ def config_echo(cfg: ExperimentConfig) -> dict:
 def _cell(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, (tuple, list)):
+        return " ".join(_cell(v) for v in x)
     return "" if x is None else str(x)
 
 
-def emit_table(cfg: ExperimentConfig, columns: list, rows: list,
+def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
                extras: dict | None = None) -> None:
-    """Write a result table with the echoed config, as CSV or JSON."""
-    if not cfg.out:
-        raise ConfigError("out: this command requires an output path")
+    """Write a result table with the echoed config, as CSV or JSON.
+
+    The one report writer: version, config echo, extras, then the table.
+    """
     extras = extras or {}
     if cfg.format == "json":
         obj = {
             "version": FORMAT_VERSION,
             "config": config_echo(cfg),
             "results": {
-                **{k: (None if v is None else v) for k, v in extras.items()},
+                **extras,
                 "columns": columns,
                 "rows": [[row.get(c) for c in columns] for row in rows],
             },
@@ -389,76 +395,34 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     profile = build_profile(cfg, box, law)
     eps = cfg.eps[0] if cfg.eps[0] > 0 else 0.1
     t = cfg.t
-    om = box.dispersion().values
-    checks = []
+    margin = resonance_margin(box)
+    n_splits = len(pair_table(box))
+    checks = [("resonance-bound", max(0.0, -margin),
+               f"min |Delta| - 3|n1 k1 l1| = {margin:.3e} over {n_splits} "
+               "splits" if n_splits else "no interacting splits")]
 
-    pt = pair_table(box)
-    if len(pt):
-        lhs = np.abs(pt.delta)
-        rhs = 3.0 * np.abs(box.n1[pt.out_idx] * box.n1[pt.k_idx]
-                           * box.n1[pt.l_idx])
-        margin = float(np.min(lhs - rhs))
-        checks.append(("resonance-bound", max(0.0, -margin),
-                       f"min |Delta| - 3|n1 k1 l1| = {margin:.3e} "
-                       f"over {len(pt)} splits"))
-    else:
-        checks.append(("resonance-bound", 0.0, "no interacting splits"))
-
-    def lin(u):
-        return SpectralField(box, 1j * om * u.coeffs, copy=False)
-
-    def rel(resid, *fields_):
-        scale = max([1.0] + [float(np.abs(f.coeffs).max()) for f in fields_])
-        return float(np.abs(resid.coeffs).max()) / scale
-
-    worst = {"commutator": 0.0, "cubic-composition": 0.0,
-             "b-decomposition": 0.0, "c-decomposition": 0.0,
-             "roundtrip": 0.0}
     n_fields = 8
+    worst = {}
     for i in range(n_fields):
         u = sample_u0(profile, law, cfg.seed, 2 * i)
         v = sample_u0(profile, law, cfg.seed, 2 * i + 1)
-        r = (lin(s_map(u, v)) - s_map(lin(u), v) - s_map(u, lin(v))
-             + 0.5 * dx_product(u, v))
-        worst["commutator"] = max(worst["commutator"], rel(r, u, v))
-        r = f_map(u, v, u) + s_map(u, dx_product(u, v))
-        worst["cubic-composition"] = max(worst["cubic-composition"], rel(r, u, v))
-        a = apply_free_flow(u, t)
-        b = picard_b(u, t)
-        r = b + s_map(a, a) - apply_free_flow(s_map(u, u), t)
-        worst["b-decomposition"] = max(worst["b-decomposition"], rel(r, u, b))
-        c = picard_c(u, t)
-        r = c + 2.0 * s_map(a, b) - f_integral(u, t)
-        worst["c-decomposition"] = max(worst["c-decomposition"], rel(r, u, c))
-        bundle = PicardBundle.build(u, t, eps)
-        d_true = v * 0.1
-        rec = invert_lambda_eps(lambda_eps(d_true, bundle), bundle)
-        worst["roundtrip"] = max(worst["roundtrip"], rel(rec - d_true, d_true))
-    checks.append(("commutator", worst["commutator"],
-                   f"max rel residual over {n_fields} field pairs"))
-    checks.append(("cubic-composition", worst["cubic-composition"],
-                   "f_map against -s_map(., dx_product)"))
-    checks.append(("b-decomposition", worst["b-decomposition"],
-                   "first corrector against its two-term form"))
-    checks.append(("c-decomposition", worst["c-decomposition"],
-                   "second corrector against -2 s_map(a, b) + f"))
-    checks.append(("lambda-roundtrip", worst["roundtrip"],
-                   "invert_lambda_eps after lambda_eps"))
+        for name, r in identity_residuals(u, v, t, eps).items():
+            worst[name] = max(worst.get(name, 0.0), r)
+    notes = {
+        "commutator": f"max rel residual over {n_fields} field pairs",
+        "cubic-composition": "f_map against -s_map(., dx_product)",
+        "b-decomposition": "first corrector against its two-term form",
+        "c-decomposition": "second corrector against -2 s_map(a, b) + f",
+        "lambda-roundtrip": "invert_lambda_eps after lambda_eps",
+    }
+    checks.extend((name, worst[name], note) for name, note in notes.items())
 
     # One evolved sample: the cubic remainder decomposition of the
     # normal-form variable must close against the integrated state.
     u0 = sample_u0(profile, law, cfg.seed, 0)
     dt = cfg.dt or calibrate_dt(box, u0, eps, t)
     u_t = SpectralField(box, evolve_coeffs(box, u0.coeffs, eps, [t], dt)[0])
-    a = apply_free_flow(u0, t)
-    b = picard_b(u0, t)
-    c = picard_c(u0, t)
-    d = extract_d(u_t, u0, t, eps)
-    w = extract_w(u_t, u0, t, eps)
-    bundle = PicardBundle.build(u0, t, eps)
-    recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
-             + eps * eps * s_map(c, c) + lambda_eps(d, bundle))
-    checks.append(("w-decomposition", rel(w - recon, w),
+    checks.append(("w-decomposition", w_residual(u_t, u0, t, eps),
                    "evolved-state decomposition of the normal form"))
 
     failures = 0
@@ -556,12 +520,9 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
                           triples=_select_triples(cfg, box),
                           seed=cfg.seed, dt=cfg.dt, threads=cfg.threads)
     report = estimate_moments(ecfg)
-    if not cfg.out:
-        raise ConfigError("out: this command requires an output path")
-    if cfg.format == "json":
-        report.to_json(cfg.out, config=config_echo(cfg))
-    else:
-        report.to_csv(cfg.out, config=config_echo(cfg))
+    extras = ({"failed_samples": list(report.failed_samples)}
+              if report.failed_samples else None)
+    emit_table(cfg, MomentReport.COLUMNS, report.rows(), extras=extras)
     print(f"ensemble: {report.sample_count} samples, "
           f"{len(report.failed_samples)} failed, "
           f"{len(report.pair_moments)} pair and "
@@ -587,12 +548,7 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
             profile=profile, law=law, eps_grid=cfg.eps, t=cfg.t,
             sample_count=cfg.sample_count, triple=cfg.triple,
             seed=cfg.seed, dt=cfg.dt, rotations=cfg.rotations))
-        for p in scan.points:
-            rows.append({"kind": "scan", "eps": p.eps,
-                         "pair_value": p.pair_value,
-                         "pair_error": p.pair_error,
-                         "triple_value": p.triple_value,
-                         "triple_error": p.triple_error})
+        rows.extend({"kind": "scan", **asdict(p)} for p in scan.points)
         extras.update(pair_slope=scan.pair_slope,
                       pair_slope_err=scan.pair_slope_err,
                       triple_slope=scan.triple_slope,

@@ -13,7 +13,6 @@ any drift in that quantity is integrator error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,19 +86,6 @@ class Trajectory:
 
     def final(self) -> SpectralField:
         return self.state(len(self) - 1)
-
-    def to_csv(self, path, header_lines=()) -> None:
-        """Write rows (t, n1, n2, re, im) with 17 significant digits."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "n1", "n2", "re", "im"])
-            for i, t in enumerate(self.times):
-                row = self.coeffs[i]
-                for n1, n2, z in zip(self.box.n1, self.box.n2, row):
-                    writer.writerow([f"{t:.17g}", int(n1), int(n2),
-                                     f"{z.real:.17g}", f"{z.imag:.17g}"])
 
 
 def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,

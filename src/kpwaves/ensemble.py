@@ -9,7 +9,6 @@ be reproduced in isolation, independent of batching or thread count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .lattice import LatticeBox, SpectralField, hs_weights
 from . import theory
-from .dynamics import calibrate_dt, evolve_coeffs
+from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
 from .picard import _picard_b_coeffs, _picard_c_coeffs
 
 __all__ = [
@@ -324,6 +323,10 @@ class MomentEntry:
 class MomentReport:
     """Estimates, errors and predictions of one ensemble run."""
 
+    COLUMNS = ("kind", "n1", "n2", "m1", "m2", "p1", "p2",
+               "re_est", "im_est", "std_error", "re_pred", "im_pred",
+               "z_score")
+
     eps: float
     t: float
     seed: int
@@ -333,67 +336,17 @@ class MomentReport:
     triple_moments: dict
 
     def rows(self):
-        """Flat result rows for serialization."""
+        """One dict per moment, keyed by COLUMNS; pairs leave p1, p2 empty."""
         out = []
-        for (n, m), e in self.pair_moments.items():
-            out.append({"kind": "pair",
-                        "n1": n[0], "n2": n[1], "m1": m[0], "m2": m[1],
-                        "p1": "", "p2": "",
-                        "re_est": e.estimate.real, "im_est": e.estimate.imag,
-                        "std_error": e.std_error,
-                        "re_pred": e.prediction.real,
-                        "im_pred": e.prediction.imag,
-                        "z_score": e.z_score})
-        for (n, m, p), e in self.triple_moments.items():
-            out.append({"kind": "triple",
-                        "n1": n[0], "n2": n[1], "m1": m[0], "m2": m[1],
-                        "p1": p[0], "p2": p[1],
-                        "re_est": e.estimate.real, "im_est": e.estimate.imag,
-                        "std_error": e.std_error,
-                        "re_pred": e.prediction.real,
-                        "im_pred": e.prediction.imag,
-                        "z_score": e.z_score})
+        for kind, moments in (("pair", self.pair_moments),
+                              ("triple", self.triple_moments)):
+            for modes, e in moments.items():
+                n, m, p = (*modes, ("", ""))[:3]
+                out.append(dict(zip(self.COLUMNS, (
+                    kind, *n, *m, *p, e.estimate.real, e.estimate.imag,
+                    e.std_error, e.prediction.real, e.prediction.imag,
+                    e.z_score))))
         return out
-
-    def to_json_obj(self, config: dict | None = None) -> dict:
-        return {
-            "version": _FORMAT_VERSION,
-            "config": dict(config or {}),
-            "results": {
-                "eps": self.eps, "t": self.t, "seed": self.seed,
-                "sample_count": self.sample_count,
-                "failed_samples": list(self.failed_samples),
-                "moments": self.rows(),
-            },
-        }
-
-    def to_json(self, path, config: dict | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(config), fh, indent=2)
-            fh.write("\n")
-
-    def to_csv(self, path, config: dict | None = None) -> None:
-        import csv as _csv
-        cols = ["kind", "n1", "n2", "m1", "m2", "p1", "p2",
-                "re_est", "im_est", "std_error", "re_pred", "im_pred",
-                "z_score"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {_FORMAT_VERSION}\n")
-            for key, val in (config or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = _csv.writer(fh)
-            writer.writerow(cols)
-            for row in self.rows():
-                writer.writerow([_fmt(row[c]) for c in cols])
-
-
-_FORMAT_VERSION = "kpwaves-report-1"
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return x
 
 
 # Samples per block of the fixed-order reductions below, and per Picard
@@ -627,7 +580,8 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     leading survivor is O(eps^4), and the triple channel subtracts the
     orders eps^0..eps^2 of E(u_n u_m u_p), leaving O(eps^3).  The pair
     channel is aggregated over modes in quadrature; the triple channel
-    tracks the single configured zero-sum triple.
+    tracks the single configured zero-sum triple.  Raises NonFiniteError,
+    naming the sample and eps, as soon as an evolved state is non-finite.
     """
     box = cfg.profile.box
     eps_grid = tuple(float(e) for e in cfg.eps_grid)
@@ -669,6 +623,11 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
                     for f in (_picard_b_coeffs, _picard_c_coeffs))
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
+                bad = ~np.isfinite(U.view(float)).all(axis=1)
+                if bad.any():
+                    raise NonFiniteError(
+                        f"sample {done + int(np.argmax(bad))} diverged "
+                        f"at eps = {e}")
                 r2 = (np.abs(U) ** 2 - np.abs(A) ** 2
                       - 2 * e * np.real(np.conj(A) * B)
                       - e * e * (np.abs(B) ** 2 + 2 * np.real(np.conj(A) * C))
@@ -738,7 +697,9 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
 
     Evolves one ensemble across the whole grid, removes the closed terms
     a + eps b + eps^2 c from each state, rescales by eps^3, and fits
-    log(max over samples of the H^s norm) against log(1 + t).
+    log(max over samples of the H^s norm) against log(1 + t).  Raises
+    NonFiniteError, naming the first sample and grid time, when an evolved
+    state is non-finite.
     """
     if eps == 0:
         raise ValueError("remainder is undefined at eps = 0")
@@ -755,6 +716,10 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     G = sample_g_batch(box, law, seed, np.arange(sample_count))
     U0 = lam * G
     states = evolve_coeffs(box, U0, eps, grid, dt)
+    bad = ~np.isfinite(states.view(float)).all(axis=2)
+    if bad.any():
+        i_t, i_s = np.argwhere(bad)[0]
+        raise NonFiniteError(f"sample {i_s} diverged by t = {grid[i_t]}")
     om = box.dispersion().values
     w = hs_weights(box, s)
     peak = np.empty(grid.size)

@@ -10,6 +10,10 @@ subtraction.  The gauged variable v = u + eps s_map(u, u) satisfies a
 flow equation whose eps^3 coefficient w admits an algebraic decomposition
 in terms of a, b, c, d; lambda_eps is the resulting polynomial map d -> w
 and invert_lambda_eps recovers d from w by fixed-point iteration.
+
+The exact identities behind the normal form, which hold to roundoff, are
+measured by resonance_margin, identity_residuals and w_residual; both
+`kpwaves verify` and the acceptance suite call them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .lattice import LatticeBox, SpectralField, apply_free_flow, hs_norm
 from .operators import (pair_table, triple_table, segment_sum,
-                        _s_apply, s_map)
+                        _s_apply, s_map, dx_product, f_map)
 
 __all__ = [
     "THETA_TOL",
@@ -35,6 +39,9 @@ __all__ = [
     "invert_lambda_eps",
     "NonContractionError",
     "MaxIterExceededError",
+    "resonance_margin",
+    "identity_residuals",
+    "w_residual",
 ]
 
 # Below this phase magnitude phi1 switches to its theta -> 0 limit t;
@@ -216,3 +223,78 @@ def invert_lambda_eps(g: SpectralField, bundle: PicardBundle,
     raise MaxIterExceededError(
         f"no convergence to {tol:.1e} within {max_iter} iterations "
         f"(last residual {history[-1]:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# exact identities
+
+def resonance_margin(box: LatticeBox) -> float:
+    """Smallest |Delta| - 3 |n1 k1 l1| over the splits k + l = n of the box.
+
+    The three-wave bound says it is >= 0; inf when the box has no splits.
+    """
+    pt = pair_table(box)
+    if not len(pt):
+        return np.inf
+    rhs = 3.0 * np.abs(box.n1[pt.out_idx] * box.n1[pt.k_idx]
+                       * box.n1[pt.l_idx])
+    return float(np.min(np.abs(pt.delta) - rhs))
+
+
+def _rel(resid: SpectralField, *refs: SpectralField) -> float:
+    """Max |resid| relative to the largest coefficient of refs (at least 1)."""
+    scale = max([1.0] + [float(np.abs(f.coeffs).max()) for f in refs])
+    return float(np.abs(resid.coeffs).max()) / scale
+
+
+def identity_residuals(u: SpectralField, v: SpectralField, t: float,
+                       eps: float) -> dict:
+    """Relative residuals, by name, of the field-pair identities:
+
+    commutator         L s(u, v) - s(Lu, v) - s(u, Lv) = -dx(uv)/2
+    cubic-composition  f(u, v, u) = -s(u, dx(uv))
+    b-decomposition    b = U(t) s(u, u) - s(a, a)
+    c-decomposition    c = f_integral - 2 s(a, b)
+    lambda-roundtrip   invert_lambda_eps(lambda_eps(v / 10)) = v / 10
+
+    L is the linear part, s = s_map, f = f_map, dx = dx_product, and
+    (a, b, c) is the Picard bundle of u at (t, eps).
+    """
+    box = u.box
+    om = box.dispersion().values
+
+    def lin(x):
+        return SpectralField(box, 1j * om * x.coeffs, copy=False)
+
+    bundle = PicardBundle.build(u, t, eps)
+    a, b, c = bundle.a, bundle.b, bundle.c
+    out = {}
+    r = (lin(s_map(u, v)) - s_map(lin(u), v) - s_map(u, lin(v))
+         + 0.5 * dx_product(u, v))
+    out["commutator"] = _rel(r, u, v)
+    r = f_map(u, v, u) + s_map(u, dx_product(u, v))
+    out["cubic-composition"] = _rel(r, u, v)
+    r = b + s_map(a, a) - apply_free_flow(s_map(u, u), t)
+    out["b-decomposition"] = _rel(r, u, b)
+    r = c + 2.0 * s_map(a, b) - f_integral(u, t)
+    out["c-decomposition"] = _rel(r, u, c)
+    d_true = v * 0.1
+    rec = invert_lambda_eps(lambda_eps(d_true, bundle), bundle, tol=1e-13)
+    out["lambda-roundtrip"] = _rel(rec - d_true, d_true)
+    return out
+
+
+def w_residual(u_t: SpectralField, u0: SpectralField, t: float,
+               eps: float) -> float:
+    """Relative residual of the cubic remainder decomposition at u_t.
+
+    extract_w must equal s(b, b) + 2 s(a, c) + 2 eps s(b, c)
+    + eps^2 s(c, c) + lambda_eps(extract_d), for any state u_t.
+    """
+    bundle = PicardBundle.build(u0, t, eps)
+    a, b, c = bundle.a, bundle.b, bundle.c
+    w = extract_w(u_t, u0, t, eps)
+    d = extract_d(u_t, u0, t, eps)
+    recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
+             + eps * eps * s_map(c, c) + lambda_eps(d, bundle))
+    return _rel(w - recon, w)

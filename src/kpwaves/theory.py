@@ -190,6 +190,11 @@ def f2_diag_all(ctx: TheoryContext, t: float) -> np.ndarray:
 KRON_CONVENTIONS = ("half_opposite", "repeated")
 
 
+def _check_kron(kron: str) -> None:
+    if kron not in KRON_CONVENTIONS:
+        raise ValueError(f"unknown kron convention {kron!r}")
+
+
 def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
                   first=None, excess=None):
     """Amplitude and phase Omega of F3 at triple indices (ints or arrays).
@@ -198,6 +203,7 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
     coordinates taken from first (default box.n1) and excess defaulting
     to m4 - 2 m2^2; the majorant passes their magnitudes.
     """
+    _check_kron(kron)
     if first is None:
         first = ctx.box.n1
     if excess is None:
@@ -209,12 +215,10 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
         kr = 0.5 * ((i_m == i_p) * n1 * L[i_m] ** 2
                     + (i_p == i_n) * m1 * L[i_p] ** 2
                     + (i_n == i_m) * p1 * L[i_n] ** 2)
-    elif kron == "repeated":
+    else:
         kr = ((i_m == i_p) * m1 * L[i_m] ** 2
               + (i_p == i_n) * p1 * L[i_p] ** 2
               + (i_n == i_m) * n1 * L[i_n] ** 2)
-    else:
-        raise ValueError(f"unknown kron convention {kron!r}")
     om = ctx.dispersion.values
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
@@ -225,8 +229,9 @@ def _f3_values(ctx: TheoryContext, i_n, i_m, i_p, t: float, kron: str,
     return sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
 
 
-def _triple_index(box: LatticeBox, n, m, p):
-    """Mode indices of (n, m, p); None off the zero-sum plane."""
+def _triple_index(box: LatticeBox, n, m, p, kron: str):
+    """Mode indices of (n, m, p); None off the zero-sum plane.  Checks kron."""
+    _check_kron(kron)
     idx = [box.index(v) for v in (n, m, p)]
     if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
         return None
@@ -247,7 +252,7 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
     weighted; the default (kron="half_opposite", sign=+1) is the variant
     confirmed by the Monte Carlo oracle in the acceptance tests.
     """
-    idx = _triple_index(ctx.box, n, m, p)
+    idx = _triple_index(ctx.box, n, m, p, kron)
     if idx is None:
         return 0.0 + 0.0j
     return complex(_f3_values(ctx, *idx, t, kron, sign))
@@ -256,7 +261,7 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
 def h_rate(ctx: TheoryContext, n, m, p, t: float,
            kron: str = "half_opposite", sign: float = 1.0) -> complex:
     """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
-    idx = _triple_index(ctx.box, n, m, p)
+    idx = _triple_index(ctx.box, n, m, p, kron)
     if idx is None:
         return 0.0 + 0.0j
     amp, Om = _f3_amplitude(ctx, *idx, kron)

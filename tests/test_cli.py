@@ -1,10 +1,18 @@
 """End-to-end command line tests, run in process through main()."""
 
+import csv
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
+from kpwaves import cli
 from kpwaves.cli import ConfigError, load_config, main
+from kpwaves.ensemble import MomentReport
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -54,6 +62,39 @@ class TestConfigParsing:
     def test_unknown_command_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = frobnicate\n")
         assert main(["--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "remainder-scan",
+                                         "box-limit", "theory-curves"])
+    def test_missing_out_exits_2_before_running(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        def never(cfg):
+            raise AssertionError("the command ran without an output path")
+
+        monkeypatch.setitem(cli._HANDLERS, command, never)
+        cfg = write_cfg(tmp_path, f"command = {command}\n")
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: out:")
+
+    def test_missing_out_stops_ensemble_before_sampling(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def never(ecfg):
+            raise RuntimeError("sampling started")
+
+        monkeypatch.setattr(cli, "estimate_moments", never)
+        cfg = write_cfg(tmp_path, "command = ensemble\nbox = 2 2\n")
+        assert main(["--config", cfg]) == 2
+        assert "out" in capsys.readouterr().err
+
+
+def test_readme_example_configs_load(tmp_path):
+    # Every `# name.cfg` code block of the README's Examples section.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Examples", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```\n# (\S+\.cfg)\n(.*?)^```", section,
+                        flags=re.M | re.S)
+    commands = {load_config(write_cfg(tmp_path, body, name)).command
+                for name, body in blocks}
+    assert commands == set(cli._COMMANDS)
 
 
 class TestVerify:
@@ -114,8 +155,9 @@ class TestEnsemble:
         assert main(["--config", cfg]) == 0
         data = json.loads(out_path.read_text())
         assert data["version"] == "kpwaves-report-1"
-        assert data["results"]["sample_count"] == 0
-        assert data["results"]["moments"] == []
+        assert data["config"]["sample_count"] == "0"
+        assert data["results"] == {"columns": list(MomentReport.COLUMNS),
+                                   "rows": []}
 
     def test_small_run_writes_rows(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
@@ -136,8 +178,10 @@ class TestRemainderScan:
     def test_needs_grid_or_three_eps(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path,
                         "command = remainder-scan\nbox = 2 1\neps = 0.1\n"
-                        "sample_count = 8\ndt = 0.05\n")
+                        "sample_count = 8\ndt = 0.05\n"
+                        f"out = {tmp_path / 'scan.csv'}\n")
         assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: eps:")
 
     @pytest.mark.parametrize("extra, key", [
         ("box = 1 1\n", "triple"),
@@ -147,7 +191,8 @@ class TestRemainderScan:
                                                    extra, key):
         cfg = write_cfg(tmp_path,
                         "command = remainder-scan\neps = 0.2 0.1 0.05\n"
-                        "sample_count = 8\ndt = 0.05\n" + extra)
+                        "sample_count = 8\ndt = 0.05\n"
+                        f"out = {tmp_path / 'scan.csv'}\n" + extra)
         assert main(["--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
@@ -170,7 +215,8 @@ class TestBoxLimit:
     def test_wrong_law_suggests_canonical_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path,
                         "command = box-limit\nlaw = steinhaus\nmode = 1 0\n"
-                        "box_sizes = 4 8\nt = 1\n")
+                        "box_sizes = 4 8\nt = 1\n"
+                        f"out = {tmp_path / 'bl.csv'}\n")
         assert main(["--config", cfg]) == 2
         assert "two_point" in capsys.readouterr().err
 
@@ -234,3 +280,74 @@ class TestTheoryCurves:
             rec = dict(zip(res["columns"], row))
             assert abs(rec["weighted_pair"]) <= pm + 1e-12
             assert abs(rec["weighted_triple"]) <= tm + 1e-12
+
+
+def _read_csv_report(path):
+    """(version, header dict, columns, rows) of a CSV report."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = {}
+    i = 1
+    while lines[i].startswith("# "):
+        key, _, val = lines[i][2:].partition("=")
+        header[key] = val
+        i += 1
+    table = list(csv.reader(lines[i:]))
+    return lines[0][2:], header, table[0], table[1:]
+
+
+def _same(text, value) -> bool:
+    """A CSV cell holds the JSON value; floats must round-trip exactly."""
+    if isinstance(value, list):
+        return text.split() == [str(v) for v in value]
+    if isinstance(value, float):
+        x = float(text)
+        return x == value or (math.isnan(x) and math.isnan(value))
+    return text == ("" if value is None else str(value))
+
+
+_DIVERGING = ("normalize = false\nprofile = power_decay 10 0\neps = 1\n"
+              "t = 1\ndt = 0.05\nsample_count = 8\n")
+
+
+class TestReportLayout:
+    """Every command writes one layout: CSV and JSON carry the same data."""
+
+    @pytest.mark.parametrize("text", [
+        "command = verify\nbox = 2 1\n",
+        "command = simulate\nbox = 2 1\nt_grid = 0 0.5 0.25\ndt = 0.05\n",
+        "command = ensemble\nbox = 2 1\nsample_count = 16\ndt = 0.05\n",
+        "command = ensemble\nbox = 2 2\n" + _DIVERGING,
+        "command = remainder-scan\nbox = 2 1\neps = 0.2 0.1 0.05\n"
+        "t_grid = 1 3 1\nsample_count = 8\ndt = 0.05\nrotations = 1\n",
+        "command = box-limit\nlaw = two_point 0 1.4142135623730951 0.5\n"
+        "box_sizes = 4 8\n",
+        "command = theory-curves\nbox = 2 2\nt_grid = 0 1 0.5\n",
+    ], ids=["verify", "simulate", "ensemble", "ensemble-failed",
+            "remainder-scan", "box-limit", "theory-curves"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_json_matches_csv(self, tmp_path, capsys, text):
+        paths = {}
+        for fmt in ("csv", "json"):
+            paths[fmt] = tmp_path / f"report.{fmt}"
+            assert main(["--config", write_cfg(tmp_path, text),
+                         "--format", fmt, "--out", str(paths[fmt])]) in (0, 1)
+        version, header, columns, rows = _read_csv_report(paths["csv"])
+        data = json.loads(paths["json"].read_text(encoding="utf-8"))
+        results = data["results"]
+        assert version == data["version"] == cli.FORMAT_VERSION
+        assert results.pop("columns") == columns
+        json_rows = results.pop("rows")
+        assert len(json_rows) == len(rows) > 0
+        for json_row, row in zip(json_rows, rows):
+            assert len(json_row) == len(row) == len(columns)
+            assert all(_same(t, v) for t, v in zip(row, json_row))
+        config = data["config"]
+        config["format"] = "csv"
+        config["out"] = str(paths["csv"])
+        expected = {**config, **results}
+        assert list(header) == list(expected)
+        assert all(_same(header[k], v) for k, v in expected.items())
+        if config["command"] == "ensemble":
+            # The extra is written only when a sample failed.
+            failed = [6, 7] if text.endswith(_DIVERGING) else None
+            assert results.get("failed_samples") == failed

@@ -1,7 +1,5 @@
 """Integrator tests: exactness limits, invariants, recording, and errors."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -112,29 +110,6 @@ class TestTrajectory:
         # ceil(1.0 / 0.3) = 4 steps of 0.25 each
         assert traj.dt == pytest.approx(0.25, rel=1e-15)
         assert traj.times[-1] == 1.0
-
-    def test_csv_roundtrip(self, box21, make_field, tmp_path):
-        u0 = make_field(box21, hermitian=True)
-        traj = integrate(u0, 0.2, 0.4, IntegratorConfig(dt=0.1,
-                                                        record_stride=2))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path, header_lines=("eps=0.2", "note"))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# eps=0.2"
-        assert lines[1] == "# note"
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-        assert rows[0] == ["t", "n1", "n2", "re", "im"]
-        rebuilt = np.empty_like(traj.coeffs)
-        per_time = box21.size
-        for i in range(len(traj)):
-            chunk = rows[1 + i * per_time:1 + (i + 1) * per_time]
-            for j, (t_s, n1_s, n2_s, re_s, im_s) in enumerate(chunk):
-                assert float(t_s) == traj.times[i]
-                assert int(n1_s) == box21.n1[j]
-                assert int(n2_s) == box21.n2[j]
-                rebuilt[i, j] = float(re_s) + 1j * float(im_s)
-        np.testing.assert_array_equal(rebuilt, traj.coeffs)
 
 
 def test_blowup_raises_non_finite(box22, make_field):

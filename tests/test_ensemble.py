@@ -1,7 +1,5 @@
-"""Sampling determinism, law moments, estimators, and report round trips."""
+"""Sampling determinism, law moments, estimators, and remainder scans."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -9,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpwaves.lattice import LatticeBox, hs_norm
+from kpwaves.dynamics import NonFiniteError, evolve_coeffs
 from kpwaves.ensemble import (
     EnsembleConfig,
-    MomentReport,
     RandomLaw,
     ScanConfig,
     ScanResult,
@@ -236,45 +234,6 @@ class TestEstimateMoments:
                     == threaded.triple_moments[key].estimate)
 
 
-class TestReportSerialization:
-    @pytest.fixture()
-    def report(self, box21):
-        profile = SpectrumProfile.power_decay(box21, 0.5, 1.0)
-        cfg = EnsembleConfig(profile=profile, law=RandomLaw.steinhaus(),
-                             eps=0.05, t=0.6, sample_count=8,
-                             pairs=(((1, 0), (1, 0)), ((1, 0), (2, 1))),
-                             triples=(((1, 0), (1, 0), (-2, 0)),),
-                             seed=1, dt=0.05)
-        return estimate_moments(cfg)
-
-    def test_csv_roundtrip_is_bit_exact(self, report, tmp_path):
-        path = tmp_path / "report.csv"
-        report.to_csv(path, config={"command": "ensemble", "seed": "1"})
-        text = path.read_text().splitlines()
-        assert text[0] == "# kpwaves-report-1"
-        assert text[1] == "# command=ensemble"
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-        header, body = rows[0], rows[1:]
-        assert len(body) == len(report.rows())
-        for parsed, original in zip(body, report.rows()):
-            rec = dict(zip(header, parsed))
-            assert rec["kind"] == original["kind"]
-            for col in ("re_est", "im_est", "std_error", "re_pred",
-                        "im_pred"):
-                assert float(rec[col]) == original[col]
-
-    def test_json_structure(self, report, tmp_path):
-        path = tmp_path / "report.json"
-        report.to_json(path, config={"command": "ensemble"})
-        data = json.loads(path.read_text())
-        assert data["version"] == "kpwaves-report-1"
-        assert data["config"] == {"command": "ensemble"}
-        res = data["results"]
-        assert res["sample_count"] == report.sample_count
-        assert res["moments"] == report.rows()
-
-
 class TestFitLogSlope:
     def test_recovers_exact_power_law(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0])
@@ -286,6 +245,21 @@ class TestFitLogSlope:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fit_log_slope([1.0, 2.0], [1.0, 4.0])
+
+
+def _diverging_start(box):
+    """Initial data of 8 samples, some of which blow up before t = 1 at
+    eps = 1 (dt = 0.05); all of them stay finite at eps <= 0.7."""
+    profile = SpectrumProfile.power_decay(box, 10.0, 0.0)
+    law = RandomLaw.steinhaus()
+    U0 = profile.lambdas() * sample_g_batch(box, law, 0, np.arange(8))
+    return profile, law, U0
+
+
+def _first_nonfinite(states):
+    """(time index, sample index) of the first non-finite state."""
+    return tuple(int(i) for i in np.argwhere(
+        ~np.isfinite(states.view(float)).all(axis=-1))[0])
 
 
 class TestScanValidation:
@@ -331,6 +305,21 @@ class TestScanValidation:
                       for size in (80, 7))
         assert one == split
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_sample_raises(self, box22):
+        profile, law, U0 = _diverging_start(box22)
+        for e in (0.5, 0.7):
+            assert np.isfinite(evolve_coeffs(box22, U0, e, [1.0], 0.05)).all()
+        _, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, [1.0],
+                                                  0.05))
+        assert first >= 4  # in the second batch of four
+        cfg = ScanConfig(profile=profile, law=law, eps_grid=(0.5, 0.7, 1.0),
+                         t=1.0, sample_count=8, dt=0.05, rotations=1,
+                         batch_size=4)
+        with pytest.raises(NonFiniteError,
+                           match=rf"^sample {first} diverged at eps = 1\.0$"):
+            remainder_scan(cfg)
+
     def test_noise_dominated_property(self):
         clean = ScanResult(points=(), pair_slope=4.0, pair_slope_err=0.1,
                            triple_slope=3.0, triple_slope_err=0.1)
@@ -366,3 +355,15 @@ class TestGrowthValidation:
         assert len(fit.max_norms) == 3
         assert all(v > 0 for v in fit.max_norms)
         assert np.isfinite(fit.exponent) and np.isfinite(fit.stderr)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_sample_raises(self, box22):
+        profile, law, U0 = _diverging_start(box22)
+        times = (0.25, 0.5, 0.75, 1.0)
+        i_t, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, times,
+                                                    0.05))
+        assert i_t > 0
+        with pytest.raises(NonFiniteError,
+                           match=rf"^sample {first} diverged by "
+                                 rf"t = {times[i_t]}$"):
+            remainder_growth(profile, law, 1.0, times, 8, dt=0.05)

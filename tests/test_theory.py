@@ -229,7 +229,11 @@ class TestTripleCorrection:
                                  kron=kron),
         lambda ctx, kron: weighted_sum_triple(ctx, 1.0, 0.5, kron=kron),
         lambda ctx, kron: triple_majorant(ctx, 1.0, kron=kron),
-    ], ids=["f3", "h_rate", "weighted_sum_triple", "triple_majorant"])
+        lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (1, 0), 0.5, kron=kron),
+        lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (1, 0), 0.5,
+                                 kron=kron),
+    ], ids=["f3", "h_rate", "weighted_sum_triple", "triple_majorant",
+            "f3-off-plane", "h_rate-off-plane"])
     def test_unknown_convention_rejected(self, ctx33, fn):
         fn(ctx33, "repeated")
         with pytest.raises(ValueError):
