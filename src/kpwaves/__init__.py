@@ -11,15 +11,13 @@ from .operators import dx_product, s_map, f_map
 from .picard import (phi1, picard_b, picard_c, f_integral, extract_d,
                      extract_w, PicardBundle, lambda_eps, invert_lambda_eps,
                      NonContractionError, MaxIterExceededError)
-from .dynamics import (IntegratorConfig, Trajectory, integrate, default_dt,
-                       calibrate_dt, l2_mass, normal_form_residual,
-                       NonFiniteError, TooFewSamplesError)
+from .dynamics import default_dt, calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
-                       g_moments, sample_u0, EnsembleConfig, MomentReport,
+                       sample_u0, EnsembleConfig, MomentReport,
                        estimate_moments, ScanConfig, ScanResult,
                        remainder_scan, GrowthFit, remainder_growth)
-from .theory import (TheoryContext, g_n_rate, f2_diag, f3, h_rate,
-                     weighted_sum_pair, weighted_sum_triple,
-                     pair_majorant, triple_majorant, box_limit_f2)
+from .theory import (TheoryContext, f2_diag, f3, weighted_sum_pair,
+                     weighted_sum_triple, pair_majorant, triple_majorant,
+                     box_limit_f2)
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from .operators import pair_table
 from .picard import resonance_margin, identity_residuals, w_residual
 from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
-                       g_moments, sample_u0, EnsembleConfig, MomentReport,
+                       sample_u0, EnsembleConfig, MomentReport,
                        estimate_moments, ScanConfig, remainder_scan,
-                       remainder_growth, _triple_indices)
+                       remainder_growth, _check_scan, _check_growth)
 from . import theory
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
@@ -535,19 +535,29 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     box = LatticeBox(*cfg.box)
     law = build_law(cfg)
     profile = build_profile(cfg, box, law)
+    scan_cfg = None
+    if len(cfg.eps) >= 3:
+        scan_cfg = ScanConfig(
+            profile=profile, law=law, eps_grid=cfg.eps, t=cfg.t,
+            sample_count=cfg.sample_count, triple=cfg.triple,
+            seed=cfg.seed, dt=cfg.dt, rotations=cfg.rotations)
+    grid = _time_grid(cfg) if cfg.t_grid is not None else None
+    if scan_cfg is None and grid is None:
+        raise ConfigError(
+            "eps: need at least three values for a slope fit, "
+            "or a t_grid for the growth fit")
+    try:
+        if scan_cfg is not None:
+            _check_scan(scan_cfg)
+        if grid is not None:
+            _check_growth(cfg.eps[0], grid, cfg.sample_count)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = []
     extras = {}
     status = 0
-    ran = False
-    if len(cfg.eps) >= 3:
-        try:
-            _triple_indices(box, cfg.triple)
-        except ValueError as exc:
-            raise ConfigError(f"triple: {exc}") from None
-        scan = remainder_scan(ScanConfig(
-            profile=profile, law=law, eps_grid=cfg.eps, t=cfg.t,
-            sample_count=cfg.sample_count, triple=cfg.triple,
-            seed=cfg.seed, dt=cfg.dt, rotations=cfg.rotations))
+    if scan_cfg is not None:
+        scan = remainder_scan(scan_cfg)
         rows.extend({"kind": "scan", **asdict(p)} for p in scan.points)
         extras.update(pair_slope=scan.pair_slope,
                       pair_slope_err=scan.pair_slope_err,
@@ -562,9 +572,8 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
             print(f"remainder-scan: pair slope {scan.pair_slope:.3f} "
                   f"+/- {scan.pair_slope_err:.3f}, triple slope "
                   f"{scan.triple_slope:.3f} +/- {scan.triple_slope_err:.3f}")
-        ran = True
-    if cfg.t_grid is not None:
-        fit = remainder_growth(profile, law, cfg.eps[0], _time_grid(cfg),
+    if grid is not None:
+        fit = remainder_growth(profile, law, cfg.eps[0], grid,
                                cfg.sample_count, seed=cfg.seed, s=cfg.s,
                                dt=cfg.dt)
         for t, norm in zip(fit.times, fit.max_norms):
@@ -573,11 +582,6 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
                       growth_stderr=fit.stderr)
         print(f"remainder-scan: growth exponent {fit.exponent:.3f} "
               f"+/- {fit.stderr:.3f}")
-        ran = True
-    if not ran:
-        raise ConfigError(
-            "eps: need at least three values for a slope fit, "
-            "or a t_grid for the growth fit")
     emit_table(cfg, ["kind", "eps", "t", "pair_value", "pair_error",
                      "triple_value", "triple_error", "max_norm"],
                rows, extras=extras)
@@ -587,7 +591,7 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
 def cmd_box_limit(cfg: ExperimentConfig) -> int:
     """Pair correction across growing boxes with a flat shrinking spectrum."""
     law = build_law(cfg)
-    m2, m4 = g_moments(law)
+    m2, m4 = law.moments()
     if abs(m2 - 1.0) > 1e-9 or abs(m4 - 2.0) > 1e-9:
         raise ConfigError(
             f"law: box-limit requires E|g|^2 = 1 and E|g|^4 = 2, "
@@ -628,19 +632,18 @@ def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     ctx = theory.TheoryContext.from_profile(profile, law)
     grid = _time_grid(cfg) if cfg.t_grid is not None \
         else np.arange(0.0, 100.0 + 0.25, 0.5)
-    n = cfg.mode
-    tri = cfg.triple
+    pair_sums = theory.weighted_sum_pair(ctx, cfg.s, grid)
+    triple_sums = theory.weighted_sum_triple(ctx, cfg.s, grid)
     rows = []
-    for t in grid:
-        val3 = theory.f3(ctx, *tri, float(t))
+    for t, w2, w3 in zip(grid, pair_sums, triple_sums):
+        val3 = theory.f3(ctx, *cfg.triple, float(t))
         rows.append({
             "t": float(t),
-            "pair_correction": theory.f2_diag(ctx, n, float(t)),
+            "pair_correction": theory.f2_diag(ctx, cfg.mode, float(t)),
             "re_triple": val3.real,
             "im_triple": val3.imag,
-            "weighted_pair": theory.weighted_sum_pair(ctx, cfg.s, float(t)),
-            "weighted_triple": theory.weighted_sum_triple(ctx, cfg.s,
-                                                          float(t)),
+            "weighted_pair": float(w2),
+            "weighted_triple": float(w3),
         })
     extras = {"pair_majorant": theory.pair_majorant(ctx, cfg.s),
               "triple_majorant": theory.triple_majorant(ctx, cfg.s)}

@@ -23,7 +23,6 @@ __all__ = [
     "RandomLaw",
     "SpectrumProfile",
     "normalize_profile",
-    "g_moments",
     "sample_u0",
     "sample_g_batch",
     "EnsembleConfig",
@@ -155,11 +154,6 @@ class RandomLaw:
             return np.where(u < p, r2, r1)
         sigma, r_max = self.params
         return np.minimum(sigma * np.sqrt(-2.0 * np.log1p(-u)), r_max)
-
-
-def g_moments(law: RandomLaw) -> tuple[float, float]:
-    """Second and fourth modulus moments (m2, m4) of a law."""
-    return law.moments()
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +557,27 @@ class ScanResult:
         return self.pair_slope is None or self.triple_slope is None
 
 
-def _triple_indices(box: LatticeBox, triple) -> list:
-    """Box indices of a zero-sum triple; ValueError off the plane or box."""
+def _check_scan(cfg: ScanConfig) -> list:
+    """Check the arguments of remainder_scan; return the triple's box indices.
+
+    Each ValueError starts with the configuration key it rejects.
+    """
+    if len(cfg.eps_grid) < 3:
+        raise ValueError("eps: a scan needs at least three values")
+    if any(e <= 0 for e in cfg.eps_grid):
+        raise ValueError("eps: values must be positive")
+    if cfg.rotations < 1:
+        raise ValueError("rotations: must be >= 1")
+    if cfg.sample_count < 1:
+        raise ValueError("sample_count: must be >= 1")
+    triple = cfg.triple
     if (sum(m[0] for m in triple) != 0
             or sum(m[1] for m in triple) != 0):
-        raise ValueError(f"triple {triple} does not sum to zero")
-    return [box.index(n) for n in triple]
+        raise ValueError(f"triple: {triple} does not sum to zero")
+    try:
+        return [cfg.profile.box.index(n) for n in triple]
+    except ValueError as exc:
+        raise ValueError(f"triple: {exc}") from None
 
 
 def remainder_scan(cfg: ScanConfig) -> ScanResult:
@@ -583,17 +592,9 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     tracks the single configured zero-sum triple.  Raises NonFiniteError,
     naming the sample and eps, as soon as an evolved state is non-finite.
     """
+    tri = _check_scan(cfg)
     box = cfg.profile.box
     eps_grid = tuple(float(e) for e in cfg.eps_grid)
-    if len(eps_grid) < 3:
-        raise ValueError("eps_grid needs at least three values")
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps values must be positive")
-    if cfg.rotations < 1:
-        raise ValueError("rotations must be >= 1")
-    if cfg.sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    tri = _triple_indices(box, cfg.triple)
 
     lam = cfg.profile.lambdas()
     dt = cfg.dt
@@ -690,6 +691,23 @@ class GrowthFit:
     stderr: float
 
 
+def _check_growth(eps: float, times, sample_count: int) -> np.ndarray:
+    """Check the arguments of remainder_growth; return the sorted times.
+
+    Each ValueError starts with the configuration key it rejects.
+    """
+    if eps == 0:
+        raise ValueError("eps: the remainder is undefined at eps = 0")
+    grid = np.array(sorted(float(t) for t in times))
+    if grid.size < 3:
+        raise ValueError("t_grid: need at least three grid times")
+    if grid[0] <= 0:
+        raise ValueError("t_grid: grid times must be positive")
+    if sample_count < 1:
+        raise ValueError("sample_count: must be >= 1")
+    return grid
+
+
 def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
                      times, sample_count: int, seed: int = 0, s: float = 1.0,
                      dt: float | None = None) -> GrowthFit:
@@ -701,14 +719,8 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     NonFiniteError, naming the first sample and grid time, when an evolved
     state is non-finite.
     """
-    if eps == 0:
-        raise ValueError("remainder is undefined at eps = 0")
+    grid = _check_growth(eps, times, sample_count)
     box = profile.box
-    grid = np.array(sorted(float(t) for t in times))
-    if grid.size < 3:
-        raise ValueError("need at least three grid times")
-    if grid[0] <= 0:
-        raise ValueError("grid times must be positive")
     lam = profile.lambdas()
     if dt is None:
         probe = sample_u0(profile, law, seed, 0)

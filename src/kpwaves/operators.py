@@ -196,6 +196,7 @@ def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         grid = grid * np.fft.fft(other, out=other)
     return np.fft.ifft(grid, out=grid)[..., pos]
 
+
 def _dx_product(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return 1j * box.n1 * convolve(box, U, V)
 
@@ -222,11 +223,6 @@ def s_map(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(box, _s_apply(box, u.coeffs, v.coeffs), copy=False)
 
 
-def _f_map_coeffs(box: LatticeBox, A: np.ndarray, B: np.ndarray,
-                  C: np.ndarray) -> np.ndarray:
-    return -_s_apply(box, C, _dx_product(box, A, B))
-
-
 def f_map(a: SpectralField, b: SpectralField, c: SpectralField
           ) -> SpectralField:
     """Trilinear resonant interaction, realized as -s_map(c, dx_product(a, b)).
@@ -236,5 +232,5 @@ def f_map(a: SpectralField, b: SpectralField, c: SpectralField
     the truncated lattice, not only up to discretization.
     """
     box = _check_same_box(a, b, c)
-    return SpectralField(box, _f_map_coeffs(box, a.coeffs, b.coeffs, c.coeffs),
-                         copy=False)
+    ab = _dx_product(box, a.coeffs, b.coeffs)
+    return SpectralField(box, -_s_apply(box, c.coeffs, ab), copy=False)

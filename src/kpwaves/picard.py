@@ -125,17 +125,17 @@ def f_integral(u0: SpectralField, t: float) -> SpectralField:
                          copy=False)
 
 
-def extract_d(u_t: SpectralField, u0: SpectralField, t: float, eps: float
-              ) -> SpectralField:
-    """Order-three Picard remainder (u(t) - a - eps b - eps^2 c) / eps^3."""
+def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
+    """Order-three Picard remainder (u(t) - a - eps b - eps^2 c) / eps^3.
+
+    a, b, c and eps come from the bundle of the initial data at time t.
+    """
+    eps = bundle.eps
     if eps == 0:
         raise ValueError("remainder extraction requires eps != 0")
-    box = u_t.box
-    a = apply_free_flow(u0, t).coeffs
-    b = _picard_b_coeffs(box, u0.coeffs, t)
-    c = _picard_c_coeffs(box, u0.coeffs, t)
-    d = (u_t.coeffs - a - eps * b - eps ** 2 * c) / eps ** 3
-    return SpectralField(box, d, copy=False)
+    d = (u_t.coeffs - bundle.a.coeffs - eps * bundle.b.coeffs
+         - eps ** 2 * bundle.c.coeffs) / eps ** 3
+    return SpectralField(u_t.box, d, copy=False)
 
 
 def extract_w(u_t: SpectralField, u0: SpectralField, t: float, eps: float
@@ -294,7 +294,7 @@ def w_residual(u_t: SpectralField, u0: SpectralField, t: float,
     bundle = PicardBundle.build(u0, t, eps)
     a, b, c = bundle.a, bundle.b, bundle.c
     w = extract_w(u_t, u0, t, eps)
-    d = extract_d(u_t, u0, t, eps)
+    d = extract_d(u_t, bundle)
     recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
              + eps * eps * s_map(c, c) + lambda_eps(d, bundle))
     return _rel(w - recon, w)

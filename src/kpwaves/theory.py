@@ -7,7 +7,7 @@ and pairing the Gaussian-free g factors gives, per mode n,
     E |u_n(t)|^2      = m2 lambda_n^2 + eps^2 F2(n, t) + O(eps^4),
     E u_n u_m u_p (t) = eps F3(n, m, p, t) + O(eps^3)   (n + m + p = 0),
 
-with F2 the time integral of an explicit oscillatory rate g_n_rate and F3
+with F2 the time integral of an explicit oscillatory rate and F3
 a single oscillatory factor.  Off-diagonal pair moments and triples off
 the zero-sum plane vanish at these orders.
 
@@ -29,11 +29,9 @@ from .operators import pair_table
 
 __all__ = [
     "TheoryContext",
-    "g_n_rate",
     "f2_diag",
     "f2_diag_all",
     "f3",
-    "h_rate",
     "pair_prediction",
     "triple_prediction",
     "zero_sum_triples",
@@ -167,16 +165,12 @@ def _f2_bracket_all(ctx: TheoryContext, term) -> np.ndarray:
     return out
 
 
-def g_n_rate(ctx: TheoryContext, n, t: float) -> float:
-    """Instantaneous growth rate of the eps^2 pair correction at mode n."""
-    return _f2_at(ctx, n, lambda c, d: c * np.sin(d * t) / d)
-
-
 def f2_diag(ctx: TheoryContext, n, t: float) -> float:
     """Closed form of the eps^2 diagonal pair correction at mode n.
 
-    Equals the time integral of g_n_rate from 0 to t; off-diagonal pair
-    corrections vanish at this order, see pair_prediction.
+    Equals the time integral of the rate -n1 (m2^2 sum_g + sum_r) of
+    coef sin(delta t) / delta; off-diagonal pair corrections vanish at
+    this order, see pair_prediction.
     """
     return _f2_at(ctx, n, lambda c, d: c * _one_minus_cos(d, t))
 
@@ -223,9 +217,7 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
 
-def _f3_values(ctx: TheoryContext, i_n, i_m, i_p, t: float, kron: str,
-               sign: float):
-    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
+def _f3_values(amp, Om, t: float, sign: float):
     return sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
 
 
@@ -255,17 +247,8 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
     idx = _triple_index(ctx.box, n, m, p, kron)
     if idx is None:
         return 0.0 + 0.0j
-    return complex(_f3_values(ctx, *idx, t, kron, sign))
-
-
-def h_rate(ctx: TheoryContext, n, m, p, t: float,
-           kron: str = "half_opposite", sign: float = 1.0) -> complex:
-    """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
-    idx = _triple_index(ctx.box, n, m, p, kron)
-    if idx is None:
-        return 0.0 + 0.0j
     amp, Om = _f3_amplitude(ctx, *idx, kron)
-    return complex(sign * (-1j) * np.exp(-1j * Om * t) * amp)
+    return complex(_f3_values(amp, Om, t, sign))
 
 
 def pair_prediction(ctx: TheoryContext, n, m, t: float, eps: float) -> complex:
@@ -294,10 +277,14 @@ def zero_sum_triples(box: LatticeBox):
     return i_n[good], i_m[good], i_p[good]
 
 
-def weighted_sum_pair(ctx: TheoryContext, s: float, t: float) -> float:
-    """Weighted aggregate sum |n1| (|n1|+|n2|)^{2s} |F2(n, t)| over the box."""
+def weighted_sum_pair(ctx: TheoryContext, s: float, times) -> np.ndarray:
+    """Weighted aggregate sum |n1| (|n1|+|n2|)^{2s} |F2(n, t)| over the box.
+
+    One value per time of the grid times.
+    """
     w = np.abs(ctx.box.n1) * hs_weights(ctx.box, s)
-    return float(np.sum(w * np.abs(f2_diag_all(ctx, t))))
+    return np.array([np.sum(w * np.abs(f2_diag_all(ctx, t)))
+                     for t in np.atleast_1d(times)])
 
 
 def pair_majorant(ctx: TheoryContext, s: float) -> float:
@@ -321,17 +308,21 @@ def _triple_weights(box: LatticeBox, s: float, i_n, i_m, i_p):
     return w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
 
 
-def weighted_sum_triple(ctx: TheoryContext, s: float, t: float,
-                        kron: str = "half_opposite", sign: float = 1.0) -> float:
+def weighted_sum_triple(ctx: TheoryContext, s: float, times,
+                        kron: str = "half_opposite",
+                        sign: float = 1.0) -> np.ndarray:
     """Weighted aggregate of |f3| over ordered zero-sum triples.
 
     The weight is sqrt(|n1 m1 p1|) ((|n|)(|m|)(|p|))^s with |n| the
-    coordinate sum magnitude used by the Sobolev weights.
+    coordinate sum magnitude used by the Sobolev weights.  One value per
+    time of the grid times; the amplitude, Omega and the weights do not
+    depend on time and are computed once.
     """
     i_n, i_m, i_p = zero_sum_triples(ctx.box)
-    vals = _f3_values(ctx, i_n, i_m, i_p, t, kron, sign)
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
-    return float(np.sum(w * np.abs(vals)))
+    return np.array([np.sum(w * np.abs(_f3_values(amp, Om, t, sign)))
+                     for t in np.atleast_1d(times)])
 
 
 def triple_majorant(ctx: TheoryContext, s: float,

@@ -18,13 +18,7 @@ from kpwaves.picard import (
     w_residual,
     _picard_b_coeffs,
 )
-from kpwaves.dynamics import (
-    IntegratorConfig,
-    evolve_coeffs,
-    integrate,
-    l2_mass,
-    normal_form_residual,
-)
+from kpwaves.dynamics import evolve_coeffs
 from kpwaves.theory import (
     TheoryContext,
     box_limit_f2,
@@ -93,15 +87,15 @@ def test_exact_identity_suite():
 def test_integrator(box33, make_field):
     u0 = make_field(box33, hermitian=True)
 
-    free = integrate(u0, 0.0, 2.0, IntegratorConfig(dt=0.01, record_stride=25))
-    dev_free = max(
-        float(np.abs(free.coeffs[i]
-                     - apply_free_flow(u0, t).coeffs).max())
-        for i, t in enumerate(free.times))
+    grid = 0.25 * np.arange(1, 9)
+    free = evolve_coeffs(box33, u0.coeffs, 0.0, grid, 0.01)
+    dev_free = max(float(np.abs(U - apply_free_flow(u0, t).coeffs).max())
+                   for U, t in zip(free, grid))
 
-    traj = integrate(u0, 0.1, 2.0, IntegratorConfig(dt=1e-3, record_stride=250))
-    m0 = l2_mass(u0)
-    drift = max(abs(l2_mass(traj.state(i)) - m0) for i in range(len(traj))) / m0
+    states = evolve_coeffs(box33, u0.coeffs, 0.1, grid, 1e-3)
+    m0 = np.sum(np.abs(u0.coeffs) ** 2)
+    drift = float(np.abs(np.sum(np.abs(states) ** 2, axis=-1) - m0).max()
+                  / m0)
 
     eps, t_end = 0.3, 1.0
     ref = evolve_coeffs(box33, u0.coeffs, eps, [t_end], 1.0 / 1024)[0]
@@ -117,24 +111,23 @@ def test_integrator(box33, make_field):
           f"step-halving orders {orders[0]:.2f}/{orders[1]:.2f} >= 3.8")
 
 
-def test_normal_form_residual_convergence(box33, make_field):
+def test_normal_form_residual_convergence(box33, make_field,
+                                          normal_form_residual):
     u0 = make_field(box33, hermitian=True)
     eps, t_center = 0.1, 0.1
 
     def window_residual(e, h, dt_approach):
         start = t_center - 2.0 * h
         end = t_center + 2.0 * h
-        lead = integrate(u0, e, start,
-                         IntegratorConfig(dt=dt_approach, record_stride=10 ** 9))
+        lead = evolve_coeffs(box33, u0.coeffs, e, [start], dt_approach)
         # Sixteen steps across the window, recorded every fourth, give
         # five samples spaced h apart; deriving dt from the rounded span
         # keeps the step count exact.
-        win = integrate(lead.final(), e, end,
-                        IntegratorConfig(dt=(end - start) / 16.0,
-                                         record_stride=4),
-                        t_start=start)
-        assert len(win) == 5
-        return normal_form_residual(win, s=1.0)
+        dt = (end - start) / 16.0
+        times = start + 4.0 * dt * np.arange(5)
+        win = evolve_coeffs(box33, lead[0], e, times[1:], dt, t0=start)
+        return normal_form_residual(box33, times,
+                                    np.concatenate([lead, win]), e, s=1.0)
 
     hs = (4e-3, 2e-3, 1e-3)
     res = [window_residual(eps, h, h / 4.0) for h in hs]
@@ -307,8 +300,8 @@ def test_weighted_sums_bounded(tmp_path):
     bound_pair = pair_majorant(ctx, s)
     bound_triple = triple_majorant(ctx, s)
     grid = np.arange(0.0, 100.5, 0.5)
-    pair_curve = [weighted_sum_pair(ctx, s, t) for t in grid]
-    triple_curve = [weighted_sum_triple(ctx, s, t) for t in grid]
+    pair_curve = weighted_sum_pair(ctx, s, grid)
+    triple_curve = weighted_sum_triple(ctx, s, grid)
 
     out = tmp_path / "weighted_sums.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,6 +199,42 @@ class TestRemainderScan:
         assert main(["--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
+    @pytest.mark.parametrize("extra, key", [
+        ("t_grid = 0 1 0.25\n", "t_grid"),
+        ("eps = 0 0.14 0.1\n", "eps"),
+        ("sample_count = 0\n", "sample_count"),
+    ], ids=["t_grid-from-zero", "zero-eps", "zero-samples"])
+    def test_bad_argument_exits_2_before_computing(self, tmp_path, capsys,
+                                                   extra, key):
+        out_path = tmp_path / "scan.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = remainder-scan\nbox = 2 1\n"
+                        "eps = 0.2 0.1 0.05\nsample_count = 8\n"
+                        f"dt = 0.05\nrotations = 1\nout = {out_path}\n"
+                        + extra)
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {key}:")
+        assert out == "" and not out_path.exists()
+
+    def test_diverging_scan_prints_one_line(self, tmp_path):
+        # Run as its own process, so that numpy warnings reach stderr
+        # under Python's default filters, as they do for a user.
+        cfg = write_cfg(tmp_path,
+                        "command = remainder-scan\nbox = 2 2\n"
+                        "normalize = false\nprofile = power_decay 50 0\n"
+                        "eps = 1 0.7 0.5\ndt = 0.05\nsample_count = 8\n"
+                        f"rotations = 1\nout = {tmp_path / 'scan.csv'}\n")
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(src)
+        run = subprocess.run([sys.executable, "-m", "kpwaves.cli",
+                              "--config", cfg], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stderr == ("runtime failure: sample 0 diverged at "
+                              "eps = 1.0\n")
+
     def test_noise_dominated_scan_exits_1(self, tmp_path, capsys):
         # Sub-resolution eps with a tiny ensemble: the pair remainder is
         # statistically indistinguishable from zero for this seed, so
@@ -324,7 +363,6 @@ class TestReportLayout:
         "command = theory-curves\nbox = 2 2\nt_grid = 0 1 0.5\n",
     ], ids=["verify", "simulate", "ensemble", "ensemble-failed",
             "remainder-scan", "box-limit", "theory-curves"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_json_matches_csv(self, tmp_path, capsys, text):
         paths = {}
         for fmt in ("csv", "json"):

@@ -16,7 +16,6 @@ from kpwaves.ensemble import (
     SpectrumProfile,
     estimate_moments,
     fit_log_slope,
-    g_moments,
     normalize_profile,
     remainder_growth,
     remainder_scan,
@@ -82,10 +81,6 @@ class TestLawMoments:
             vals = r ** k
             se = vals.std() / math.sqrt(len(vals))
             assert abs(vals.mean() - target) < 5 * se + 1e-12
-
-    def test_g_moments_alias(self):
-        law = RandomLaw.two_point(0.5, 1.5, 0.3)
-        assert g_moments(law) == law.moments()
 
     def test_steinhaus_modulus_is_one(self):
         law = RandomLaw.steinhaus()
@@ -305,7 +300,6 @@ class TestScanValidation:
                       for size in (80, 7))
         assert one == split
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_sample_raises(self, box22):
         profile, law, U0 = _diverging_start(box22)
         for e in (0.5, 0.7):
@@ -348,6 +342,12 @@ class TestGrowthValidation:
             remainder_growth(profile, RandomLaw.steinhaus(), 0.1,
                              (0.0, 1.0, 2.0), 8)
 
+    def test_zero_samples_rejected(self, box21):
+        profile = SpectrumProfile.power_decay(box21, 0.3, 1.0)
+        with pytest.raises(ValueError, match="^sample_count:"):
+            remainder_growth(profile, RandomLaw.steinhaus(), 0.1,
+                             (1.0, 2.0, 3.0), 0)
+
     def test_small_growth_run(self, box21):
         profile = SpectrumProfile.power_decay(box21, 0.3, 1.0)
         fit = remainder_growth(profile, RandomLaw.steinhaus(), 0.1,
@@ -356,7 +356,6 @@ class TestGrowthValidation:
         assert all(v > 0 for v in fit.max_norms)
         assert np.isfinite(fit.exponent) and np.isfinite(fit.stderr)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_sample_raises(self, box22):
         profile, law, U0 = _diverging_start(box22)
         times = (0.25, 0.5, 0.75, 1.0)

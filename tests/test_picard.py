@@ -157,7 +157,7 @@ class TestExtract:
         b = picard_b(u0, t)
         c = picard_c(u0, t)
         expected = (u_t - a - eps * b - (eps ** 2) * c) / eps ** 3
-        got = extract_d(u_t, u0, t, eps)
+        got = extract_d(u_t, PicardBundle.build(u0, t, eps))
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
 
     def test_extract_w_is_definitional(self, box22, make_field):
@@ -175,7 +175,7 @@ class TestExtract:
     def test_extract_rejects_zero_eps(self, box22, make_field):
         u0 = make_field(box22)
         with pytest.raises(ValueError):
-            extract_d(u0, u0, 0.5, 0.0)
+            extract_d(u0, PicardBundle.build(u0, 0.5, 0.0))
         with pytest.raises(ValueError):
             extract_w(u0, u0, 0.5, 0.0)
 
@@ -188,7 +188,7 @@ class TestExtract:
         t, eps = 0.4, 0.25
         bundle = PicardBundle.build(u0, t, eps)
         a, b, c = bundle.a, bundle.b, bundle.c
-        d = extract_d(u_t, u0, t, eps)
+        d = extract_d(u_t, bundle)
         w = extract_w(u_t, u0, t, eps)
         recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
                  + (eps ** 2) * s_map(c, c) + lambda_eps(d, bundle))

@@ -13,8 +13,6 @@ from kpwaves.theory import (
     f2_diag,
     f2_diag_all,
     f3,
-    g_n_rate,
-    h_rate,
     pair_majorant,
     pair_prediction,
     triple_majorant,
@@ -22,8 +20,27 @@ from kpwaves.theory import (
     weighted_sum_pair,
     weighted_sum_triple,
     zero_sum_triples,
+    _f2_at,
+    _f3_amplitude,
     _one_minus_cos,
+    _triple_index,
 )
+
+
+def g_n_rate(ctx, n, t):
+    """Growth rate of the eps^2 pair correction at mode n, from the term
+    table of f2_diag: -n1 (m2^2 sum_g + sum_r) of coef sin(delta t) / delta.
+    """
+    return _f2_at(ctx, n, lambda c, d: c * np.sin(d * t) / d)
+
+
+def h_rate(ctx, n, m, p, t, kron="half_opposite", sign=1.0):
+    """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
+    idx = _triple_index(ctx.box, n, m, p, kron)
+    if idx is None:
+        return 0.0 + 0.0j
+    amp, Om = _f3_amplitude(ctx, *idx, kron)
+    return complex(sign * (-1j) * np.exp(-1j * Om * t) * amp)
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +308,7 @@ def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
                 wsum += w * abs(val)
                 bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
                     ctx, n, m, p, kron, magnitudes=True)
-            got = weighted_sum_triple(ctx, s, t, kron=kron, sign=sign)
+            got, = weighted_sum_triple(ctx, s, [t], kron=kron, sign=sign)
             assert got == pytest.approx(wsum, rel=1e-12)
             assert triple_majorant(ctx, s, kron=kron) == pytest.approx(
                 bound, rel=1e-12)
@@ -299,8 +316,17 @@ def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
 
 class TestWeightedSums:
     def test_zero_at_time_zero(self, ctx33):
-        assert weighted_sum_pair(ctx33, 1.0, 0.0) == 0.0
-        assert weighted_sum_triple(ctx33, 1.0, 0.0) == 0.0
+        assert weighted_sum_pair(ctx33, 1.0, [0.0]).tolist() == [0.0]
+        assert weighted_sum_triple(ctx33, 1.0, [0.0]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("fn", [weighted_sum_pair, weighted_sum_triple])
+    def test_grid_matches_single_times(self, ctx22_twopoint, fn):
+        # One value per grid time, each the value that time gives alone.
+        grid = np.array([0.0, 0.3, 7.5, 100.0])
+        sums = fn(ctx22_twopoint, 1.0, grid)
+        assert sums.shape == grid.shape
+        for t, value in zip(grid, sums):
+            assert fn(ctx22_twopoint, 1.0, t).tolist() == [value]
 
     @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
     def test_majorants_dominate_on_grid(self, ctx22_twopoint, kron):
@@ -308,9 +334,9 @@ class TestWeightedSums:
         s = 1.0
         pm = pair_majorant(ctx, s)
         tm = triple_majorant(ctx, s, kron=kron)
-        for t in np.arange(0.0, 20.0, 0.5):
-            assert weighted_sum_pair(ctx, s, t) <= pm
-            assert weighted_sum_triple(ctx, s, t, kron=kron) <= tm
+        grid = np.arange(0.0, 20.0, 0.5)
+        assert (weighted_sum_pair(ctx, s, grid) <= pm).all()
+        assert (weighted_sum_triple(ctx, s, grid, kron=kron) <= tm).all()
 
     def test_majorants_grow_with_box(self):
         # With a fixed unnormalized profile, enlarging the box only adds
