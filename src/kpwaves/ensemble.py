@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import LatticeBox, SpectralField, hs_weights
 from . import theory
 from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
-from .picard import _picard_b_coeffs, _picard_c_coeffs
+from .picard import _picard_b_coeffs, _picard_cf_coeffs
 
 __all__ = [
     "RandomLaw",
@@ -343,9 +343,7 @@ class MomentReport:
         return out
 
 
-# Samples per block of the fixed-order reductions below, and per Picard
-# evaluation in remainder_scan, whose temporaries hold one value per sample
-# and triple-table entry.
+# Samples per block of the fixed-order reductions below.
 _BLOCK = 64
 
 
@@ -619,9 +617,8 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
         for rot in rots:
             U0 = G0 * rot * lam
             A = U0 * phase
-            B, C = (np.concatenate([f(box, U0[i:i + _BLOCK], cfg.t)
-                                    for i in range(0, nb, _BLOCK)])
-                    for f in (_picard_b_coeffs, _picard_c_coeffs))
+            B = _picard_b_coeffs(box, U0, cfg.t)
+            C = _picard_cf_coeffs(box, U0, cfg.t)[0]
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
                 bad = ~np.isfinite(U.view(float)).all(axis=1)
@@ -738,7 +735,7 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     for i, t in enumerate(grid):
         A = U0 * np.exp(1j * om * t)
         B = _picard_b_coeffs(box, U0, t)
-        C = _picard_c_coeffs(box, U0, t)
+        C = _picard_cf_coeffs(box, U0, t)[0]
         D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
         peak[i] = float(np.sqrt(np.sum(w * np.abs(D) ** 2, axis=1)).max())
     exponent, err = fit_log_slope(1.0 + grid, peak)

@@ -6,10 +6,15 @@ convolution is a product of FFTs on a zero-padded grid (see convolve).
 The phase-weighted forms carry split weights such as 1/delta that do not
 factor, so they are weighted segment sums over the pair and triple
 tables, which enumerate the admissible index combinations once per box.
+The triple table stores only two pair-table indices per entry; callers
+gather its per-entry arrays chunk by chunk (TripleTable.columns) under a
+fixed byte budget (TripleTable.chunks), and its size is checked against
+physical memory before it is built.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +24,7 @@ from .lattice import LatticeBox, SpectralField
 
 __all__ = [
     "PairTable",
+    "TripleColumns",
     "TripleTable",
     "pair_table",
     "triple_table",
@@ -28,6 +34,13 @@ __all__ = [
     "s_map",
     "f_map",
 ]
+
+# Bytes per triple-table entry (two int64 pair-table indices), and the
+# byte budget of the complex (samples x entries) products of one chunk of
+# a streamed triple-table contraction.
+_TRIPLE_ENTRY_BYTES = 16
+_CHUNK_BYTES = 1 << 18
+_ITEM = np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True)
@@ -52,17 +65,16 @@ class PairTable:
 
 
 @dataclass(frozen=True)
-class TripleTable:
-    """Flat enumeration of nested splits k + (j + q) = n inside the box.
+class TripleColumns:
+    """Per-entry arrays of a slice of a TripleTable.
 
     Each entry records an outer split n = k + l together with an inner
-    split l = j + q, all five vectors in the box.  inner_delta and
-    outer_delta are the three-wave phases of the two splits and
-    four_wave is their sum omega(j) + omega(k) + omega(q) - omega(n),
-    which can vanish (near-)exactly and is handled by phi1 downstream.
+    split l = j + q, all five vectors in the box.  l1 is the first
+    coordinate of l, inner_delta and outer_delta are the three-wave phases
+    of the two splits and four_wave is their sum
+    omega(j) + omega(k) + omega(q) - omega(n), which can vanish.
     """
 
-    box: LatticeBox
     out_idx: np.ndarray
     k_idx: np.ndarray
     j_idx: np.ndarray
@@ -71,10 +83,76 @@ class TripleTable:
     inner_delta: np.ndarray
     outer_delta: np.ndarray
     four_wave: np.ndarray
+
+
+@dataclass(frozen=True)
+class TripleTable:
+    """Flat enumeration of nested splits k + (j + q) = n inside the box.
+
+    Only two indices per entry are stored: `outer`, the pair-table entry
+    of the split n = k + l, and `inner`, that of l = j + q (16 bytes per
+    entry).  Entries are sorted by the output mode n, sliced by
+    seg_starts as in the pair table; `columns` gathers the per-entry
+    arrays of a slice and `chunks` plans a streamed pass over the table.
+    """
+
+    box: LatticeBox
+    outer: np.ndarray
+    inner: np.ndarray
     seg_starts: np.ndarray
 
     def __len__(self):
-        return len(self.out_idx)
+        return len(self.outer)
+
+    def columns(self, lo: int, hi: int) -> TripleColumns:
+        """Gather the per-entry arrays of entries [lo, hi)."""
+        pt = pair_table(self.box)
+        outer, inner = self.outer[lo:hi], self.inner[lo:hi]
+        inner_delta = pt.delta[inner]
+        outer_delta = pt.delta[outer]
+        return TripleColumns(
+            out_idx=pt.out_idx[outer],
+            k_idx=pt.k_idx[outer],
+            j_idx=pt.k_idx[inner],
+            q_idx=pt.l_idx[inner],
+            l1=self.box.n1[pt.l_idx[outer]],
+            inner_delta=inner_delta,
+            outer_delta=outer_delta,
+            four_wave=inner_delta + outer_delta,
+        )
+
+    def chunks(self, batch: int) -> tuple[int, list]:
+        """Sample block size and output-mode ranges of a streamed pass.
+
+        A pass over `batch` fields holds one complex value per sample of a
+        block and entry of a chunk.  The block is the whole batch unless
+        one output segment times the batch exceeds _CHUNK_BYTES.  The
+        ranges (m0, m1) cut the table at segment boundaries into chunks
+        whose block-sized products fit the budget; a chunk holds at least
+        one segment, so it exceeds the budget only when the block is a
+        single sample.
+        """
+        longest = int(np.diff(self.seg_starts).max(initial=0))
+        block = _sample_block(batch, longest)
+        cap = _CHUNK_BYTES // (block * _ITEM)
+        starts = self.seg_starts
+        n_out = len(starts) - 1
+        cuts, m0 = [], 0
+        while m0 < n_out:
+            m1 = int(np.searchsorted(starts, starts[m0] + cap, "right")) - 1
+            m1 = min(max(m1, m0 + 1), n_out)
+            cuts.append((m0, m1))
+            m0 = m1
+        return block, cuts
+
+
+def _sample_block(batch: int, width: int) -> int:
+    """Samples per block of a streamed pass holding `width` complex
+    products per sample: the whole batch if it fits _CHUNK_BYTES, else as
+    many samples as fit, at least one."""
+    if batch * width * _ITEM <= _CHUNK_BYTES:
+        return max(1, batch)
+    return max(1, _CHUNK_BYTES // (width * _ITEM))
 
 
 def _starts_from_sorted(out_idx: np.ndarray, n_out: int) -> np.ndarray:
@@ -108,37 +186,39 @@ def pair_table(box: LatticeBox) -> PairTable:
     )
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @lru_cache(maxsize=None)
 def triple_table(box: LatticeBox) -> TripleTable:
-    """Build (and cache) the nested-split table by composing the pair table."""
+    """Build (and cache) the nested-split table by composing the pair table.
+
+    The entry count is known from the pair table before anything is
+    allocated; raises ValueError when the table plus one contraction chunk
+    would exceed physical memory.
+    """
     pt = pair_table(box)
-    om = box.dispersion().values
     counts = np.diff(pt.seg_starts)
     # For every outer entry (n, k, l), expand the inner splits of l.
     lens = counts[pt.l_idx]
     total = int(lens.sum())
-    rep = np.repeat(np.arange(len(pt), dtype=np.int64), lens)
-    pos = np.arange(total, dtype=np.int64) \
-        - np.repeat(np.cumsum(lens) - lens, lens)
-    inner = pt.seg_starts[pt.l_idx][rep] + pos
-    out_idx = pt.out_idx[rep]
-    k_idx = pt.k_idx[rep]
-    l_idx = pt.l_idx[rep]
-    j_idx = pt.k_idx[inner]
-    q_idx = pt.l_idx[inner]
-    inner_delta = pt.delta[inner]
-    outer_delta = pt.delta[rep]
+    need = total * _TRIPLE_ENTRY_BYTES + _CHUNK_BYTES
+    if need > _physical_memory():
+        raise ValueError(
+            f"triple table of {box!r} has {total} entries and needs "
+            f"{need} bytes, more than the {_physical_memory()} bytes of "
+            "physical memory")
+    ends = np.cumsum(lens)
+    outer = np.repeat(np.arange(len(pt), dtype=np.int64), lens)
+    inner = np.repeat(pt.seg_starts[pt.l_idx] - (ends - lens), lens)
+    inner += np.arange(total, dtype=np.int64)
     return TripleTable(
         box=box,
-        out_idx=out_idx,
-        k_idx=k_idx,
-        j_idx=j_idx,
-        q_idx=q_idx,
-        l1=box.n1[l_idx].copy(),
-        inner_delta=inner_delta,
-        outer_delta=outer_delta,
-        four_wave=inner_delta + outer_delta,
-        seg_starts=_starts_from_sorted(out_idx, box.size),
+        outer=outer,
+        inner=inner,
+        seg_starts=np.concatenate([[0], ends])[pt.seg_starts],
     )
 
 

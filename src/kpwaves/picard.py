@@ -5,15 +5,21 @@ For initial data u0 the flow map is expanded as
     u(t) = a(t) + eps b(t) + eps^2 c(t) + eps^3 d(t),
 
 where a is the free evolution and b, c have closed forms as oscillatory
-sums over the interaction tables.  The remainder d is defined by exact
-subtraction.  The gauged variable v = u + eps s_map(u, u) satisfies a
-flow equation whose eps^3 coefficient w admits an algebraic decomposition
-in terms of a, b, c, d; lambda_eps is the resulting polynomial map d -> w
-and invert_lambda_eps recovers d from w by fixed-point iteration.
+sums over the interaction tables.  c and the Duhamel integral f of the
+resonant trilinear term are sums over the triple table; one streamed
+pass computes both for a batch of initial data, with the phi1 kernels
+built once per chunk of the table.  A PicardBundle holds (a, b, c, f) of
+one initial condition; PicardBundle.build_batch builds several in that
+one pass.  The remainder d is defined by exact subtraction.  The gauged
+variable v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
+coefficient w admits an algebraic decomposition in terms of a, b, c, d;
+lambda_eps is the resulting polynomial map d -> w and invert_lambda_eps
+recovers d from w by fixed-point iteration.
 
 The exact identities behind the normal form, which hold to roundoff, are
-measured by resonance_margin, identity_residuals and w_residual; both
-`kpwaves verify` and the acceptance suite call them.
+measured by resonance_margin, identity_residuals and w_residual, which
+take the caller's bundle; both `kpwaves verify` and the acceptance suite
+call them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .lattice import LatticeBox, SpectralField, apply_free_flow, hs_norm
 from .operators import (pair_table, triple_table, segment_sum,
-                        _s_apply, s_map, dx_product, f_map)
+                        _sample_block, _s_apply, s_map, dx_product, f_map)
 
 __all__ = [
     "THETA_TOL",
@@ -74,28 +80,52 @@ def phi1(theta, t):
 def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
     pt = pair_table(box)
     om = box.dispersion().values
-    prods = U0[..., pt.k_idx] * U0[..., pt.l_idx] * (1j * phi1(pt.delta, t))
-    conv = segment_sum(prods, pt.seg_starts)
-    return (-0.5 * box.n1 * np.exp(1j * om * t)) * conv
+    kernel = 1j * phi1(pt.delta, t)
+    X = U0.reshape(-1, box.size)
+    conv = np.empty(X.shape, dtype=np.complex128)
+    block = _sample_block(len(X), len(pt))
+    for s in range(0, len(X), block):
+        Xs = X[s:s + block]
+        conv[s:s + block] = segment_sum(
+            Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel, pt.seg_starts)
+    B = (-0.5 * box.n1 * np.exp(1j * om * t)) * conv
+    return B.reshape(U0.shape)
 
 
-def _picard_c_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
+def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Second Picard correction C and Duhamel integral F of a batch U0.
+
+    One pass over the triple table, in chunks of whole output segments
+    (TripleTable.chunks): per chunk the two phi1 kernels are computed
+    once, and per block of samples the triple product U_j U_q U_k is
+    formed once and reduced against the c and the f kernel.  Chunking
+    only splits whole segments and whole samples, so C and F do not
+    depend on the chunk or block size, to the last bit.
+    """
     tt = triple_table(box)
     om = box.dispersion().values
-    kernel = (tt.l1 / (2.0 * tt.inner_delta)) \
-        * (phi1(tt.four_wave, t) - phi1(tt.outer_delta, t))
-    prods = U0[..., tt.j_idx] * U0[..., tt.q_idx] * U0[..., tt.k_idx] * kernel
-    acc = segment_sum(prods, tt.seg_starts)
-    return (1j * box.n1 * np.exp(1j * om * t)) * acc
-
-
-def _f_integral_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
-    tt = triple_table(box)
-    om = box.dispersion().values
-    kernel = (tt.l1 / (2.0 * tt.outer_delta)) * phi1(tt.four_wave, t)
-    prods = U0[..., tt.j_idx] * U0[..., tt.q_idx] * U0[..., tt.k_idx] * kernel
-    acc = segment_sum(prods, tt.seg_starts)
-    return (-1j * box.n1 * np.exp(1j * om * t)) * acc
+    X = U0.reshape(-1, box.size)
+    acc_c = np.empty(X.shape, dtype=np.complex128)
+    acc_f = np.empty(X.shape, dtype=np.complex128)
+    block, cuts = tt.chunks(len(X))
+    for m0, m1 in cuts:
+        lo, hi = tt.seg_starts[m0], tt.seg_starts[m1]
+        col = tt.columns(lo, hi)
+        starts = tt.seg_starts[m0:m1 + 1] - lo
+        p4 = phi1(col.four_wave, t)
+        kernel_c = (col.l1 / (2.0 * col.inner_delta)) \
+            * (p4 - phi1(col.outer_delta, t))
+        kernel_f = (col.l1 / (2.0 * col.outer_delta)) * p4
+        for s in range(0, len(X), block):
+            Xs = X[s:s + block]
+            prods = Xs[:, col.j_idx] * Xs[:, col.q_idx] * Xs[:, col.k_idx]
+            acc_c[s:s + block, m0:m1] = segment_sum(prods * kernel_c, starts)
+            acc_f[s:s + block, m0:m1] = segment_sum(prods * kernel_f, starts)
+    phase = np.exp(1j * om * t)
+    C = (1j * box.n1 * phase) * acc_c
+    F = (-1j * box.n1 * phase) * acc_f
+    return C.reshape(U0.shape), F.reshape(U0.shape)
 
 
 def picard_b(u0: SpectralField, t: float) -> SpectralField:
@@ -110,7 +140,7 @@ def picard_b(u0: SpectralField, t: float) -> SpectralField:
 
 def picard_c(u0: SpectralField, t: float) -> SpectralField:
     """Second Picard correction, a nested oscillatory sum over triple splits."""
-    return SpectralField(u0.box, _picard_c_coeffs(u0.box, u0.coeffs, t),
+    return SpectralField(u0.box, _picard_cf_coeffs(u0.box, u0.coeffs, t)[0],
                          copy=False)
 
 
@@ -121,7 +151,7 @@ def f_integral(u0: SpectralField, t: float) -> SpectralField:
     with f(0) = 0, where a is the free evolution of u0; used to split
     picard_c as c = -2 s_map(a, b) + f.
     """
-    return SpectralField(u0.box, _f_integral_coeffs(u0.box, u0.coeffs, t),
+    return SpectralField(u0.box, _picard_cf_coeffs(u0.box, u0.coeffs, t)[1],
                          copy=False)
 
 
@@ -138,29 +168,30 @@ def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
     return SpectralField(u_t.box, d, copy=False)
 
 
-def extract_w(u_t: SpectralField, u0: SpectralField, t: float, eps: float
-              ) -> SpectralField:
+def extract_w(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
     """Order-three coefficient of the gauged variable v = u + eps s_map(u, u).
 
     w = (v(t) - a - eps U(t) s_map(u0, u0) - eps^2 f) / eps^3 with f the
     Duhamel integral of f_map(a, a, a); the subtraction is exact because
-    the lower orders of v have those closed forms.
+    the lower orders of v have those closed forms.  u0, a, f and eps come
+    from the bundle of the initial data at time t.
     """
+    eps = bundle.eps
     if eps == 0:
         raise ValueError("remainder extraction requires eps != 0")
     box = u_t.box
     U = u_t.coeffs
     v = U + eps * _s_apply(box, U, U)
-    a = apply_free_flow(u0, t).coeffs
-    s00 = apply_free_flow(s_map(u0, u0), t).coeffs
-    f = _f_integral_coeffs(box, u0.coeffs, t)
-    w = (v - a - eps * s00 - eps ** 2 * f) / eps ** 3
+    s00 = apply_free_flow(s_map(bundle.u0, bundle.u0), bundle.t).coeffs
+    w = (v - bundle.a.coeffs - eps * s00 - eps ** 2 * bundle.f.coeffs) \
+        / eps ** 3
     return SpectralField(box, w, copy=False)
 
 
 @dataclass(frozen=True)
 class PicardBundle:
-    """Picard data (a, b, c) of one initial condition at one time."""
+    """Picard data (a, b, c) and the Duhamel integral f of one initial
+    condition at one time."""
 
     u0: SpectralField
     t: float
@@ -168,13 +199,24 @@ class PicardBundle:
     a: SpectralField
     b: SpectralField
     c: SpectralField
+    f: SpectralField
+
+    @classmethod
+    def build_batch(cls, u0s, t: float, eps: float) -> list:
+        """Bundles of several initial conditions on one box, in one pass."""
+        box = u0s[0].box
+        U0 = np.stack([u.coeffs for u in u0s])
+        B = _picard_b_coeffs(box, U0, t)
+        C, F = _picard_cf_coeffs(box, U0, t)
+        return [cls(u0=u, t=t, eps=eps, a=apply_free_flow(u, t),
+                    b=SpectralField(box, b, copy=False),
+                    c=SpectralField(box, c, copy=False),
+                    f=SpectralField(box, f, copy=False))
+                for u, b, c, f in zip(u0s, B, C, F)]
 
     @classmethod
     def build(cls, u0: SpectralField, t: float, eps: float) -> "PicardBundle":
-        return cls(u0=u0, t=t, eps=eps,
-                   a=apply_free_flow(u0, t),
-                   b=picard_b(u0, t),
-                   c=picard_c(u0, t))
+        return cls.build_batch([u0], t, eps)[0]
 
 
 def lambda_eps(d: SpectralField, bundle: PicardBundle) -> SpectralField:
@@ -247,8 +289,7 @@ def _rel(resid: SpectralField, *refs: SpectralField) -> float:
     return float(np.abs(resid.coeffs).max()) / scale
 
 
-def identity_residuals(u: SpectralField, v: SpectralField, t: float,
-                       eps: float) -> dict:
+def identity_residuals(bundle: PicardBundle, v: SpectralField) -> dict:
     """Relative residuals, by name, of the field-pair identities:
 
     commutator         L s(u, v) - s(Lu, v) - s(u, Lv) = -dx(uv)/2
@@ -257,16 +298,17 @@ def identity_residuals(u: SpectralField, v: SpectralField, t: float,
     c-decomposition    c = f_integral - 2 s(a, b)
     lambda-roundtrip   invert_lambda_eps(lambda_eps(v / 10)) = v / 10
 
-    L is the linear part, s = s_map, f = f_map, dx = dx_product, and
-    (a, b, c) is the Picard bundle of u at (t, eps).
+    L is the linear part, s = s_map, f = f_map, dx = dx_product, u is
+    the initial data of the bundle and a, b, c, f_integral are its Picard
+    data at (t, eps).
     """
+    u, t = bundle.u0, bundle.t
     box = u.box
     om = box.dispersion().values
 
     def lin(x):
         return SpectralField(box, 1j * om * x.coeffs, copy=False)
 
-    bundle = PicardBundle.build(u, t, eps)
     a, b, c = bundle.a, bundle.b, bundle.c
     out = {}
     r = (lin(s_map(u, v)) - s_map(lin(u), v) - s_map(u, lin(v))
@@ -276,7 +318,7 @@ def identity_residuals(u: SpectralField, v: SpectralField, t: float,
     out["cubic-composition"] = _rel(r, u, v)
     r = b + s_map(a, a) - apply_free_flow(s_map(u, u), t)
     out["b-decomposition"] = _rel(r, u, b)
-    r = c + 2.0 * s_map(a, b) - f_integral(u, t)
+    r = c + 2.0 * s_map(a, b) - bundle.f
     out["c-decomposition"] = _rel(r, u, c)
     d_true = v * 0.1
     rec = invert_lambda_eps(lambda_eps(d_true, bundle), bundle, tol=1e-13)
@@ -284,16 +326,16 @@ def identity_residuals(u: SpectralField, v: SpectralField, t: float,
     return out
 
 
-def w_residual(u_t: SpectralField, u0: SpectralField, t: float,
-               eps: float) -> float:
+def w_residual(u_t: SpectralField, bundle: PicardBundle) -> float:
     """Relative residual of the cubic remainder decomposition at u_t.
 
     extract_w must equal s(b, b) + 2 s(a, c) + 2 eps s(b, c)
-    + eps^2 s(c, c) + lambda_eps(extract_d), for any state u_t.
+    + eps^2 s(c, c) + lambda_eps(extract_d), for any state u_t; the
+    bundle is that of the initial data.
     """
-    bundle = PicardBundle.build(u0, t, eps)
+    eps = bundle.eps
     a, b, c = bundle.a, bundle.b, bundle.c
-    w = extract_w(u_t, u0, t, eps)
+    w = extract_w(u_t, bundle)
     d = extract_d(u_t, bundle)
     recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
              + eps * eps * s_map(c, c) + lambda_eps(d, bundle))

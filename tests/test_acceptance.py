@@ -13,6 +13,7 @@ import pytest
 from kpwaves.lattice import LatticeBox, SpectralField, apply_free_flow
 from kpwaves.operators import pair_table
 from kpwaves.picard import (
+    PicardBundle,
     identity_residuals,
     resonance_margin,
     w_residual,
@@ -76,8 +77,9 @@ def test_exact_identity_suite():
     worst = 0.0
     for _ in range(50):
         u, v = field(), field()
-        worst = max(worst, *identity_residuals(u, v, t, eps).values())
-        worst = max(worst, w_residual(field(), u, t, eps))
+        bundle = PicardBundle.build(u, t, eps)
+        worst = max(worst, *identity_residuals(bundle, v).values())
+        worst = max(worst, w_residual(field(), bundle))
 
     _gate("exact identities", worst <= 1e-10,
           f"max relative residual {worst:.3e} <= 1e-10 "

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from kpwaves import cli
+import numpy as np
+
+from kpwaves import cli, operators
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.ensemble import MomentReport
 
@@ -389,3 +391,27 @@ class TestReportLayout:
             # The extra is written only when a sample failed.
             failed = [6, 7] if text.endswith(_DIVERGING) else None
             assert results.get("failed_samples") == failed
+
+
+@pytest.mark.parametrize("text", [
+    "command = verify\n",
+    "command = remainder-scan\neps = 0.2 0.1 0.05\n",
+    "command = remainder-scan\neps = 0.1\nt_grid = 0.5 1 0.25\n",
+], ids=["verify", "scan", "growth"])
+def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
+                                                     monkeypatch, text):
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 1000)
+    operators.triple_table.cache_clear()
+    pt = operators.pair_table(cli.LatticeBox(3, 2))
+    entries = int(np.diff(pt.seg_starts)[pt.l_idx].sum())
+    need = 16 * entries + operators._CHUNK_BYTES
+    out_path = tmp_path / "report.csv"
+    cfg = write_cfg(tmp_path, text + "box = 3 2\nsample_count = 8\n"
+                    f"dt = 0.05\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: triple table of LatticeBox(3, 2) has "
+                   f"{entries} entries and needs {need} bytes, more than "
+                   "the 1000 bytes of physical memory\n")
+    assert out == "" and not out_path.exists()
+    assert operators.triple_table.cache_info().currsize == 0

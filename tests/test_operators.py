@@ -67,20 +67,24 @@ class TestTables:
 
     def test_triple_table_matches_nested_pairs(self, box21):
         tt = triple_table(box21)
+        col = tt.columns(0, len(tt))
         seen = set()
         for r in range(len(tt)):
-            n = tuple(box21.modes[tt.out_idx[r]])
-            j = tuple(box21.modes[tt.j_idx[r]])
-            q = tuple(box21.modes[tt.q_idx[r]])
-            k = tuple(box21.modes[tt.k_idx[r]])
+            n = tuple(box21.modes[col.out_idx[r]])
+            j = tuple(box21.modes[col.j_idx[r]])
+            q = tuple(box21.modes[col.q_idx[r]])
+            k = tuple(box21.modes[col.k_idx[r]])
             l = (j[0] + q[0], j[1] + q[1])
             assert l in box21
             assert (k[0] + l[0], k[1] + l[1]) == n
-            assert tt.l1[r] == l[0]
-            assert tt.inner_delta[r] == pytest.approx(delta(l, j, q), rel=1e-15)
-            assert tt.outer_delta[r] == pytest.approx(delta(n, k, l), rel=1e-15)
+            assert col.l1[r] == l[0]
+            assert col.inner_delta[r] == pytest.approx(delta(l, j, q),
+                                                       rel=1e-15)
+            assert col.outer_delta[r] == pytest.approx(delta(n, k, l),
+                                                       rel=1e-15)
             four = omega(j) + omega(q) + omega(k) - omega(n)
-            assert tt.four_wave[r] == pytest.approx(four, rel=1e-14, abs=1e-12)
+            assert col.four_wave[r] == pytest.approx(four, rel=1e-14,
+                                                     abs=1e-12)
             seen.add((n, j, q, k))
         expected = set()
         for j in box21:

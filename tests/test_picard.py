@@ -6,14 +6,19 @@ flow, so a sign, prefactor, or kernel mistake in the tables would show
 up as an O(1) relative deviation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
+from kpwaves import operators
 from kpwaves.lattice import LatticeBox, SpectralField, apply_free_flow
-from kpwaves.operators import convolve, f_map, s_map
+from kpwaves.operators import convolve, f_map, s_map, triple_table
 from kpwaves.picard import (
+    _picard_b_coeffs,
+    _picard_cf_coeffs,
     THETA_TOL,
     MaxIterExceededError,
     NonContractionError,
@@ -148,6 +153,55 @@ def test_corrections_preserve_reality(box22, make_field):
         assert fn(u0, 0.8).is_real_symmetric(tol=1e-11)
 
 
+class TestStreamedContraction:
+    """C and F come from one pass over the triple table in chunks of whole
+    output segments and blocks of whole samples, under a byte budget."""
+
+    def test_bitwise_invariant_across_budgets(self, box44, rng,
+                                              monkeypatch):
+        t = 0.8
+        U0 = rng.standard_normal((5, box44.size)) \
+            + 1j * rng.standard_normal((5, box44.size))
+        tt = triple_table(box44)
+        longest = int(np.diff(tt.seg_starts).max())
+        singles = [(_picard_b_coeffs(box44, u, t), *_picard_cf_coeffs(
+            box44, u, t)) for u in U0]
+        # default; one segment per chunk and one sample per block; blocks
+        # of two samples (the last one short) and several segments a chunk
+        budgets = [operators._CHUNK_BYTES, 1, 2 * 16 * longest]
+        plans = []
+        for budget in budgets:
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", budget)
+            plans.append(tt.chunks(len(U0)))
+            B = _picard_b_coeffs(box44, U0, t)
+            C, F = _picard_cf_coeffs(box44, U0, t)
+            for i, (b, c, f) in enumerate(singles):
+                np.testing.assert_array_equal(B[i], b)
+                np.testing.assert_array_equal(C[i], c)
+                np.testing.assert_array_equal(F[i], f)
+        (block0, cuts0), (block1, cuts1), (block2, cuts2) = plans
+        assert block0 == 5 and 1 < len(cuts0) < box44.size
+        assert block1 == 1 and len(cuts1) == box44.size
+        assert block2 == 2 and len(cuts2) < box44.size
+
+    def test_peak_memory_at_8x8_is_bounded(self, rng):
+        # The whole-table form held several complex values per sample and
+        # triple-table entry: 595 MB of temporaries here.
+        box = LatticeBox(8, 8)
+        tt = triple_table(box)
+        assert len(tt) == 5_309_304
+        U0 = rng.standard_normal((2, box.size)) \
+            + 1j * rng.standard_normal((2, box.size))
+        tracemalloc.start()
+        try:
+            C, F = _picard_cf_coeffs(box, U0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(C).all() and np.isfinite(F).all()
+        assert peak <= 64 * 2 ** 20
+
+
 class TestExtract:
     def test_extract_d_is_definitional(self, box22, make_field):
         u0 = make_field(box22)
@@ -169,7 +223,7 @@ class TestExtract:
         s00 = apply_free_flow(s_map(u0, u0), t)
         f = f_integral(u0, t)
         expected = (v - a - eps * s00 - (eps ** 2) * f) / eps ** 3
-        got = extract_w(u_t, u0, t, eps)
+        got = extract_w(u_t, PicardBundle.build(u0, t, eps))
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
 
     def test_extract_rejects_zero_eps(self, box22, make_field):
@@ -177,7 +231,7 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract_d(u0, PicardBundle.build(u0, 0.5, 0.0))
         with pytest.raises(ValueError):
-            extract_w(u0, u0, 0.5, 0.0)
+            extract_w(u0, PicardBundle.build(u0, 0.5, 0.0))
 
     def test_w_equals_gauged_remainder(self, box22, make_field):
         # Algebraic identity valid for every state u_t, not only ODE
@@ -189,7 +243,7 @@ class TestExtract:
         bundle = PicardBundle.build(u0, t, eps)
         a, b, c = bundle.a, bundle.b, bundle.c
         d = extract_d(u_t, bundle)
-        w = extract_w(u_t, u0, t, eps)
+        w = extract_w(u_t, bundle)
         recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
                  + (eps ** 2) * s_map(c, c) + lambda_eps(d, bundle))
         np.testing.assert_allclose(w.coeffs, recon.coeffs, rtol=0,
@@ -244,3 +298,4 @@ def test_bundle_build_matches_parts(box22, make_field):
                                   apply_free_flow(u0, t).coeffs)
     np.testing.assert_array_equal(bundle.b.coeffs, picard_b(u0, t).coeffs)
     np.testing.assert_array_equal(bundle.c.coeffs, picard_c(u0, t).coeffs)
+    np.testing.assert_array_equal(bundle.f.coeffs, f_integral(u0, t).coeffs)
