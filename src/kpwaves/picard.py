@@ -33,7 +33,6 @@ from .operators import (pair_table, triple_table, segment_sum,
                         _sample_block, _s_apply, s_map, dx_product, f_map)
 
 __all__ = [
-    "THETA_TOL",
     "phi1",
     "picard_b",
     "picard_c",
@@ -50,12 +49,6 @@ __all__ = [
     "w_residual",
 ]
 
-# Below this phase magnitude phi1 switches to its theta -> 0 limit t;
-# the only phases that can vanish are four-wave ones, and they do so
-# exactly (integer cancellation), so the crossover is not delicate.
-THETA_TOL = 1e-9
-
-
 class NonContractionError(RuntimeError):
     """Fixed-point residual stopped contracting; eps is too large."""
 
@@ -67,14 +60,11 @@ class MaxIterExceededError(RuntimeError):
 def phi1(theta, t):
     """Oscillatory integral (e^{i theta t} - 1) / (i theta), elementwise.
 
-    Continuous at theta = 0 with value t; inputs within THETA_TOL of zero
-    take the limiting value.
+    Evaluated as t e^{i theta t / 2} sinc(theta t / 2), which has no
+    cancellation at small theta t and equals t exactly at theta = 0.
     """
     th = np.asarray(theta, dtype=float)
-    small = np.abs(th) <= THETA_TOL
-    safe = np.where(small, 1.0, th)
-    out = (np.exp(1j * safe * t) - 1.0) / (1j * safe)
-    return np.where(small, complex(t), out)
+    return t * np.exp(0.5j * th * t) * np.sinc(th * t / (2.0 * np.pi))
 
 
 def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:

@@ -6,6 +6,7 @@ flow, so a sign, prefactor, or kernel mistake in the tables would show
 up as an O(1) relative deviation.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from kpwaves.operators import convolve, f_map, s_map, triple_table
 from kpwaves.picard import (
     _picard_b_coeffs,
     _picard_cf_coeffs,
-    THETA_TOL,
     MaxIterExceededError,
     NonContractionError,
     PicardBundle,
@@ -50,8 +50,23 @@ class TestPhi1:
         expected = (np.exp(1j * theta * t) - 1.0) / (1j * theta)
         assert phi1(theta, t) == pytest.approx(expected, rel=1e-14)
 
-    def test_below_threshold_takes_limit(self):
-        assert phi1(0.5 * THETA_TOL, 2.0) == pytest.approx(2.0, abs=0)
+    def test_zero_frequency_is_exactly_t(self):
+        for t in (2.0, 0.7, -0.4, 1e-300):
+            assert phi1(0.0, t) == t
+
+    @given(x=st.floats(min_value=1e-12, max_value=1e-4),
+           t=st.floats(min_value=0.1, max_value=3.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_small_phase_matches_taylor_series(self, x, t, sign):
+        # phi1 = t sum_n (i theta t)^n / (n + 1)!; at |theta t| <= 1e-4
+        # eight terms reach far below double precision.
+        theta = sign * x / t
+        z = 1j * theta * t
+        expected = t * sum(z ** n / math.factorial(n + 1)
+                           for n in reversed(range(8)))
+        got = phi1(theta, t)
+        assert abs(got - expected) <= 1e-15 * abs(expected)
 
     @given(theta=st.floats(min_value=1e-6, max_value=1e-3),
            t=st.floats(min_value=0.1, max_value=3.0))
