@@ -23,7 +23,7 @@ from .lattice import LatticeBox, SpectralField
 from .operators import pair_table, triple_table
 from .picard import (PicardBundle, resonance_margin, identity_residuals,
                      w_residual)
-from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
+from .dynamics import _calibrate, calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_u0, EnsembleConfig, MomentReport,
                        estimate_moments, ScanConfig, remainder_scan,
@@ -429,9 +429,13 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     # normal-form variable must close against the integrated state.
     # Sample 0 is also the first field of the identity pairs, so its
     # bundle is reused.
+    # Without a configured dt the calibration run already ends at t.
     u0 = bundles[0].u0
-    dt = cfg.dt or calibrate_dt(box, u0, eps, t)
-    u_t = SpectralField(box, evolve_coeffs(box, u0.coeffs, eps, [t], dt)[0])
+    if cfg.dt:
+        U_t = evolve_coeffs(box, u0.coeffs, eps, [t], cfg.dt)[0]
+    else:
+        _, U_t = _calibrate(box, u0, eps, t)
+    u_t = SpectralField(box, U_t)
     checks.append(("w-decomposition", w_residual(u_t, bundles[0]),
                    "evolved-state decomposition of the normal form"))
 

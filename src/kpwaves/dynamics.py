@@ -98,13 +98,20 @@ def calibrate_dt(box: LatticeBox, u0: SpectralField, eps: float, t: float,
     The error proxy is the l2 distance between the final states computed
     with dt and dt/2.
     """
+    return _calibrate(box, u0, eps, t, target, dt0, max_halvings)[0]
+
+
+def _calibrate(box: LatticeBox, u0: SpectralField, eps: float, t: float,
+               target: float = 1e-8, dt0: float | None = None,
+               max_halvings: int = 12) -> tuple[float, np.ndarray]:
+    """calibrate_dt's step together with the state at t evolved with it."""
     dt = default_dt(box) if dt0 is None else dt0
     coarse = evolve_coeffs(box, u0.coeffs, eps, [t], dt)[0]
     for _ in range(max_halvings):
         fine = evolve_coeffs(box, u0.coeffs, eps, [t], dt / 2.0)[0]
         err = float(np.linalg.norm(fine - coarse))
         if err < target:
-            return dt
+            return dt, coarse
         dt /= 2.0
         coarse = fine
-    return dt
+    return dt, coarse

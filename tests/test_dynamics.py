@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kpwaves.lattice import apply_free_flow
-from kpwaves.dynamics import calibrate_dt, default_dt, evolve_coeffs
+from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
+                              evolve_coeffs)
 
 
 def test_default_dt_formula(box22):
@@ -105,6 +106,15 @@ def test_calibrate_dt_meets_target(box22, make_field):
     coarse = evolve_coeffs(box22, u0.coeffs, eps, [t], dt)[0]
     fine = evolve_coeffs(box22, u0.coeffs, eps, [t], dt / 2.0)[0]
     assert float(np.linalg.norm(fine - coarse)) < target
+
+
+def test_calibration_returns_its_final_state(box22, make_field):
+    # kpwaves verify evolves its sample once, inside the calibration.
+    u0 = make_field(box22, hermitian=True)
+    dt, state = _calibrate(box22, u0, 0.3, 1.0)
+    assert dt == calibrate_dt(box22, u0, 0.3, 1.0)
+    np.testing.assert_array_equal(
+        state, evolve_coeffs(box22, u0.coeffs, 0.3, [1.0], dt)[0])
 
 
 class TestNormalFormResidual:
