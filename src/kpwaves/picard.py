@@ -7,8 +7,8 @@ For initial data u0 the flow map is expanded as
 where a is the free evolution and b, c have closed forms as oscillatory
 sums over the interaction tables.  c and the Duhamel integral f of the
 resonant trilinear term are sums over the triple table; one streamed
-pass computes both for a batch of initial data, with the phi1 kernels
-built once per chunk of the table.  A PicardBundle holds (a, b, c, f) of
+pass computes both for a batch of initial data, with the factors of a
+single split built once per pair-table entry.  A PicardBundle holds (a, b, c, f) of
 one initial condition; PicardBundle.build_batch builds several in that
 one pass.  The remainder d is defined by exact subtraction.  The gauged
 variable v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
@@ -87,14 +87,22 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     """Second Picard correction C and Duhamel integral F of a batch U0.
 
     One pass over the triple table, in chunks of whole output segments
-    (TripleTable.chunks): per chunk the two phi1 kernels are computed
-    once, and per block of samples the triple product U_j U_q U_k is
+    (TripleTable.chunks): the factors of a single split are computed once
+    per pair-table entry and gathered, phi1 of the four-wave phase once
+    per chunk, and per block of samples the triple product U_j U_q U_k is
     formed once and reduced against the c and the f kernel.  Chunking
     only splits whole segments and whole samples, so C and F do not
     depend on the chunk or block size, to the last bit.
     """
     tt = triple_table(box)
+    pt = pair_table(box)
     om = box.dispersion().values
+    # Factors of a single split, per pair-table entry: phi1 of the outer
+    # split, and l1 / (2 delta) of the inner split l = j + q (l1 is its
+    # output's) and of the outer split n = k + l.
+    phi_pair = phi1(pt.delta, t)
+    fac_inner = box.n1[pt.out_idx] / (2.0 * pt.delta)
+    fac_outer = box.n1[pt.l_idx] / (2.0 * pt.delta)
     X = U0.reshape(-1, box.size)
     acc_c = np.empty(X.shape, dtype=np.complex128)
     acc_f = np.empty(X.shape, dtype=np.complex128)
@@ -102,11 +110,11 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     for m0, m1 in cuts:
         lo, hi = tt.seg_starts[m0], tt.seg_starts[m1]
         col = tt.columns(lo, hi)
+        outer, inner = tt.outer[lo:hi], tt.inner[lo:hi]
         starts = tt.seg_starts[m0:m1 + 1] - lo
         p4 = phi1(col.four_wave, t)
-        kernel_c = (col.l1 / (2.0 * col.inner_delta)) \
-            * (p4 - phi1(col.outer_delta, t))
-        kernel_f = (col.l1 / (2.0 * col.outer_delta)) * p4
+        kernel_c = fac_inner[inner] * (p4 - phi_pair[outer])
+        kernel_f = fac_outer[outer] * p4
         for s in range(0, len(X), block):
             Xs = X[s:s + block]
             prods = Xs[:, col.j_idx] * Xs[:, col.q_idx] * Xs[:, col.k_idx]
