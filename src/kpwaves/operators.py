@@ -35,11 +35,15 @@ __all__ = [
     "f_map",
 ]
 
-# Bytes per triple-table entry (two int64 pair-table indices), and the
-# byte budget of the complex (samples x entries) products of one chunk of
+# Byte budget of the complex (samples x entries) products of one chunk of
 # a streamed triple-table contraction.
-_TRIPLE_ENTRY_BYTES = 16
 _CHUNK_BYTES = 1 << 18
+# Peak bytes per triple-table entry while the table is built (three int64
+# arrays at once; 16 stay), and per entry of a contraction chunk (its
+# gathered columns, kernels and products; tracemalloc reads 207-228 at
+# 6x6 and 8x8 with batches of 1-8).
+_BUILD_ENTRY_BYTES = 24
+_CHUNK_ENTRY_BYTES = 232
 _ITEM = np.dtype(np.complex128).itemsize
 
 
@@ -195,31 +199,31 @@ def _physical_memory() -> int:
 def triple_table(box: LatticeBox) -> TripleTable:
     """Build (and cache) the nested-split table by composing the pair table.
 
-    The entry count is known from the pair table before anything is
-    allocated; raises ValueError when the table plus one contraction chunk
-    would exceed physical memory.
+    The entry count and segment lengths are known from the pair table
+    before anything is allocated; raises ValueError when the build's peak
+    plus one contraction chunk (at least one whole segment) would exceed
+    physical memory.
     """
     pt = pair_table(box)
     counts = np.diff(pt.seg_starts)
     # For every outer entry (n, k, l), expand the inner splits of l.
     lens = counts[pt.l_idx]
-    total = int(lens.sum())
-    need = total * _TRIPLE_ENTRY_BYTES + _CHUNK_BYTES
+    ends = np.cumsum(lens)
+    seg_starts = np.concatenate([[0], ends])[pt.seg_starts]
+    total = int(seg_starts[-1])
+    chunk = max(int(np.diff(seg_starts).max(initial=0)),
+                _CHUNK_BYTES // _ITEM)
+    need = total * _BUILD_ENTRY_BYTES + chunk * _CHUNK_ENTRY_BYTES
     if need > _physical_memory():
         raise ValueError(
             f"triple table of {box!r} has {total} entries and needs "
             f"{need} bytes, more than the {_physical_memory()} bytes of "
             "physical memory")
-    ends = np.cumsum(lens)
     outer = np.repeat(np.arange(len(pt), dtype=np.int64), lens)
     inner = np.repeat(pt.seg_starts[pt.l_idx] - (ends - lens), lens)
     inner += np.arange(total, dtype=np.int64)
-    return TripleTable(
-        box=box,
-        outer=outer,
-        inner=inner,
-        seg_starts=np.concatenate([[0], ends])[pt.seg_starts],
-    )
+    return TripleTable(box=box, outer=outer, inner=inner,
+                       seg_starts=seg_starts)
 
 
 def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:

@@ -393,6 +393,19 @@ class TestReportLayout:
             assert results.get("failed_samples") == failed
 
 
+def _triple_table_need(box):
+    """Entries of the triple table of box and the bytes its pre-flight
+    check asks for: the build's 24 B per entry plus one contraction chunk
+    of at least one whole output segment."""
+    pt = operators.pair_table(box)
+    lens = np.diff(pt.seg_starts)[pt.l_idx]
+    longest = int(np.bincount(pt.out_idx, weights=lens,
+                              minlength=box.size).max())
+    chunk = max(longest, operators._CHUNK_BYTES // 16)
+    entries = int(lens.sum())
+    return entries, 24 * entries + operators._CHUNK_ENTRY_BYTES * chunk
+
+
 @pytest.mark.parametrize("text", [
     "command = verify\n",
     "command = remainder-scan\neps = 0.2 0.1 0.05\n",
@@ -402,9 +415,7 @@ def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
                                                      monkeypatch, text):
     monkeypatch.setattr(operators, "_physical_memory", lambda: 1000)
     operators.triple_table.cache_clear()
-    pt = operators.pair_table(cli.LatticeBox(3, 2))
-    entries = int(np.diff(pt.seg_starts)[pt.l_idx].sum())
-    need = 16 * entries + operators._CHUNK_BYTES
+    entries, need = _triple_table_need(cli.LatticeBox(3, 2))
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, text + "box = 3 2\nsample_count = 8\n"
                     f"dt = 0.05\nout = {out_path}\n")
@@ -414,4 +425,27 @@ def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
                    f"{entries} entries and needs {need} bytes, more than "
                    "the 1000 bytes of physical memory\n")
     assert out == "" and not out_path.exists()
+    assert operators.triple_table.cache_info().currsize == 0
+
+
+def test_memory_check_counts_build_peak_and_chunk(tmp_path, capsys,
+                                                  monkeypatch):
+    # A machine that holds the stored table (16 B per entry) and one
+    # chunk budget of products still cannot hold the build's peak and a
+    # chunk's gathered columns and kernels.
+    box = cli.LatticeBox(4, 4)
+    entries, need = _triple_table_need(box)
+    stored = 16 * entries + operators._CHUNK_BYTES
+    memory = (stored + need) // 2
+    assert stored < memory < need
+    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    operators.triple_table.cache_clear()
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        operators.triple_table(box)
+    cfg = write_cfg(tmp_path, "command = verify\nbox = 4 4\n")
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: triple table of {box!r} has {entries} entries and "
+        f"needs {need} bytes, more than the {memory} bytes of physical "
+        "memory\n")
     assert operators.triple_table.cache_info().currsize == 0
