@@ -10,6 +10,12 @@ remaining nonautonomous system is stepped with classical RK4.  The
 quadratic term conserves sum |u_n|^2 exactly at the level of the ODE, so
 any drift in that quantity is integrator error.
 
+Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
+n1 > 0 half of the spectrum; each right-hand side places it in the
+half-spectrum of the real zero-padded grid of operators.convolve, squares
+the grid between an irfft and an rfft, and reads the n1 > 0 modes back.
+The n1 < 0 half of each returned state is the exact conjugate mirror.
+
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times and leaves the finiteness check to its
 callers.
@@ -19,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeBox, SpectralField
-from .operators import convolve
+from .lattice import LatticeBox, SpectralField, _symmetry_defect
+from .operators import _fft_embedding, _positive_rows
 
 __all__ = [
     "default_dt",
@@ -41,46 +47,82 @@ def default_dt(box: LatticeBox) -> float:
 
 def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
                   segments):
-    """Step U0 from t0 through (n_steps, h, t_end) segments by classical RK4.
+    """Step a real U0 from t0 through (n_steps, h, t_end) segments by RK4.
 
-    Yields the state at each t_end, where the clock is reset to t_end.
+    The state holds the n1 > 0 modes only, the second half of the box
+    ordering, as (..., N1, 2 N2 + 1) rows; the n1 < 0 half of a real field
+    is their conjugate mirror.  Yields the full state at each t_end, where
+    the clock is reset to t_end.
     """
-    om = box.dispersion().values
+    half = box.size // 2
+    rows = (box.n1_max, 2 * box.n2_max + 1)
+    om = box.dispersion().values[half:].reshape(rows)
+    coef = (-0.5j * eps) * box.n1[half:].reshape(rows)
+    length = _fft_embedding(box)[0]
+    batch = U0.shape[:-1]
+    # Half-spectrum of the real grid (zero off the box), the grid, and the
+    # spectrum of its square; allocated per call, so calls are independent.
+    buf = np.zeros(batch + (length // 2 + 1,), dtype=np.complex128)
+    grid = np.empty(batch + (length,))
+    spec = np.empty_like(buf)
+    buf_modes = _positive_rows(box, buf)
+    spec_modes = _positive_rows(box, spec)
 
     def rhs(W, phase):
-        # dW/dt for the gauged variable; phase = e^{i omega tau}
-        U = phase * W
-        return (-0.5j * eps) * box.n1 * np.conj(phase) * convolve(box, U, U)
+        # dW/dt for the gauged variable; phase = e^{i omega tau}.  irfft
+        # gives the grid with its index reversed, which the square and the
+        # forward rfft undo: spec is the cyclic convolution of buf.
+        np.multiply(phase, W, out=buf_modes)
+        np.fft.irfft(buf, length, norm="forward", out=grid)
+        np.square(grid, out=grid)
+        np.fft.rfft(grid, norm="forward", out=spec)
+        return coef * np.conj(phase) * spec_modes
 
-    W = U0 * np.exp(-1j * om * t0)
+    W = U0[..., half:].reshape(batch + rows) * np.exp(-1j * om * t0)
     t = t0
     for n_steps, h, t_end in segments:
         for _ in range(n_steps):
             ph1 = np.exp(1j * om * t)
             ph2 = np.exp(1j * om * (t + 0.5 * h))
             ph3 = np.exp(1j * om * (t + h))
-            k1 = rhs(W, ph1)
-            k2 = rhs(W + 0.5 * h * k1, ph2)
-            k3 = rhs(W + 0.5 * h * k2, ph2)
-            k4 = rhs(W + h * k3, ph3)
-            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k = rhs(W, ph1)
+            acc = k.copy()
+            k = rhs(W + 0.5 * h * k, ph2)
+            acc += 2.0 * k
+            k = rhs(W + 0.5 * h * k, ph2)
+            acc += 2.0 * k
+            k = rhs(W + h * k, ph3)
+            acc += k
+            acc *= h / 6.0
+            W = W + acc
             t += h
         t = t_end
-        yield np.exp(1j * om * t) * W
+        U = np.empty(batch + (box.size,), dtype=np.complex128)
+        U[..., half:] = (np.exp(1j * om * t) * W).reshape(batch + (half,))
+        U[..., box.conj_idx[half:]] = np.conj(U[..., half:])
+        yield U
 
 
 def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
                   times, dt: float, t0: float = 0.0) -> np.ndarray:
-    """Integrate raw coefficient arrays from t0 through the given times.
+    """Integrate raw coefficient arrays of real fields from t0 through times.
 
-    U0 may carry leading batch axes.  Returns an array with one leading
-    time axis; each requested time is hit exactly by shrinking the step
-    within each segment.  Times must be monotone (increasing or
-    decreasing away from t0).  A diverging state comes back as inf or
-    NaN without numpy warnings; callers check finiteness themselves.
+    U0 may carry leading batch axes; each field must be reality-symmetric,
+    u(-n) = conj(u(n)), to the 1e-12 relative tolerance of
+    SpectralField.is_real_symmetric (ValueError otherwise), and every
+    returned state is exactly so.  Returns an array
+    with one leading time axis; each requested time is hit exactly by
+    shrinking the step within each segment.  Times must be monotone
+    (increasing or decreasing away from t0).  A diverging state comes back
+    as inf or NaN without numpy warnings; callers check finiteness
+    themselves.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    U0 = np.asarray(U0)
+    dev, scale = _symmetry_defect(box, U0)
+    if np.any(dev > 1e-12 * scale):
+        raise ValueError("U0 is not a real field: u(-n) != conj(u(n))")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     spans = np.diff(times, prepend=t0)
     steps = np.where(spans == 0.0, 0, np.maximum(

@@ -184,9 +184,8 @@ class SpectralField:
                              copy=False)
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        dev = np.abs(self.coeffs - np.conj(self.coeffs[self.box.conj_idx]))
-        scale = max(1.0, float(np.max(np.abs(self.coeffs), initial=0.0)))
-        return bool(np.max(dev, initial=0.0) <= tol * scale)
+        dev, scale = _symmetry_defect(self.box, self.coeffs)
+        return bool(dev <= tol * scale)
 
     def _binary(self, other, op):
         if not isinstance(other, SpectralField):
@@ -217,6 +216,14 @@ class SpectralField:
 
     def __repr__(self):
         return f"SpectralField(box={self.box!r}, size={self.box.size})"
+
+
+def _symmetry_defect(box: LatticeBox, coeffs: np.ndarray):
+    """Largest |u_n - conj(u_{-n})| of each field (last axis) and the
+    scale max(1, max |u_n|) it is measured against."""
+    dev = np.abs(coeffs - np.conj(coeffs[..., box.conj_idx]))
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=-1, initial=0.0))
+    return np.max(dev, axis=-1, initial=0.0), scale
 
 
 def hs_weights(box: LatticeBox, s: float):

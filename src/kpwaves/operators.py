@@ -2,7 +2,10 @@
 
 All operators are convolution sums restricted to a LatticeBox; leading
 axes of the coefficient arrays are broadcast through.  The plain
-convolution is a product of FFTs on a zero-padded grid (see convolve).
+convolution is a product of FFTs on a zero-padded 1-D grid whose length
+is the smallest 5-smooth number past the alias-free bound
+3 N1 (3 N2 + 1) + 3 N2 (see convolve); the integrator transforms the
+same grid as a real one, through _positive_rows.
 The phase-weighted forms carry split weights such as 1/delta that do not
 factor, so they are weighted segment sums over the pair and triple
 tables, which enumerate the admissible index combinations once per box.
@@ -250,22 +253,46 @@ def _check_same_box(*fields: SpectralField) -> LatticeBox:
     return box
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @lru_cache(maxsize=None)
 def _fft_embedding(box: LatticeBox) -> tuple[int, np.ndarray]:
     """Grid length L and the grid position of every mode of the box."""
     stride = 3 * box.n2_max + 1
-    length = (3 * box.n1_max + 1) * stride
+    length = _smooth_length(3 * box.n1_max * stride + 3 * box.n2_max + 1)
     return length, (box.n1 * stride + box.n2) % length
+
+
+def _positive_rows(box: LatticeBox, half_spectrum: np.ndarray) -> np.ndarray:
+    """View of the n1 > 0 modes in the last axis of a half-spectrum of the
+    grid (length L // 2 + 1), shaped (..., N1, 2 N2 + 1) in box order."""
+    stride = 3 * box.n2_max + 1
+    lo = stride - box.n2_max
+    rows = half_spectrum[..., lo:lo + box.n1_max * stride]
+    rows = rows.reshape(rows.shape[:-1] + (box.n1_max, stride))
+    return rows[..., :2 * box.n2_max + 1]
 
 
 def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Truncated convolution sum_{k+l=n} U_k V_l on raw coefficient arrays.
 
     Mode n sits at (n1 S + n2) mod L on a periodic 1-D grid, S = 3 N2 + 1,
-    L = (3 N1 + 1) S, and the sum is the grid's cyclic convolution, by FFT.
-    It is alias-free on the box: |k2 + l2| <= 2 N2 keeps rows apart, and
-    the linear index of k + l differs from that of any box mode by at
-    most 3 N1 S + 3 N2 < L, so it wraps onto n only if k + l = n.
+    L the smallest 5-smooth length >= 3 N1 S + 3 N2 + 1, and the sum is
+    the grid's cyclic convolution, by FFT.  It is alias-free on the box:
+    |k2 + l2| <= 2 N2 keeps rows apart, and the linear index of k + l
+    differs from that of any box mode by at most 3 N1 S + 3 N2 < L, so it
+    wraps onto n only if k + l = n.  The n1 > 0 modes sit at 1..N1 S + N2,
+    inside the half-spectrum 0..L/2 of a real grid.
     """
     # np.fft loads on first use, so commands that never convolve skip it.
     length, pos = _fft_embedding(box)

@@ -8,9 +8,9 @@ where a is the free evolution and b, c have closed forms as oscillatory
 sums over the interaction tables.  c and the Duhamel integral f of the
 resonant trilinear term are sums over the triple table; one streamed
 pass computes both for a batch of initial data, with the factors of a
-single split built once per pair-table entry.  A PicardBundle holds (a, b, c, f) of
-one initial condition; PicardBundle.build_batch builds several in that
-one pass.  The remainder d is defined by exact subtraction.  The gauged
+single split built once per pair-table entry.  A PicardBundle holds
+(a, b, c, f) of one initial condition; PicardBundle.build_batch builds
+several in that one pass.  The remainder d is defined by exact subtraction.  The gauged
 variable v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
 coefficient w admits an algebraic decomposition in terms of a, b, c, d;
 lambda_eps is the resulting polynomial map d -> w and invert_lambda_eps

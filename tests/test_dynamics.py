@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
+from kpwaves.operators import convolve
 from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
                               evolve_coeffs)
 
@@ -106,6 +108,63 @@ def test_calibrate_dt_meets_target(box22, make_field):
     coarse = evolve_coeffs(box22, u0.coeffs, eps, [t], dt)[0]
     fine = evolve_coeffs(box22, u0.coeffs, eps, [t], dt / 2.0)[0]
     assert float(np.linalg.norm(fine - coarse)) < target
+
+
+def _complex_rk4(box, U0, eps, t, n_steps):
+    """Classical RK4 of the gauged flow on the full complex spectrum,
+    through the general convolution."""
+    om = box.dispersion().values
+
+    def rhs(W, tau):
+        phase = np.exp(1j * om * tau)
+        U = phase * W
+        return (-0.5j * eps) * box.n1 * np.conj(phase) * convolve(box, U, U)
+
+    W, h = U0.copy(), t / n_steps
+    for i in range(n_steps):
+        s = i * h
+        k1 = rhs(W, s)
+        k2 = rhs(W + 0.5 * h * k1, s + 0.5 * h)
+        k3 = rhs(W + 0.5 * h * k2, s + 0.5 * h)
+        k4 = rhs(W + h * k3, s + h)
+        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.exp(1j * om * t) * W
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)])
+def test_half_spectrum_matches_complex_rk4(shape, make_field):
+    box = LatticeBox(*shape)
+    U0 = np.stack([make_field(box, hermitian=True).coeffs
+                   for _ in range(3)])
+    got = evolve_coeffs(box, U0, 0.3, [0.5], 0.05)[0]
+    want = _complex_rk4(box, U0, 0.3, 0.5, 10)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_states_are_exactly_real(box33, make_field):
+    U0 = np.stack([make_field(box33, hermitian=True).coeffs
+                   for _ in range(4)])
+    states = evolve_coeffs(box33, U0, 0.2, [0.3, 1.0], 0.01)
+    np.testing.assert_array_equal(states,
+                                  np.conj(states[..., box33.conj_idx]))
+
+
+def test_rejects_non_real_fields(box22, make_field):
+    real = make_field(box22, hermitian=True).coeffs
+    batch = np.stack([real, make_field(box22).coeffs])
+    for U0 in (batch[1], batch):
+        with pytest.raises(ValueError, match="not a real field"):
+            evolve_coeffs(box22, U0, 0.1, [1.0], 0.1)
+    # An asymmetry at the 1e-12 tolerance of is_real_symmetric passes.
+    nudged = real.copy()
+    nudged[0] += 1e-13
+    evolve_coeffs(box22, nudged, 0.1, [1.0], 0.1)
+
+
+def test_empty_batch_keeps_shape(box22):
+    U0 = np.zeros((0, box22.size), dtype=complex)
+    states = evolve_coeffs(box22, U0, 0.1, [0.5, 1.0], 0.1)
+    assert states.shape == (2, 0, box22.size)
 
 
 def test_calibration_returns_its_final_state(box22, make_field):

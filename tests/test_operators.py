@@ -138,7 +138,7 @@ def conv_brute(box, U, V):
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (3, 0), (1, 3), (4, 1), (2, 5),
-                                   (5, 2), (3, 3)])
+                                   (5, 2), (3, 3), (6, 6)])
 def test_convolve_matches_double_sum(shape, rng):
     box = LatticeBox(*shape)
     U = rng.standard_normal((3, box.size)) + 1j * rng.standard_normal(
