@@ -85,8 +85,8 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
             ph1 = np.exp(1j * om * t)
             ph2 = np.exp(1j * om * (t + 0.5 * h))
             ph3 = np.exp(1j * om * (t + h))
-            k = rhs(W, ph1)
-            acc = k.copy()
+            # acc sums ((k1 + 2 k2) + 2 k3) + k4 in place of k1.
+            k = acc = rhs(W, ph1)
             k = rhs(W + 0.5 * h * k, ph2)
             acc += 2.0 * k
             k = rhs(W + 0.5 * h * k, ph2)
