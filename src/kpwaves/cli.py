@@ -428,8 +428,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     # One evolved sample: the cubic remainder decomposition of the
     # normal-form variable must close against the integrated state.
     # Sample 0 is also the first field of the identity pairs, so its
-    # bundle is reused.
-    # Without a configured dt the calibration run already ends at t.
+    # bundle is reused; without a configured dt, the calibration run
+    # already ends at t.
     u0 = bundles[0].u0
     if cfg.dt:
         U_t = evolve_coeffs(box, u0.coeffs, eps, [t], cfg.dt)[0]

@@ -110,12 +110,11 @@ def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
     U0 may carry leading batch axes; each field must be reality-symmetric,
     u(-n) = conj(u(n)), to the 1e-12 relative tolerance of
     SpectralField.is_real_symmetric (ValueError otherwise), and every
-    returned state is exactly so.  Returns an array
-    with one leading time axis; each requested time is hit exactly by
-    shrinking the step within each segment.  Times must be monotone
-    (increasing or decreasing away from t0).  A diverging state comes back
-    as inf or NaN without numpy warnings; callers check finiteness
-    themselves.
+    returned state is exactly so.  Returns an array with one leading time
+    axis; each requested time is hit exactly by shrinking the step within
+    each segment.  Times must be monotone (increasing or decreasing away
+    from t0).  A diverging state comes back as inf or NaN without numpy
+    warnings; callers check finiteness themselves.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")

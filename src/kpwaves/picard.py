@@ -10,11 +10,12 @@ resonant trilinear term are sums over the triple table; one streamed
 pass computes both for a batch of initial data, with the factors of a
 single split built once per pair-table entry.  A PicardBundle holds
 (a, b, c, f) of one initial condition; PicardBundle.build_batch builds
-several in that one pass.  The remainder d is defined by exact subtraction.  The gauged
-variable v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
-coefficient w admits an algebraic decomposition in terms of a, b, c, d;
-lambda_eps is the resulting polynomial map d -> w and invert_lambda_eps
-recovers d from w by fixed-point iteration.
+several in that one pass.  The remainder d is defined by exact
+subtraction.  The gauged variable v = u + eps s_map(u, u) satisfies a
+flow equation whose eps^3 coefficient w admits an algebraic
+decomposition in terms of a, b, c, d; lambda_eps is the resulting
+polynomial map d -> w and invert_lambda_eps recovers d from w by
+fixed-point iteration.
 
 The exact identities behind the normal form, which hold to roundoff, are
 measured by resonance_margin, identity_residuals and w_residual, which
