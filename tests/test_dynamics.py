@@ -131,7 +131,8 @@ def _complex_rk4(box, U0, eps, t, n_steps):
     return np.exp(1j * om * t) * W
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)],
+                         ids=["2x2", "3x3", "6x6"])
 def test_half_spectrum_matches_complex_rk4(shape, make_field):
     box = LatticeBox(*shape)
     U0 = np.stack([make_field(box, hermitian=True).coeffs
