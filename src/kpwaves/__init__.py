@@ -5,12 +5,12 @@ random-data ensembles, and closed-form moment asymptotics, all on a
 shared symmetric lattice truncation.
 """
 
-from .lattice import (LatticeBox, DispersionTable, SpectralField,
-                      omega, delta, hs_norm, hs_weights, apply_free_flow)
+from .lattice import (LatticeBox, SpectralField, omega, delta, hs_norm,
+                      hs_weights, apply_free_flow)
 from .operators import dx_product, s_map, f_map
-from .picard import (phi1, picard_b, picard_c, f_integral, extract_d,
-                     extract_w, PicardBundle, lambda_eps, invert_lambda_eps,
-                     NonContractionError, MaxIterExceededError)
+from .picard import (phi1, extract_d, extract_w, PicardBundle, lambda_eps,
+                     invert_lambda_eps, NonContractionError,
+                     MaxIterExceededError)
 from .dynamics import default_dt, calibrate_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_u0, EnsembleConfig, MomentReport,

@@ -23,7 +23,8 @@ from .lattice import LatticeBox, SpectralField
 from .operators import pair_table, triple_table
 from .picard import (PicardBundle, resonance_margin, identity_residuals,
                      w_residual)
-from .dynamics import _calibrate, calibrate_dt, evolve_coeffs, NonFiniteError
+from .dynamics import (_calibrate, _diverged, calibrate_dt, evolve_coeffs,
+                       NonFiniteError)
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_u0, EnsembleConfig, MomentReport,
                        estimate_moments, ScanConfig, remainder_scan,
@@ -391,10 +392,12 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     """Exact-identity suite: structural checks that hold to roundoff."""
+    eps = cfg.eps[0]
+    if eps == 0:
+        raise ConfigError("eps: the remainder is undefined at eps = 0")
     box = LatticeBox(*cfg.box)
     law = build_law(cfg)
     profile = build_profile(cfg, box, law)
-    eps = cfg.eps[0] if cfg.eps[0] > 0 else 0.1
     t = cfg.t
     margin = resonance_margin(box)
     n_splits = len(pair_table(box))
@@ -435,6 +438,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         U_t = evolve_coeffs(box, u0.coeffs, eps, [t], cfg.dt)[0]
     else:
         _, U_t = _calibrate(box, u0, eps, t)
+    if _diverged(U_t):
+        raise NonFiniteError(f"sample 0 diverged by t = {t}")
     u_t = SpectralField(box, U_t)
     checks.append(("w-decomposition", w_residual(u_t, bundles[0]),
                    "evolved-state decomposition of the normal form"))
@@ -466,8 +471,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     times = _time_grid(cfg) if cfg.t_grid is not None else np.array([cfg.t])
     dt = cfg.dt or calibrate_dt(box, u0, eps, float(times[-1]) or 1.0)
     states = evolve_coeffs(box, u0.coeffs, eps, times, dt)
-    if not np.isfinite(states.view(float)).all():
-        raise NonFiniteError("trajectory left the finite range")
+    bad = _diverged(states)
+    if bad.any():
+        raise NonFiniteError(
+            f"sample 0 diverged by t = {float(times[np.argmax(bad)])}")
     rows = []
     for i, t in enumerate(times):
         for j in range(box.size):

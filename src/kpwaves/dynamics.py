@@ -17,8 +17,8 @@ the grid between an irfft and an rfft, and reads the n1 > 0 modes back.
 The n1 < 0 half of each returned state is the exact conjugate mirror.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
-states at the requested times and leaves the finiteness check to its
-callers.
+states at the requested times, and its callers find the samples that
+diverged with one per-sample mask, _diverged.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ class NonFiniteError(RuntimeError):
     """An evolved state contained NaN or infinity."""
 
 
+def _diverged(states: np.ndarray) -> np.ndarray:
+    """Mask over all but the last axis: True where a state holds NaN or inf."""
+    return ~np.isfinite(states.view(float)).all(axis=-1)
+
+
 def default_dt(box: LatticeBox) -> float:
     """Conservative step 0.5 / (1 + max |omega|) for the box."""
-    return 0.5 / (1.0 + float(np.max(np.abs(box.dispersion().values))))
+    return 0.5 / (1.0 + float(np.max(np.abs(box.omega))))
 
 
 def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
@@ -56,7 +61,7 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
     """
     half = box.size // 2
     rows = (box.n1_max, 2 * box.n2_max + 1)
-    om = box.dispersion().values[half:].reshape(rows)
+    om = box.omega[half:].reshape(rows)
     coef = (-0.5j * eps) * box.n1[half:].reshape(rows)
     length = _fft_embedding(box)[0]
     batch = U0.shape[:-1]
@@ -114,7 +119,7 @@ def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
     axis; each requested time is hit exactly by shrinking the step within
     each segment.  Times must be monotone (increasing or decreasing away
     from t0).  A diverging state comes back as inf or NaN without numpy
-    warnings; callers check finiteness themselves.
+    warnings; callers find it with _diverged.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import LatticeBox, SpectralField, hs_weights
 from . import theory
-from .dynamics import calibrate_dt, evolve_coeffs, NonFiniteError
+from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
 from .picard import _picard_b_coeffs, _picard_cf_coeffs
 
 __all__ = [
@@ -420,7 +420,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
         G = sample_g_batch(box, cfg.law, cfg.seed, idx)
         U0 = lam * G
         U = evolve_coeffs(box, U0, cfg.eps, [cfg.t], dt)[0]
-        ok = np.isfinite(U.view(float)).all(axis=1)
+        ok = ~_diverged(U)
         return idx, U, ok
 
     batches = [(s, min(s + cfg.batch_size, cfg.sample_count))
@@ -599,7 +599,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     if dt is None:
         probe = sample_u0(cfg.profile, cfg.law, cfg.seed, 0)
         dt = calibrate_dt(box, probe, max(eps_grid), cfg.t, target=1e-9)
-    phase = np.exp(1j * box.dispersion().values * cfg.t)
+    phase = np.exp(1j * box.omega * cfg.t)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
             for k in range(cfg.rotations)]
@@ -621,7 +621,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
             C = _picard_cf_coeffs(box, U0, cfg.t)[0]
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
-                bad = ~np.isfinite(U.view(float)).all(axis=1)
+                bad = _diverged(U)
                 if bad.any():
                     raise NonFiniteError(
                         f"sample {done + int(np.argmax(bad))} diverged "
@@ -725,11 +725,11 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     G = sample_g_batch(box, law, seed, np.arange(sample_count))
     U0 = lam * G
     states = evolve_coeffs(box, U0, eps, grid, dt)
-    bad = ~np.isfinite(states.view(float)).all(axis=2)
+    bad = _diverged(states)
     if bad.any():
         i_t, i_s = np.argwhere(bad)[0]
         raise NonFiniteError(f"sample {i_s} diverged by t = {grid[i_t]}")
-    om = box.dispersion().values
+    om = box.omega
     w = hs_weights(box, s)
     peak = np.empty(grid.size)
     for i, t in enumerate(grid):

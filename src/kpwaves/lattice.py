@@ -3,8 +3,8 @@
 The phase space is spanned by Fourier modes u_n, n = (n1, n2), with the
 zero-mean constraint n1 != 0 built into the lattice itself.  A LatticeBox
 is the symmetric rectangular truncation used by every operator in this
-package; fields, dispersion tables and interaction tables are all aligned
-to its canonical mode ordering.
+package; fields, its frequencies omega and interaction tables are all
+aligned to its canonical mode ordering.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "omega",
     "delta",
     "LatticeBox",
-    "DispersionTable",
     "SpectralField",
     "hs_weights",
     "hs_norm",
@@ -47,10 +46,11 @@ class LatticeBox:
     The box is closed under n -> -n and excludes the n1 = 0 column
     structurally.  Modes are stored in lexicographic order of (n1, n2);
     all array-valued quantities in the package share this ordering.
+    omega holds the frequency of every mode.
     """
 
     __slots__ = ("n1_max", "n2_max", "modes", "n1", "n2", "size",
-                 "conj_idx", "_index", "_grid", "_dispersion")
+                 "conj_idx", "omega", "_index", "_grid")
 
     def __init__(self, n1_max: int, n2_max: int):
         if n1_max < 1 or n2_max < 0:
@@ -72,7 +72,8 @@ class LatticeBox:
             np.arange(self.size)
         self._grid = grid
         self.conj_idx = self.lookup(-self.n1, -self.n2)
-        self._dispersion = None
+        n1, n2 = self.n1.astype(float), self.n2.astype(float)
+        self.omega = n1 ** 3 - n2 ** 2 / n1
 
     def index(self, n) -> int:
         """Position of mode n in the canonical ordering."""
@@ -108,27 +109,6 @@ class LatticeBox:
 
     def __repr__(self):
         return f"LatticeBox({self.n1_max}, {self.n2_max})"
-
-    def dispersion(self) -> "DispersionTable":
-        """Shared dispersion table of this box."""
-        if self._dispersion is None:
-            self._dispersion = DispersionTable(self)
-        return self._dispersion
-
-
-class DispersionTable:
-    """Frequencies omega(n) precomputed for every mode of a box."""
-
-    __slots__ = ("box", "values")
-
-    def __init__(self, box: LatticeBox):
-        self.box = box
-        n1 = box.n1.astype(float)
-        n2 = box.n2.astype(float)
-        self.values = n1 ** 3 - n2 ** 2 / n1
-
-    def of(self, n) -> float:
-        return float(self.values[self.box.index(n)])
 
 
 class SpectralField:
@@ -240,5 +220,5 @@ def hs_norm(u: SpectralField, s: float) -> float:
 
 def apply_free_flow(u: SpectralField, t: float) -> SpectralField:
     """Propagate by the linear group, multiplying each mode by e^{i omega t}."""
-    om = u.box.dispersion().values
-    return SpectralField(u.box, u.coeffs * np.exp(1j * om * t), copy=False)
+    return SpectralField(u.box, u.coeffs * np.exp(1j * u.box.omega * t),
+                         copy=False)

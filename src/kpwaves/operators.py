@@ -10,9 +10,9 @@ The phase-weighted forms carry split weights such as 1/delta that do not
 factor, so they are weighted segment sums over the pair and triple
 tables, which enumerate the admissible index combinations once per box.
 The triple table stores only two pair-table indices per entry; callers
-gather its per-entry arrays chunk by chunk (TripleTable.columns) under a
-fixed byte budget (TripleTable.chunks), and its size is checked against
-physical memory before it is built.
+gather the pair-table arrays they need chunk by chunk under a fixed byte
+budget (TripleTable.chunks), and its size is checked against physical
+memory before it is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .lattice import LatticeBox, SpectralField
 
 __all__ = [
     "PairTable",
-    "TripleColumns",
     "TripleTable",
     "pair_table",
     "triple_table",
@@ -43,8 +42,10 @@ __all__ = [
 _CHUNK_BYTES = 1 << 18
 # Peak bytes per triple-table entry while the table is built (three int64
 # arrays at once; 16 stay), and per entry of a contraction chunk (its
-# gathered columns, kernels and products; tracemalloc reads 207-228 at
-# 6x6 and 8x8 with batches of 1-8).
+# gathered indices, kernels and products).  The 232 was measured
+# (tracemalloc read 207-228 at 6x6 and 8x8 with batches of 1-8) when a
+# chunk also gathered four columns it never read, so it is now an upper
+# bound.
 _BUILD_ENTRY_BYTES = 24
 _CHUNK_ENTRY_BYTES = 232
 _ITEM = np.dtype(np.complex128).itemsize
@@ -72,35 +73,15 @@ class PairTable:
 
 
 @dataclass(frozen=True)
-class TripleColumns:
-    """Per-entry arrays of a slice of a TripleTable.
-
-    Each entry records an outer split n = k + l together with an inner
-    split l = j + q, all five vectors in the box.  l1 is the first
-    coordinate of l, inner_delta and outer_delta are the three-wave phases
-    of the two splits and four_wave is their sum
-    omega(j) + omega(k) + omega(q) - omega(n), which can vanish.
-    """
-
-    out_idx: np.ndarray
-    k_idx: np.ndarray
-    j_idx: np.ndarray
-    q_idx: np.ndarray
-    l1: np.ndarray
-    inner_delta: np.ndarray
-    outer_delta: np.ndarray
-    four_wave: np.ndarray
-
-
-@dataclass(frozen=True)
 class TripleTable:
     """Flat enumeration of nested splits k + (j + q) = n inside the box.
 
     Only two indices per entry are stored: `outer`, the pair-table entry
     of the split n = k + l, and `inner`, that of l = j + q (16 bytes per
-    entry).  Entries are sorted by the output mode n, sliced by
-    seg_starts as in the pair table; `columns` gathers the per-entry
-    arrays of a slice and `chunks` plans a streamed pass over the table.
+    entry).  The four-wave phase omega(j) + omega(k) + omega(q) - omega(n)
+    of an entry is the sum of the two splits' deltas, and can vanish.
+    Entries are sorted by the output mode n, sliced by seg_starts as in
+    the pair table; `chunks` plans a streamed pass over the table.
     """
 
     box: LatticeBox
@@ -110,23 +91,6 @@ class TripleTable:
 
     def __len__(self):
         return len(self.outer)
-
-    def columns(self, lo: int, hi: int) -> TripleColumns:
-        """Gather the per-entry arrays of entries [lo, hi)."""
-        pt = pair_table(self.box)
-        outer, inner = self.outer[lo:hi], self.inner[lo:hi]
-        inner_delta = pt.delta[inner]
-        outer_delta = pt.delta[outer]
-        return TripleColumns(
-            out_idx=pt.out_idx[outer],
-            k_idx=pt.k_idx[outer],
-            j_idx=pt.k_idx[inner],
-            q_idx=pt.l_idx[inner],
-            l1=self.box.n1[pt.l_idx[outer]],
-            inner_delta=inner_delta,
-            outer_delta=outer_delta,
-            four_wave=inner_delta + outer_delta,
-        )
 
     def chunks(self, batch: int) -> tuple[int, list]:
         """Sample block size and output-mode ranges of a streamed pass.
@@ -172,7 +136,7 @@ def _starts_from_sorted(out_idx: np.ndarray, n_out: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def pair_table(box: LatticeBox) -> PairTable:
     """Build (and cache) the pair interaction table of a box."""
-    om = box.dispersion().values
+    om = box.omega
     # All (n, k) combinations; l = n - k must land back in the box.
     l1 = box.n1[:, None] - box.n1[None, :]
     l2 = box.n2[:, None] - box.n2[None, :]

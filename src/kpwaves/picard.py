@@ -35,9 +35,6 @@ from .operators import (pair_table, triple_table, segment_sum,
 
 __all__ = [
     "phi1",
-    "picard_b",
-    "picard_c",
-    "f_integral",
     "extract_d",
     "extract_w",
     "PicardBundle",
@@ -69,8 +66,10 @@ def phi1(theta, t):
 
 
 def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
+    """First Picard correction B of a batch U0: the Duhamel integral
+    b_n(t) = -(n1/2) e^{i omega_n t} sum_{k+l=n} i phi1(delta, t) u0_k u0_l
+    of the quadratic interaction along the free flow."""
     pt = pair_table(box)
-    om = box.dispersion().values
     kernel = 1j * phi1(pt.delta, t)
     X = U0.reshape(-1, box.size)
     conv = np.empty(X.shape, dtype=np.complex128)
@@ -79,7 +78,7 @@ def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
         Xs = X[s:s + block]
         conv[s:s + block] = segment_sum(
             Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel, pt.seg_starts)
-    B = (-0.5 * box.n1 * np.exp(1j * om * t)) * conv
+    B = (-0.5 * box.n1 * np.exp(1j * box.omega * t)) * conv
     return B.reshape(U0.shape)
 
 
@@ -87,8 +86,11 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Second Picard correction C and Duhamel integral F of a batch U0.
 
-    One pass over the triple table, in chunks of whole output segments
-    (TripleTable.chunks): the factors of a single split are computed once
+    F solves df/dt - L f = f_map(a, a, a), f(0) = 0, along the free flow
+    a, and c = -2 s_map(a, b) + f.  One pass over the triple table, in
+    chunks of whole output segments (TripleTable.chunks): the pair-table
+    indices of each entry are gathered per chunk, the factors of a single
+    split are computed once
     per pair-table entry and gathered, phi1 of the four-wave phase once
     per chunk, and per block of samples the triple product U_j U_q U_k is
     formed once and reduced against the c and the f kernel.  Chunking
@@ -97,7 +99,6 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     """
     tt = triple_table(box)
     pt = pair_table(box)
-    om = box.dispersion().values
     # Factors of a single split, per pair-table entry: phi1 of the outer
     # split, and l1 / (2 delta) of the inner split l = j + q (l1 is its
     # output's) and of the outer split n = k + l.
@@ -110,48 +111,22 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     block, cuts = tt.chunks(len(X))
     for m0, m1 in cuts:
         lo, hi = tt.seg_starts[m0], tt.seg_starts[m1]
-        col = tt.columns(lo, hi)
         outer, inner = tt.outer[lo:hi], tt.inner[lo:hi]
+        j, q, k = pt.k_idx[inner], pt.l_idx[inner], pt.k_idx[outer]
         starts = tt.seg_starts[m0:m1 + 1] - lo
-        p4 = phi1(col.four_wave, t)
+        # phi1 of the four-wave phase, the sum of the two splits' deltas.
+        p4 = phi1(pt.delta[inner] + pt.delta[outer], t)
         kernel_c = fac_inner[inner] * (p4 - phi_pair[outer])
         kernel_f = fac_outer[outer] * p4
         for s in range(0, len(X), block):
             Xs = X[s:s + block]
-            prods = Xs[:, col.j_idx] * Xs[:, col.q_idx] * Xs[:, col.k_idx]
+            prods = Xs[:, j] * Xs[:, q] * Xs[:, k]
             acc_c[s:s + block, m0:m1] = segment_sum(prods * kernel_c, starts)
             acc_f[s:s + block, m0:m1] = segment_sum(prods * kernel_f, starts)
-    phase = np.exp(1j * om * t)
+    phase = np.exp(1j * box.omega * t)
     C = (1j * box.n1 * phase) * acc_c
     F = (-1j * box.n1 * phase) * acc_f
     return C.reshape(U0.shape), F.reshape(U0.shape)
-
-
-def picard_b(u0: SpectralField, t: float) -> SpectralField:
-    """First Picard correction.
-
-    b_n(t) = -(n1/2) e^{i omega_n t} sum_{k+l=n} i phi1(delta, t) u0_k u0_l,
-    the Duhamel integral of the quadratic interaction along the free flow.
-    """
-    return SpectralField(u0.box, _picard_b_coeffs(u0.box, u0.coeffs, t),
-                         copy=False)
-
-
-def picard_c(u0: SpectralField, t: float) -> SpectralField:
-    """Second Picard correction, a nested oscillatory sum over triple splits."""
-    return SpectralField(u0.box, _picard_cf_coeffs(u0.box, u0.coeffs, t)[0],
-                         copy=False)
-
-
-def f_integral(u0: SpectralField, t: float) -> SpectralField:
-    """Duhamel integral of the resonant trilinear term along the free flow.
-
-    Solves the inhomogeneous linear equation df/dt - L f = f_map(a, a, a)
-    with f(0) = 0, where a is the free evolution of u0; used to split
-    picard_c as c = -2 s_map(a, b) + f.
-    """
-    return SpectralField(u0.box, _picard_cf_coeffs(u0.box, u0.coeffs, t)[1],
-                         copy=False)
 
 
 def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
@@ -294,19 +269,18 @@ def identity_residuals(bundle: PicardBundle, v: SpectralField) -> dict:
     commutator         L s(u, v) - s(Lu, v) - s(u, Lv) = -dx(uv)/2
     cubic-composition  f(u, v, u) = -s(u, dx(uv))
     b-decomposition    b = U(t) s(u, u) - s(a, a)
-    c-decomposition    c = f_integral - 2 s(a, b)
+    c-decomposition    c = f - 2 s(a, b)
     lambda-roundtrip   invert_lambda_eps(lambda_eps(v / 10)) = v / 10
 
     L is the linear part, s = s_map, f = f_map, dx = dx_product, u is
-    the initial data of the bundle and a, b, c, f_integral are its Picard
-    data at (t, eps).
+    the initial data of the bundle and a, b, c, f are its Picard data at
+    (t, eps).
     """
     u, t = bundle.u0, bundle.t
     box = u.box
-    om = box.dispersion().values
 
     def lin(x):
-        return SpectralField(box, 1j * om * x.coeffs, copy=False)
+        return SpectralField(box, 1j * box.omega * x.coeffs, copy=False)
 
     a, b, c = bundle.a, bundle.b, bundle.c
     out = {}

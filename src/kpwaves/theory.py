@@ -19,12 +19,12 @@ acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import LatticeBox, DispersionTable, hs_weights, omega
+from .lattice import LatticeBox, hs_weights, omega
 from .operators import pair_table
 
 __all__ = [
@@ -71,12 +71,10 @@ class TheoryContext:
     lam2: np.ndarray
     m2: float
     m4: float
-    dispersion: DispersionTable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lam2.shape != (self.box.size,):
             raise ValueError("lam2 must align with the box modes")
-        object.__setattr__(self, "dispersion", self.box.dispersion())
 
     @classmethod
     def from_profile(cls, profile, law) -> "TheoryContext":
@@ -102,7 +100,7 @@ class TheoryContext:
                 + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
                 - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
         generic = _Terms(pt.out_idx, pt.delta, coef, pt.seg_starts)
-        om = self.dispersion.values
+        om = box.omega
         excess = self.m4 - 2.0 * self.m2 ** 2
         n1, n2 = box.n1, box.n2
         i_2n = box.lookup(2 * n1, 2 * n2)
@@ -213,7 +211,7 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
         kr = ((i_m == i_p) * m1 * L[i_m] ** 2
               + (i_p == i_n) * p1 * L[i_p] ** 2
               + (i_n == i_m) * n1 * L[i_n] ** 2)
-    om = ctx.dispersion.values
+    om = ctx.box.omega
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
 

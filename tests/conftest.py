@@ -67,7 +67,7 @@ def normal_form_residual():
         h = float(steps[0])
         if not np.allclose(steps, h, rtol=1e-8, atol=1e-12):
             raise ValueError("sample times are not uniformly spaced")
-        om = box.dispersion().values
+        om = box.omega
         V = U + eps * _s_apply(box, U, U)
         fwd = np.exp(-1j * om * h)
         diff = (fwd * V[2:] - np.conj(fwd) * V[:-2]) / (2.0 * h)

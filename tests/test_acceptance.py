@@ -238,7 +238,7 @@ def test_triple_moment_match(moment_run):
     triple = ((1, 0), (1, 0), (-2, 0))
     tri = [box.index(n) for n in triple]
     t = 1.0
-    phase = np.exp(1j * box.dispersion().values * t)
+    phase = np.exp(1j * box.omega * t)
     rotations = 4
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     total = 0.0 + 0.0j

@@ -117,6 +117,26 @@ class TestVerify:
         assert out.count("PASS") >= 7
         assert "FAIL" not in out
 
+    def test_diverged_sample_exits_3(self, tmp_path, capsys):
+        # A step far too large for unnormalized data: the evolved sample
+        # is not finite, a runtime failure and not a failed check.
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\nseed = 1\n"
+                        "eps = 0.1\nnormalize = false\n"
+                        "profile = power_decay 5 0\ndt = 0.5\nt = 5\n")
+        assert main(["--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "runtime failure: sample 0 diverged by t = 5.0\n"
+
+    def test_zero_eps_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "verify.csv"
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\neps = 0\n"
+                        f"out = {out_path}\n")
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: eps:")
+        assert out == "" and not out_path.exists()
+
     def test_report_file(self, tmp_path, capsys):
         out_path = tmp_path / "verify.csv"
         cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\n"
@@ -142,6 +162,18 @@ class TestSimulate:
         a = out_a.read_text().replace(str(out_a), "OUT")
         b = out_b.read_text().replace(str(out_b), "OUT")
         assert a == b
+
+    def test_diverged_sample_exits_3(self, tmp_path, capsys):
+        out_path = tmp_path / "sim.csv"
+        cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 2\nseed = 1\n"
+                        "eps = 0.1\nnormalize = false\n"
+                        "profile = power_decay 5 0\ndt = 0.5\n"
+                        f"t_grid = 0 5 1\nout = {out_path}\n")
+        assert main(["--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"runtime failure: sample 0 diverged by "
+                            r"t = \d\.0\n", err)
+        assert out == "" and not out_path.exists()
 
     def test_requires_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 2\n"

@@ -13,7 +13,7 @@ from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
 
 
 def test_default_dt_formula(box22):
-    max_om = float(np.max(np.abs(box22.dispersion().values)))
+    max_om = float(np.max(np.abs(box22.omega)))
     assert max_om == 8.0
     assert default_dt(box22) == pytest.approx(0.5 / 9.0, rel=1e-15)
 
@@ -113,7 +113,7 @@ def test_calibrate_dt_meets_target(box22, make_field):
 def _complex_rk4(box, U0, eps, t, n_steps):
     """Classical RK4 of the gauged flow on the full complex spectrum,
     through the general convolution."""
-    om = box.dispersion().values
+    om = box.omega
 
     def rhs(W, tau):
         phase = np.exp(1j * om * tau)

@@ -94,10 +94,10 @@ class TestLatticeBox:
 
 
 def test_dispersion_table_matches_scalar(box33):
-    table = box33.dispersion()
+    table = box33.omega
     for m in box33.modes:
-        assert table.of(m) == pytest.approx(omega(m), abs=0.0)
-    assert table is box33.dispersion()  # cached
+        assert table[box33.index(m)] == pytest.approx(omega(m), abs=0.0)
+    assert table is box33.omega  # computed once, with the box
 
 
 class TestSpectralField:

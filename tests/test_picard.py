@@ -25,18 +25,15 @@ from kpwaves.picard import (
     PicardBundle,
     extract_d,
     extract_w,
-    f_integral,
     invert_lambda_eps,
     lambda_eps,
     phi1,
-    picard_b,
-    picard_c,
 )
 
 
 def free_flow_grid(u0, taus):
     """Coefficients of the free evolution at every grid time, stacked."""
-    om = u0.box.dispersion().values
+    om = u0.box.omega
     return u0.coeffs[None, :] * np.exp(1j * np.outer(taus, om))
 
 
@@ -87,8 +84,8 @@ class TestPhi1:
 
 def test_picard_corrections_vanish_at_time_zero(box22, make_field):
     u0 = make_field(box22)
-    for fn in (picard_b, picard_c, f_integral):
-        out = fn(u0, 0.0).coeffs
+    bundle = PicardBundle.build(u0, 0.0, 0.1)
+    for out in (bundle.b.coeffs, bundle.c.coeffs, bundle.f.coeffs):
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -96,13 +93,13 @@ def test_picard_b_matches_duhamel_quadrature(box22, make_field):
     u0 = make_field(box22)
     t = 0.7
     taus = np.linspace(0.0, t, 1401)
-    om = box22.dispersion().values
+    om = box22.omega
     A = free_flow_grid(u0, taus)
     conv = convolve(box22, A, A)
     integrand = np.exp(-1j * np.outer(taus, om)) * conv
     integral = simpson(integrand, x=taus, axis=0)
     expected = -0.5j * box22.n1 * np.exp(1j * om * t) * integral
-    got = picard_b(u0, t).coeffs
+    got = PicardBundle.build(u0, t, 0.1).b.coeffs
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -111,14 +108,14 @@ def test_picard_c_matches_duhamel_quadrature(box21, make_field):
     u0 = make_field(box21)
     t = 0.6
     taus = np.linspace(0.0, t, 1201)
-    om = box21.dispersion().values
+    om = box21.omega
     A = free_flow_grid(u0, taus)
-    B = np.stack([picard_b(u0, tau).coeffs for tau in taus])
+    B = np.stack([_picard_b_coeffs(box21, u0.coeffs, tau) for tau in taus])
     conv = convolve(box21, A, B)
     integrand = np.exp(-1j * np.outer(taus, om)) * conv
     integral = simpson(integrand, x=taus, axis=0)
     expected = -1j * box21.n1 * np.exp(1j * om * t) * integral
-    got = picard_c(u0, t).coeffs
+    got = PicardBundle.build(u0, t, 0.1).c.coeffs
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-7 * np.abs(expected).max())
 
@@ -127,7 +124,7 @@ def test_f_integral_matches_duhamel_quadrature(box21, make_field):
     u0 = make_field(box21)
     t = 0.6
     taus = np.linspace(0.0, t, 1201)
-    om = box21.dispersion().values
+    om = box21.omega
     forcing = np.stack([
         f_map(a, a, a).coeffs
         for a in (apply_free_flow(u0, tau) for tau in taus)
@@ -135,7 +132,7 @@ def test_f_integral_matches_duhamel_quadrature(box21, make_field):
     integrand = np.exp(-1j * np.outer(taus, om)) * forcing
     integral = simpson(integrand, x=taus, axis=0)
     expected = np.exp(1j * om * t) * integral
-    got = f_integral(u0, t).coeffs
+    got = PicardBundle.build(u0, t, 0.1).f.coeffs
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -144,7 +141,7 @@ def test_b_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
     a = apply_free_flow(u0, t)
-    lhs = picard_b(u0, t)
+    lhs = PicardBundle.build(u0, t, 0.1).b
     rhs = -s_map(a, a) + apply_free_flow(s_map(u0, u0), t)
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
                                atol=1e-13 * np.abs(rhs.coeffs).max())
@@ -154,9 +151,9 @@ def test_c_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
     a = apply_free_flow(u0, t)
-    b = picard_b(u0, t)
-    lhs = picard_c(u0, t)
-    rhs = -2.0 * s_map(a, b) + f_integral(u0, t)
+    bundle = PicardBundle.build(u0, t, 0.1)
+    lhs = bundle.c
+    rhs = -2.0 * s_map(a, bundle.b) + bundle.f
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
                                atol=1e-13 * np.abs(rhs.coeffs).max())
 
@@ -164,8 +161,9 @@ def test_c_decomposition(box33, make_field):
 def test_corrections_preserve_reality(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     assert u0.is_real_symmetric(tol=1e-12)
-    for fn in (picard_b, picard_c, f_integral):
-        assert fn(u0, 0.8).is_real_symmetric(tol=1e-11)
+    bundle = PicardBundle.build(u0, 0.8, 0.1)
+    for out in (bundle.b, bundle.c, bundle.f):
+        assert out.is_real_symmetric(tol=1e-11)
 
 
 class TestStreamedContraction:
@@ -223,10 +221,11 @@ class TestExtract:
         u_t = make_field(box22)
         t, eps = 0.5, 0.3
         a = apply_free_flow(u0, t)
-        b = picard_b(u0, t)
-        c = picard_c(u0, t)
+        bundle = PicardBundle.build(u0, t, eps)
+        b = bundle.b
+        c = bundle.c
         expected = (u_t - a - eps * b - (eps ** 2) * c) / eps ** 3
-        got = extract_d(u_t, PicardBundle.build(u0, t, eps))
+        got = extract_d(u_t, bundle)
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
 
     def test_extract_w_is_definitional(self, box22, make_field):
@@ -236,9 +235,10 @@ class TestExtract:
         v = u_t + eps * s_map(u_t, u_t)
         a = apply_free_flow(u0, t)
         s00 = apply_free_flow(s_map(u0, u0), t)
-        f = f_integral(u0, t)
+        bundle = PicardBundle.build(u0, t, eps)
+        f = bundle.f
         expected = (v - a - eps * s00 - (eps ** 2) * f) / eps ** 3
-        got = extract_w(u_t, PicardBundle.build(u0, t, eps))
+        got = extract_w(u_t, bundle)
         np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
 
     def test_extract_rejects_zero_eps(self, box22, make_field):
@@ -311,6 +311,8 @@ def test_bundle_build_matches_parts(box22, make_field):
     assert bundle.t == t and bundle.eps == eps
     np.testing.assert_array_equal(bundle.a.coeffs,
                                   apply_free_flow(u0, t).coeffs)
-    np.testing.assert_array_equal(bundle.b.coeffs, picard_b(u0, t).coeffs)
-    np.testing.assert_array_equal(bundle.c.coeffs, picard_c(u0, t).coeffs)
-    np.testing.assert_array_equal(bundle.f.coeffs, f_integral(u0, t).coeffs)
+    C, F = _picard_cf_coeffs(box22, u0.coeffs, t)
+    np.testing.assert_array_equal(bundle.b.coeffs,
+                                  _picard_b_coeffs(box22, u0.coeffs, t))
+    np.testing.assert_array_equal(bundle.c.coeffs, C)
+    np.testing.assert_array_equal(bundle.f.coeffs, F)
