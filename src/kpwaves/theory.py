@@ -15,6 +15,14 @@ The repeated-index (Kronecker) part of F3 appears in the literature in
 two inequivalent printings; both are implemented behind flags and the
 package default is the variant selected by the Monte Carlo oracle in the
 acceptance tests.
+
+The weighted sums over the box are evaluated in real arithmetic, in the
+half-angle forms 1 - cos(x) = 2 sin^2(x/2) and |1 - e^{ix}| = 2 |sin(x/2)|,
+with the time-independent factors of terms that share a phase folded
+once per call: the F2 terms of one mode with equal |delta| and the F3
+triples with equal |Omega|.  They match the term-by-term sums to
+roundoff, not bitwise; f2_diag, f3 and the majorants sum the unfolded
+terms.
 """
 
 from __future__ import annotations
@@ -121,6 +129,25 @@ class TheoryContext:
                       np.searchsorted(out, np.arange(box.size + 1)))
         return generic, kron
 
+    @cached_property
+    def _f2_fold(self):
+        """(mode, |delta| / 2, amplitude) terms of f2_diag_all.
+
+        The bracket of _f2_at is sum amp sin^2(|delta| t / 2) with
+        amp = 2 coef / delta^2, times m2^2 on the generic terms.  Terms of
+        one mode with equal |delta| (the k <-> l swap of a split) share
+        the time factor, so their amplitudes are summed once here.
+        """
+        generic, kron = self._f2_terms
+        out = np.concatenate([generic.out, kron.out])
+        delta = np.concatenate([generic.delta, kron.delta])
+        amp = 2.0 * np.concatenate([self.m2 ** 2 * generic.coef,
+                                    kron.coef]) / delta ** 2
+        keys, group = np.unique(np.column_stack([out, 0.5 * np.abs(delta)]),
+                                axis=0, return_inverse=True)
+        return (keys[:, 0].astype(np.int64), keys[:, 1],
+                np.bincount(group.ravel(), weights=amp))
+
 
 def _one_minus_cos(d, t: float):
     """(1 - cos(d t)) / d^2, written as 2 sin^2(d t / 2) / d^2.
@@ -174,8 +201,14 @@ def f2_diag(ctx: TheoryContext, n, t: float) -> float:
 
 
 def f2_diag_all(ctx: TheoryContext, t: float) -> np.ndarray:
-    """f2_diag for every mode of the box at once (vectorized)."""
-    bracket = _f2_bracket_all(ctx, lambda c, d: c * _one_minus_cos(d, t))
+    """f2_diag for every mode of the box at once.
+
+    Sums the folded terms of TheoryContext._f2_fold, so it matches
+    f2_diag to roundoff, not bitwise.
+    """
+    mode, half, amp = ctx._f2_fold
+    bracket = np.bincount(mode, weights=amp * np.sin(half * t) ** 2,
+                          minlength=ctx.box.size)
     return -ctx.box.n1 * bracket
 
 
@@ -313,13 +346,18 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times,
 
     The weight is sqrt(|n1 m1 p1|) ((|n|)(|m|)(|p|))^s with |n| the
     coordinate sum magnitude used by the Sobolev weights.  One value per
-    time of the grid times; the amplitude, Omega and the weights do not
-    depend on time and are computed once.
+    time of the grid times.  |f3| = 2 |sign| |sin(Omega t / 2)| |amp / Omega|,
+    and triples related by permutation or by n -> -n share |Omega|, so
+    the time-independent factors are summed once per distinct |Omega|;
+    the result matches the term-by-term sum to roundoff, not bitwise.
     """
     i_n, i_m, i_p = zero_sum_triples(ctx.box)
     amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
-    return np.array([np.sum(w * np.abs(_f3_values(amp, Om, t, sign)))
+    half, group = np.unique(0.5 * np.abs(Om), return_inverse=True)
+    scale = np.bincount(group.ravel(), weights=w * np.abs(amp / Om))
+    scale *= 2.0 * abs(sign)
+    return np.array([np.sum(scale * np.abs(np.sin(half * t)))
                      for t in np.atleast_1d(times)])
 
 

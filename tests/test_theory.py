@@ -314,6 +314,69 @@ def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
                 bound, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def ctx66():
+    box = LatticeBox(6, 6)
+    profile = SpectrumProfile.power_decay(box, 1.0, 2.0)
+    return TheoryContext.from_profile(profile, RandomLaw.steinhaus())
+
+
+@pytest.fixture(scope="module", params=["2x2-two-point", "3x3", "6x6"])
+def ctx_fold(request):
+    return request.getfixturevalue(
+        {"2x2-two-point": "ctx22_twopoint", "3x3": "ctx33",
+         "6x6": "ctx66"}[request.param])
+
+
+class TestFoldedSums:
+    """f2_diag_all and the weighted sums, which fold terms sharing a phase,
+    against the term-by-term formulas, to roundoff."""
+
+    times = (0.0, 0.3, 7.5, 100.0)
+
+    def test_fold_sizes_at_6x6(self, ctx66):
+        # Many terms share a phase, so the fold really merges terms.
+        generic, kron = ctx66._f2_terms
+        assert (len(generic.out), len(kron.out)) == (11430, 84)
+        assert len(ctx66._f2_fold[0]) == 5092
+        i_n, i_m, i_p = zero_sum_triples(ctx66.box)
+        _, Om = _f3_amplitude(ctx66, i_n, i_m, i_p, "half_opposite")
+        assert (len(Om), len(np.unique(0.5 * np.abs(Om)))) == (11430, 232)
+
+    def test_pair(self, ctx_fold):
+        ctx, s = ctx_fold, 1.0
+        terms = [_f2_terms_reference(ctx, n) for n in ctx.box]
+        for t in self.times:
+            f2 = [-n[0] * sum((ctx.m2 ** 2 if generic else 1.0)
+                              * coef * _one_minus_cos(d, t)
+                              for coef, d, generic in mode_terms)
+                  for n, mode_terms in zip(ctx.box, terms)]
+            np.testing.assert_allclose(f2_diag_all(ctx, t), f2, rtol=1e-12,
+                                       atol=1e-15)
+            wsum = sum(abs(n[0]) * (abs(n[0]) + abs(n[1])) ** (2 * s) * abs(v)
+                       for n, v in zip(ctx.box, f2))
+            got, = weighted_sum_pair(ctx, s, [t])
+            assert got == pytest.approx(wsum, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
+    def test_triple(self, ctx_fold, kron):
+        ctx, s = ctx_fold, 1.0
+        triples = _zero_sum_reference(ctx.box)
+        Om = np.array([omega(n) + omega(m) + omega(p) for n, m, p in triples])
+        amp = np.array([_f3_amplitude_reference(ctx, n, m, p, kron)
+                        for n, m, p in triples])
+        w = np.array([np.sqrt(abs(n[0] * m[0] * p[0])) * (
+            (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
+            * (abs(p[0]) + abs(p[1]))) ** s for n, m, p in triples])
+        for sign in (1.0, -1.0):
+            got = weighted_sum_triple(ctx, s, self.times, kron=kron,
+                                      sign=sign)
+            for t, value in zip(self.times, got):
+                f3s = sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
+                assert value == pytest.approx(float(np.sum(w * np.abs(f3s))),
+                                              rel=1e-12, abs=0)
+
+
 class TestWeightedSums:
     def test_zero_at_time_zero(self, ctx33):
         assert weighted_sum_pair(ctx33, 1.0, [0.0]).tolist() == [0.0]
