@@ -42,12 +42,12 @@ __all__ = [
 _CHUNK_BYTES = 1 << 18
 # Peak bytes per triple-table entry while the table is built (three int64
 # arrays at once; 16 stay), and per entry of a contraction chunk (its
-# gathered indices, kernels and products).  The 232 was measured
-# (tracemalloc read 207-228 at 6x6 and 8x8 with batches of 1-8) when a
-# chunk also gathered four columns it never read, so it is now an upper
-# bound.
+# gathered indices, kernels and products), the chunk counted as the check
+# in triple_table counts it.  The tracemalloc peak of one
+# _picard_cf_coeffs call read 168-171 B per entry at 6x6 and 187-189 at
+# 8x8, with batches of 1, 2 and 8; the largest is kept.
 _BUILD_ENTRY_BYTES = 24
-_CHUNK_ENTRY_BYTES = 232
+_CHUNK_ENTRY_BYTES = 189
 _ITEM = np.dtype(np.complex128).itemsize
 
 

@@ -213,6 +213,32 @@ class TestStreamedContraction:
             tracemalloc.stop()
         assert np.isfinite(C).all() and np.isfinite(F).all()
         assert peak <= 64 * 2 ** 20
+        assert peak <= _checked_chunk_bytes(tt)
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_peak_within_memory_check_at_6x6(self, rng, batch):
+        # The pre-flight check of triple_table counts _CHUNK_ENTRY_BYTES
+        # per chunk entry; the traced peak of a pass must not exceed it.
+        box = LatticeBox(6, 6)
+        tt = triple_table(box)
+        U0 = rng.standard_normal((batch, box.size)) \
+            + 1j * rng.standard_normal((batch, box.size))
+        tracemalloc.start()
+        try:
+            _picard_cf_coeffs(box, U0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _checked_chunk_bytes(tt)
+
+
+def _checked_chunk_bytes(tt):
+    """Bytes the pre-flight check of triple_table counts for one chunk:
+    _CHUNK_ENTRY_BYTES per entry of at least one whole segment and at
+    least the products budget."""
+    longest = int(np.diff(tt.seg_starts).max())
+    entries = max(longest, operators._CHUNK_BYTES // operators._ITEM)
+    return operators._CHUNK_ENTRY_BYTES * entries
 
 
 class TestExtract:
