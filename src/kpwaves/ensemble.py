@@ -578,6 +578,13 @@ def _check_scan(cfg: ScanConfig) -> list:
         raise ValueError(f"triple: {exc}") from None
 
 
+def _calibrated_note(dt: float) -> str:
+    """Tail of a divergence message when the step was calibrated: the
+    calibration runs sample 0 alone, so another sample can diverge."""
+    return (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
+            "override it")
+
+
 def remainder_scan(cfg: ScanConfig) -> ScanResult:
     """Measure how fast the pair and triple remainders shrink with eps.
 
@@ -588,17 +595,19 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     orders eps^0..eps^2 of E(u_n u_m u_p), leaving O(eps^3).  The pair
     channel is aggregated over modes in quadrature; the triple channel
     tracks the single configured zero-sum triple.  Raises NonFiniteError,
-    naming the sample and eps, as soon as an evolved state is non-finite.
+    naming the sample and eps (and the step, when it was calibrated), as
+    soon as an evolved state is non-finite.
     """
     tri = _check_scan(cfg)
     box = cfg.profile.box
     eps_grid = tuple(float(e) for e in cfg.eps_grid)
 
     lam = cfg.profile.lambdas()
-    dt = cfg.dt
+    dt, note = cfg.dt, ""
     if dt is None:
         probe = sample_u0(cfg.profile, cfg.law, cfg.seed, 0)
         dt = calibrate_dt(box, probe, max(eps_grid), cfg.t, target=1e-9)
+        note = _calibrated_note(dt)
     phase = np.exp(1j * box.omega * cfg.t)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
@@ -625,7 +634,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
                 if bad.any():
                     raise NonFiniteError(
                         f"sample {done + int(np.argmax(bad))} diverged "
-                        f"at eps = {e}")
+                        f"at eps = {e}{note}")
                 r2 = (np.abs(U) ** 2 - np.abs(A) ** 2
                       - 2 * e * np.real(np.conj(A) * B)
                       - e * e * (np.abs(B) ** 2 + 2 * np.real(np.conj(A) * C))
@@ -713,22 +722,25 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     Evolves one ensemble across the whole grid, removes the closed terms
     a + eps b + eps^2 c from each state, rescales by eps^3, and fits
     log(max over samples of the H^s norm) against log(1 + t).  Raises
-    NonFiniteError, naming the first sample and grid time, when an evolved
-    state is non-finite.
+    NonFiniteError, naming the first sample and grid time (and the step,
+    when it was calibrated), when an evolved state is non-finite.
     """
     grid = _check_growth(eps, times, sample_count)
     box = profile.box
     lam = profile.lambdas()
+    note = ""
     if dt is None:
         probe = sample_u0(profile, law, seed, 0)
         dt = calibrate_dt(box, probe, eps, float(grid[-1]), target=1e-9)
+        note = _calibrated_note(dt)
     G = sample_g_batch(box, law, seed, np.arange(sample_count))
     U0 = lam * G
     states = evolve_coeffs(box, U0, eps, grid, dt)
     bad = _diverged(states)
     if bad.any():
         i_t, i_s = np.argwhere(bad)[0]
-        raise NonFiniteError(f"sample {i_s} diverged by t = {grid[i_t]}")
+        raise NonFiniteError(
+            f"sample {i_s} diverged by t = {grid[i_t]}{note}")
     om = box.omega
     w = hs_weights(box, s)
     peak = np.empty(grid.size)

@@ -269,6 +269,30 @@ class TestRemainderScan:
         assert run.stderr == ("runtime failure: sample 0 diverged at "
                               "eps = 1.0\n")
 
+    @pytest.mark.parametrize("extra, failure", [
+        ("eps = 1\nt_grid = 0.25 1 0.25\n", "sample 5 diverged by t = 0.25"),
+        ("eps = 1 0.7 0.5\nt = 1\nrotations = 1\n",
+         "sample 4 diverged at eps = 1.0"),
+    ], ids=["growth", "scan"])
+    def test_divergence_names_calibrated_step(self, tmp_path, capsys,
+                                              extra, failure):
+        # Sample 0 draws the small modulus at every mode, so the step
+        # calibrated on it is too long for samples drawing the large one.
+        text = ("command = remainder-scan\nbox = 2 1\nnormalize = false\n"
+                "law = two_point 0.001 1 0.2\nprofile = power_decay 100 0\n"
+                f"sample_count = 8\nseed = 5\nout = {tmp_path / 'r.csv'}\n"
+                + extra)
+        assert main(["--config", write_cfg(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime failure: {failure} with dt = 0.0138889, calibrated on "
+            "sample 0; set dt to override it\n")
+        # A configured step is not named; a shorter one gets through.
+        cfg = write_cfg(tmp_path, text + "dt = 0.0138889\n")
+        assert main(["--config", cfg]) == 3
+        assert capsys.readouterr().err == f"runtime failure: {failure}\n"
+        assert main(["--config", write_cfg(tmp_path, text + "dt = 0.001\n")]) \
+            in (0, 1)
+
     def test_noise_dominated_scan_exits_1(self, tmp_path, capsys):
         # Sub-resolution eps with a tiny ensemble: the pair remainder is
         # statistically indistinguishable from zero for this seed, so
