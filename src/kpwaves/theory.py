@@ -143,9 +143,11 @@ class TheoryContext:
         delta = np.concatenate([generic.delta, kron.delta])
         amp = 2.0 * np.concatenate([self.m2 ** 2 * generic.coef,
                                     kron.coef]) / delta ** 2
-        keys, group = np.unique(np.column_stack([out, 0.5 * np.abs(delta)]),
-                                axis=0, return_inverse=True)
-        return (keys[:, 0].astype(np.int64), keys[:, 1],
+        # Complex values sort by real part, then imaginary part, so one
+        # np.unique groups the terms by (mode, |delta| / 2).
+        keys, group = np.unique(out + 0.5j * np.abs(delta),
+                                return_inverse=True)
+        return (keys.real.astype(np.int64), keys.imag,
                 np.bincount(group.ravel(), weights=amp))
 
 
