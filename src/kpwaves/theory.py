@@ -148,7 +148,7 @@ class TheoryContext:
         keys, group = np.unique(out + 0.5j * np.abs(delta),
                                 return_inverse=True)
         return (keys.real.astype(np.int64), keys.imag,
-                np.bincount(group.ravel(), weights=amp))
+                np.bincount(group, weights=amp))
 
 
 def _one_minus_cos(d, t: float):
@@ -250,10 +250,6 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
 
-def _f3_values(amp, Om, t: float, sign: float):
-    return sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
-
-
 def _triple_index(box: LatticeBox, n, m, p, kron: str):
     """Mode indices of (n, m, p); None off the zero-sum plane.  Checks kron."""
     _check_kron(kron)
@@ -281,7 +277,7 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
     if idx is None:
         return 0.0 + 0.0j
     amp, Om = _f3_amplitude(ctx, *idx, kron)
-    return complex(_f3_values(amp, Om, t, sign))
+    return complex(sign * (1.0 - np.exp(1j * Om * t)) / Om * amp)
 
 
 def pair_prediction(ctx: TheoryContext, n, m, t: float, eps: float) -> complex:
@@ -357,7 +353,7 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times,
     amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
     half, group = np.unique(0.5 * np.abs(Om), return_inverse=True)
-    scale = np.bincount(group.ravel(), weights=w * np.abs(amp / Om))
+    scale = np.bincount(group, weights=w * np.abs(amp / Om))
     scale *= 2.0 * abs(sign)
     return np.array([np.sum(scale * np.abs(np.sin(half * t)))
                      for t in np.atleast_1d(times)])
