@@ -570,9 +570,9 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     try:
         if scan_cfg is not None:
             _check_scan(scan_cfg)
-        if grid is not None:
-            _check_growth(cfg.eps[0], grid, cfg.sample_count)
         triple_table(box)
+        if grid is not None:
+            _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeBox, SpectralField, hs_weights
-from . import theory
+from . import operators, theory
 from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
 from .picard import _picard_b_coeffs, _picard_cf_coeffs
 
@@ -697,10 +697,22 @@ class GrowthFit:
     stderr: float
 
 
-def _check_growth(eps: float, times, sample_count: int) -> np.ndarray:
+# Box-sized complex arrays per sample that remainder_growth holds besides
+# its evolved states.  The tracemalloc peak per sample, over 2x1 to 4x4
+# boxes and 3 or 6 grid times, read 8.0-8.8 arrays past the states, in
+# the closed-form subtraction after stepping (the stepper's own peak read
+# 4.7-6.3); the largest is rounded up.
+_GROWTH_ARRAYS = 9
+
+
+def _check_growth(box: LatticeBox, eps: float, times,
+                  sample_count: int) -> np.ndarray:
     """Check the arguments of remainder_growth; return the sorted times.
 
-    Each ValueError starts with the configuration key it rejects.
+    Each ValueError starts with the configuration key it rejects.  The
+    ensemble is evolved in one batch that keeps the state at every grid
+    time; when that batch would exceed physical memory, sample_count is
+    rejected before any sample is drawn.
     """
     if eps == 0:
         raise ValueError("eps: the remainder is undefined at eps = 0")
@@ -711,6 +723,13 @@ def _check_growth(eps: float, times, sample_count: int) -> np.ndarray:
         raise ValueError("t_grid: grid times must be positive")
     if sample_count < 1:
         raise ValueError("sample_count: must be >= 1")
+    need = sample_count * box.size * 16 * (grid.size + _GROWTH_ARRAYS)
+    memory = operators._physical_memory()
+    if need > memory:
+        raise ValueError(
+            f"sample_count: {sample_count} samples of {box!r} over "
+            f"{grid.size} grid times need {need} bytes, more than the "
+            f"{memory} bytes of physical memory")
     return grid
 
 
@@ -725,8 +744,8 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     NonFiniteError, naming the first sample and grid time (and the step,
     when it was calibrated), when an evolved state is non-finite.
     """
-    grid = _check_growth(eps, times, sample_count)
     box = profile.box
+    grid = _check_growth(box, eps, times, sample_count)
     lam = profile.lambdas()
     note = ""
     if dt is None:

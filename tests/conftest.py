@@ -5,6 +5,14 @@ from kpwaves import LatticeBox, SpectralField, hs_norm
 from kpwaves.operators import _dx_product, _s_apply
 
 
+def pytest_report_header(config):
+    # The bitwise batch tests rest on how the BLAS rounds its products.
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    return (f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')}")
+
+
 @pytest.fixture(scope="session")
 def box21():
     return LatticeBox(2, 1)

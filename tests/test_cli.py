@@ -13,7 +13,7 @@ import pytest
 
 import numpy as np
 
-from kpwaves import cli, operators
+from kpwaves import cli, ensemble, operators
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.ensemble import MomentReport
 
@@ -505,3 +505,26 @@ def test_memory_check_counts_build_peak_and_chunk(tmp_path, capsys,
         f"needs {need} bytes, more than the {memory} bytes of physical "
         "memory\n")
     assert operators.triple_table.cache_info().currsize == 0
+
+
+def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
+                                                      monkeypatch):
+    # The triple table fits exactly; a million samples kept at three grid
+    # times do not, and nothing is sampled or evolved.
+    box = cli.LatticeBox(2, 1)
+    memory = _triple_table_need(box)[1]
+    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(cli, "remainder_growth",
+                        lambda *a, **k: pytest.fail("growth ran"))
+    operators.triple_table.cache_clear()
+    need = 10 ** 6 * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
+    out_path = tmp_path / "report.csv"
+    cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"
+                    "eps = 0.1\nt_grid = 0.5 1 0.25\nsample_count = 1000000\n"
+                    f"dt = 0.05\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: sample_count: 1000000 samples of {box!r} "
+                   f"over 3 grid times need {need} bytes, more than the "
+                   f"{memory} bytes of physical memory\n")
+    assert out == "" and not out_path.exists()

@@ -63,22 +63,33 @@ def test_time_reversal(box22, make_field):
                                atol=1e-12 * np.abs(u0.coeffs).max())
 
 
-def test_batched_evolution_matches_loop(box22, make_field):
-    fields = [make_field(box22, hermitian=True).coeffs for _ in range(3)]
+# 2x1, 2x2 and 3x3 square the grid by blocked matrix products, 4x4 by FFT.
+_GATE_SHAPES = pytest.mark.parametrize(
+    "shape", [(2, 1), (2, 2), (3, 3), (4, 4)],
+    ids=["2x1", "2x2", "3x3", "4x4"])
+
+
+@_GATE_SHAPES
+def test_batched_evolution_matches_loop(shape, make_field):
+    box = LatticeBox(*shape)
+    fields = [make_field(box, hermitian=True).coeffs for _ in range(20)]
     batch = np.stack(fields)
     eps, dt = 0.15, 0.01
-    joint = evolve_coeffs(box22, batch, eps, [0.7], dt)[0]
+    joint = evolve_coeffs(box, batch, eps, [0.7], dt)[0]
     for i, U0 in enumerate(fields):
-        single = evolve_coeffs(box22, U0, eps, [0.7], dt)[0]
+        single = evolve_coeffs(box, U0, eps, [0.7], dt)[0]
         np.testing.assert_array_equal(joint[i], single)
 
 
-def test_split_batch_is_bitwise_identical(box22, make_field):
-    batch = np.stack([make_field(box22, hermitian=True).coeffs
+@_GATE_SHAPES
+def test_split_batch_is_bitwise_identical(shape, make_field):
+    # Cuts at 7 and 13 move every sample to another row of its block.
+    box = LatticeBox(*shape)
+    batch = np.stack([make_field(box, hermitian=True).coeffs
                       for _ in range(20)])
-    joint = evolve_coeffs(box22, batch, 0.15, [0.4, 0.7], 0.01)
-    split = [evolve_coeffs(box22, part, 0.15, [0.4, 0.7], 0.01)
-             for part in (batch[:7], batch[7:])]
+    joint = evolve_coeffs(box, batch, 0.15, [0.4, 0.7], 0.01)
+    split = [evolve_coeffs(box, part, 0.15, [0.4, 0.7], 0.01)
+             for part in (batch[:7], batch[7:13], batch[13:])]
     np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
 
 
@@ -131,8 +142,8 @@ def _complex_rk4(box, U0, eps, t, n_steps):
     return np.exp(1j * om * t) * W
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)],
-                         ids=["2x2", "3x3", "6x6"])
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 3), (4, 4), (6, 6)],
+                         ids=["2x1", "2x2", "3x3", "4x4", "6x6"])
 def test_half_spectrum_matches_complex_rk4(shape, make_field):
     box = LatticeBox(*shape)
     U0 = np.stack([make_field(box, hermitian=True).coeffs
