@@ -80,38 +80,19 @@ def _split(text: str) -> list:
     return text.replace(",", " ").split()
 
 
-def _floats(key: str, text: str, count: int | None = None) -> tuple:
+def _numbers(key: str, text: str, kind, count: int | None = None) -> tuple:
+    """The numbers of a value, each parsed by kind (float or int)."""
     toks = _split(text)
     try:
-        vals = tuple(float(x) for x in toks)
+        vals = tuple(kind(x) for x in toks)
     except ValueError:
-        raise ConfigError(f"{key}: expected numbers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{key}: expected {what}, got {text!r}") from None
     if count is not None and len(vals) != count:
         raise ConfigError(f"{key}: expected {count} values, got {len(vals)}")
     if not vals:
         raise ConfigError(f"{key}: empty value")
     return vals
-
-
-def _ints(key: str, text: str, count: int | None = None) -> tuple:
-    toks = _split(text)
-    try:
-        vals = tuple(int(x) for x in toks)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integers, got {text!r}") from None
-    if count is not None and len(vals) != count:
-        raise ConfigError(f"{key}: expected {count} values, got {len(vals)}")
-    if not vals:
-        raise ConfigError(f"{key}: empty value")
-    return vals
-
-
-def _one_float(key: str, text: str) -> float:
-    return _floats(key, text, 1)[0]
-
-
-def _one_int(key: str, text: str) -> int:
-    return _ints(key, text, 1)[0]
 
 
 def _bool(key: str, text: str) -> bool:
@@ -132,14 +113,14 @@ def _parse_command(text: str) -> str:
 
 
 def _parse_box(text: str) -> tuple:
-    n1, n2 = _ints("box", text, 2)
+    n1, n2 = _numbers("box", text, int, 2)
     if n1 < 1 or n2 < 0:
         raise ConfigError(f"box: need n1_max >= 1 and n2_max >= 0, got {text!r}")
     return (n1, n2)
 
 
 def _parse_eps(text: str) -> tuple:
-    vals = _floats("eps", text)
+    vals = _numbers("eps", text, float)
     for e in vals:
         if not 0.0 <= e <= 1.0:
             raise ConfigError(f"eps: values must lie in [0, 1], got {e}")
@@ -147,26 +128,26 @@ def _parse_eps(text: str) -> tuple:
 
 
 def _parse_t_grid(text: str) -> tuple:
-    start, stop, step = _floats("t_grid", text, 3)
+    start, stop, step = _numbers("t_grid", text, float, 3)
     if step <= 0 or stop < start:
         raise ConfigError(f"t_grid: need start <= stop and step > 0, got {text!r}")
     return (start, stop, step)
 
 
 def _parse_mode(text: str) -> tuple:
-    a, b = _ints("mode", text, 2)
+    a, b = _numbers("mode", text, int, 2)
     if a == 0:
         raise ConfigError("mode: n1 = 0 is outside the phase space")
     return (a, b)
 
 
 def _parse_triple(text: str) -> tuple:
-    v = _ints("triple", text, 6)
+    v = _numbers("triple", text, int, 6)
     return ((v[0], v[1]), (v[2], v[3]), (v[4], v[5]))
 
 
 def _parse_box_sizes(text: str) -> tuple:
-    vals = _ints("box_sizes", text)
+    vals = _numbers("box_sizes", text, int)
     if any(n < 1 for n in vals):
         raise ConfigError(f"box_sizes: sizes must be >= 1, got {text!r}")
     return vals
@@ -174,7 +155,7 @@ def _parse_box_sizes(text: str) -> tuple:
 
 def _positive_int(key: str, minimum: int):
     def parse(text: str) -> int:
-        val = _one_int(key, text)
+        val, = _numbers(key, text, int, 1)
         if val < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
         return val
@@ -183,7 +164,7 @@ def _positive_int(key: str, minimum: int):
 
 def _positive_float(key: str):
     def parse(text: str) -> float:
-        val = _one_float(key, text)
+        val, = _numbers(key, text, float, 1)
         if val <= 0:
             raise ConfigError(f"{key}: must be positive, got {val}")
         return val
@@ -199,9 +180,9 @@ def _parse_format(text: str) -> str:
 _KEY_PARSERS = {
     "command": _parse_command,
     "box": _parse_box,
-    "s": lambda v: _one_float("s", v),
+    "s": lambda v: _numbers("s", v, float, 1)[0],
     "eps": _parse_eps,
-    "t": lambda v: _one_float("t", v),
+    "t": lambda v: _numbers("t", v, float, 1)[0],
     "t_grid": _parse_t_grid,
     "law": lambda v: v.strip(),
     "profile": lambda v: v.strip(),
@@ -216,7 +197,8 @@ _KEY_PARSERS = {
     "triples": lambda v: v.strip(),
     "mode": _parse_mode,
     "box_sizes": _parse_box_sizes,
-    "lambda_exponent": lambda v: _one_float("lambda_exponent", v),
+    "lambda_exponent":
+        lambda v: _numbers("lambda_exponent", v, float, 1)[0],
     "triple": _parse_triple,
     "rotations": _positive_int("rotations", 1),
 }
@@ -272,7 +254,7 @@ def build_law(cfg: ExperimentConfig) -> RandomLaw:
     if len(args) != arity[name]:
         raise ConfigError(
             f"law: {name} takes {arity[name]} parameters, got {len(args)}")
-    vals = _floats("law", " ".join(args)) if args else ()
+    vals = _numbers("law", " ".join(args), float) if args else ()
     try:
         return getattr(RandomLaw, name)(*vals)
     except ValueError as exc:
@@ -287,26 +269,29 @@ def build_profile(cfg: ExperimentConfig, box: LatticeBox,
     name, args = toks[0], toks[1:]
     try:
         if name == "power_decay":
-            amp, decay = _floats("profile", " ".join(args), 2)
+            amp, decay = _numbers("profile", " ".join(args), float, 2)
             prof = SpectrumProfile.power_decay(box, amp, decay)
         elif name == "box_constant":
             if len(args) != 2:
                 raise ConfigError("profile: box_constant takes 2 parameters")
             prof = SpectrumProfile.box_constant(
-                box, _one_int("profile", args[0]),
-                _one_float("profile", args[1]))
+                box, _numbers("profile", args[0], int)[0],
+                _numbers("profile", args[1], float)[0])
         elif name == "single_mode":
             if len(args) != 3:
                 raise ConfigError("profile: single_mode takes 3 parameters")
-            n = (_one_int("profile", args[0]), _one_int("profile", args[1]))
+            n = tuple(_numbers("profile", a, int)[0] for a in args[:2])
+            _check_in_box("profile", [n], box)
             prof = SpectrumProfile.single_mode(
-                box, n, _one_float("profile", args[2]))
+                box, n, _numbers("profile", args[2], float)[0])
         else:
             raise ConfigError(f"profile: unknown kind {name!r}")
+        if cfg.normalize:
+            prof = normalize_profile(prof, law, cfg.s)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from None
-    if cfg.normalize:
-        prof = normalize_profile(prof, law, cfg.s)
     return prof
 
 
@@ -324,34 +309,20 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # output
 
-def _flag(x) -> str:
+def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.17g}"
     if isinstance(x, (tuple, list)):
-        flat = []
-        for item in x:
-            flat.extend(item if isinstance(item, (tuple, list)) else [item])
-        return " ".join(_flag(v) for v in flat)
-    return str(x)
+        return " ".join(_cell(v) for v in x)
+    return "" if x is None else str(x)
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """The resolved configuration as flat printable strings."""
-    out = {}
-    for field in fields(cfg):
-        val = getattr(cfg, field.name)
-        out[field.name] = "" if val is None else _flag(val)
-    return out
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    if isinstance(x, (tuple, list)):
-        return " ".join(_cell(v) for v in x)
-    return "" if x is None else str(x)
+    return {field.name: _cell(getattr(cfg, field.name))
+            for field in fields(cfg)}
 
 
 def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
@@ -487,13 +458,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _parse_mode_groups(key: str, text: str, group: int) -> list:
+def _parse_mode_groups(key: str, text: str, group: int,
+                       box: LatticeBox) -> list:
     out = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        vals = _ints(key, chunk, 2 * group)
+        vals = _numbers(key, chunk, int, 2 * group)
         modes = tuple((vals[2 * i], vals[2 * i + 1]) for i in range(group))
+        _check_in_box(key, modes, box)
         out.append(modes)
     if not out:
         raise ConfigError(f"{key}: no mode groups in {text!r}")
@@ -513,7 +486,7 @@ def _select_pairs(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
         out.extend((modes[i], modes[j])
                    for i in range(len(modes)) for j in range(i + 1, len(modes)))
         return tuple(out)
-    return tuple(_parse_mode_groups("pairs", text, 2))
+    return tuple(_parse_mode_groups("pairs", text, 2, box))
 
 
 def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
@@ -527,7 +500,7 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
              tuple(int(x) for x in box.modes[b]),
              tuple(int(x) for x in box.modes[c]))
             for a, b, c in zip(i_n, i_m, i_p))
-    return tuple(_parse_mode_groups("triples", text, 3))
+    return tuple(_parse_mode_groups("triples", text, 3, box))
 
 
 def cmd_ensemble(cfg: ExperimentConfig) -> int:

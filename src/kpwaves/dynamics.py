@@ -11,23 +11,10 @@ quadratic term conserves sum |u_n|^2 exactly at the level of the ODE, so
 any drift in that quantity is integrator error.
 
 Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
-n1 > 0 half of the spectrum; each right-hand side places it in the
-half-spectrum of the real zero-padded grid of operators.convolve, squares
-the grid, and reads the n1 > 0 modes of the square's spectrum back.  The
-n1 < 0 half of each returned state is the exact conjugate mirror.
-
-On a small box the two transforms are real matrix products with the
-grid's DFT restricted to the H = N1 (2 N2 + 1) modes with n1 > 0
-(operators._dense_embedding): grid = X E, square, spec = grid F.  The
-dense path runs while H L <= _DENSE_MAX = 4096, L the grid length, so
-2x1, 2x2 and 3x3 take it.  Per right-hand side on one core it cost 49 us
-against 115 us for the FFT pair at 2x2 (250 samples) and 561 against
-839 us at 3x3 (1000 samples); at 4x4 (H L = 6480) the two were even, and
-at 6x6 a single sample cost 54 us against 20, so larger boxes keep an
-irfft/rfft pair.  The BLAS rounds a row differently with the number of
-rows in its call, so the rows go in zero-padded blocks of _BLOCK_ROWS
-through products of one fixed shape, and a sample's bits do not depend on
-its batch.  The two paths agree to roundoff, not bitwise.
+n1 > 0 half of the spectrum; each right-hand side squares the real grid
+of operators.convolve that it spans (operators._squarer) and reads the
+n1 > 0 modes of the square's spectrum back.  The n1 < 0 half of each
+returned state is the exact conjugate mirror.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times, and its callers find the samples that
@@ -36,12 +23,10 @@ diverged with one per-sample mask, _diverged.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .lattice import LatticeBox, SpectralField, _symmetry_defect
-from .operators import _dense_embedding, _fft_embedding, _positive_rows
+from .operators import _squarer
 
 __all__ = [
     "default_dt",
@@ -49,14 +34,6 @@ __all__ = [
     "calibrate_dt",
     "NonFiniteError",
 ]
-
-
-# Rows per matrix product of the dense path: every product takes R rows,
-# the last block padded with zero rows (see the module docstring).
-_BLOCK_ROWS = 8
-# The dense path runs while H L <= _DENSE_MAX: 2x1 (180), 2x2 (500) and
-# 3x3 (2100) take it; from 4x4 (6480) on the FFT pair is as fast or faster.
-_DENSE_MAX = 4096
 
 
 class NonFiniteError(RuntimeError):
@@ -71,51 +48,6 @@ def _diverged(states: np.ndarray) -> np.ndarray:
 def default_dt(box: LatticeBox) -> float:
     """Conservative step 0.5 / (1 + max |omega|) for the box."""
     return 0.5 / (1.0 + float(np.max(np.abs(box.omega))))
-
-
-def _squarer(box: LatticeBox, batch: tuple):
-    """Buffers and kernel of the quadratic term for a batch of states.
-
-    Returns (src, dst, square): views shaped batch + (N1, 2 N2 + 1) of the
-    n1 > 0 modes of a real field and of the spectrum of its grid's square,
-    and the function that fills dst from src.  The buffers are allocated
-    per call, so calls are independent; padding stays zero.
-    """
-    half = box.size // 2
-    rows = (box.n1_max, 2 * box.n2_max + 1)
-    length = _fft_embedding(box)[0]
-    if half * length <= _DENSE_MAX:
-        E, F = _dense_embedding(box)
-        n = math.prod(batch)
-        blocks = -(-n // _BLOCK_ROWS)
-        buf = np.zeros((blocks, _BLOCK_ROWS, half), dtype=np.complex128)
-        grid = np.empty((blocks, _BLOCK_ROWS, length))
-        spec = np.empty_like(buf)
-
-        def square():
-            # One GEMM of R rows per block: every call has the same shape.
-            np.matmul(buf.view(float), E, out=grid)
-            np.square(grid, out=grid)
-            np.matmul(grid, F, out=spec.view(float))
-
-        def modes(a):
-            return a.reshape(-1, half)[:n].reshape(batch + rows)
-
-        return modes(buf), modes(spec), square
-    # Half-spectrum of the real grid (zero off the box), the grid, and the
-    # spectrum of its square.
-    buf = np.zeros(batch + (length // 2 + 1,), dtype=np.complex128)
-    grid = np.empty(batch + (length,))
-    spec = np.empty_like(buf)
-
-    def square():
-        # irfft gives the grid with its index reversed, which the square
-        # and the forward rfft undo: spec is the cyclic convolution of buf.
-        np.fft.irfft(buf, length, norm="forward", out=grid)
-        np.square(grid, out=grid)
-        np.fft.rfft(grid, norm="forward", out=spec)
-
-    return _positive_rows(box, buf), _positive_rows(box, spec), square
 
 
 def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,

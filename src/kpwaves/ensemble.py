@@ -289,8 +289,6 @@ class EnsembleConfig:
     dt: float | None = None
     batch_size: int = 4096
     threads: int = 1
-    kron: str = "half_opposite"
-    sign: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -472,8 +470,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     if n_trips:
         mean, se = finish(slice(n_pairs, width), good)
         for r, (n, m, p) in enumerate(cfg.triples):
-            pred = theory.triple_prediction(ctx, n, m, p, cfg.t, cfg.eps,
-                                            kron=cfg.kron, sign=cfg.sign)
+            pred = theory.triple_prediction(ctx, n, m, p, cfg.t, cfg.eps)
             trip_entries[(tuple(n), tuple(m), tuple(p))] = MomentEntry(
                 modes=(tuple(n), tuple(m), tuple(p)),
                 estimate=complex(mean[r]), std_error=float(se[r]),
@@ -564,6 +561,9 @@ def _check_scan(cfg: ScanConfig) -> list:
         raise ValueError("eps: a scan needs at least three values")
     if any(e <= 0 for e in cfg.eps_grid):
         raise ValueError("eps: values must be positive")
+    if cfg.t == 0:
+        raise ValueError("t: every remainder vanishes at t = 0; "
+                         "need t != 0")
     if cfg.rotations < 1:
         raise ValueError("rotations: must be >= 1")
     if cfg.sample_count < 1:

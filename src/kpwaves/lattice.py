@@ -22,13 +22,14 @@ __all__ = [
 ]
 
 
-def omega(n) -> float:
-    """Dispersion frequency n1**3 - n2**2 / n1 of a single mode.
+def omega(n):
+    """Dispersion frequency n1**3 - n2**2 / n1 of a mode n = (n1, n2).
 
-    Raises ValueError for n1 = 0, which never belongs to the phase space.
+    n1 and n2 may be arrays, and then the frequency is taken elementwise.
+    Raises ValueError where n1 = 0, which never belongs to the phase space.
     """
-    n1, n2 = n
-    if n1 == 0:
+    n1, n2 = (np.asarray(c, dtype=float) for c in n)
+    if np.any(n1 == 0):
         raise ValueError("dispersion is undefined on the line n1 = 0")
     return n1 ** 3 - n2 ** 2 / n1
 
@@ -72,8 +73,7 @@ class LatticeBox:
             np.arange(self.size)
         self._grid = grid
         self.conj_idx = self.lookup(-self.n1, -self.n2)
-        n1, n2 = self.n1.astype(float), self.n2.astype(float)
-        self.omega = n1 ** 3 - n2 ** 2 / n1
+        self.omega = omega((self.n1, self.n2))
 
     def index(self, n) -> int:
         """Position of mode n in the canonical ordering."""

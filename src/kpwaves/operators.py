@@ -5,14 +5,18 @@ axes of the coefficient arrays are broadcast through.  The plain
 convolution is a product of FFTs on a zero-padded 1-D grid whose length
 is the smallest 5-smooth number past the alias-free bound
 3 N1 (3 N2 + 1) + 3 N2 (see convolve).  The integrator squares the same
-grid as a real one: by an irfft/rfft pair on its half-spectrum
-(_positive_rows), or, on boxes where H L <= 4096 (H the n1 > 0 modes, L
-the grid length: up to 3x3), by two real matrix products with the grid's
-DFT on those modes (_dense_embedding), faster there than the FFT pair
-(at 2x2, 49 against 115 us per right-hand side of 250 samples; even at
-4x4).  dynamics feeds them rows in blocks of fixed size, since the BLAS
-rounds a row by the row count of its call; the two paths agree to
-roundoff, not bitwise.
+grid as a real one (_squarer), spanned by the H = N1 (2 N2 + 1) modes
+with n1 > 0, L the grid length.  While H L <= _DENSE_MAX = 4096 (2x1, 2x2
+and 3x3) the two transforms are real matrix products with the grid's DFT
+on those modes (_dense_embedding): grid = X E, square, spec = grid F.
+Per right-hand side on one core it cost 49 us against 115 us for the FFT
+pair at 2x2 (250 samples) and 561 against 839 us at 3x3 (1000 samples);
+at 4x4 (H L = 6480) the two were even, and at 6x6 a single sample cost
+54 us against 20, so larger boxes keep an irfft/rfft pair on the grid's
+half-spectrum (_positive_rows).  The BLAS rounds a row differently with
+the number of rows in its call, so the rows go in zero-padded blocks of
+_BLOCK_ROWS through products of one fixed shape, and a sample's bits do
+not depend on its batch.  The two paths agree to roundoff, not bitwise.
 The phase-weighted forms carry split weights such as 1/delta that do not
 factor, so they are weighted segment sums over the pair and triple
 tables, which enumerate the admissible index combinations once per box.
@@ -24,6 +28,7 @@ memory before it is built.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,6 +61,11 @@ _CHUNK_BYTES = 1 << 18
 _BUILD_ENTRY_BYTES = 24
 _CHUNK_ENTRY_BYTES = 189
 _ITEM = np.dtype(np.complex128).itemsize
+# The dense path of _squarer: rows per matrix product (the last block
+# padded with zero rows), and the largest H L it runs at; see the module
+# docstring.
+_BLOCK_ROWS = 8
+_DENSE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -278,6 +288,51 @@ def _positive_rows(box: LatticeBox, half_spectrum: np.ndarray) -> np.ndarray:
     return rows[..., :2 * box.n2_max + 1]
 
 
+def _squarer(box: LatticeBox, batch: tuple):
+    """Buffers and kernel of the quadratic term for a batch of states.
+
+    Returns (src, dst, square): views shaped batch + (N1, 2 N2 + 1) of the
+    n1 > 0 modes of a real field and of the spectrum of its grid's square,
+    and the function that fills dst from src.  The buffers are allocated
+    per call, so calls are independent; padding stays zero.
+    """
+    half = box.size // 2
+    rows = (box.n1_max, 2 * box.n2_max + 1)
+    length = _fft_embedding(box)[0]
+    if half * length <= _DENSE_MAX:
+        E, F = _dense_embedding(box)
+        n = math.prod(batch)
+        blocks = -(-n // _BLOCK_ROWS)
+        buf = np.zeros((blocks, _BLOCK_ROWS, half), dtype=np.complex128)
+        grid = np.empty((blocks, _BLOCK_ROWS, length))
+        spec = np.empty_like(buf)
+
+        def square():
+            # One GEMM of R rows per block: every call has the same shape.
+            np.matmul(buf.view(float), E, out=grid)
+            np.square(grid, out=grid)
+            np.matmul(grid, F, out=spec.view(float))
+
+        def modes(a):
+            return a.reshape(-1, half)[:n].reshape(batch + rows)
+
+        return modes(buf), modes(spec), square
+    # Half-spectrum of the real grid (zero off the box), the grid, and the
+    # spectrum of its square.
+    buf = np.zeros(batch + (length // 2 + 1,), dtype=np.complex128)
+    grid = np.empty(batch + (length,))
+    spec = np.empty_like(buf)
+
+    def square():
+        # irfft gives the grid with its index reversed, which the square
+        # and the forward rfft undo: spec is the cyclic convolution of buf.
+        np.fft.irfft(buf, length, norm="forward", out=grid)
+        np.square(grid, out=grid)
+        np.fft.rfft(grid, norm="forward", out=spec)
+
+    return _positive_rows(box, buf), _positive_rows(box, spec), square
+
+
 def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Truncated convolution sum_{k+l=n} U_k V_l on raw coefficient arrays.
 
@@ -294,12 +349,9 @@ def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     grid = np.zeros(U.shape[:-1] + (length,), dtype=np.complex128)
     grid[..., pos] = U
     np.fft.fft(grid, out=grid)
-    if V is U:
-        grid *= grid
-    else:
-        other = np.zeros(V.shape[:-1] + (length,), dtype=np.complex128)
-        other[..., pos] = V
-        grid = grid * np.fft.fft(other, out=other)
+    other = np.zeros(V.shape[:-1] + (length,), dtype=np.complex128)
+    other[..., pos] = V
+    grid = grid * np.fft.fft(other, out=other)
     return np.fft.ifft(grid, out=grid)[..., pos]
 
 

@@ -211,8 +211,8 @@ def lambda_eps(d: SpectralField, bundle: PicardBundle) -> SpectralField:
 
 
 def invert_lambda_eps(g: SpectralField, bundle: PicardBundle,
-                      tol: float = 1e-12, max_iter: int = 200,
-                      s: float = 0.0) -> SpectralField:
+                      tol: float = 1e-12, max_iter: int = 200
+                      ) -> SpectralField:
     """Solve lambda_eps(d) = g by fixed-point iteration, starting from d = g.
 
     Each step replaces d by g minus the perturbative part of lambda_eps;
@@ -221,13 +221,14 @@ def invert_lambda_eps(g: SpectralField, bundle: PicardBundle,
     shrink by a factor of 0.9 across five consecutive iterations and
     MaxIterExceededError if the tolerance is not met within max_iter.
 
-    The residual is measured as hs_norm(lambda_eps(d) - g, s).
+    The residual is measured as hs_norm(lambda_eps(d) - g, 0), the l2
+    norm of the coefficients.
     """
     d = g.copy()
     history: list[float] = []
     for _ in range(max_iter):
         image = lambda_eps(d, bundle)
-        res = hs_norm(image - g, s)
+        res = hs_norm(image - g, 0.0)
         if res <= tol:
             return d
         history.append(res)

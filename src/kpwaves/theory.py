@@ -129,20 +129,28 @@ class TheoryContext:
                       np.searchsorted(out, np.arange(box.size + 1)))
         return generic, kron
 
-    @cached_property
-    def _f2_fold(self):
-        """(mode, |delta| / 2, amplitude) terms of f2_diag_all.
+    def _f2_amps(self):
+        """(mode, delta, amplitude) of every term, generic terms first.
 
         The bracket of _f2_at is sum amp sin^2(|delta| t / 2) with
-        amp = 2 coef / delta^2, times m2^2 on the generic terms.  Terms of
-        one mode with equal |delta| (the k <-> l swap of a split) share
-        the time factor, so their amplitudes are summed once here.
+        amp = 2 coef / delta^2, times m2^2 on the generic terms.  Not
+        cached: _f2_fold keeps only the folded terms.
         """
         generic, kron = self._f2_terms
         out = np.concatenate([generic.out, kron.out])
         delta = np.concatenate([generic.delta, kron.delta])
         amp = 2.0 * np.concatenate([self.m2 ** 2 * generic.coef,
                                     kron.coef]) / delta ** 2
+        return out, delta, amp
+
+    @cached_property
+    def _f2_fold(self):
+        """(mode, |delta| / 2, amplitude) terms of f2_diag_all.
+
+        Terms of one mode with equal |delta| (the k <-> l swap of a split)
+        share the time factor, so their amplitudes are summed once here.
+        """
+        out, delta, amp = self._f2_amps()
         # Complex values sort by real part, then imaginary part, so one
         # np.unique groups the terms by (mode, |delta| / 2).
         keys, group = np.unique(out + 0.5j * np.abs(delta),
@@ -173,23 +181,6 @@ def _f2_at(ctx: TheoryContext, n, term) -> float:
     if len(coef):
         total += float(np.sum(term(coef, delta)))
     return -float(ctx.box.n1[i_n]) * total
-
-
-def _sum_by_mode(terms: _Terms, term, size: int) -> np.ndarray:
-    sums = np.zeros(size)
-    np.add.at(sums, terms.out, term(terms.coef, terms.delta))
-    return sums
-
-
-def _f2_bracket_all(ctx: TheoryContext, term) -> np.ndarray:
-    """The bracket of _f2_at for every mode, each sum taken in table order."""
-    generic, kron = ctx._f2_terms
-    size = ctx.box.size
-    out = ctx.m2 ** 2 * _sum_by_mode(generic, term, size)
-    # Only where repeated-index terms exist: adding 0.0 turns -0.0 into 0.0.
-    has = np.diff(kron.starts) > 0
-    out[has] += _sum_by_mode(kron, term, size)[has]
-    return out
 
 
 def f2_diag(ctx: TheoryContext, n, t: float) -> float:
@@ -288,10 +279,10 @@ def pair_prediction(ctx: TheoryContext, n, m, t: float, eps: float) -> complex:
     return complex(ctx.m2 * ctx.lam2[i_n] + eps ** 2 * f2_diag(ctx, n, t))
 
 
-def triple_prediction(ctx: TheoryContext, n, m, p, t: float, eps: float,
-                      kron: str = "half_opposite", sign: float = 1.0) -> complex:
+def triple_prediction(ctx: TheoryContext, n, m, p, t: float,
+                      eps: float) -> complex:
     """Predicted E u_n u_m u_p through order eps."""
-    return eps * f3(ctx, n, m, p, t, kron=kron, sign=sign)
+    return eps * f3(ctx, n, m, p, t)
 
 
 @lru_cache(maxsize=None)
@@ -323,9 +314,16 @@ def pair_majorant(ctx: TheoryContext, s: float) -> float:
     bound follows from the triangle inequality term by term.
     """
     box = ctx.box
-    per_mode = _f2_bracket_all(ctx, lambda c, d: np.abs(c) * 2.0 / d ** 2)
-    # per_mode bounds the bracketed sum; the correction itself carries
-    # another factor of n1, mirroring the -n1 prefactor in f2_diag_all.
+    mode, _, amp = ctx._f2_amps()
+    g = len(ctx._f2_terms[0].out)
+    # sum |amp| bounds the bracket of every mode; the generic and the
+    # repeated-index terms are summed apart, as f2_diag sums them.
+    per_mode = (np.bincount(mode[:g], weights=np.abs(amp[:g]),
+                            minlength=box.size)
+                + np.bincount(mode[g:], weights=np.abs(amp[g:]),
+                              minlength=box.size))
+    # The correction itself carries another factor of n1, mirroring the
+    # -n1 prefactor in f2_diag_all.
     bound = np.abs(box.n1) * per_mode
     w = np.abs(box.n1) * hs_weights(box, s)
     return float(np.sum(w * bound))
@@ -338,13 +336,12 @@ def _triple_weights(box: LatticeBox, s: float, i_n, i_m, i_p):
 
 
 def weighted_sum_triple(ctx: TheoryContext, s: float, times,
-                        kron: str = "half_opposite",
-                        sign: float = 1.0) -> np.ndarray:
+                        kron: str = "half_opposite") -> np.ndarray:
     """Weighted aggregate of |f3| over ordered zero-sum triples.
 
     The weight is sqrt(|n1 m1 p1|) ((|n|)(|m|)(|p|))^s with |n| the
     coordinate sum magnitude used by the Sobolev weights.  One value per
-    time of the grid times.  |f3| = 2 |sign| |sin(Omega t / 2)| |amp / Omega|,
+    time of the grid times.  |f3| = 2 |sin(Omega t / 2)| |amp / Omega|,
     and triples related by permutation or by n -> -n share |Omega|, so
     the time-independent factors are summed once per distinct |Omega|;
     the result matches the term-by-term sum to roundoff, not bitwise.
@@ -353,8 +350,7 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times,
     amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
     half, group = np.unique(0.5 * np.abs(Om), return_inverse=True)
-    scale = np.bincount(group, weights=w * np.abs(amp / Om))
-    scale *= 2.0 * abs(sign)
+    scale = 2.0 * np.bincount(group, weights=w * np.abs(amp / Om))
     return np.array([np.sum(scale * np.abs(np.sin(half * t)))
                      for t in np.atleast_1d(times)])
 
@@ -415,12 +411,7 @@ def box_limit_f2(n, N: int, lambda_N: float, t: float,
     if not live.any():
         return 0.0
     K1, K2, L1, L2, coef = K1[live], K2[live], L1[live], L2[live], coef[live]
-
-    def om(a1, a2):
-        a1 = a1.astype(float)
-        return a1 ** 3 - a2.astype(float) ** 2 / a1
-
-    d = om(K1, K2) + om(L1, L2) - omega((n1, n2))
+    d = omega((K1, K2)) + omega((L1, L2)) - omega((n1, n2))
     total = float(np.sum(coef * _one_minus_cos(d, t)))
     return -n1 * m2 ** 2 * total
 

@@ -80,6 +80,22 @@ class TestConfigParsing:
         assert main(["--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: out:")
 
+    @pytest.mark.parametrize("extra, err", [
+        ("profile = box_constant 0 1.0\n",
+         "profile: profile is identically zero"),
+        ("profile = power_decay 1 2 3\n",
+         "profile: expected 2 values, got 3"),
+        ("profile = single_mode 5 0 1.0\nnormalize = false\n",
+         "profile: mode (5, 0) is outside LatticeBox(2, 1)"),
+    ], ids=["zero-on-box", "wrong-count", "mode-outside-box"])
+    def test_bad_profile_exits_2_with_one_prefix(self, tmp_path, capsys,
+                                                 extra, err):
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 1\n" + extra)
+        assert main(["--config", cfg]) == 2
+        out, got = capsys.readouterr()
+        assert got == f"config error: {err}\n"
+        assert out == ""
+
     def test_missing_out_stops_ensemble_before_sampling(self, tmp_path,
                                                         capsys, monkeypatch):
         def never(ecfg):
@@ -210,6 +226,28 @@ class TestEnsemble:
         # header plus one diagonal pair row per mode
         assert len(body) == 1 + 20
 
+    @pytest.mark.parametrize("extra, key", [
+        ("pairs = 1 0 1 0; 5 0 5 0\ntriples = none\n", "pairs"),
+        ("pairs = none\ntriples = 3 0 -1 0 -2 0\n", "triples"),
+    ], ids=["pairs", "triples"])
+    def test_mode_outside_box_exits_2_before_sampling(self, tmp_path, capsys,
+                                                      monkeypatch, extra,
+                                                      key):
+        def never(ecfg):
+            raise RuntimeError("sampling started")
+
+        monkeypatch.setattr(cli, "estimate_moments", never)
+        out_path = tmp_path / "report.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = ensemble\nbox = 2 1\neps = 0.1\nt = 0.5\n"
+                        f"sample_count = 4\ndt = 0.05\nout = {out_path}\n"
+                        + extra)
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {key}: mode ")
+        assert "is outside LatticeBox(2, 1)" in err
+        assert out == "" and not out_path.exists()
+
 
 class TestRemainderScan:
     def test_needs_grid_or_three_eps(self, tmp_path, capsys):
@@ -237,7 +275,8 @@ class TestRemainderScan:
         ("t_grid = 0 1 0.25\n", "t_grid"),
         ("eps = 0 0.14 0.1\n", "eps"),
         ("sample_count = 0\n", "sample_count"),
-    ], ids=["t_grid-from-zero", "zero-eps", "zero-samples"])
+        ("t = 0\n", "t"),
+    ], ids=["t_grid-from-zero", "zero-eps", "zero-samples", "zero-t"])
     def test_bad_argument_exits_2_before_computing(self, tmp_path, capsys,
                                                    extra, key):
         out_path = tmp_path / "scan.csv"

@@ -21,6 +21,19 @@ def test_omega_values():
 def test_omega_rejects_zero_column():
     with pytest.raises(ValueError):
         omega((0, 3))
+    # An array with one n1 = 0 entry is rejected as a whole.
+    with pytest.raises(ValueError, match="n1 = 0"):
+        omega((np.array([1, 0, 2]), np.array([0, 3, 1])))
+
+
+@pytest.mark.parametrize("n1_max", range(1, 7))
+def test_omega_of_arrays_is_the_box_table(n1_max):
+    for n2_max in range(7):
+        box = LatticeBox(n1_max, n2_max)
+        np.testing.assert_array_equal(omega((box.n1, box.n2)), box.omega)
+        # The integer formula, rounded once, as the scalar form takes it.
+        exact = [a ** 3 - b ** 2 / a for a, b in box.modes.tolist()]
+        np.testing.assert_array_equal(box.omega, exact)
 
 
 @given(nonzero_n1, any_n2)

@@ -160,21 +160,17 @@ def test_convolve_empty_batch(box22):
     assert convolve(box22, U, np.ones(box22.size)).shape == (0, box22.size)
 
 
-def test_convolve_square_path_is_bitwise_general_path(box33, rng):
-    U = rng.standard_normal((5, box33.size)) + 1j * rng.standard_normal(
-        (5, box33.size))
-    np.testing.assert_array_equal(convolve(box33, U, U),
-                                  convolve(box33, U, U.copy()))
-
-
 def test_cli_import_leaves_fft_unloaded():
+    # Both load on first use: numpy.fft when a command convolves, the
+    # thread pool when an ensemble runs several batches on threads.
     src = os.path.dirname(os.path.dirname(kpwaves.__file__))
     code = ("import sys, kpwaves.cli; "
-            "print('numpy.fft' in sys.modules)")
+            "print('numpy.fft' in sys.modules, "
+            "'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_every_exported_name_resolves():

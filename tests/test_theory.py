@@ -308,7 +308,7 @@ def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
                 wsum += w * abs(val)
                 bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
                     ctx, n, m, p, kron, magnitudes=True)
-            got, = weighted_sum_triple(ctx, s, [t], kron=kron, sign=sign)
+            got, = weighted_sum_triple(ctx, s, [t], kron=kron)
             assert got == pytest.approx(wsum, rel=1e-12)
             assert triple_majorant(ctx, s, kron=kron) == pytest.approx(
                 bound, rel=1e-12)
@@ -368,19 +368,26 @@ class TestFoldedSums:
         w = np.array([np.sqrt(abs(n[0] * m[0] * p[0])) * (
             (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
             * (abs(p[0]) + abs(p[1]))) ** s for n, m, p in triples])
-        for sign in (1.0, -1.0):
-            got = weighted_sum_triple(ctx, s, self.times, kron=kron,
-                                      sign=sign)
-            for t, value in zip(self.times, got):
-                f3s = sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
-                assert value == pytest.approx(float(np.sum(w * np.abs(f3s))),
-                                              rel=1e-12, abs=0)
+        got = weighted_sum_triple(ctx, s, self.times, kron=kron)
+        for t, value in zip(self.times, got):
+            f3s = (1.0 - np.exp(1j * Om * t)) / Om * amp
+            assert value == pytest.approx(float(np.sum(w * np.abs(f3s))),
+                                          rel=1e-12, abs=0)
 
 
 class TestWeightedSums:
     def test_zero_at_time_zero(self, ctx33):
         assert weighted_sum_pair(ctx33, 1.0, [0.0]).tolist() == [0.0]
         assert weighted_sum_triple(ctx33, 1.0, [0.0]).tolist() == [0.0]
+
+    def test_box_without_zero_sum_triples(self):
+        # With n1 = +-1 only, three first coordinates never sum to zero.
+        box = LatticeBox(1, 2)
+        ctx = TheoryContext.from_profile(
+            SpectrumProfile.power_decay(box, 1.0, 2.0), RandomLaw.steinhaus())
+        assert len(zero_sum_triples(box)[0]) == 0
+        assert weighted_sum_triple(ctx, 1.0, [0.0, 1.5]).tolist() == [0.0, 0.0]
+        assert triple_majorant(ctx, 1.0) == 0.0
 
     @pytest.mark.parametrize("fn", [weighted_sum_pair, weighted_sum_triple])
     def test_grid_matches_single_times(self, ctx22_twopoint, fn):
