@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .lattice import LatticeBox, SpectralField
-from .operators import pair_table, triple_table
+from .operators import pair_table
 from .picard import (PicardBundle, resonance_margin, identity_residuals,
-                     w_residual)
+                     w_residual, _check_contraction)
 from .dynamics import (_calibrate, _diverged, calibrate_dt, evolve_coeffs,
                        NonFiniteError)
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
@@ -378,7 +378,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     n_fields = 8
     try:
-        triple_table(box)
+        _check_contraction(box, n_fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # One pass builds the bundles of the first field of every pair.
@@ -543,7 +543,9 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     try:
         if scan_cfg is not None:
             _check_scan(scan_cfg)
-        triple_table(box)
+        # Growth contracts its whole ensemble at once, the scan a batch.
+        _check_contraction(box, cfg.sample_count if grid is not None else
+                           min(scan_cfg.batch_size, cfg.sample_count))
         if grid is not None:
             _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
     except ValueError as exc:

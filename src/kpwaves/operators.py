@@ -18,12 +18,9 @@ the number of rows in its call, so the rows go in zero-padded blocks of
 _BLOCK_ROWS through products of one fixed shape, and a sample's bits do
 not depend on its batch.  The two paths agree to roundoff, not bitwise.
 The phase-weighted forms carry split weights such as 1/delta that do not
-factor, so they are weighted segment sums over the pair and triple
-tables, which enumerate the admissible index combinations once per box.
-The triple table stores only two pair-table indices per entry; callers
-gather the pair-table arrays they need chunk by chunk under a fixed byte
-budget (TripleTable.chunks), and its size is checked against physical
-memory before it is built.
+factor, so they are weighted segment sums over the pair table, which
+enumerates the splits k + l = n of a box once; the nested splits of the
+Picard layer are grouped from it (picard._NestedPlan).
 """
 
 from __future__ import annotations
@@ -39,9 +36,7 @@ from .lattice import LatticeBox, SpectralField
 
 __all__ = [
     "PairTable",
-    "TripleTable",
     "pair_table",
-    "triple_table",
     "segment_sum",
     "convolve",
     "dx_product",
@@ -49,18 +44,6 @@ __all__ = [
     "f_map",
 ]
 
-# Byte budget of the complex (samples x entries) products of one chunk of
-# a streamed triple-table contraction.
-_CHUNK_BYTES = 1 << 18
-# Peak bytes per triple-table entry while the table is built (three int64
-# arrays at once; 16 stay), and per entry of a contraction chunk (its
-# gathered indices, kernels and products), the chunk counted as the check
-# in triple_table counts it.  The tracemalloc peak of one
-# _picard_cf_coeffs call read 168-171 B per entry at 6x6 and 187-189 at
-# 8x8, with batches of 1, 2 and 8; the largest is kept.
-_BUILD_ENTRY_BYTES = 24
-_CHUNK_ENTRY_BYTES = 189
-_ITEM = np.dtype(np.complex128).itemsize
 # The dense path of _squarer: rows per matrix product (the last block
 # padded with zero rows), and the largest H L it runs at; see the module
 # docstring.
@@ -87,60 +70,6 @@ class PairTable:
 
     def __len__(self):
         return len(self.out_idx)
-
-
-@dataclass(frozen=True)
-class TripleTable:
-    """Flat enumeration of nested splits k + (j + q) = n inside the box.
-
-    Only two indices per entry are stored: `outer`, the pair-table entry
-    of the split n = k + l, and `inner`, that of l = j + q (16 bytes per
-    entry).  The four-wave phase omega(j) + omega(k) + omega(q) - omega(n)
-    of an entry is the sum of the two splits' deltas, and can vanish.
-    Entries are sorted by the output mode n, sliced by seg_starts as in
-    the pair table; `chunks` plans a streamed pass over the table.
-    """
-
-    box: LatticeBox
-    outer: np.ndarray
-    inner: np.ndarray
-    seg_starts: np.ndarray
-
-    def __len__(self):
-        return len(self.outer)
-
-    def chunks(self, batch: int) -> tuple[int, list]:
-        """Sample block size and output-mode ranges of a streamed pass.
-
-        A pass over `batch` fields holds one complex value per sample of a
-        block and entry of a chunk.  The block is the whole batch unless
-        one output segment times the batch exceeds _CHUNK_BYTES.  The
-        ranges (m0, m1) cut the table at segment boundaries into chunks
-        whose block-sized products fit the budget; a chunk holds at least
-        one segment, so it exceeds the budget only when the block is a
-        single sample.
-        """
-        longest = int(np.diff(self.seg_starts).max(initial=0))
-        block = _sample_block(batch, longest)
-        cap = _CHUNK_BYTES // (block * _ITEM)
-        starts = self.seg_starts
-        n_out = len(starts) - 1
-        cuts, m0 = [], 0
-        while m0 < n_out:
-            m1 = int(np.searchsorted(starts, starts[m0] + cap, "right")) - 1
-            m1 = min(max(m1, m0 + 1), n_out)
-            cuts.append((m0, m1))
-            m0 = m1
-        return block, cuts
-
-
-def _sample_block(batch: int, width: int) -> int:
-    """Samples per block of a streamed pass holding `width` complex
-    products per sample: the whole batch if it fits _CHUNK_BYTES, else as
-    many samples as fit, at least one."""
-    if batch * width * _ITEM <= _CHUNK_BYTES:
-        return max(1, batch)
-    return max(1, _CHUNK_BYTES // (width * _ITEM))
 
 
 def _starts_from_sorted(out_idx: np.ndarray, n_out: int) -> np.ndarray:
@@ -177,37 +106,6 @@ def pair_table(box: LatticeBox) -> PairTable:
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-@lru_cache(maxsize=None)
-def triple_table(box: LatticeBox) -> TripleTable:
-    """Build (and cache) the nested-split table by composing the pair table.
-
-    The entry count and segment lengths are known from the pair table
-    before anything is allocated; raises ValueError when the build's peak
-    plus one contraction chunk (at least one whole segment) would exceed
-    physical memory.
-    """
-    pt = pair_table(box)
-    counts = np.diff(pt.seg_starts)
-    # For every outer entry (n, k, l), expand the inner splits of l.
-    lens = counts[pt.l_idx]
-    ends = np.cumsum(lens)
-    seg_starts = np.concatenate([[0], ends])[pt.seg_starts]
-    total = int(seg_starts[-1])
-    chunk = max(int(np.diff(seg_starts).max(initial=0)),
-                _CHUNK_BYTES // _ITEM)
-    need = total * _BUILD_ENTRY_BYTES + chunk * _CHUNK_ENTRY_BYTES
-    if need > _physical_memory():
-        raise ValueError(
-            f"triple table of {box!r} has {total} entries and needs "
-            f"{need} bytes, more than the {_physical_memory()} bytes of "
-            "physical memory")
-    outer = np.repeat(np.arange(len(pt), dtype=np.int64), lens)
-    inner = np.repeat(pt.seg_starts[pt.l_idx] - (ends - lens), lens)
-    inner += np.arange(total, dtype=np.int64)
-    return TripleTable(box=box, outer=outer, inner=inner,
-                       seg_starts=seg_starts)
 
 
 def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:

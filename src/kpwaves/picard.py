@@ -6,16 +6,18 @@ For initial data u0 the flow map is expanded as
 
 where a is the free evolution and b, c have closed forms as oscillatory
 sums over the interaction tables.  c and the Duhamel integral f of the
-resonant trilinear term are sums over the triple table; one streamed
-pass computes both for a batch of initial data, with the factors of a
-single split built once per pair-table entry.  A PicardBundle holds
-(a, b, c, f) of one initial condition; PicardBundle.build_batch builds
-several in that one pass.  The remainder d is defined by exact
-subtraction.  The gauged variable v = u + eps s_map(u, u) satisfies a
-flow equation whose eps^3 coefficient w admits an algebraic
-decomposition in terms of a, b, c, d; lambda_eps is the resulting
-polynomial map d -> w and invert_lambda_eps recovers d from w by
-fixed-point iteration.
+resonant trilinear term sum over the nested splits k + (j + q) = n; one
+pass computes both for a batch of initial data (_picard_cf_coeffs), as
+one complex matrix product per inner mode l = j + q over fixed blocks of
+sample rows, with phi1 taken once per distinct four-wave phase
+(_NestedPlan).  _check_contraction counts its memory before anything is
+built.  A PicardBundle holds (a, b, c, f) of one initial condition;
+PicardBundle.build_batch builds several in that one pass.  The remainder
+d is defined by exact subtraction.  The gauged variable
+v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
+coefficient w admits an algebraic decomposition in terms of a, b, c, d;
+lambda_eps is the resulting polynomial map d -> w and invert_lambda_eps
+recovers d from w by fixed-point iteration.
 
 The exact identities behind the normal form, which hold to roundoff, are
 measured by resonance_margin, identity_residuals and w_residual, which
@@ -25,13 +27,16 @@ call them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import operators
 from .lattice import LatticeBox, SpectralField, apply_free_flow, hs_norm
-from .operators import (pair_table, triple_table, segment_sum,
-                        _sample_block, _s_apply, s_map, dx_product, f_map)
+from .operators import (pair_table, segment_sum, _starts_from_sorted,
+                        _s_apply, s_map, dx_product, f_map)
 
 __all__ = [
     "phi1",
@@ -42,10 +47,20 @@ __all__ = [
     "invert_lambda_eps",
     "NonContractionError",
     "MaxIterExceededError",
+    "PhaseKeyOverflowError",
     "resonance_margin",
     "identity_residuals",
     "w_residual",
 ]
+
+# Byte budget of one block of samples in the Picard passes, the most rows
+# a block takes, and its complex arrays over the pair table per row: the
+# C/F pass holds two, each two rows per sample.
+_BLOCK_BYTES = 1 << 23
+_MAX_ROWS = 64
+_BLOCK_ARRAYS = 4
+_ITEM = np.dtype(np.complex128).itemsize
+
 
 class NonContractionError(RuntimeError):
     """Fixed-point residual stopped contracting; eps is too large."""
@@ -65,20 +80,144 @@ def phi1(theta, t):
     return t * np.exp(0.5j * th * t) * np.sinc(th * t / (2.0 * np.pi))
 
 
+class PhaseKeyOverflowError(ValueError):
+    """The exact four-wave phase keys of a box do not fit in int64."""
+
+
+def _omega_keys(box: LatticeBox) -> tuple[int, np.ndarray]:
+    """Denominator D = lcm(1..N1) and the integers D omega(n) of the modes.
+
+    D omega(n) = D n1^3 - (D / n1) n2^2 is exact, so a sum of frequencies
+    is an exact integer key of D times its value.  Raises
+    PhaseKeyOverflowError when a four-wave key could exceed int64.
+    """
+    denom = math.lcm(*range(1, box.n1_max + 1))
+    bound = 4 * denom * (box.n1_max ** 3 + box.n2_max ** 2)
+    if bound > np.iinfo(np.int64).max:
+        raise PhaseKeyOverflowError(
+            f"four-wave phase keys of {box!r} reach {bound}, past int64")
+    return denom, denom * box.n1 ** 3 - (denom // box.n1) * box.n2 ** 2
+
+
+@dataclass(frozen=True)
+class _NestedPlan:
+    """Nested splits k + (j + q) = n of a box, grouped by the inner mode l.
+
+    A group (m0, m1, o0, o1) of one mode l pairs its inner splits l = j + q,
+    the pair-table segment m0:m1, with its outer splits n = k + l, the
+    pair-table entries outer[o0:o1]; back inverts outer.  The four-wave
+    phase of a nested split is (key[inner] + key[outer]) / denom exactly
+    (_pair_keys); distinct lists the offsets from lo of the keys that
+    occur.
+    """
+
+    denom: int
+    key: np.ndarray
+    outer: np.ndarray
+    back: np.ndarray
+    groups: tuple
+    lo: int
+    span: int
+
+    def offsets(self, m0, m1, o0, o1) -> np.ndarray:
+        """Phase-table offsets of one group's nested splits, inner x outer."""
+        return self.key[m0:m1, None] - self.lo + self.key[self.outer[o0:o1]]
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        seen = np.zeros(self.span, dtype=bool)
+        for group in self.groups:
+            seen[self.offsets(*group)] = True
+        return np.flatnonzero(seen)
+
+
+def _pair_keys(box: LatticeBox) -> tuple:
+    """D, the integer D delta of every pair-table entry, the lowest
+    four-wave key and the length of a table holding every one (a sum of
+    two pair keys lies in [2 min, 2 max])."""
+    pt = pair_table(box)
+    denom, dw = _omega_keys(box)
+    key = dw[pt.k_idx] + dw[pt.l_idx] - dw[pt.out_idx]
+    lo, hi = int(key.min(initial=0)), int(key.max(initial=0))
+    return denom, key, 2 * lo, 2 * (hi - lo) + 1
+
+
+def _group_sizes(box: LatticeBox) -> np.ndarray:
+    """Nested splits per inner mode l: its outer times its inner splits."""
+    pt = pair_table(box)
+    return np.bincount(pt.l_idx, minlength=box.size) * np.diff(pt.seg_starts)
+
+
+@lru_cache(maxsize=None)
+def _nested_plan(box: LatticeBox) -> _NestedPlan:
+    """Build (and cache) the nested-split plan of a box."""
+    pt = pair_table(box)
+    denom, key, lo, span = _pair_keys(box)
+    outer = np.argsort(pt.l_idx, kind="stable")
+    o_starts = _starts_from_sorted(pt.l_idx[outer], box.size)
+    m_starts = pt.seg_starts
+    groups = tuple((int(m_starts[l]), int(m_starts[l + 1]),
+                    int(o_starts[l]), int(o_starts[l + 1]))
+                   for l in np.flatnonzero(np.diff(o_starts)))
+    return _NestedPlan(denom, key, outer, np.argsort(outer), groups, lo,
+                       span)
+
+
+def _row_block(box: LatticeBox) -> int:
+    """Sample rows per block of the Picard passes: the largest power of two
+    up to _MAX_ROWS whose _BLOCK_ARRAYS pair-table rows fit _BLOCK_BYTES."""
+    rows, row = _MAX_ROWS, _BLOCK_ARRAYS * _ITEM * len(pair_table(box))
+    while rows > 1 and rows * row > _BLOCK_BYTES:
+        rows //= 2
+    return rows
+
+
+def _contraction_bytes(box: LatticeBox, batch: int) -> int:
+    """Bytes that building the plan of box and one _picard_cf_coeffs call
+    on `batch` fields hold at most, counted before either allocates."""
+    pt = pair_table(box)
+    span = _pair_keys(box)[3]
+    rows = _row_block(box)
+    # Per pair-table entry: the plan's key, outer and back, the call's phi1
+    # and split factors, and their transients.  Per phase-table entry: its
+    # value, a seen flag, and at most one distinct offset with the 64 B of
+    # phi1 on it.  One block: the pair-table arrays, and over the modes the
+    # samples, the inner sums and a segment sum with its reduceat result.
+    # The largest group's int64 offsets and complex kernel, the batch's C
+    # and F, and 256 KiB for small arrays and numpy's ufunc buffers (up to
+    # 8192 elements, which a broadcast product over a short axis fills).
+    return (96 * len(pt) + 89 * span
+            + _ITEM * rows * (_BLOCK_ARRAYS * len(pt) + 4 * box.size)
+            + 24 * int(_group_sizes(box).max(initial=0))
+            + 2 * _ITEM * batch * box.size + (1 << 18))
+
+
+def _check_contraction(box: LatticeBox, batch: int) -> None:
+    """Raise ValueError, before anything is built, when a Picard pass over
+    `batch` fields of box would exceed physical memory."""
+    need = _contraction_bytes(box, batch)
+    memory = operators._physical_memory()
+    if need > memory:
+        raise ValueError(
+            f"Picard contraction of {box!r} over {batch} samples needs "
+            f"{need} bytes, more than the {memory} bytes of physical memory")
+
+
 def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
     """First Picard correction B of a batch U0: the Duhamel integral
     b_n(t) = -(n1/2) e^{i omega_n t} sum_{k+l=n} i phi1(delta, t) u0_k u0_l
     of the quadratic interaction along the free flow."""
     pt = pair_table(box)
     kernel = 1j * phi1(pt.delta, t)
+    coef = -0.5 * box.n1 * np.exp(1j * box.omega * t)
     X = U0.reshape(-1, box.size)
-    conv = np.empty(X.shape, dtype=np.complex128)
-    block = _sample_block(len(X), len(pt))
-    for s in range(0, len(X), block):
-        Xs = X[s:s + block]
-        conv[s:s + block] = segment_sum(
-            Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel, pt.seg_starts)
-    B = (-0.5 * box.n1 * np.exp(1j * box.omega * t)) * conv
+    B = np.empty(X.shape, dtype=np.complex128)
+    rows = _row_block(box)
+    for s in range(0, len(X), rows):
+        Xs = X[s:s + rows]
+        conv = segment_sum(Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel,
+                           pt.seg_starts)
+        np.multiply(coef, conv, out=B[s:s + rows])
     return B.reshape(U0.shape)
 
 
@@ -87,45 +226,63 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     """Second Picard correction C and Duhamel integral F of a batch U0.
 
     F solves df/dt - L f = f_map(a, a, a), f(0) = 0, along the free flow
-    a, and c = -2 s_map(a, b) + f.  One pass over the triple table, in
-    chunks of whole output segments (TripleTable.chunks): the pair-table
-    indices of each entry are gathered per chunk, the factors of a single
-    split are computed once
-    per pair-table entry and gathered, phi1 of the four-wave phase once
-    per chunk, and per block of samples the triple product U_j U_q U_k is
-    formed once and reduced against the c and the f kernel.  Chunking
-    only splits whole segments and whole samples, so C and F do not
-    depend on the chunk or block size, to the last bit.
+    a, and c = -2 s_map(a, b) + f: sums over the nested splits
+    k + (j + q) = n weighted by phi1 of the four-wave phase.  Over the
+    inner splits i of l, P_i = U_j U_q and Q_i = l1 P_i / (2 delta_i); the
+    outer splits o of l take Y_o = sum_i phi1(delta_i + delta_o, t)
+    [P_i | Q_i], one complex matrix product per l.  Then
+    F_n ~ sum_o U_k l1 Yf_o / (2 delta_o) and
+    C_n ~ sum_o U_k (Yc_o - phi1(delta_o, t) sum_i Q_i).  The samples go
+    in zero-padded blocks of _row_block(box) rows, so each product has one
+    shape and a sample's bits do not depend on its batch.
     """
-    tt = triple_table(box)
     pt = pair_table(box)
-    # Factors of a single split, per pair-table entry: phi1 of the outer
-    # split, and l1 / (2 delta) of the inner split l = j + q (l1 is its
-    # output's) and of the outer split n = k + l.
+    plan = _nested_plan(box)
+    rows = _row_block(box)
     phi_pair = phi1(pt.delta, t)
-    fac_inner = box.n1[pt.out_idx] / (2.0 * pt.delta)
-    fac_outer = box.n1[pt.l_idx] / (2.0 * pt.delta)
+    # Complex, so that no product casts through a ufunc buffer.
+    fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
+    fac_outer = (box.n1[pt.l_idx] / (2.0 * pt.delta)).astype(complex)
+    # phi1 once per distinct four-wave phase, at its key's offset.
+    phase4 = np.empty(plan.span, dtype=np.complex128)
+    phase4[plan.distinct] = phi1((plan.distinct + plan.lo) / plan.denom, t)
+    coef = 1j * box.n1 * np.exp(1j * box.omega * t)
     X = U0.reshape(-1, box.size)
-    acc_c = np.empty(X.shape, dtype=np.complex128)
-    acc_f = np.empty(X.shape, dtype=np.complex128)
-    block, cuts = tt.chunks(len(X))
-    for m0, m1 in cuts:
-        lo, hi = tt.seg_starts[m0], tt.seg_starts[m1]
-        outer, inner = tt.outer[lo:hi], tt.inner[lo:hi]
-        j, q, k = pt.k_idx[inner], pt.l_idx[inner], pt.k_idx[outer]
-        starts = tt.seg_starts[m0:m1 + 1] - lo
-        # phi1 of the four-wave phase, the sum of the two splits' deltas.
-        p4 = phi1(pt.delta[inner] + pt.delta[outer], t)
-        kernel_c = fac_inner[inner] * (p4 - phi_pair[outer])
-        kernel_f = fac_outer[outer] * p4
-        for s in range(0, len(X), block):
-            Xs = X[s:s + block]
-            prods = Xs[:, j] * Xs[:, q] * Xs[:, k]
-            acc_c[s:s + block, m0:m1] = segment_sum(prods * kernel_c, starts)
-            acc_f[s:s + block, m0:m1] = segment_sum(prods * kernel_f, starts)
-    phase = np.exp(1j * box.omega * t)
-    C = (1j * box.n1 * phase) * acc_c
-    F = (-1j * box.n1 * phase) * acc_f
+    C = np.empty(X.shape, dtype=np.complex128)
+    F = np.empty_like(C)
+    block = np.zeros((rows, box.size), dtype=np.complex128)
+    PQ = np.empty((2 * rows, len(pt)), dtype=np.complex128)
+    Y = np.empty_like(PQ)
+    P, Q, Yf, Yc = PQ[:rows], PQ[rows:], Y[:rows], Y[rows:]
+    # Every product names its operands in a fixed order through out=:
+    # numpy's complex a * b and b * a can differ in the last bit, and it
+    # elides a large temporary by computing X * (tmp) as tmp *= X, so an
+    # inline product could round a sample differently in another batch.
+    # np.take copies out= through a buffer unless mode is "clip" (every
+    # index here is in range).
+    for s in range(0, len(X), rows):
+        n = min(rows, len(X) - s)
+        block[:n] = X[s:s + n]
+        block[n:] = 0.0
+        np.take(block, pt.k_idx, axis=1, out=Yf, mode="clip")
+        np.take(block, pt.l_idx, axis=1, out=Yc, mode="clip")
+        np.multiply(Yf, Yc, out=P)
+        np.multiply(P, fac_inner, out=Q)
+        sums = segment_sum(Q, pt.seg_starts)
+        for m0, m1, o0, o1 in plan.groups:
+            kernel = phase4[plan.offsets(m0, m1, o0, o1)]
+            np.matmul(PQ[:, m0:m1], kernel, out=Y[:, o0:o1])
+        # Back to pair-table order: Yf, Yc in P, Q, and U_k in Yf.
+        np.take(Y, plan.back, axis=1, out=PQ, mode="clip")
+        np.take(block, pt.k_idx, axis=1, out=Yf, mode="clip")
+        np.multiply(P, fac_outer, out=P)
+        np.multiply(Yf, P, out=P)
+        np.take(sums, pt.l_idx, axis=1, out=Yc, mode="clip")
+        np.multiply(Yc, phi_pair, out=Yc)
+        np.subtract(Q, Yc, out=Q)
+        np.multiply(Yf, Q, out=Q)
+        np.multiply(coef, segment_sum(Q, pt.seg_starts)[:n], out=C[s:s + n])
+        np.multiply(-coef, segment_sum(P, pt.seg_starts)[:n], out=F[s:s + n])
     return C.reshape(U0.shape), F.reshape(U0.shape)
 
 

@@ -6,11 +6,23 @@ from kpwaves.operators import _dx_product, _s_apply
 
 
 def pytest_report_header(config):
-    # The bitwise batch tests rest on how the BLAS rounds its products.
+    # The bitwise batch tests rest on how the BLAS rounds its products, and
+    # on the SIMD loops numpy dispatches its complex arithmetic to (the
+    # "simd_extensions" of np.show_runtime()).
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
         "blas", {})
-    return (f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
-            f"{blas.get('version', 'unknown')}")
+    lines = [f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
+             f"{blas.get('version', 'unknown')}"]
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+        found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        lines.append(f"SIMD baseline {' '.join(__cpu_baseline__)}; "
+                     f"dispatched {' '.join(found) or 'none'}")
+    except Exception:
+        # Private numpy names: a header must never fail collection.
+        lines.append("SIMD extensions unknown")
+    return lines
 
 
 @pytest.fixture(scope="session")

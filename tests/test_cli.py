@@ -13,7 +13,7 @@ import pytest
 
 import numpy as np
 
-from kpwaves import cli, ensemble, operators
+from kpwaves import cli, ensemble, operators, picard
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.ensemble import MomentReport
 
@@ -488,19 +488,6 @@ class TestReportLayout:
             assert results.get("failed_samples") == failed
 
 
-def _triple_table_need(box):
-    """Entries of the triple table of box and the bytes its pre-flight
-    check asks for: the build's 24 B per entry plus one contraction chunk
-    of at least one whole output segment."""
-    pt = operators.pair_table(box)
-    lens = np.diff(pt.seg_starts)[pt.l_idx]
-    longest = int(np.bincount(pt.out_idx, weights=lens,
-                              minlength=box.size).max())
-    chunk = max(longest, operators._CHUNK_BYTES // 16)
-    entries = int(lens.sum())
-    return entries, 24 * entries + operators._CHUNK_ENTRY_BYTES * chunk
-
-
 @pytest.mark.parametrize("text", [
     "command = verify\n",
     "command = remainder-scan\neps = 0.2 0.1 0.05\n",
@@ -509,53 +496,74 @@ def _triple_table_need(box):
 def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
                                                      monkeypatch, text):
     monkeypatch.setattr(operators, "_physical_memory", lambda: 1000)
-    operators.triple_table.cache_clear()
-    entries, need = _triple_table_need(cli.LatticeBox(3, 2))
+    picard._nested_plan.cache_clear()
+    box = cli.LatticeBox(3, 2)
+    # verify contracts 8 fields; the scan and growth 8 samples each.
+    need = picard._contraction_bytes(box, 8)
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, text + "box = 3 2\nsample_count = 8\n"
                     f"dt = 0.05\nout = {out_path}\n")
     assert main(["--config", cfg]) == 2
     out, err = capsys.readouterr()
-    assert err == (f"config error: triple table of LatticeBox(3, 2) has "
-                   f"{entries} entries and needs {need} bytes, more than "
-                   "the 1000 bytes of physical memory\n")
+    assert err == (f"config error: Picard contraction of LatticeBox(3, 2) "
+                   f"over 8 samples needs {need} bytes, more than the 1000 "
+                   "bytes of physical memory\n")
     assert out == "" and not out_path.exists()
-    assert operators.triple_table.cache_info().currsize == 0
+    assert picard._nested_plan.cache_info().currsize == 0
 
 
-def test_memory_check_counts_build_peak_and_chunk(tmp_path, capsys,
-                                                  monkeypatch):
-    # A machine that holds the stored table (16 B per entry) and one
-    # chunk budget of products still cannot hold the build's peak and a
-    # chunk's gathered columns and kernels.
+def test_memory_check_counts_batch_arrays(tmp_path, capsys, monkeypatch):
+    # C and F hold 32 B per sample and mode past the batch-independent
+    # working set.  A machine that holds a pass over one sample cannot
+    # hold a scan batch of 1024 at 4x4, and nothing is built.
     box = cli.LatticeBox(4, 4)
-    entries, need = _triple_table_need(box)
-    stored = 16 * entries + operators._CHUNK_BYTES
-    memory = (stored + need) // 2
-    assert stored < memory < need
+    single = picard._contraction_bytes(box, 1)
+    need = picard._contraction_bytes(box, 1024)
+    assert need - single == 2 * 16 * 1023 * box.size
+    memory = (single + need) // 2
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
-    operators.triple_table.cache_clear()
+    picard._nested_plan.cache_clear()
+    picard._check_contraction(box, 1)
     with pytest.raises(ValueError, match=f"needs {need} bytes"):
-        operators.triple_table(box)
-    cfg = write_cfg(tmp_path, "command = verify\nbox = 4 4\n")
+        picard._check_contraction(box, 1024)
+    out_path = tmp_path / "report.csv"
+    cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 4 4\n"
+                    "eps = 0.2 0.1 0.05\nsample_count = 1024\n"
+                    f"dt = 0.05\nout = {out_path}\n")
     assert main(["--config", cfg]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: triple table of {box!r} has {entries} entries and "
+    out, err = capsys.readouterr()
+    assert err == (
+        f"config error: Picard contraction of {box!r} over 1024 samples "
         f"needs {need} bytes, more than the {memory} bytes of physical "
         "memory\n")
-    assert operators.triple_table.cache_info().currsize == 0
+    assert out == "" and not out_path.exists()
+    assert picard._nested_plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "remainder-scan"])
+def test_phase_key_overflow_exits_2(tmp_path, capsys, command):
+    # lcm(1..37) 37^3 does not fit in int64.
+    out_path = tmp_path / "report.csv"
+    cfg = write_cfg(tmp_path, f"command = {command}\nbox = 37 0\n"
+                    f"eps = 0.2 0.1 0.05\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert err.startswith("config error: four-wave phase keys of "
+                          "LatticeBox(37, 0) reach ")
+    assert err.endswith(", past int64\n")
 
 
 def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
                                                       monkeypatch):
-    # The triple table fits exactly; a million samples kept at three grid
-    # times do not, and nothing is sampled or evolved.
+    # The contraction of a million samples fits exactly; keeping them at
+    # three grid times does not, and nothing is sampled or evolved.
     box = cli.LatticeBox(2, 1)
-    memory = _triple_table_need(box)[1]
+    memory = picard._contraction_bytes(box, 10 ** 6)
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
     monkeypatch.setattr(cli, "remainder_growth",
                         lambda *a, **k: pytest.fail("growth ran"))
-    operators.triple_table.cache_clear()
+    picard._nested_plan.cache_clear()
     need = 10 ** 6 * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kpwaves
-from kpwaves import LatticeBox, SpectralField, delta, omega, dx_product, s_map, f_map
-from kpwaves.operators import (pair_table, triple_table, segment_sum,
-                               convolve, _s_apply)
+from kpwaves import LatticeBox, SpectralField, delta, dx_product, s_map, f_map
+from kpwaves.operators import pair_table, segment_sum, convolve, _s_apply
+from kpwaves.picard import _nested_plan
 
 
 def conv_oracle(box, u, v):
@@ -67,43 +67,10 @@ class TestTables:
     def test_pair_table_cached(self, box22):
         assert pair_table(box22) is pair_table(LatticeBox(2, 2))
 
-    def test_triple_table_matches_nested_pairs(self, box21):
-        tt = triple_table(box21)
-        pt = pair_table(box21)
-        outer, inner = tt.outer, tt.inner
-        inner_delta, outer_delta = pt.delta[inner], pt.delta[outer]
-        seen = set()
-        for r in range(len(tt)):
-            n = tuple(box21.modes[pt.out_idx[outer[r]]])
-            j = tuple(box21.modes[pt.k_idx[inner[r]]])
-            q = tuple(box21.modes[pt.l_idx[inner[r]]])
-            k = tuple(box21.modes[pt.k_idx[outer[r]]])
-            l = (j[0] + q[0], j[1] + q[1])
-            assert l in box21
-            assert (k[0] + l[0], k[1] + l[1]) == n
-            assert box21.n1[pt.l_idx[outer[r]]] == l[0]
-            assert inner_delta[r] == pytest.approx(delta(l, j, q), rel=1e-15)
-            assert outer_delta[r] == pytest.approx(delta(n, k, l), rel=1e-15)
-            four = omega(j) + omega(q) + omega(k) - omega(n)
-            assert inner_delta[r] + outer_delta[r] == pytest.approx(
-                four, rel=1e-14, abs=1e-12)
-            seen.add((n, j, q, k))
-        expected = set()
-        for j in box21:
-            for q in box21:
-                m = (j[0] + q[0], j[1] + q[1])
-                if m not in box21:
-                    continue
-                for k in box21:
-                    n = (m[0] + k[0], m[1] + k[1])
-                    if n in box21:
-                        expected.add((n, j, q, k))
-        assert seen == expected
-
     def test_empty_box_tables(self):
         box = LatticeBox(1, 0)
         assert len(pair_table(box)) == 0
-        assert len(triple_table(box)) == 0
+        assert _nested_plan(box).groups == ()
 
 
 def test_segment_sum_with_empty_segments():

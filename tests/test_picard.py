@@ -8,18 +8,24 @@ up as an O(1) relative deviation.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from kpwaves import operators
+from kpwaves import picard
 from kpwaves.lattice import LatticeBox, SpectralField, apply_free_flow
-from kpwaves.operators import convolve, f_map, s_map, triple_table
+from kpwaves.operators import convolve, f_map, pair_table, s_map
 from kpwaves.picard import (
+    _contraction_bytes,
+    _group_sizes,
+    _nested_plan,
+    _omega_keys,
     _picard_b_coeffs,
     _picard_cf_coeffs,
+    PhaseKeyOverflowError,
     MaxIterExceededError,
     NonContractionError,
     PicardBundle,
@@ -166,45 +172,162 @@ def test_corrections_preserve_reality(box22, make_field):
         assert out.is_real_symmetric(tol=1e-11)
 
 
-class TestStreamedContraction:
-    """C and F come from one pass over the triple table in chunks of whole
-    output segments and blocks of whole samples, under a byte budget."""
+def _nested_splits(box):
+    """Pair-table entries (inner, outer) of every nested split of box, in
+    the plan's order: per group, inner splits by outer splits."""
+    plan = _nested_plan(box)
+    inner, outer = [], []
+    for m0, m1, o0, o1 in plan.groups:
+        i, o = np.meshgrid(np.arange(m0, m1), plan.outer[o0:o1],
+                           indexing="ij")
+        inner.append(i.ravel())
+        outer.append(o.ravel())
+    return np.concatenate(inner), np.concatenate(outer)
 
-    def test_bitwise_invariant_across_budgets(self, box44, rng,
-                                              monkeypatch):
+
+class TestNestedPlan:
+    """The plan groups the nested splits k + (j + q) = n by l = j + q."""
+
+    def test_groups_enumerate_nested_splits(self, box21):
+        pt = pair_table(box21)
+        inner, outer = _nested_splits(box21)
+        # Each group pairs the outer splits of l with the inner ones of l.
+        assert np.array_equal(pt.l_idx[outer], pt.out_idx[inner])
+        modes = box21.modes
+        seen = [(tuple(modes[pt.out_idx[o]]), tuple(modes[pt.k_idx[i]]),
+                 tuple(modes[pt.l_idx[i]]), tuple(modes[pt.k_idx[o]]))
+                for i, o in zip(inner, outer)]
+        expected = set()
+        for j in box21:
+            for q in box21:
+                m = (j[0] + q[0], j[1] + q[1])
+                if m not in box21:
+                    continue
+                for k in box21:
+                    n = (m[0] + k[0], m[1] + k[1])
+                    if n in box21:
+                        expected.add((n, j, q, k))
+        assert len(seen) == len(set(seen))
+        assert set(seen) == expected
+
+    @pytest.mark.parametrize("size, count", [(6, 913_770), (8, 5_309_304)])
+    def test_nested_split_counts(self, size, count):
+        box = LatticeBox(size, size)
+        sizes = [(m1 - m0) * (o1 - o0)
+                 for m0, m1, o0, o1 in _nested_plan(box).groups]
+        assert sum(sizes) == _group_sizes(box).sum() == count
+        assert max(sizes) == _group_sizes(box).max()
+
+    @pytest.mark.parametrize("size", [(2, 1), (3, 3), (4, 4)],
+                             ids=["2x1", "3x3", "4x4"])
+    def test_contraction_matches_direct_sum(self, rng, size):
+        # C and F against the entrywise sum over the nested splits, which
+        # weighs U_j U_q U_k by the whole kernel of each split.
+        box = LatticeBox(*size)
+        pt = pair_table(box)
+        plan = _nested_plan(box)
+        t = 0.7
+        U0 = rng.standard_normal((3, box.size)) \
+            + 1j * rng.standard_normal((3, box.size))
+        inner, outer = _nested_splits(box)
+        p4 = phi1((plan.key[inner] + plan.key[outer]) / plan.denom, t)
+        kernel_c = box.n1[pt.out_idx[inner]] / (2.0 * pt.delta[inner]) \
+            * (p4 - phi1(pt.delta[outer], t))
+        kernel_f = box.n1[pt.l_idx[outer]] / (2.0 * pt.delta[outer]) * p4
+        prods = U0[:, pt.k_idx[inner]] * U0[:, pt.l_idx[inner]] \
+            * U0[:, pt.k_idx[outer]]
+        rows = pt.out_idx[outer]
+        acc_c = np.zeros(U0.shape, dtype=complex)
+        acc_f = np.zeros(U0.shape, dtype=complex)
+        for s in range(len(U0)):
+            np.add.at(acc_c[s], rows, prods[s] * kernel_c)
+            np.add.at(acc_f[s], rows, prods[s] * kernel_f)
+        phase = np.exp(1j * box.omega * t)
+        C, F = _picard_cf_coeffs(box, U0, t)
+        for got, acc, sign in ((C, acc_c, 1), (F, acc_f, -1)):
+            want = sign * 1j * box.n1 * phase * acc
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestPhaseKeys:
+    """phi1 of the four-wave phase is taken once per exact integer key."""
+
+    @pytest.mark.parametrize("n1_max", range(1, 9))
+    def test_keys_are_d_omega(self, n1_max):
+        for n2_max in range(0, 9):
+            box = LatticeBox(n1_max, n2_max)
+            denom, keys = _omega_keys(box)
+            assert denom == math.lcm(*range(1, n1_max + 1))
+            assert keys.dtype == np.int64
+            for (a, b), key in zip(box.modes, keys):
+                exact = denom * (Fraction(int(a)) ** 3
+                                 - Fraction(int(b) ** 2, int(a)))
+                assert exact.denominator == 1 and exact == key
+            np.testing.assert_allclose(keys, denom * box.omega,
+                                       rtol=1e-12, atol=0)
+
+    def test_split_keys_are_four_wave_phases(self, box44):
+        pt = pair_table(box44)
+        plan = _nested_plan(box44)
+        inner, outer = _nested_splits(box44)
+        key = plan.key[inner] + plan.key[outer]
+        four = pt.delta[inner] + pt.delta[outer]
+        np.testing.assert_allclose(key / plan.denom, four,
+                                   rtol=1e-12, atol=1e-12)
+        # Resonance decided in integers: the four-wave phase times the
+        # product M of the four n1 is sum +-(M m1^3 - (M / m1) m2^2).
+        n1, n2 = box44.n1, box44.n2
+        modes = (pt.k_idx[inner], pt.l_idx[inner], pt.k_idx[outer],
+                 pt.out_idx[outer])
+        M = np.prod([n1[m] for m in modes], axis=0)
+        numer = sum(sign * (M * n1[m] ** 3 - (M // n1[m]) * n2[m] ** 2)
+                    for sign, m in zip((1, 1, 1, -1), modes))
+        assert (numer == 0).any() and (numer != 0).any()
+        np.testing.assert_array_equal(key == 0, numer == 0)
+        # Every key that occurs has its phase in the table.
+        assert np.isin(key - plan.lo, plan.distinct).all()
+        assert len(np.unique(key)) == len(plan.distinct)
+
+    def test_overflow_is_typed(self):
+        # lcm(1..30) 30^3 is about 6e16; lcm(1..37) 37^3 is past int64,
+        # and at N1 = 32 so is a sum of four keys.
+        _omega_keys(LatticeBox(30, 30))
+        for n1_max in (32, 37):
+            with pytest.raises(PhaseKeyOverflowError, match="LatticeBox"):
+                _omega_keys(LatticeBox(n1_max, 0))
+        assert issubclass(PhaseKeyOverflowError, ValueError)
+
+
+class TestStreamedContraction:
+    """C and F come from one pass in zero-padded blocks of a fixed number
+    of sample rows, whatever the batch."""
+
+    @pytest.mark.parametrize("size", [4, 6], ids=["4x4", "6x6"])
+    def test_bitwise_invariant_across_batches(self, rng, size):
+        box = LatticeBox(size, size)
         t = 0.8
-        U0 = rng.standard_normal((5, box44.size)) \
-            + 1j * rng.standard_normal((5, box44.size))
-        tt = triple_table(box44)
-        longest = int(np.diff(tt.seg_starts).max())
-        singles = [(_picard_b_coeffs(box44, u, t), *_picard_cf_coeffs(
-            box44, u, t)) for u in U0]
-        # default; one segment per chunk and one sample per block; blocks
-        # of two samples (the last one short) and several segments a chunk
-        budgets = [operators._CHUNK_BYTES, 1, 2 * 16 * longest]
-        plans = []
-        for budget in budgets:
-            monkeypatch.setattr(operators, "_CHUNK_BYTES", budget)
-            plans.append(tt.chunks(len(U0)))
-            B = _picard_b_coeffs(box44, U0, t)
-            C, F = _picard_cf_coeffs(box44, U0, t)
-            for i, (b, c, f) in enumerate(singles):
+        U0 = rng.standard_normal((17, box.size)) \
+            + 1j * rng.standard_normal((17, box.size))
+        singles = [(_picard_b_coeffs(box, u, t), *_picard_cf_coeffs(
+            box, u, t)) for u in U0]
+        if size == 6:
+            assert picard._row_block(box) < 17
+        for batch in (2, 5, 8, 17):
+            B = _picard_b_coeffs(box, U0[:batch], t)
+            C, F = _picard_cf_coeffs(box, U0[:batch], t)
+            for i, (b, c, f) in enumerate(singles[:batch]):
                 np.testing.assert_array_equal(B[i], b)
                 np.testing.assert_array_equal(C[i], c)
                 np.testing.assert_array_equal(F[i], f)
-        (block0, cuts0), (block1, cuts1), (block2, cuts2) = plans
-        assert block0 == 5 and 1 < len(cuts0) < box44.size
-        assert block1 == 1 and len(cuts1) == box44.size
-        assert block2 == 2 and len(cuts2) < box44.size
 
     def test_peak_memory_at_8x8_is_bounded(self, rng):
         # The whole-table form held several complex values per sample and
-        # triple-table entry: 595 MB of temporaries here.
+        # nested split: 595 MB of temporaries here.
         box = LatticeBox(8, 8)
-        tt = triple_table(box)
-        assert len(tt) == 5_309_304
+        assert _group_sizes(box).sum() == 5_309_304
         U0 = rng.standard_normal((2, box.size)) \
             + 1j * rng.standard_normal((2, box.size))
+        _nested_plan.cache_clear()
         tracemalloc.start()
         try:
             C, F = _picard_cf_coeffs(box, U0, 0.5)
@@ -213,32 +336,23 @@ class TestStreamedContraction:
             tracemalloc.stop()
         assert np.isfinite(C).all() and np.isfinite(F).all()
         assert peak <= 64 * 2 ** 20
-        assert peak <= _checked_chunk_bytes(tt)
+        assert peak <= _contraction_bytes(box, 2)
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_peak_within_memory_check_at_6x6(self, rng, batch):
-        # The pre-flight check of triple_table counts _CHUNK_ENTRY_BYTES
-        # per chunk entry; the traced peak of a pass must not exceed it.
+        # The pre-flight check counts _contraction_bytes; the traced peak
+        # of building the plan and one pass must not exceed it.
         box = LatticeBox(6, 6)
-        tt = triple_table(box)
         U0 = rng.standard_normal((batch, box.size)) \
             + 1j * rng.standard_normal((batch, box.size))
+        _nested_plan.cache_clear()
         tracemalloc.start()
         try:
             _picard_cf_coeffs(box, U0, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= _checked_chunk_bytes(tt)
-
-
-def _checked_chunk_bytes(tt):
-    """Bytes the pre-flight check of triple_table counts for one chunk:
-    _CHUNK_ENTRY_BYTES per entry of at least one whole segment and at
-    least the products budget."""
-    longest = int(np.diff(tt.seg_starts).max())
-    entries = max(longest, operators._CHUNK_BYTES // operators._ITEM)
-    return operators._CHUNK_ENTRY_BYTES * entries
+        assert peak <= _contraction_bytes(box, batch)
 
 
 class TestExtract:
