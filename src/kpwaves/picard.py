@@ -178,17 +178,19 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     pt = pair_table(box)
     span = _pair_keys(box)[3]
     rows = _row_block(box)
+    sizes = _group_sizes(box)
     # Per pair-table entry: the plan's key, outer and back, the call's phi1
     # and split factors, and their transients.  Per phase-table entry: its
-    # value, a seen flag, and at most one distinct offset with the 64 B of
-    # phi1 on it.  One block: the pair-table arrays, and over the modes the
-    # samples, the inner sums and a segment sum with its reduceat result.
-    # The largest group's int64 offsets and complex kernel, the batch's C
-    # and F, and 256 KiB for small arrays and numpy's ufunc buffers (up to
-    # 8192 elements, which a broadcast product over a short axis fills).
-    return (96 * len(pt) + 89 * span
+    # value and a seen flag.  Per distinct phase, at most one per entry and
+    # per nested split: its offset and the 64 B of phi1 on it.  One block:
+    # the pair-table arrays, and over the modes the samples, the inner sums
+    # and a segment sum with its reduceat result.  The largest group's
+    # int64 offsets and complex kernel, the batch's C and F, and 256 KiB
+    # for small arrays and numpy's ufunc buffers (up to 8192 elements,
+    # which a broadcast product over a short axis fills).
+    return (96 * len(pt) + 17 * span + 72 * min(span, int(sizes.sum()))
             + _ITEM * rows * (_BLOCK_ARRAYS * len(pt) + 4 * box.size)
-            + 24 * int(_group_sizes(box).max(initial=0))
+            + 24 * int(sizes.max(initial=0))
             + 2 * _ITEM * batch * box.size + (1 << 18))
 
 
