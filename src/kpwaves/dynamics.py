@@ -12,9 +12,10 @@ any drift in that quantity is integrator error.
 
 Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
 n1 > 0 half of the spectrum; each right-hand side squares the real grid
-of operators.convolve that it spans (operators._squarer) and reads the
-n1 > 0 modes of the square's spectrum back.  The n1 < 0 half of each
-returned state is the exact conjugate mirror.
+that those modes span (operators._squarer) and reads the n1 > 0 modes of
+the square's spectrum back: the one split sum k + l = n not taken over
+the pair table.  The n1 < 0 half of each returned state is the exact
+conjugate mirror.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times, and its callers find the samples that

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import LatticeBox, SpectralField, hs_weights
 from . import operators, theory
 from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
-from .picard import _picard_b_coeffs, _picard_cf_coeffs
+from .picard import _picard_coeffs
 
 __all__ = [
     "RandomLaw",
@@ -626,8 +626,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
         for rot in rots:
             U0 = G0 * rot * lam
             A = U0 * phase
-            B = _picard_b_coeffs(box, U0, cfg.t)
-            C = _picard_cf_coeffs(box, U0, cfg.t)[0]
+            B, C, _ = _picard_coeffs(box, U0, cfg.t)
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
                 bad = _diverged(U)
@@ -765,8 +764,7 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     peak = np.empty(grid.size)
     for i, t in enumerate(grid):
         A = U0 * np.exp(1j * om * t)
-        B = _picard_b_coeffs(box, U0, t)
-        C = _picard_cf_coeffs(box, U0, t)[0]
+        B, C, _ = _picard_coeffs(box, U0, t)
         D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
         peak[i] = float(np.sqrt(np.sum(w * np.abs(D) ** 2, axis=1)).max())
     exponent, err = fit_log_slope(1.0 + grid, peak)

@@ -157,12 +157,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.box, self.coeffs, copy=True)
 
-    def conjugate_reflection(self) -> "SpectralField":
-        """The field n -> conj(u(-n)); equals self iff u is real-symmetric."""
-        return SpectralField(self.box,
-                             np.conj(self.coeffs[self.box.conj_idx]),
-                             copy=False)
-
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         dev, scale = _symmetry_defect(self.box, self.coeffs)
         return bool(dev <= tol * scale)

@@ -1,12 +1,12 @@
 """Bilinear and trilinear interaction operators on a truncated lattice.
 
 All operators are convolution sums restricted to a LatticeBox; leading
-axes of the coefficient arrays are broadcast through.  The plain
-convolution is a product of FFTs on a zero-padded 1-D grid whose length
-is the smallest 5-smooth number past the alias-free bound
-3 N1 (3 N2 + 1) + 3 N2 (see convolve).  The integrator squares the same
-grid as a real one (_squarer), spanned by the H = N1 (2 N2 + 1) modes
-with n1 > 0, L the grid length.  While H L <= _DENSE_MAX = 4096 (2x1, 2x2
+axes of the coefficient arrays are broadcast through.  A sum over the
+splits k + l = n takes one of two forms.  The integrator squares a real
+field on a zero-padded 1-D grid whose length is the smallest 5-smooth
+number past the alias-free bound 3 N1 (3 N2 + 1) + 3 N2 (_fft_embedding),
+spanned by the H = N1 (2 N2 + 1) modes with n1 > 0, L the grid length
+(_squarer).  While H L <= _DENSE_MAX = 4096 (2x1, 2x2
 and 3x3) the two transforms are real matrix products with the grid's DFT
 on those modes (_dense_embedding): grid = X E, square, spec = grid F.
 Per right-hand side on one core it cost 49 us against 115 us for the FFT
@@ -17,9 +17,9 @@ half-spectrum (_positive_rows).  The BLAS rounds a row differently with
 the number of rows in its call, so the rows go in zero-padded blocks of
 _BLOCK_ROWS through products of one fixed shape, and a sample's bits do
 not depend on its batch.  The two paths agree to roundoff, not bitwise.
-The phase-weighted forms carry split weights such as 1/delta that do not
-factor, so they are weighted segment sums over the pair table, which
-enumerates the splits k + l = n of a box once; the nested splits of the
+Every other split sum is a segment sum over the pair table, which
+enumerates the splits of a box once: plain in dx_product, weighted by
+1/delta, which does not factor, in s_map.  The nested splits of the
 Picard layer are grouped from it (picard._NestedPlan).
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "PairTable",
     "pair_table",
     "segment_sum",
-    "convolve",
     "dx_product",
     "s_map",
     "f_map",
@@ -146,7 +145,16 @@ def _smooth_length(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _fft_embedding(box: LatticeBox) -> tuple[int, np.ndarray]:
-    """Grid length L and the grid position of every mode of the box."""
+    """Grid length L and the grid position of every mode of the box.
+
+    Mode n sits at (n1 S + n2) mod L on a periodic 1-D grid, S = 3 N2 + 1,
+    L the smallest 5-smooth length >= 3 N1 S + 3 N2 + 1, so the grid's
+    cyclic convolution is alias-free on the box: |k2 + l2| <= 2 N2 keeps
+    rows apart, and the linear index of k + l differs from that of any box
+    mode by at most 3 N1 S + 3 N2 < L, so it wraps onto n only if
+    k + l = n.  The n1 > 0 modes sit at 1..N1 S + N2, inside the
+    half-spectrum 0..L/2 of a real grid.
+    """
     stride = 3 * box.n2_max + 1
     length = _smooth_length(3 * box.n1_max * stride + 3 * box.n2_max + 1)
     return length, (box.n1 * stride + box.n2) % length
@@ -231,30 +239,10 @@ def _squarer(box: LatticeBox, batch: tuple):
     return _positive_rows(box, buf), _positive_rows(box, spec), square
 
 
-def convolve(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Truncated convolution sum_{k+l=n} U_k V_l on raw coefficient arrays.
-
-    Mode n sits at (n1 S + n2) mod L on a periodic 1-D grid, S = 3 N2 + 1,
-    L the smallest 5-smooth length >= 3 N1 S + 3 N2 + 1, and the sum is
-    the grid's cyclic convolution, by FFT.  It is alias-free on the box:
-    |k2 + l2| <= 2 N2 keeps rows apart, and the linear index of k + l
-    differs from that of any box mode by at most 3 N1 S + 3 N2 < L, so it
-    wraps onto n only if k + l = n.  The n1 > 0 modes sit at 1..N1 S + N2,
-    inside the half-spectrum 0..L/2 of a real grid.
-    """
-    # np.fft loads on first use, so commands that never convolve skip it.
-    length, pos = _fft_embedding(box)
-    grid = np.zeros(U.shape[:-1] + (length,), dtype=np.complex128)
-    grid[..., pos] = U
-    np.fft.fft(grid, out=grid)
-    other = np.zeros(V.shape[:-1] + (length,), dtype=np.complex128)
-    other[..., pos] = V
-    grid = grid * np.fft.fft(other, out=other)
-    return np.fft.ifft(grid, out=grid)[..., pos]
-
-
 def _dx_product(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return 1j * box.n1 * convolve(box, U, V)
+    pt = pair_table(box)
+    prods = U[..., pt.k_idx] * V[..., pt.l_idx]
+    return 1j * box.n1 * segment_sum(prods, pt.seg_starts)
 
 
 def _s_apply(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -5,13 +5,15 @@ For initial data u0 the flow map is expanded as
     u(t) = a(t) + eps b(t) + eps^2 c(t) + eps^3 d(t),
 
 where a is the free evolution and b, c have closed forms as oscillatory
-sums over the interaction tables.  c and the Duhamel integral f of the
-resonant trilinear term sum over the nested splits k + (j + q) = n; one
-pass computes both for a batch of initial data (_picard_cf_coeffs), as
-one complex matrix product per inner mode l = j + q over fixed blocks of
-sample rows, with phi1 taken once per distinct four-wave phase
-(_NestedPlan).  _check_contraction counts its memory before anything is
-built.  A PicardBundle holds (a, b, c, f) of one initial condition;
+sums over the interaction tables.  b sums over the splits k + l = n of
+the pair table; c and the Duhamel integral f of the resonant trilinear
+term sum over the nested splits k + (j + q) = n, grouped from it.  One
+pass computes b, c and f for a batch of initial data (_picard_coeffs):
+b as a segment sum of the pair products U_k U_l, c and f as one complex
+matrix product per inner mode l = j + q, over fixed blocks of sample
+rows, with phi1 taken once per distinct four-wave phase (_NestedPlan).
+_check_contraction counts its memory before anything is built.  A
+PicardBundle holds (a, b, c, f) of one initial condition;
 PicardBundle.build_batch builds several in that one pass.  The remainder
 d is defined by exact subtraction.  The gauged variable
 v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
@@ -173,7 +175,7 @@ def _row_block(box: LatticeBox) -> int:
 
 
 def _contraction_bytes(box: LatticeBox, batch: int) -> int:
-    """Bytes that building the plan of box and one _picard_cf_coeffs call
+    """Bytes that building the plan of box and one _picard_coeffs call
     on `batch` fields hold at most, counted before either allocates."""
     pt = pair_table(box)
     span = _pair_keys(box)[3]
@@ -185,13 +187,13 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     # per nested split: its offset and the 64 B of phi1 on it.  One block:
     # the pair-table arrays, and over the modes the samples, the inner sums
     # and a segment sum with its reduceat result.  The largest group's
-    # int64 offsets and complex kernel, the batch's C and F, and 256 KiB
+    # int64 offsets and complex kernel, the batch's B, C and F, and 256 KiB
     # for small arrays and numpy's ufunc buffers (up to 8192 elements,
     # which a broadcast product over a short axis fills).
     return (96 * len(pt) + 17 * span + 72 * min(span, int(sizes.sum()))
             + _ITEM * rows * (_BLOCK_ARRAYS * len(pt) + 4 * box.size)
             + 24 * int(sizes.max(initial=0))
-            + 2 * _ITEM * batch * box.size + (1 << 18))
+            + 3 * _ITEM * batch * box.size + (1 << 18))
 
 
 def _check_contraction(box: LatticeBox, batch: int) -> None:
@@ -205,30 +207,15 @@ def _check_contraction(box: LatticeBox, batch: int) -> None:
             f"{need} bytes, more than the {memory} bytes of physical memory")
 
 
-def _picard_b_coeffs(box: LatticeBox, U0: np.ndarray, t: float) -> np.ndarray:
-    """First Picard correction B of a batch U0: the Duhamel integral
-    b_n(t) = -(n1/2) e^{i omega_n t} sum_{k+l=n} i phi1(delta, t) u0_k u0_l
-    of the quadratic interaction along the free flow."""
-    pt = pair_table(box)
-    kernel = 1j * phi1(pt.delta, t)
-    coef = -0.5 * box.n1 * np.exp(1j * box.omega * t)
-    X = U0.reshape(-1, box.size)
-    B = np.empty(X.shape, dtype=np.complex128)
-    rows = _row_block(box)
-    for s in range(0, len(X), rows):
-        Xs = X[s:s + rows]
-        conv = segment_sum(Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel,
-                           pt.seg_starts)
-        np.multiply(coef, conv, out=B[s:s + rows])
-    return B.reshape(U0.shape)
+def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Picard corrections B and C and the Duhamel integral F of a batch U0.
 
-
-def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Second Picard correction C and Duhamel integral F of a batch U0.
-
-    F solves df/dt - L f = f_map(a, a, a), f(0) = 0, along the free flow
-    a, and c = -2 s_map(a, b) + f: sums over the nested splits
+    B is the Duhamel integral of the quadratic interaction along the free
+    flow, b_n = -(n1/2) e^{i omega_n t} sum_{k+l=n} i phi1(delta, t) U_k U_l,
+    a segment sum over the pair table of the products P below.  F solves
+    df/dt - L f = f_map(a, a, a), f(0) = 0, along the free flow a, and
+    c = -2 s_map(a, b) + f: sums over the nested splits
     k + (j + q) = n weighted by phi1 of the four-wave phase.  Over the
     inner splits i of l, P_i = U_j U_q and Q_i = l1 P_i / (2 delta_i); the
     outer splits o of l take Y_o = sum_i phi1(delta_i + delta_o, t)
@@ -242,16 +229,20 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     plan = _nested_plan(box)
     rows = _row_block(box)
     phi_pair = phi1(pt.delta, t)
+    kernel_b = 1j * phi_pair
     # Complex, so that no product casts through a ufunc buffer.
     fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
     fac_outer = (box.n1[pt.l_idx] / (2.0 * pt.delta)).astype(complex)
     # phi1 once per distinct four-wave phase, at its key's offset.
     phase4 = np.empty(plan.span, dtype=np.complex128)
     phase4[plan.distinct] = phi1((plan.distinct + plan.lo) / plan.denom, t)
-    coef = 1j * box.n1 * np.exp(1j * box.omega * t)
+    rotation = np.exp(1j * box.omega * t)
+    coef_b = -0.5 * box.n1 * rotation
+    coef = 1j * box.n1 * rotation
     X = U0.reshape(-1, box.size)
-    C = np.empty(X.shape, dtype=np.complex128)
-    F = np.empty_like(C)
+    B = np.empty(X.shape, dtype=np.complex128)
+    C = np.empty_like(B)
+    F = np.empty_like(B)
     block = np.zeros((rows, box.size), dtype=np.complex128)
     PQ = np.empty((2 * rows, len(pt)), dtype=np.complex128)
     Y = np.empty_like(PQ)
@@ -271,6 +262,10 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
         np.multiply(Yf, Yc, out=P)
         np.multiply(P, fac_inner, out=Q)
         sums = segment_sum(Q, pt.seg_starts)
+        # B from P, in Yf, which the per-mode products overwrite next.
+        np.multiply(P, kernel_b, out=Yf)
+        np.multiply(coef_b, segment_sum(Yf, pt.seg_starts)[:n],
+                    out=B[s:s + n])
         for m0, m1, o0, o1 in plan.groups:
             kernel = phase4[plan.offsets(m0, m1, o0, o1)]
             np.matmul(PQ[:, m0:m1], kernel, out=Y[:, o0:o1])
@@ -285,7 +280,7 @@ def _picard_cf_coeffs(box: LatticeBox, U0: np.ndarray, t: float
         np.multiply(Yf, Q, out=Q)
         np.multiply(coef, segment_sum(Q, pt.seg_starts)[:n], out=C[s:s + n])
         np.multiply(-coef, segment_sum(P, pt.seg_starts)[:n], out=F[s:s + n])
-    return C.reshape(U0.shape), F.reshape(U0.shape)
+    return B.reshape(U0.shape), C.reshape(U0.shape), F.reshape(U0.shape)
 
 
 def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
@@ -339,8 +334,7 @@ class PicardBundle:
         """Bundles of several initial conditions on one box, in one pass."""
         box = u0s[0].box
         U0 = np.stack([u.coeffs for u in u0s])
-        B = _picard_b_coeffs(box, U0, t)
-        C, F = _picard_cf_coeffs(box, U0, t)
+        B, C, F = _picard_coeffs(box, U0, t)
         return [cls(u0=u, t=t, eps=eps, a=apply_free_flow(u, t),
                     b=SpectralField(box, b, copy=False),
                     c=SpectralField(box, c, copy=False),

@@ -213,8 +213,8 @@ def _check_kron(kron: str) -> None:
         raise ValueError(f"unknown kron convention {kron!r}")
 
 
-def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, kron: str,
-                  first=None, excess=None):
+def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p,
+                  kron: str = "half_opposite", first=None, excess=None):
     """Amplitude and phase Omega of F3 at triple indices (ints or arrays).
 
     The amplitude is m2^2 * cyclic + excess * kronecker, with the first
@@ -251,24 +251,24 @@ def _triple_index(box: LatticeBox, n, m, p, kron: str):
 
 
 def f3(ctx: TheoryContext, n, m, p, t: float,
-       kron: str = "half_opposite", sign: float = 1.0) -> complex:
+       kron: str = "half_opposite") -> complex:
     """Leading eps coefficient of E u_n u_m u_p for a zero-sum triple.
 
     Returns 0 when n + m + p != 0.  The closed form is
 
-        sign * (1 - e^{i Omega t}) / Omega
+        (1 - e^{i Omega t}) / Omega
              * (m2^2 * cyclic + (m4 - 2 m2^2) * kronecker)
 
     with Omega = omega(n) + omega(m) + omega(p), which never vanishes on
     zero-sum triples.  kron selects how the repeated-index terms are
-    weighted; the default (kron="half_opposite", sign=+1) is the variant
-    confirmed by the Monte Carlo oracle in the acceptance tests.
+    weighted; the default (kron="half_opposite") is the variant confirmed
+    by the Monte Carlo oracle in the acceptance tests.
     """
     idx = _triple_index(ctx.box, n, m, p, kron)
     if idx is None:
         return 0.0 + 0.0j
     amp, Om = _f3_amplitude(ctx, *idx, kron)
-    return complex(sign * (1.0 - np.exp(1j * Om * t)) / Om * amp)
+    return complex((1.0 - np.exp(1j * Om * t)) / Om * amp)
 
 
 def pair_prediction(ctx: TheoryContext, n, m, t: float, eps: float) -> complex:
@@ -335,8 +335,7 @@ def _triple_weights(box: LatticeBox, s: float, i_n, i_m, i_p):
     return w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
 
 
-def weighted_sum_triple(ctx: TheoryContext, s: float, times,
-                        kron: str = "half_opposite") -> np.ndarray:
+def weighted_sum_triple(ctx: TheoryContext, s: float, times) -> np.ndarray:
     """Weighted aggregate of |f3| over ordered zero-sum triples.
 
     The weight is sqrt(|n1 m1 p1|) ((|n|)(|m|)(|p|))^s with |n| the
@@ -347,7 +346,7 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times,
     the result matches the term-by-term sum to roundoff, not bitwise.
     """
     i_n, i_m, i_p = zero_sum_triples(ctx.box)
-    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p)
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
     half, group = np.unique(0.5 * np.abs(Om), return_inverse=True)
     scale = 2.0 * np.bincount(group, weights=w * np.abs(amp / Om))
@@ -355,8 +354,7 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times,
                      for t in np.atleast_1d(times)])
 
 
-def triple_majorant(ctx: TheoryContext, s: float,
-                    kron: str = "half_opposite") -> float:
+def triple_majorant(ctx: TheoryContext, s: float) -> float:
     """Time-uniform upper bound for weighted_sum_triple.
 
     Uses |1 - e^{i Omega t}| <= 2 and the triangle inequality on the
@@ -364,7 +362,7 @@ def triple_majorant(ctx: TheoryContext, s: float,
     """
     box = ctx.box
     i_n, i_m, i_p = zero_sum_triples(box)
-    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron, first=np.abs(box.n1),
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, first=np.abs(box.n1),
                             excess=abs(ctx.m4 - 2.0 * ctx.m2 ** 2))
     w = _triple_weights(box, s, i_n, i_m, i_p)
     return float(np.sum(w * 2.0 / np.abs(Om) * amp))

@@ -56,10 +56,11 @@ def make_field(rng):
 
     def make(box, scale=1.0, hermitian=False):
         z = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
-        u = SpectralField(box, scale * z)
+        z = scale * z
         if hermitian:
-            u = (u + u.conjugate_reflection()) * 0.5
-        return u
+            # The mean of z and its mirror n -> conj(z(-n)).
+            z = (z + np.conj(z[box.conj_idx])) * 0.5
+        return SpectralField(box, z)
 
     return make
 

@@ -513,13 +513,13 @@ def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
 
 
 def test_memory_check_counts_batch_arrays(tmp_path, capsys, monkeypatch):
-    # C and F hold 32 B per sample and mode past the batch-independent
+    # B, C and F hold 48 B per sample and mode past the batch-independent
     # working set.  A machine that holds a pass over one sample cannot
     # hold a scan batch of 1024 at 4x4, and nothing is built.
     box = cli.LatticeBox(4, 4)
     single = picard._contraction_bytes(box, 1)
     need = picard._contraction_bytes(box, 1024)
-    assert need - single == 2 * 16 * 1023 * box.size
+    assert need - single == 3 * 16 * 1023 * box.size
     memory = (single + need) // 2
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
     picard._nested_plan.cache_clear()

@@ -7,7 +7,7 @@ import pytest
 
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
-from kpwaves.operators import convolve
+from kpwaves.operators import _dx_product
 from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
                               evolve_coeffs)
 
@@ -123,13 +123,13 @@ def test_calibrate_dt_meets_target(box22, make_field):
 
 def _complex_rk4(box, U0, eps, t, n_steps):
     """Classical RK4 of the gauged flow on the full complex spectrum,
-    through the general convolution."""
+    through the pair-table sum of dx_product."""
     om = box.omega
 
     def rhs(W, tau):
         phase = np.exp(1j * om * tau)
         U = phase * W
-        return (-0.5j * eps) * box.n1 * np.conj(phase) * convolve(box, U, U)
+        return (-0.5 * eps) * np.conj(phase) * _dx_product(box, U, U)
 
     W, h = U0.copy(), t / n_steps
     for i in range(n_steps):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import kpwaves
 from kpwaves import LatticeBox, SpectralField, delta, dx_product, s_map, f_map
-from kpwaves.operators import pair_table, segment_sum, convolve, _s_apply
+from kpwaves.operators import pair_table, segment_sum, _dx_product, _s_apply
 from kpwaves.picard import _nested_plan
 
 
@@ -87,14 +87,6 @@ def test_segment_sum_batched():
     assert out.tolist() == [[1.0, 5.0], [10.0, 50.0]]
 
 
-def test_convolve_against_oracle(box22, make_field):
-    u = make_field(box22)
-    v = make_field(box22)
-    got = convolve(box22, u.coeffs, v.coeffs)
-    want = conv_oracle(box22, u, v).coeffs
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-
-
 def conv_brute(box, U, V):
     """Double sum over (k, l) on raw, possibly batched coefficient arrays."""
     out = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=complex)
@@ -106,6 +98,8 @@ def conv_brute(box, U, V):
     return out
 
 
+# The convolution sum_{k+l=n} U_k V_l is taken over the pair table, inside
+# dx_product as i n1 times it; these check that sum on raw arrays.
 @pytest.mark.parametrize("shape", [(1, 0), (3, 0), (1, 3), (4, 1), (2, 5),
                                    (5, 2), (3, 3), (6, 6)])
 def test_convolve_matches_double_sum(shape, rng):
@@ -113,23 +107,26 @@ def test_convolve_matches_double_sum(shape, rng):
     U = rng.standard_normal((3, box.size)) + 1j * rng.standard_normal(
         (3, box.size))
     V = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
-    got = convolve(box, U, V)
+    got = _dx_product(box, U, V)
     assert got.shape == U.shape
-    np.testing.assert_allclose(got, conv_brute(box, U, V), rtol=0,
-                               atol=1e-14 * box.size)
-    np.testing.assert_allclose(convolve(box, U, U), conv_brute(box, U, U),
+    np.testing.assert_allclose(got, 1j * box.n1 * conv_brute(box, U, V),
+                               rtol=0, atol=1e-14 * box.size)
+    np.testing.assert_allclose(_dx_product(box, U, U),
+                               1j * box.n1 * conv_brute(box, U, U),
                                rtol=0, atol=1e-14 * box.size)
 
 
 def test_convolve_empty_batch(box22):
     U = np.zeros((0, box22.size), dtype=complex)
-    assert convolve(box22, U, U).shape == (0, box22.size)
-    assert convolve(box22, U, np.ones(box22.size)).shape == (0, box22.size)
+    assert _dx_product(box22, U, U).shape == (0, box22.size)
+    assert _dx_product(box22, U, np.ones(box22.size)).shape \
+        == (0, box22.size)
 
 
 def test_cli_import_leaves_fft_unloaded():
-    # Both load on first use: numpy.fft when a command convolves, the
-    # thread pool when an ensemble runs several batches on threads.
+    # Both load on first use: numpy.fft when the integrator squares a grid
+    # by FFT (boxes past 3x3), the thread pool when an ensemble runs
+    # several batches on threads.
     src = os.path.dirname(os.path.dirname(kpwaves.__file__))
     code = ("import sys, kpwaves.cli; "
             "print('numpy.fft' in sys.modules, "

@@ -17,14 +17,14 @@ from scipy.integrate import simpson
 
 from kpwaves import picard
 from kpwaves.lattice import LatticeBox, SpectralField, apply_free_flow
-from kpwaves.operators import convolve, f_map, pair_table, s_map
+from kpwaves.operators import (_dx_product, f_map, pair_table, s_map,
+                               segment_sum)
 from kpwaves.picard import (
     _contraction_bytes,
     _group_sizes,
     _nested_plan,
     _omega_keys,
-    _picard_b_coeffs,
-    _picard_cf_coeffs,
+    _picard_coeffs,
     PhaseKeyOverflowError,
     MaxIterExceededError,
     NonContractionError,
@@ -101,10 +101,9 @@ def test_picard_b_matches_duhamel_quadrature(box22, make_field):
     taus = np.linspace(0.0, t, 1401)
     om = box22.omega
     A = free_flow_grid(u0, taus)
-    conv = convolve(box22, A, A)
-    integrand = np.exp(-1j * np.outer(taus, om)) * conv
+    integrand = np.exp(-1j * np.outer(taus, om)) * _dx_product(box22, A, A)
     integral = simpson(integrand, x=taus, axis=0)
-    expected = -0.5j * box22.n1 * np.exp(1j * om * t) * integral
+    expected = -0.5 * np.exp(1j * om * t) * integral
     got = PicardBundle.build(u0, t, 0.1).b.coeffs
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
@@ -116,11 +115,10 @@ def test_picard_c_matches_duhamel_quadrature(box21, make_field):
     taus = np.linspace(0.0, t, 1201)
     om = box21.omega
     A = free_flow_grid(u0, taus)
-    B = np.stack([_picard_b_coeffs(box21, u0.coeffs, tau) for tau in taus])
-    conv = convolve(box21, A, B)
-    integrand = np.exp(-1j * np.outer(taus, om)) * conv
+    B = np.stack([_picard_coeffs(box21, u0.coeffs, tau)[0] for tau in taus])
+    integrand = np.exp(-1j * np.outer(taus, om)) * _dx_product(box21, A, B)
     integral = simpson(integrand, x=taus, axis=0)
-    expected = -1j * box21.n1 * np.exp(1j * om * t) * integral
+    expected = -np.exp(1j * om * t) * integral
     got = PicardBundle.build(u0, t, 0.1).c.coeffs
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-7 * np.abs(expected).max())
@@ -243,7 +241,7 @@ class TestNestedPlan:
             np.add.at(acc_c[s], rows, prods[s] * kernel_c)
             np.add.at(acc_f[s], rows, prods[s] * kernel_f)
         phase = np.exp(1j * box.omega * t)
-        C, F = _picard_cf_coeffs(box, U0, t)
+        _, C, F = _picard_coeffs(box, U0, t)
         for got, acc, sign in ((C, acc_c, 1), (F, acc_f, -1)):
             want = sign * 1j * box.n1 * phase * acc
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -299,8 +297,8 @@ class TestPhaseKeys:
 
 
 class TestStreamedContraction:
-    """C and F come from one pass in zero-padded blocks of a fixed number
-    of sample rows, whatever the batch."""
+    """B, C and F come from one pass in zero-padded blocks of a fixed
+    number of sample rows, whatever the batch."""
 
     @pytest.mark.parametrize("size", [4, 6], ids=["4x4", "6x6"])
     def test_bitwise_invariant_across_batches(self, rng, size):
@@ -308,17 +306,37 @@ class TestStreamedContraction:
         t = 0.8
         U0 = rng.standard_normal((17, box.size)) \
             + 1j * rng.standard_normal((17, box.size))
-        singles = [(_picard_b_coeffs(box, u, t), *_picard_cf_coeffs(
-            box, u, t)) for u in U0]
+        singles = [_picard_coeffs(box, u, t) for u in U0]
         if size == 6:
             assert picard._row_block(box) < 17
         for batch in (2, 5, 8, 17):
-            B = _picard_b_coeffs(box, U0[:batch], t)
-            C, F = _picard_cf_coeffs(box, U0[:batch], t)
+            B, C, F = _picard_coeffs(box, U0[:batch], t)
             for i, (b, c, f) in enumerate(singles[:batch]):
                 np.testing.assert_array_equal(B[i], b)
                 np.testing.assert_array_equal(C[i], c)
                 np.testing.assert_array_equal(F[i], f)
+
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    @pytest.mark.parametrize("batch", [1, 5, 17])
+    @pytest.mark.parametrize("size", [2, 4, 6], ids=["2x2", "4x4", "6x6"])
+    def test_b_matches_separate_pass(self, rng, size, batch, t):
+        # B of the one pass against the separate pass it replaces, written
+        # out: per block of rows, the segment sum of U_k U_l i phi1(delta)
+        # over the pair table, times -(n1/2) e^{i omega t}.
+        box = LatticeBox(size, size)
+        pt = pair_table(box)
+        U0 = rng.standard_normal((batch, box.size)) \
+            + 1j * rng.standard_normal((batch, box.size))
+        kernel = 1j * phi1(pt.delta, t)
+        coef = -0.5 * box.n1 * np.exp(1j * box.omega * t)
+        want = np.empty_like(U0)
+        rows = picard._row_block(box)
+        for s in range(0, batch, rows):
+            Xs = U0[s:s + rows]
+            conv = segment_sum(Xs[:, pt.k_idx] * Xs[:, pt.l_idx] * kernel,
+                               pt.seg_starts)
+            np.multiply(coef, conv, out=want[s:s + rows])
+        np.testing.assert_array_equal(_picard_coeffs(box, U0, t)[0], want)
 
     def test_peak_memory_at_8x8_is_bounded(self, rng):
         # The whole-table form held several complex values per sample and
@@ -330,11 +348,11 @@ class TestStreamedContraction:
         _nested_plan.cache_clear()
         tracemalloc.start()
         try:
-            C, F = _picard_cf_coeffs(box, U0, 0.5)
+            B, C, F = _picard_coeffs(box, U0, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.isfinite(C).all() and np.isfinite(F).all()
+        assert all(np.isfinite(X).all() for X in (B, C, F))
         assert peak <= 64 * 2 ** 20
         assert peak <= _contraction_bytes(box, 2)
 
@@ -348,7 +366,7 @@ class TestStreamedContraction:
         _nested_plan.cache_clear()
         tracemalloc.start()
         try:
-            _picard_cf_coeffs(box, U0, 0.5)
+            _picard_coeffs(box, U0, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -451,8 +469,7 @@ def test_bundle_build_matches_parts(box22, make_field):
     assert bundle.t == t and bundle.eps == eps
     np.testing.assert_array_equal(bundle.a.coeffs,
                                   apply_free_flow(u0, t).coeffs)
-    C, F = _picard_cf_coeffs(box22, u0.coeffs, t)
-    np.testing.assert_array_equal(bundle.b.coeffs,
-                                  _picard_b_coeffs(box22, u0.coeffs, t))
+    B, C, F = _picard_coeffs(box22, u0.coeffs, t)
+    np.testing.assert_array_equal(bundle.b.coeffs, B)
     np.testing.assert_array_equal(bundle.c.coeffs, C)
     np.testing.assert_array_equal(bundle.f.coeffs, F)

@@ -34,13 +34,13 @@ def g_n_rate(ctx, n, t):
     return _f2_at(ctx, n, lambda c, d: c * np.sin(d * t) / d)
 
 
-def h_rate(ctx, n, m, p, t, kron="half_opposite", sign=1.0):
+def h_rate(ctx, n, m, p, t, kron="half_opposite"):
     """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
     idx = _triple_index(ctx.box, n, m, p, kron)
     if idx is None:
         return 0.0 + 0.0j
     amp, Om = _f3_amplitude(ctx, *idx, kron)
-    return complex(sign * (-1j) * np.exp(-1j * Om * t) * amp)
+    return complex(-1j * np.exp(-1j * Om * t) * amp)
 
 
 @pytest.fixture(scope="module")
@@ -244,13 +244,10 @@ class TestTripleCorrection:
         lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (-2, 0), 0.5, kron=kron),
         lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (-2, 0), 0.5,
                                  kron=kron),
-        lambda ctx, kron: weighted_sum_triple(ctx, 1.0, 0.5, kron=kron),
-        lambda ctx, kron: triple_majorant(ctx, 1.0, kron=kron),
         lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (1, 0), 0.5, kron=kron),
         lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (1, 0), 0.5,
                                  kron=kron),
-    ], ids=["f3", "h_rate", "weighted_sum_triple", "triple_majorant",
-            "f3-off-plane", "h_rate-off-plane"])
+    ], ids=["f3", "h_rate", "f3-off-plane", "h_rate-off-plane"])
     def test_unknown_convention_rejected(self, ctx33, fn):
         fn(ctx33, "repeated")
         with pytest.raises(ValueError):
@@ -260,12 +257,6 @@ class TestTripleCorrection:
         n, m, p, t, eps = (1, 1), (1, 0), (-2, -1), 0.8, 0.15
         expected = eps * f3(ctx33, n, m, p, t)
         assert triple_prediction(ctx33, n, m, p, t, eps) == expected
-
-    def test_sign_flips_value(self, ctx33):
-        args = ((1, 0), (1, 0), (-2, 0), 0.5)
-        plus = f3(ctx33, *args, sign=1.0)
-        minus = f3(ctx33, *args, sign=-1.0)
-        assert plus == -minus != 0
 
 
 def test_zero_sum_triples_matches_brute_force(box22):
@@ -283,35 +274,36 @@ def test_zero_sum_triples_matches_brute_force(box22):
 
 @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
 def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
-    # f3, h_rate, the weighted sum and its majorant against the
-    # one-triple formula, on every zero-sum triple of the box (repeated-
-    # index triples such as (1,0), (1,0), (-2,0) included), with excess
-    # kurtosis of either sign (two-point law > 0, Steinhaus < 0).
+    # f3 and h_rate against the one-triple formula, on every zero-sum
+    # triple of the box (repeated-index triples such as (1,0), (1,0),
+    # (-2,0) included), with excess kurtosis of either sign (two-point law
+    # > 0, Steinhaus < 0); under the default convention, which is the one
+    # they sum, also the weighted sum and its majorant.
     t, s = 0.7, 1.0
     for ctx in (ctx22_twopoint, ctx33):
         triples = _zero_sum_reference(ctx.box)
         assert ((1, 0), (1, 0), (-2, 0)) in triples
-        for sign in (1.0, -1.0):
-            wsum = bound = 0.0
-            for n, m, p in triples:
-                Om = omega(n) + omega(m) + omega(p)
-                amp = _f3_amplitude_reference(ctx, n, m, p, kron)
-                val = sign * (1.0 - np.exp(1j * Om * t)) / Om * amp
-                rate = sign * (-1j) * np.exp(-1j * Om * t) * amp
-                got = f3(ctx, n, m, p, t, kron=kron, sign=sign)
-                assert got == pytest.approx(val, rel=1e-12, abs=1e-15)
-                got = h_rate(ctx, n, m, p, t, kron=kron, sign=sign)
-                assert got == pytest.approx(rate, rel=1e-12, abs=1e-15)
-                w = np.sqrt(abs(n[0] * m[0] * p[0])) * (
-                    (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
-                    * (abs(p[0]) + abs(p[1]))) ** s
-                wsum += w * abs(val)
-                bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
-                    ctx, n, m, p, kron, magnitudes=True)
-            got, = weighted_sum_triple(ctx, s, [t], kron=kron)
+        wsum = bound = 0.0
+        for n, m, p in triples:
+            Om = omega(n) + omega(m) + omega(p)
+            amp = _f3_amplitude_reference(ctx, n, m, p, kron)
+            val = (1.0 - np.exp(1j * Om * t)) / Om * amp
+            rate = -1j * np.exp(-1j * Om * t) * amp
+            got = f3(ctx, n, m, p, t, kron=kron)
+            assert got == pytest.approx(val, rel=1e-12, abs=1e-15)
+            got = h_rate(ctx, n, m, p, t, kron=kron)
+            assert got == pytest.approx(rate, rel=1e-12, abs=1e-15)
+            w = np.sqrt(abs(n[0] * m[0] * p[0])) * (
+                (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
+                * (abs(p[0]) + abs(p[1]))) ** s
+            wsum += w * abs(val)
+            bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
+                ctx, n, m, p, kron, magnitudes=True)
+        if kron == "half_opposite":
+            got, = weighted_sum_triple(ctx, s, [t])
             assert got == pytest.approx(wsum, rel=1e-12)
-            assert triple_majorant(ctx, s, kron=kron) == pytest.approx(
-                bound, rel=1e-12)
+            assert triple_majorant(ctx, s) == pytest.approx(bound,
+                                                            rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -358,17 +350,16 @@ class TestFoldedSums:
             got, = weighted_sum_pair(ctx, s, [t])
             assert got == pytest.approx(wsum, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
-    def test_triple(self, ctx_fold, kron):
+    def test_triple(self, ctx_fold):
         ctx, s = ctx_fold, 1.0
         triples = _zero_sum_reference(ctx.box)
         Om = np.array([omega(n) + omega(m) + omega(p) for n, m, p in triples])
-        amp = np.array([_f3_amplitude_reference(ctx, n, m, p, kron)
+        amp = np.array([_f3_amplitude_reference(ctx, n, m, p, "half_opposite")
                         for n, m, p in triples])
         w = np.array([np.sqrt(abs(n[0] * m[0] * p[0])) * (
             (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
             * (abs(p[0]) + abs(p[1]))) ** s for n, m, p in triples])
-        got = weighted_sum_triple(ctx, s, self.times, kron=kron)
+        got = weighted_sum_triple(ctx, s, self.times)
         for t, value in zip(self.times, got):
             f3s = (1.0 - np.exp(1j * Om * t)) / Om * amp
             assert value == pytest.approx(float(np.sum(w * np.abs(f3s))),
@@ -398,15 +389,14 @@ class TestWeightedSums:
         for t, value in zip(grid, sums):
             assert fn(ctx22_twopoint, 1.0, t).tolist() == [value]
 
-    @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
-    def test_majorants_dominate_on_grid(self, ctx22_twopoint, kron):
+    def test_majorants_dominate_on_grid(self, ctx22_twopoint):
         ctx = ctx22_twopoint
         s = 1.0
         pm = pair_majorant(ctx, s)
-        tm = triple_majorant(ctx, s, kron=kron)
+        tm = triple_majorant(ctx, s)
         grid = np.arange(0.0, 20.0, 0.5)
         assert (weighted_sum_pair(ctx, s, grid) <= pm).all()
-        assert (weighted_sum_triple(ctx, s, grid, kron=kron) <= tm).all()
+        assert (weighted_sum_triple(ctx, s, grid) <= tm).all()
 
     def test_majorants_grow_with_box(self):
         # With a fixed unnormalized profile, enlarging the box only adds
