@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -319,6 +319,17 @@ def _cell(x) -> str:
     return "" if x is None else str(x)
 
 
+def _column_format(values):
+    """The formatter of one table column, chosen once from its cells' types:
+    _cell's float or str branch when every cell takes it, else _cell."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return "{:.17g}".format
+    if kinds <= {int, str}:
+        return str
+    return _cell
+
+
 def config_echo(cfg: ExperimentConfig) -> dict:
     """The resolved configuration as flat printable strings."""
     return {field.name: _cell(getattr(cfg, field.name))
@@ -330,6 +341,8 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
     """Write a result table with the echoed config, as CSV or JSON.
 
     The one report writer: version, config echo, extras, then the table.
+    Each row is a sequence of cells in the order of columns; None leaves a
+    cell empty (null in JSON).
     """
     extras = extras or {}
     if cfg.format == "json":
@@ -339,7 +352,7 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
             "results": {
                 **extras,
                 "columns": columns,
-                "rows": [[row.get(c) for c in columns] for row in rows],
+                "rows": rows,
             },
         }
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -354,8 +367,8 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
             fh.write(f"# {key}={_cell(val)}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+        cells = [map(_column_format(col), col) for col in zip(*rows)]
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +438,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
           f"on {box!r}")
     if cfg.out:
         emit_table(cfg, ["check", "residual", "passed"],
-                   [{"check": n, "residual": r,
-                     "passed": int(r <= IDENTITY_TOL)}
-                    for n, r, _ in checks],
+                   [(n, r, int(r <= IDENTITY_TOL)) for n, r, _ in checks],
                    extras={"identity_tol": IDENTITY_TOL})
     return 1 if failures else 0
 
@@ -449,10 +460,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rows = []
     for i, t in enumerate(times):
         for j in range(box.size):
-            rows.append({"t": float(t), "n1": int(box.n1[j]),
-                         "n2": int(box.n2[j]),
-                         "re": float(states[i, j].real),
-                         "im": float(states[i, j].imag)})
+            rows.append((float(t), int(box.n1[j]), int(box.n2[j]),
+                         float(states[i, j].real), float(states[i, j].imag)))
     emit_table(cfg, ["t", "n1", "n2", "re", "im"], rows,
                extras={"dt_used": dt})
     return 0
@@ -555,7 +564,9 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     status = 0
     if scan_cfg is not None:
         scan = remainder_scan(scan_cfg)
-        rows.extend({"kind": "scan", **asdict(p)} for p in scan.points)
+        rows.extend(("scan", p.eps, None, p.pair_value, p.pair_error,
+                     p.triple_value, p.triple_error, None)
+                    for p in scan.points)
         extras.update(pair_slope=scan.pair_slope,
                       pair_slope_err=scan.pair_slope_err,
                       triple_slope=scan.triple_slope,
@@ -574,7 +585,7 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
                                cfg.sample_count, seed=cfg.seed, s=cfg.s,
                                dt=cfg.dt)
         for t, norm in zip(fit.times, fit.max_norms):
-            rows.append({"kind": "growth", "t": t, "max_norm": norm})
+            rows.append(("growth", None, t, None, None, None, None, norm))
         extras.update(growth_exponent=fit.exponent,
                       growth_stderr=fit.stderr)
         print(f"remainder-scan: growth exponent {fit.exponent:.3f} "
@@ -601,8 +612,7 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
         lam = float(n_side) ** (-cfg.lambda_exponent)
         val = theory.box_limit_f2(cfg.mode, n_side, lam, cfg.t, m2=m2, m4=m4)
         ratio = val / lam ** 4
-        rows.append({"N": n_side, "lambda": lam, "value": val,
-                     "ratio": ratio})
+        rows.append((n_side, lam, val, ratio))
         values.append(abs(val))
         ratios.append(abs(ratio))
     bounded = max(ratios) <= 10.0 * ratios[0]
@@ -634,14 +644,8 @@ def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     rows = []
     for t, w2, w3 in zip(grid, pair_sums, triple_sums):
         val3 = theory.f3(ctx, *cfg.triple, float(t))
-        rows.append({
-            "t": float(t),
-            "pair_correction": theory.f2_diag(ctx, cfg.mode, float(t)),
-            "re_triple": val3.real,
-            "im_triple": val3.imag,
-            "weighted_pair": float(w2),
-            "weighted_triple": float(w3),
-        })
+        rows.append((float(t), theory.f2_diag(ctx, cfg.mode, float(t)),
+                     val3.real, val3.imag, float(w2), float(w3)))
     extras = {"pair_majorant": theory.pair_majorant(ctx, cfg.s),
               "triple_majorant": theory.triple_majorant(ctx, cfg.s)}
     emit_table(cfg, ["t", "pair_correction", "re_triple", "im_triple",
@@ -673,6 +677,8 @@ def main(argv=None) -> int:
                         help="override the output format")
     parser.add_argument("--threads", type=int,
                         help="override the sampling thread count")
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise a runtime failure with its traceback")
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -687,6 +693,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

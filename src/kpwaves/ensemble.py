@@ -328,16 +328,16 @@ class MomentReport:
     triple_moments: dict
 
     def rows(self):
-        """One dict per moment, keyed by COLUMNS; pairs leave p1, p2 empty."""
+        """One tuple per moment, in the order of COLUMNS; pairs leave p1,
+        p2 empty."""
         out = []
         for kind, moments in (("pair", self.pair_moments),
                               ("triple", self.triple_moments)):
             for modes, e in moments.items():
                 n, m, p = (*modes, ("", ""))[:3]
-                out.append(dict(zip(self.COLUMNS, (
-                    kind, *n, *m, *p, e.estimate.real, e.estimate.imag,
-                    e.std_error, e.prediction.real, e.prediction.imag,
-                    e.z_score))))
+                out.append((kind, *n, *m, *p, e.estimate.real,
+                            e.estimate.imag, e.std_error, e.prediction.real,
+                            e.prediction.imag, e.z_score))
         return out
 
 
@@ -350,14 +350,14 @@ class _BlockSums:
 
     Per-sample rows are fed in sample order from sample 0, in batches of
     any size.  The rows of samples [b B, (b + 1) B), B = _BLOCK, are
-    mapped to summand rows by `summands` and summed as one array, and the
-    block sums are added in block order, so the total is the same to the
-    last bit whatever the batch size and thread count.  Mapping one block
-    at a time also bounds the memory the summands take.
+    reduced by `block_sum` to the sum of their summands, and the block
+    sums are added in block order, so the total is the same to the last
+    bit whatever the batch size and thread count.  Reducing one block at
+    a time also bounds the memory the summands take.
     """
 
-    def __init__(self, summands):
-        self.summands = summands
+    def __init__(self, block_sum):
+        self.block_sum = block_sum
         self.total = 0.0
         self._rows = None
 
@@ -366,13 +366,51 @@ class _BlockSums:
             rows = np.concatenate([self._rows, rows])
         full = len(rows) - len(rows) % _BLOCK
         for lo in range(0, full, _BLOCK):
-            self.total = self.total + self.summands(
-                rows[lo:lo + _BLOCK]).sum(axis=0)
+            self.total = self.total + self.block_sum(rows[lo:lo + _BLOCK])
         self._rows = rows[full:].copy()
 
     def finish(self) -> np.ndarray:
         """The total with the last, partial block added."""
-        return self.total + self.summands(self._rows).sum(axis=0)
+        return self.total + self.block_sum(self._rows)
+
+
+def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
+                 ) -> _BlockSums:
+    """Block sums of the moment summands of evolved states.
+
+    Column r takes U_a conj(U_b) for the r-th pair (a, b) of pair_idx and
+    U_a U_b U_c for each triple (a, b, c) of trip_idx after them.  The
+    total is laid out as (2, columns, 2): the sums, then the sums of
+    squares, of each column's real and imaginary parts.
+    """
+    n_pairs = len(pair_idx)
+    width = n_pairs + len(trip_idx)
+    # Column r of a block's products is U_a times the column b of
+    # [conj(U), U], times U_c for a triple.  The indices come from
+    # box.index, so the gathers skip their bounds check (mode="clip").
+    a_idx = np.array([p[0] for p in pair_idx + trip_idx], dtype=np.int64)
+    b_idx = np.array([j for _, j in pair_idx]
+                     + [box.size + p[1] for p in trip_idx], dtype=np.int64)
+    c_idx = np.array([p[2] for p in trip_idx], dtype=np.int64)
+    # One block's products, their gathered second factors (whose memory
+    # then takes the squares of the products' parts) and third factors.
+    prods = np.empty((_BLOCK, width), dtype=np.complex128)
+    seconds = np.empty_like(prods)
+    thirds = np.empty((_BLOCK, len(trip_idx)), dtype=np.complex128)
+
+    def block_sum(U):
+        x, y, z = prods[:len(U)], seconds[:len(U)], thirds[:len(U)]
+        np.take(U, a_idx, axis=1, out=x, mode="clip")
+        np.take(np.concatenate([np.conj(U), U], axis=1), b_idx, axis=1,
+                out=y, mode="clip")
+        np.multiply(x, y, out=x)
+        np.take(U, c_idx, axis=1, out=z, mode="clip")
+        x[:, n_pairs:] *= z
+        parts = x.view(float)
+        squares = np.square(parts, out=y.view(float))
+        return np.concatenate([parts.sum(axis=0), squares.sum(axis=0)])
+
+    return _BlockSums(block_sum)
 
 
 def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
@@ -394,22 +432,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     pair_idx = [(box.index(n), box.index(m)) for n, m in cfg.pairs]
     trip_idx = [(box.index(n), box.index(m), box.index(p))
                 for n, m, p in cfg.triples]
-    pa = np.array([i for i, _ in pair_idx], dtype=np.int64)
-    pb = np.array([j for _, j in pair_idx], dtype=np.int64)
-    ta = np.array([i for i, _, _ in trip_idx], dtype=np.int64)
-    tb = np.array([j for _, j, _ in trip_idx], dtype=np.int64)
-    tc = np.array([k for _, _, k in trip_idx], dtype=np.int64)
-
-    n_pairs, n_trips = len(pair_idx), len(trip_idx)
-    width = n_pairs + n_trips
-
-    def summands(U):
-        X = np.concatenate([U[:, pa] * np.conj(U[:, pb]),
-                            U[:, ta] * U[:, tb] * U[:, tc]], axis=1)
-        return np.concatenate([X.real, X.imag, X.real ** 2, X.imag ** 2],
-                              axis=1)
-
-    sums = _BlockSums(summands)
+    sums = _moment_sums(box, pair_idx, trip_idx)
     failed: list[int] = []
     good = 0
 
@@ -449,7 +472,9 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                             pair_moments={}, triple_moments={})
 
     ctx = theory.TheoryContext.from_profile(cfg.profile, cfg.law)
-    tot_re, tot_im, tot_re2, tot_im2 = sums.finish().reshape(4, width)
+    n_pairs, n_trips = len(pair_idx), len(trip_idx)
+    (tot_re, tot_im), (tot_re2, tot_im2) = \
+        sums.finish().reshape(2, -1, 2).transpose(0, 2, 1)
 
     def finish(cols, count):
         mean = (tot_re[cols] + 1j * tot_im[cols]) / count
@@ -468,7 +493,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                 std_error=float(se[r]), prediction=pred)
     trip_entries = {}
     if n_trips:
-        mean, se = finish(slice(n_pairs, width), good)
+        mean, se = finish(slice(n_pairs, None), good)
         for r, (n, m, p) in enumerate(cfg.triples):
             pred = theory.triple_prediction(ctx, n, m, p, cfg.t, cfg.eps)
             trip_entries[(tuple(n), tuple(m), tuple(p))] = MomentEntry(
@@ -614,7 +639,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
             for k in range(cfg.rotations)]
 
     nm = box.size
-    sums = _BlockSums(lambda rows: rows)
+    sums = _BlockSums(lambda rows: rows.sum(axis=0))
 
     done = 0
     while done < cfg.sample_count:

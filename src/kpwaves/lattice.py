@@ -96,9 +96,6 @@ class LatticeBox:
     def __contains__(self, n) -> bool:
         return (int(n[0]), int(n[1])) in self._index
 
-    def __iter__(self):
-        return iter(self._index)
-
     def __eq__(self, other):
         return (isinstance(other, LatticeBox)
                 and self.n1_max == other.n1_max
@@ -116,7 +113,7 @@ class SpectralField:
 
     Physical fields obey the reality symmetry u(-n) = conj(u(n)).  The
     constructor does not enforce it because intermediate algebra may break
-    it; use is_real_symmetric to check.
+    it; evolve_coeffs checks it of its initial data.
     """
 
     __slots__ = ("box", "coeffs")
@@ -133,33 +130,8 @@ class SpectralField:
     def zeros(cls, box: LatticeBox) -> "SpectralField":
         return cls(box, np.zeros(box.size, dtype=np.complex128), copy=False)
 
-    @classmethod
-    def from_modes(cls, box: LatticeBox, entries, hermitian: bool = False
-                   ) -> "SpectralField":
-        """Field with prescribed coefficients, zero elsewhere.
-
-        With hermitian=True each given mode n also sets -n to the complex
-        conjugate unless -n itself appears in `entries`.
-        """
-        u = cls.zeros(box)
-        given = {(int(n[0]), int(n[1])): complex(v) for n, v in entries.items()}
-        for n, v in given.items():
-            u.coeffs[box.index(n)] = v
-            if hermitian:
-                neg = (-n[0], -n[1])
-                if neg not in given:
-                    u.coeffs[box.index(neg)] = np.conj(v)
-        return u
-
-    def __getitem__(self, n) -> complex:
-        return complex(self.coeffs[self.box.index(n)])
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.box, self.coeffs, copy=True)
-
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        dev, scale = _symmetry_defect(self.box, self.coeffs)
-        return bool(dev <= tol * scale)
 
     def _binary(self, other, op):
         if not isinstance(other, SpectralField):

@@ -8,15 +8,17 @@ number past the alias-free bound 3 N1 (3 N2 + 1) + 3 N2 (_fft_embedding),
 spanned by the H = N1 (2 N2 + 1) modes with n1 > 0, L the grid length
 (_squarer).  While H L <= _DENSE_MAX = 4096 (2x1, 2x2
 and 3x3) the two transforms are real matrix products with the grid's DFT
-on those modes (_dense_embedding): grid = X E, square, spec = grid F.
-Per right-hand side on one core it cost 49 us against 115 us for the FFT
-pair at 2x2 (250 samples) and 561 against 839 us at 3x3 (1000 samples);
-at 4x4 (H L = 6480) the two were even, and at 6x6 a single sample cost
-54 us against 20, so larger boxes keep an irfft/rfft pair on the grid's
-half-spectrum (_positive_rows).  The BLAS rounds a row differently with
-the number of rows in its call, so the rows go in zero-padded blocks of
-_BLOCK_ROWS through products of one fixed shape, and a sample's bits do
-not depend on its batch.  The two paths agree to roundoff, not bitwise.
+on those modes (_dense_embedding): grid = X E, square, spec = grid F;
+larger boxes keep an irfft/rfft pair on the grid's half-spectrum
+(_positive_rows).  The BLAS rounds a row differently with the number of
+rows in its call, so the rows go in zero-padded blocks of _BLOCK_ROWS =
+32 through products of one fixed shape, and a sample's bits do not
+depend on its batch.  The two paths agree to roundoff, not bitwise.
+One square on one core (medians of 40 rounds of 50 calls) cost 39 us
+against 111 us for the FFT pair at 2x2 (250 samples) and 467 against
+839 us at 3x3 (1000 samples); blocks of 8 rows cost 48 and 523 us.  A
+lone sample pays for the padding: 22 us at 3x3 against 12 us in blocks
+of 8 and 19 us by FFT, and 237 us against 28 by FFT at 6x6.
 Every other split sum is a segment sum over the pair table, which
 enumerates the splits of a box once: plain in dx_product, weighted by
 1/delta, which does not factor, in s_map.  The nested splits of the
@@ -46,7 +48,7 @@ __all__ = [
 # The dense path of _squarer: rows per matrix product (the last block
 # padded with zero rows), and the largest H L it runs at; see the module
 # docstring.
-_BLOCK_ROWS = 8
+_BLOCK_ROWS = 32
 _DENSE_MAX = 4096
 
 

@@ -2,7 +2,44 @@ import numpy as np
 import pytest
 
 from kpwaves import LatticeBox, SpectralField, hs_norm
+from kpwaves.lattice import _symmetry_defect
 from kpwaves.operators import _dx_product, _s_apply
+
+
+# Helpers for tests that address single modes; the package itself works
+# on whole coefficient arrays.
+
+def mode_list(box):
+    """The modes of a box as (n1, n2) tuples of ints, in box order."""
+    return [tuple(m) for m in box.modes.tolist()]
+
+
+def coeff(u, n) -> complex:
+    """The coefficient of mode n of a SpectralField."""
+    return complex(u.coeffs[u.box.index(n)])
+
+
+def field_from_modes(box, entries, hermitian=False):
+    """Field with prescribed coefficients {mode: value}, zero elsewhere.
+
+    With hermitian=True each given mode n also sets -n to the complex
+    conjugate unless -n itself appears in entries.
+    """
+    u = SpectralField.zeros(box)
+    given = {(int(n[0]), int(n[1])): complex(v) for n, v in entries.items()}
+    for n, v in given.items():
+        u.coeffs[box.index(n)] = v
+        neg = (-n[0], -n[1])
+        if hermitian and neg not in given:
+            u.coeffs[box.index(neg)] = np.conj(v)
+    return u
+
+
+def is_real_symmetric(u, tol=1e-12) -> bool:
+    """u(-n) = conj(u(n)) to tol relative to max(1, max |u_n|), the
+    tolerance evolve_coeffs applies to its initial data."""
+    dev, scale = _symmetry_defect(u.box, u.coeffs)
+    return bool(dev <= tol * scale)
 
 
 def pytest_report_header(config):

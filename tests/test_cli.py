@@ -15,6 +15,7 @@ import numpy as np
 
 from kpwaves import cli, ensemble, operators, picard
 from kpwaves.cli import ConfigError, load_config, main
+from kpwaves.dynamics import NonFiniteError
 from kpwaves.ensemble import MomentReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -143,6 +144,21 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "runtime failure: sample 0 diverged by t = 5.0\n"
+
+    def test_debug_reraises_runtime_failure(self, tmp_path, capsys):
+        # --debug turns the one-line exit 3 into the exception and its
+        # traceback; a configuration error still exits 2.
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\nseed = 1\n"
+                        "eps = 0.1\nnormalize = false\n"
+                        "profile = power_decay 5 0\ndt = 0.5\nt = 5\n")
+        with pytest.raises(NonFiniteError,
+                           match="^sample 0 diverged by t = 5.0$"):
+            main(["--config", cfg, "--debug"])
+        assert capsys.readouterr() == ("", "")
+        bad = write_cfg(tmp_path, "command = verify\neps = banana\n",
+                        name="bad.cfg")
+        assert main(["--config", bad, "--debug"]) == 2
+        assert capsys.readouterr().err.startswith("config error: eps:")
 
     def test_zero_eps_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "verify.csv"

@@ -91,6 +91,17 @@ def test_split_batch_is_bitwise_identical(shape, make_field):
     split = [evolve_coeffs(box, part, 0.15, [0.4, 0.7], 0.01)
              for part in (batch[:7], batch[7:13], batch[13:])]
     np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
+    # In 70 samples, cuts at 31 and 33 put samples on both sides of the
+    # 32-row blocks of the dense squarer; a lone sample fills one block.
+    batch = np.concatenate([batch, np.stack(
+        [make_field(box, hermitian=True).coeffs for _ in range(50)])])
+    joint = evolve_coeffs(box, batch, 0.15, [0.4, 0.7], 0.01)
+    split = [evolve_coeffs(box, part, 0.15, [0.4, 0.7], 0.01)
+             for part in np.split(batch, [31, 33])]
+    np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
+    for i in (0, 32, 69):
+        lone = evolve_coeffs(box, batch[i], 0.15, [0.4, 0.7], 0.01)
+        np.testing.assert_array_equal(lone, joint[:, i])
 
 
 def test_step_shrinks_to_land_on_end(box22, make_field):
@@ -121,9 +132,9 @@ def test_calibrate_dt_meets_target(box22, make_field):
     assert float(np.linalg.norm(fine - coarse)) < target
 
 
-def _complex_rk4(box, U0, eps, t, n_steps):
-    """Classical RK4 of the gauged flow on the full complex spectrum,
-    through the pair-table sum of dx_product."""
+def _complex_rk4(box, U0, eps, t, n_steps, t0=0.0):
+    """Classical RK4 of the gauged flow from t0 to t on the full complex
+    spectrum, through the pair-table sum of dx_product."""
     om = box.omega
 
     def rhs(W, tau):
@@ -131,9 +142,9 @@ def _complex_rk4(box, U0, eps, t, n_steps):
         U = phase * W
         return (-0.5 * eps) * np.conj(phase) * _dx_product(box, U, U)
 
-    W, h = U0.copy(), t / n_steps
+    W, h = np.exp(-1j * om * t0) * U0, (t - t0) / n_steps
     for i in range(n_steps):
-        s = i * h
+        s = t0 + i * h
         k1 = rhs(W, s)
         k2 = rhs(W + 0.5 * h * k1, s + 0.5 * h)
         k3 = rhs(W + 0.5 * h * k2, s + 0.5 * h)
@@ -153,6 +164,19 @@ def test_half_spectrum_matches_complex_rk4(shape, make_field):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4)], ids=["2x2", "4x4"])
+def test_phase_chunks_match_complex_rk4(shape, make_field):
+    # 70 and 80 steps each cross a chunk of 64 stage phases, and the
+    # clock is reset to 0.7 between the two segments.
+    box = LatticeBox(*shape)
+    U0 = np.stack([make_field(box, hermitian=True).coeffs
+                   for _ in range(3)])
+    got = evolve_coeffs(box, U0, 0.3, [0.7, 1.5], 0.01)
+    mid = _complex_rk4(box, U0, 0.3, 0.7, 70)
+    want = np.stack([mid, _complex_rk4(box, mid, 0.3, 1.5, 80, t0=0.7)])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_states_are_exactly_real(box33, make_field):
     U0 = np.stack([make_field(box33, hermitian=True).coeffs
                    for _ in range(4)])
@@ -167,7 +191,7 @@ def test_rejects_non_real_fields(box22, make_field):
     for U0 in (batch[1], batch):
         with pytest.raises(ValueError, match="not a real field"):
             evolve_coeffs(box22, U0, 0.1, [1.0], 0.1)
-    # An asymmetry at the 1e-12 tolerance of is_real_symmetric passes.
+    # An asymmetry below the 1e-12 relative tolerance passes.
     nudged = real.copy()
     nudged[0] += 1e-13
     evolve_coeffs(box22, nudged, 0.1, [1.0], 0.1)

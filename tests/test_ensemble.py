@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kpwaves.lattice import LatticeBox, hs_norm
 from kpwaves.dynamics import NonFiniteError, evolve_coeffs
 from kpwaves.ensemble import (
+    _moment_sums,
     EnsembleConfig,
     RandomLaw,
     ScanConfig,
@@ -22,6 +23,8 @@ from kpwaves.ensemble import (
     sample_g_batch,
     sample_u0,
 )
+
+from conftest import is_real_symmetric, mode_list
 
 ALL_LAWS = [
     RandomLaw.steinhaus(),
@@ -65,7 +68,7 @@ class TestSampler:
         profile = SpectrumProfile.power_decay(box22, 1.0, 1.0)
         law = RandomLaw.clipped_gaussian(0.7, 1.5)
         u0 = sample_u0(profile, law, 11, 4)
-        assert u0.is_real_symmetric(tol=1e-14)
+        assert is_real_symmetric(u0, tol=1e-14)
         cap = law.r_max * profile.lambdas()
         assert np.all(np.abs(u0.coeffs) <= cap + 1e-14)
 
@@ -202,10 +205,10 @@ class TestEstimateMoments:
         assert report.pair_moments == {} and report.triple_moments == {}
 
     def test_batch_size_does_not_change_results(self, box22):
-        diagonal = tuple((n, n) for n in box22)
+        diagonal = tuple((n, n) for n in mode_list(box22))
         reports = [estimate_moments(self.make_cfg(
             box22, eps=0.1, sample_count=200, pairs=diagonal,
-            batch_size=size)) for size in (7, 16, 200)]
+            batch_size=size)) for size in (7, 16, 200, 1, 65)]
         for other in reports[1:]:
             for key, entry in reports[0].pair_moments.items():
                 assert other.pair_moments[key].estimate == entry.estimate
@@ -213,6 +216,35 @@ class TestEstimateMoments:
             for key, entry in reports[0].triple_moments.items():
                 assert other.triple_moments[key].estimate == entry.estimate
                 assert other.triple_moments[key].std_error == entry.std_error
+
+    def test_block_sums_match_fsum(self, box22):
+        # 150 evolved samples fed in batches of 50, so that batches cut
+        # across the 64-sample blocks, against math.fsum of the same
+        # summands taken one sample at a time.
+        law = RandomLaw.clipped_gaussian(0.8, 1.6)
+        profile = SpectrumProfile.power_decay(box22, 0.5, 1.0)
+        G = sample_g_batch(box22, law, 3, np.arange(150))
+        U = evolve_coeffs(box22, profile.lambdas() * G, 0.1, [0.5], 0.05)[0]
+        pair_idx = [(0, 0), (3, 3), (3, 7), (12, 2)]
+        trip_idx = [(5, 5, 12), (16, 1, 10)]
+        sums = _moment_sums(box22, pair_idx, trip_idx)
+        for lo in range(0, 150, 50):
+            sums.add(U[lo:lo + 50])
+        got = sums.finish().reshape(2, 6, 2)
+        rows = [[complex(u[a]) * complex(u[b]).conjugate()
+                 for a, b in pair_idx]
+                + [complex(u[a]) * complex(u[b]) * complex(u[c])
+                   for a, b, c in trip_idx] for u in U]
+        for r, col in enumerate(zip(*rows)):
+            # Relative to the moduli: the imaginary part of U_a conj(U_a)
+            # is roundoff, whose sum has no scale of its own.
+            scale = math.fsum(abs(z) for z in col)
+            scale2 = math.fsum(abs(z) ** 2 for z in col)
+            for i, vals in enumerate(([z.real for z in col],
+                                      [z.imag for z in col])):
+                assert abs(got[0, r, i] - math.fsum(vals)) <= 1e-13 * scale
+                assert (abs(got[1, r, i] - math.fsum(v * v for v in vals))
+                        <= 1e-13 * scale2)
 
     def test_threads_do_not_change_results(self, box22):
         serial = estimate_moments(self.make_cfg(box22, eps=0.1,

@@ -26,6 +26,8 @@ from kpwaves.theory import (
     _triple_index,
 )
 
+from conftest import mode_list
+
 
 def g_n_rate(ctx, n, t):
     """Growth rate of the eps^2 pair correction at mode n, from the term
@@ -68,7 +70,7 @@ def _f2_terms_reference(ctx, n):
     box, L = ctx.box, ctx.lam2
     i_n = box.index(n)
     terms = []
-    for k in box:
+    for k in mode_list(box):
         l = (n[0] - k[0], n[1] - k[1])
         if l in box:
             i_k, i_l = box.index(k), box.index(l)
@@ -116,7 +118,7 @@ def _f3_amplitude_reference(ctx, n, m, p, kron, magnitudes=False):
 
 
 def _zero_sum_reference(box):
-    modes = list(box)
+    modes = mode_list(box)
     return [(n, m, (-n[0] - m[0], -n[1] - m[1])) for n in modes for m in modes
             if (-n[0] - m[0], -n[1] - m[1]) in box]
 
@@ -170,11 +172,11 @@ class TestPairCorrection:
         # are even.
         ctx = ctx22_twopoint
         kron_modes = sum(not all(g for _, _, g in _f2_terms_reference(ctx, n))
-                         for n in ctx.box)
+                         for n in mode_list(ctx.box))
         assert kron_modes == 12
         for t in (0.0, 0.9, 7.5):
             allvals = f2_diag_all(ctx, t)
-            for i, n in enumerate(ctx.box):
+            for i, n in enumerate(mode_list(ctx.box)):
                 f2 = -n[0] * _f2_bracket_reference(
                     ctx, n, lambda c, d: c * _one_minus_cos(d, t))
                 rate = -n[0] * _f2_bracket_reference(
@@ -193,7 +195,7 @@ class TestPairCorrection:
             abs(n[0]) * (abs(n[0]) + abs(n[1])) ** (2 * s) * abs(n[0])
             * _f2_bracket_reference(ctx, n,
                                     lambda c, d: abs(c) * 2.0 / d ** 2)
-            for n in ctx.box)
+            for n in mode_list(ctx.box))
         assert pair_majorant(ctx, s) == pytest.approx(expected, rel=1e-12)
 
     def test_pair_prediction_structure(self, ctx22_twopoint):
@@ -337,16 +339,16 @@ class TestFoldedSums:
 
     def test_pair(self, ctx_fold):
         ctx, s = ctx_fold, 1.0
-        terms = [_f2_terms_reference(ctx, n) for n in ctx.box]
+        terms = [_f2_terms_reference(ctx, n) for n in mode_list(ctx.box)]
         for t in self.times:
             f2 = [-n[0] * sum((ctx.m2 ** 2 if generic else 1.0)
                               * coef * _one_minus_cos(d, t)
                               for coef, d, generic in mode_terms)
-                  for n, mode_terms in zip(ctx.box, terms)]
+                  for n, mode_terms in zip(mode_list(ctx.box), terms)]
             np.testing.assert_allclose(f2_diag_all(ctx, t), f2, rtol=1e-12,
                                        atol=1e-15)
             wsum = sum(abs(n[0]) * (abs(n[0]) + abs(n[1])) ** (2 * s) * abs(v)
-                       for n, v in zip(ctx.box, f2))
+                       for n, v in zip(mode_list(ctx.box), f2))
             got, = weighted_sum_pair(ctx, s, [t])
             assert got == pytest.approx(wsum, rel=1e-12, abs=0)
 
