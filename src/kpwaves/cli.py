@@ -482,19 +482,22 @@ def _parse_mode_groups(key: str, text: str, group: int,
     return out
 
 
+def _mode_tuples(box: LatticeBox, *idx) -> tuple:
+    """One tuple of mode tuples per position of the box-index arrays idx."""
+    return tuple(zip(*(map(tuple, box.modes[i].tolist()) for i in idx)))
+
+
 def _select_pairs(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
     text = cfg.pairs
     if text == "none":
         return ()
+    diag = np.arange(box.size)
     if text == "diag":
-        return tuple(((int(a), int(b)), (int(a), int(b)))
-                     for a, b in box.modes)
+        return _mode_tuples(box, diag, diag)
     if text == "all":
-        modes = [tuple(int(x) for x in m) for m in box.modes]
-        out = [(n, n) for n in modes]
-        out.extend((modes[i], modes[j])
-                   for i in range(len(modes)) for j in range(i + 1, len(modes)))
-        return tuple(out)
+        i, j = np.triu_indices(box.size, 1)
+        return _mode_tuples(box, np.concatenate([diag, i]),
+                            np.concatenate([diag, j]))
     return tuple(_parse_mode_groups("pairs", text, 2, box))
 
 
@@ -503,12 +506,7 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
     if text == "none":
         return ()
     if text == "zero-sum":
-        i_n, i_m, i_p = theory.zero_sum_triples(box)
-        return tuple(
-            (tuple(int(x) for x in box.modes[a]),
-             tuple(int(x) for x in box.modes[b]),
-             tuple(int(x) for x in box.modes[c]))
-            for a, b, c in zip(i_n, i_m, i_p))
+        return _mode_tuples(box, *theory.zero_sum_triples(box))
     return tuple(_parse_mode_groups("triples", text, 3, box))
 
 
@@ -639,13 +637,12 @@ def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     ctx = theory.TheoryContext.from_profile(profile, law)
     grid = _time_grid(cfg) if cfg.t_grid is not None \
         else np.arange(0.0, 100.0 + 0.25, 0.5)
-    pair_sums = theory.weighted_sum_pair(ctx, cfg.s, grid)
-    triple_sums = theory.weighted_sum_triple(ctx, cfg.s, grid)
-    rows = []
-    for t, w2, w3 in zip(grid, pair_sums, triple_sums):
-        val3 = theory.f3(ctx, *cfg.triple, float(t))
-        rows.append((float(t), theory.f2_diag(ctx, cfg.mode, float(t)),
-                     val3.real, val3.imag, float(w2), float(w3)))
+    pair = theory.f2_diag(ctx, cfg.mode, grid)
+    triple = theory.f3(ctx, *cfg.triple, grid)
+    rows = list(zip(grid.tolist(), pair.tolist(), triple.real.tolist(),
+                    triple.imag.tolist(),
+                    theory.weighted_sum_pair(ctx, cfg.s, grid).tolist(),
+                    theory.weighted_sum_triple(ctx, cfg.s, grid).tolist()))
     extras = {"pair_majorant": theory.pair_majorant(ctx, cfg.s),
               "triple_majorant": theory.triple_majorant(ctx, cfg.s)}
     emit_table(cfg, ["t", "pair_correction", "re_triple", "im_triple",

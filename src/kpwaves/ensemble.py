@@ -486,20 +486,22 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     pair_entries = {}
     if n_pairs:
         mean, se = finish(slice(0, n_pairs), good)
+        pred = theory.pair_prediction(ctx, *np.transpose(pair_idx), cfg.t,
+                                      cfg.eps)
         for r, (n, m) in enumerate(cfg.pairs):
-            pred = theory.pair_prediction(ctx, n, m, cfg.t, cfg.eps)
             pair_entries[(tuple(n), tuple(m))] = MomentEntry(
                 modes=(tuple(n), tuple(m)), estimate=complex(mean[r]),
-                std_error=float(se[r]), prediction=pred)
+                std_error=float(se[r]), prediction=complex(pred[r]))
     trip_entries = {}
     if n_trips:
         mean, se = finish(slice(n_pairs, None), good)
+        pred = theory.triple_prediction(ctx, *np.transpose(trip_idx), cfg.t,
+                                        cfg.eps)
         for r, (n, m, p) in enumerate(cfg.triples):
-            pred = theory.triple_prediction(ctx, n, m, p, cfg.t, cfg.eps)
             trip_entries[(tuple(n), tuple(m), tuple(p))] = MomentEntry(
                 modes=(tuple(n), tuple(m), tuple(p)),
                 estimate=complex(mean[r]), std_error=float(se[r]),
-                prediction=pred)
+                prediction=complex(pred[r]))
 
     return MomentReport(eps=cfg.eps, t=cfg.t, seed=cfg.seed,
                         sample_count=good, failed_samples=tuple(failed),

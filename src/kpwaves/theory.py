@@ -16,13 +16,18 @@ two inequivalent printings; both are implemented behind flags and the
 package default is the variant selected by the Monte Carlo oracle in the
 acceptance tests.
 
-The weighted sums over the box are evaluated in real arithmetic, in the
-half-angle forms 1 - cos(x) = 2 sin^2(x/2) and |1 - e^{ix}| = 2 |sin(x/2)|,
-with the time-independent factors of terms that share a phase folded
-once per call: the F2 terms of one mode with equal |delta| and the F3
-triples with equal |Omega|.  They match the term-by-term sums to
-roundoff, not bitwise; f2_diag, f3 and the majorants sum the unfolded
-terms.
+Each closed form has one array kernel.  F2 is folded once per context:
+its terms that share a half-phase |delta|/2 share their time factor, so
+F2 at every mode is -n1 (sin^2(t |delta|/2) @ A) with A a (phases x
+modes) amplitude matrix, one vector-matrix product per time (232 x 156
+at a 6x6 box, from 11,514 terms).  F3 at box-index arrays is
+-i phi1(Omega, t) amp in the half-angle form
+-2i e^{i Omega t/2} sin(Omega t/2) / Omega, which keeps every digit at
+small Omega t.  f2_diag, f3 and the predictions are calls of these
+kernels.  The weighted sum of |F3| folds the triples with equal |Omega|
+once per call, in |1 - e^{ix}| = 2 |sin(x/2)|.  The folded sums match
+the term-by-term sums to roundoff, not bitwise; the majorants sum the
+unfolded terms.
 """
 
 from __future__ import annotations
@@ -52,23 +57,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _Terms:
-    """Flat (output mode, phase, coefficient) terms sorted by output mode.
-
-    starts[i]:starts[i+1] slices the terms of mode i.
-    """
-
-    out: np.ndarray
-    delta: np.ndarray
-    coef: np.ndarray
-    starts: np.ndarray
-
-    def at(self, i_n: int):
-        lo, hi = self.starts[i_n], self.starts[i_n + 1]
-        return self.coef[lo:hi], self.delta[lo:hi]
-
-
-@dataclass(frozen=True)
 class TheoryContext:
     """Spectrum profile and modulus moments entering the closed forms.
 
@@ -90,24 +78,25 @@ class TheoryContext:
         lam = profile.lambdas()
         return cls(box=profile.box, lam2=lam * lam, m2=m2, m4=m4)
 
-    @cached_property
     def _f2_terms(self):
-        """Generic and repeated-index terms of the pair correction.
+        """Flat (mode, delta, amplitude) table of the pair correction.
 
-        At mode n the correction is -n1 (m2^2 sum_g + sum_r) of
-        coef (1 - cos(delta t)) / delta^2, g over the splits k + l = n of
-        the pair table and r over the repeated-index corrections: the
-        split (-n, 2n) when 2n is in the box and the split (n/2, n/2)
-        when n has even coordinates with n/2 in the box, both carrying
-        the excess kurtosis factor m4 - 2 m2^2.
+        At mode n the correction is -n1 sum amp sin^2(delta t / 2) over
+        the terms of n, with amp = 2 coef / delta^2.  The first g terms,
+        g the fourth item returned, are the splits k + l = n of the pair
+        table, whose amplitudes carry m2^2.  The rest are the
+        repeated-index corrections, which carry the excess kurtosis factor
+        m4 - 2 m2^2: the split (-n, 2n) when 2n is in the box and the split
+        (n/2, n/2) when n has even coordinates with n/2 in the box.  Not
+        cached: _f2_fold keeps only the folded amplitudes.
         """
         box = self.box
         pt = pair_table(box)
         L = self.lam2
-        coef = (box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
-                + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
-                - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
-        generic = _Terms(pt.out_idx, pt.delta, coef, pt.seg_starts)
+        generic = self.m2 ** 2 * (
+            box.n1[pt.k_idx] * L[pt.out_idx] * L[pt.l_idx]
+            + box.n1[pt.l_idx] * L[pt.out_idx] * L[pt.k_idx]
+            - box.n1[pt.out_idx] * L[pt.k_idx] * L[pt.l_idx])
         om = box.omega
         excess = self.m4 - 2.0 * self.m2 ** 2
         n1, n2 = box.n1, box.n2
@@ -117,46 +106,29 @@ class TheoryContext:
         dbl = np.flatnonzero(i_2n >= 0)
         half = np.flatnonzero(i_half >= 0)
         i_2n, i_half = i_2n[dbl], i_half[half]
-        out = np.concatenate([dbl, half])
-        delta = np.concatenate([om[box.conj_idx[dbl]] + om[i_2n] - om[dbl],
+        mode = np.concatenate([pt.out_idx, dbl, half])
+        delta = np.concatenate([pt.delta,
+                                om[box.conj_idx[dbl]] + om[i_2n] - om[dbl],
                                 2.0 * om[i_half] - om[half]])
-        coef = np.concatenate([excess * 2.0 * n1[dbl] * L[dbl] ** 2,
+        coef = np.concatenate([generic,
+                               excess * 2.0 * n1[dbl] * L[dbl] ** 2,
                                -excess * (n1[half] / 2.0) * L[i_half] ** 2])
-        # Stable, so a mode with both corrections sums (-n, 2n) first.
-        order = np.argsort(out, kind="stable")
-        out = out[order]
-        kron = _Terms(out, delta[order], coef[order],
-                      np.searchsorted(out, np.arange(box.size + 1)))
-        return generic, kron
-
-    def _f2_amps(self):
-        """(mode, delta, amplitude) of every term, generic terms first.
-
-        The bracket of _f2_at is sum amp sin^2(|delta| t / 2) with
-        amp = 2 coef / delta^2, times m2^2 on the generic terms.  Not
-        cached: _f2_fold keeps only the folded terms.
-        """
-        generic, kron = self._f2_terms
-        out = np.concatenate([generic.out, kron.out])
-        delta = np.concatenate([generic.delta, kron.delta])
-        amp = 2.0 * np.concatenate([self.m2 ** 2 * generic.coef,
-                                    kron.coef]) / delta ** 2
-        return out, delta, amp
+        return mode, delta, 2.0 * coef / delta ** 2, len(generic)
 
     @cached_property
     def _f2_fold(self):
-        """(mode, |delta| / 2, amplitude) terms of f2_diag_all.
+        """Distinct half-phases |delta| / 2 and the (phases x modes) matrix A.
 
-        Terms of one mode with equal |delta| (the k <-> l swap of a split)
-        share the time factor, so their amplitudes are summed once here.
+        A[j, i] sums the amplitudes of the terms of mode i whose phase has
+        |delta| / 2 = half[j]: they share the time factor, a split and its
+        swap among them, so F2 at time t is -n1 (sin^2(half t) @ A).
         """
-        out, delta, amp = self._f2_amps()
-        # Complex values sort by real part, then imaginary part, so one
-        # np.unique groups the terms by (mode, |delta| / 2).
-        keys, group = np.unique(out + 0.5j * np.abs(delta),
-                                return_inverse=True)
-        return (keys.real.astype(np.int64), keys.imag,
-                np.bincount(group, weights=amp))
+        mode, delta, amp, _ = self._f2_terms()
+        half, phase = np.unique(0.5 * np.abs(delta), return_inverse=True)
+        size = self.box.size
+        A = np.bincount(phase * size + mode, weights=amp,
+                        minlength=len(half) * size)
+        return half, A.reshape(len(half), size)
 
 
 def _one_minus_cos(d, t: float):
@@ -168,41 +140,25 @@ def _one_minus_cos(d, t: float):
     return 2.0 * np.sin(0.5 * d * t) ** 2 / d ** 2
 
 
-def _f2_at(ctx: TheoryContext, n, term) -> float:
-    """-n1 (m2^2 sum_g term(coef, delta) + sum_r term(coef, delta)) at n.
+def f2_diag_all(ctx: TheoryContext, t) -> np.ndarray:
+    """Closed form of the eps^2 diagonal pair correction at every mode.
 
-    g and r run over the generic and repeated-index terms of
-    TheoryContext._f2_terms; each sum is a pairwise np.sum.
+    -n1 (sin^2(t |delta| / 2) @ A) over the fold of
+    TheoryContext._f2_fold, the time integral of the rate
+    -n1 sum amp delta sin(delta t) / 2 of the flat term table.  A time
+    grid t gives one row per time, each from its own vector-matrix
+    product, so a row does not depend on the rest of the grid.
+    Off-diagonal pair corrections vanish at this order, see
+    pair_prediction.
     """
-    i_n = ctx.box.index(n)
-    generic, kron = ctx._f2_terms
-    total = ctx.m2 ** 2 * float(np.sum(term(*generic.at(i_n))))
-    coef, delta = kron.at(i_n)
-    if len(coef):
-        total += float(np.sum(term(coef, delta)))
-    return -float(ctx.box.n1[i_n]) * total
+    half, A = ctx._f2_fold
+    rows = np.array([np.sin(s * half) ** 2 @ A for s in np.atleast_1d(t)])
+    return -ctx.box.n1 * rows.reshape(np.shape(t) + A.shape[1:])
 
 
-def f2_diag(ctx: TheoryContext, n, t: float) -> float:
-    """Closed form of the eps^2 diagonal pair correction at mode n.
-
-    Equals the time integral of the rate -n1 (m2^2 sum_g + sum_r) of
-    coef sin(delta t) / delta; off-diagonal pair corrections vanish at
-    this order, see pair_prediction.
-    """
-    return _f2_at(ctx, n, lambda c, d: c * _one_minus_cos(d, t))
-
-
-def f2_diag_all(ctx: TheoryContext, t: float) -> np.ndarray:
-    """f2_diag for every mode of the box at once.
-
-    Sums the folded terms of TheoryContext._f2_fold, so it matches
-    f2_diag to roundoff, not bitwise.
-    """
-    mode, half, amp = ctx._f2_fold
-    bracket = np.bincount(mode, weights=amp * np.sin(half * t) ** 2,
-                          minlength=ctx.box.size)
-    return -ctx.box.n1 * bracket
+def f2_diag(ctx: TheoryContext, n, t):
+    """f2_diag_all at the mode n alone: a value, or one per time of a grid."""
+    return np.take(f2_diag_all(ctx, t), ctx.box.index(n), axis=-1)
 
 
 KRON_CONVENTIONS = ("half_opposite", "repeated")
@@ -241,18 +197,26 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p,
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
 
-def _triple_index(box: LatticeBox, n, m, p, kron: str):
-    """Mode indices of (n, m, p); None off the zero-sum plane.  Checks kron."""
-    _check_kron(kron)
-    idx = [box.index(v) for v in (n, m, p)]
-    if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
-        return None
-    return idx
+def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t,
+           kron: str = "half_opposite"):
+    """f3 at box-index arrays, broadcast against the time t.
+
+    -i phi1(Omega, t) amp, 0 off the zero-sum plane.  It is written
+    as -2i e^{i Omega t / 2} sin(Omega t / 2) / Omega, which has no
+    cancellation at small Omega t; picard.phi1's sinc form rescales the
+    phase by pi, which costs |Omega t| ulps at large times.
+    """
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
+    box = ctx.box
+    on = ((box.n1[i_n] + box.n1[i_m] + box.n1[i_p] == 0)
+          & (box.n2[i_n] + box.n2[i_m] + box.n2[i_p] == 0))
+    x = 0.5 * np.multiply(Om, t)
+    scale = np.divide(amp, Om, out=np.zeros_like(Om), where=on)
+    return -2j * np.exp(1j * x) * np.sin(x) * scale
 
 
-def f3(ctx: TheoryContext, n, m, p, t: float,
-       kron: str = "half_opposite") -> complex:
-    """Leading eps coefficient of E u_n u_m u_p for a zero-sum triple.
+def f3(ctx: TheoryContext, n, m, p, t, kron: str = "half_opposite"):
+    """Leading eps coefficient of E u_n u_m u_p, at t or over a time grid.
 
     Returns 0 when n + m + p != 0.  The closed form is
 
@@ -264,25 +228,23 @@ def f3(ctx: TheoryContext, n, m, p, t: float,
     weighted; the default (kron="half_opposite") is the variant confirmed
     by the Monte Carlo oracle in the acceptance tests.
     """
-    idx = _triple_index(ctx.box, n, m, p, kron)
-    if idx is None:
-        return 0.0 + 0.0j
-    amp, Om = _f3_amplitude(ctx, *idx, kron)
-    return complex((1.0 - np.exp(1j * Om * t)) / Om * amp)
+    idx = (ctx.box.index(v) for v in (n, m, p))
+    return _f3_at(ctx, *idx, t, kron)
 
 
-def pair_prediction(ctx: TheoryContext, n, m, t: float, eps: float) -> complex:
-    """Predicted E u_n conj(u_m) through order eps^2."""
-    if tuple(n) != tuple(m):
-        return 0.0 + 0.0j
-    i_n = ctx.box.index(n)
-    return complex(ctx.m2 * ctx.lam2[i_n] + eps ** 2 * f2_diag(ctx, n, t))
+def pair_prediction(ctx: TheoryContext, i_n, i_m, t: float,
+                    eps: float) -> np.ndarray:
+    """Predicted E u_n conj(u_m) through order eps^2 at box-index arrays."""
+    i_n, i_m = np.asarray(i_n), np.asarray(i_m)
+    diag = ctx.m2 * ctx.lam2[i_n] + eps ** 2 * f2_diag_all(ctx, t)[i_n]
+    return np.where(i_n == i_m, diag, 0.0).astype(complex)
 
 
-def triple_prediction(ctx: TheoryContext, n, m, p, t: float,
-                      eps: float) -> complex:
-    """Predicted E u_n u_m u_p through order eps."""
-    return eps * f3(ctx, n, m, p, t)
+def triple_prediction(ctx: TheoryContext, i_n, i_m, i_p, t: float,
+                      eps: float) -> np.ndarray:
+    """Predicted E u_n u_m u_p through order eps at box-index arrays."""
+    return eps * _f3_at(ctx, np.asarray(i_n), np.asarray(i_m),
+                        np.asarray(i_p), t)
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +265,8 @@ def weighted_sum_pair(ctx: TheoryContext, s: float, times) -> np.ndarray:
     One value per time of the grid times.
     """
     w = np.abs(ctx.box.n1) * hs_weights(ctx.box, s)
-    return np.array([np.sum(w * np.abs(f2_diag_all(ctx, t)))
-                     for t in np.atleast_1d(times)])
+    return np.sum(w * np.abs(f2_diag_all(ctx, np.atleast_1d(times))),
+                  axis=-1)
 
 
 def pair_majorant(ctx: TheoryContext, s: float) -> float:
@@ -314,10 +276,10 @@ def pair_majorant(ctx: TheoryContext, s: float) -> float:
     bound follows from the triangle inequality term by term.
     """
     box = ctx.box
-    mode, _, amp = ctx._f2_amps()
-    g = len(ctx._f2_terms[0].out)
+    mode, _, amp, g = ctx._f2_terms()
     # sum |amp| bounds the bracket of every mode; the generic and the
-    # repeated-index terms are summed apart, as f2_diag sums them.
+    # repeated-index terms are summed apart, which fixes the bits of the
+    # bound that theory-curves reports.
     per_mode = (np.bincount(mode[:g], weights=np.abs(amp[:g]),
                             minlength=box.size)
                 + np.bincount(mode[g:], weights=np.abs(amp[g:]),

@@ -14,6 +14,18 @@ def mode_list(box):
     return [tuple(m) for m in box.modes.tolist()]
 
 
+def off_plane_triples(box):
+    """30 random mode triples off the zero-sum plane, drawn with seed 7."""
+    modes = mode_list(box)
+    rng = np.random.default_rng(7)
+    free = []
+    while len(free) < 30:
+        a, b, c = (modes[i] for i in rng.integers(0, len(modes), 3))
+        if (a[0] + b[0] + c[0], a[1] + b[1] + c[1]) != (0, 0):
+            free.append((a, b, c))
+    return free
+
+
 def coeff(u, n) -> complex:
     """The coefficient of mode n of a SpectralField."""
     return complex(u.coeffs[u.box.index(n)])

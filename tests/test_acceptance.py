@@ -44,6 +44,8 @@ from kpwaves.ensemble import (
     sample_g_batch,
 )
 
+from conftest import off_plane_triples
+
 
 def _gate(name: str, ok: bool, detail: str) -> None:
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -168,12 +170,7 @@ def moment_run():
     i_n, i_m, i_p = zero_sum_triples(box)
     zero_sum = [(modes[a], modes[b], modes[c])
                 for a, b, c in zip(i_n, i_m, i_p)]
-    rng = np.random.default_rng(7)
-    free = []
-    while len(free) < 30:
-        a, b, c = (modes[i] for i in rng.integers(0, len(modes), 3))
-        if (a[0] + b[0] + c[0], a[1] + b[1] + c[1]) != (0, 0):
-            free.append((a, b, c))
+    free = off_plane_triples(box)
     cfg = EnsembleConfig(profile=profile, law=law, eps=EPS_MOMENTS,
                          t=T_MOMENTS, sample_count=4000,
                          pairs=tuple(pairs), triples=tuple(zero_sum + free),
@@ -183,14 +180,21 @@ def moment_run():
     return ctx, report, len(zero_sum)
 
 
+def _indices(box, entries):
+    """Box-index arrays of the modes of moment entries, one per position."""
+    return np.array([[box.index(v) for v in e.modes] for e in entries]).T
+
+
 def test_pair_moment_match(moment_run):
     ctx, report, _ = moment_run
     budget = 10.0 * EPS_MOMENTS ** 4
     worst_diag = worst_off = 0.0
     fails = 0
-    for entry in report.pair_moments.values():
+    entries = list(report.pair_moments.values())
+    preds = pair_prediction(ctx, *_indices(ctx.box, entries), T_MOMENTS,
+                            EPS_MOMENTS)
+    for entry, pred in zip(entries, preds):
         n, m = entry.modes
-        pred = pair_prediction(ctx, n, m, T_MOMENTS, EPS_MOMENTS)
         dev = abs(entry.estimate - pred)
         allow = 4.0 * entry.std_error + budget
         if dev > allow:
@@ -211,10 +215,12 @@ def test_triple_moment_match(moment_run):
     budget = 10.0 * EPS_MOMENTS ** 3
     worst = 0.0
     fails = 0
-    for entry in report.triple_moments.values():
+    entries = list(report.triple_moments.values())
+    preds = triple_prediction(ctx, *_indices(ctx.box, entries), T_MOMENTS,
+                              EPS_MOMENTS)
+    for entry, pred in zip(entries, preds):
         n, m, p = entry.modes
         if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) == (0, 0):
-            pred = triple_prediction(ctx, n, m, p, T_MOMENTS, EPS_MOMENTS)
             allow = 4.0 * entry.std_error + budget
         else:
             pred = 0.0

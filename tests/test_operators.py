@@ -1,8 +1,10 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,19 @@ def test_every_exported_name_resolves():
              if not hasattr(mod, name)]
     assert all(hasattr(m, "__all__") for m in modules)
     assert stale == []
+
+
+def test_package_names_are_module_exports():
+    # Each name the package __init__ imports is in its module's __all__,
+    # so a deletion that leaves it behind there fails above as well.
+    tree = ast.parse(Path(kpwaves.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"kpwaves.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(kpwaves, alias.name) is getattr(module, alias.name)
 
 
 def test_dx_product_definition(box22, make_field):

@@ -20,28 +20,29 @@ from kpwaves.theory import (
     weighted_sum_pair,
     weighted_sum_triple,
     zero_sum_triples,
-    _f2_at,
     _f3_amplitude,
     _one_minus_cos,
-    _triple_index,
 )
 
-from conftest import mode_list
+from conftest import mode_list, off_plane_triples
 
 
 def g_n_rate(ctx, n, t):
-    """Growth rate of the eps^2 pair correction at mode n, from the term
-    table of f2_diag: -n1 (m2^2 sum_g + sum_r) of coef sin(delta t) / delta.
+    """Growth rate of the eps^2 pair correction at mode n, from the flat
+    term table of f2_diag: -n1 sum amp delta sin(delta t) / 2.
     """
-    return _f2_at(ctx, n, lambda c, d: c * np.sin(d * t) / d)
+    mode, delta, amp, _ = ctx._f2_terms()
+    on = mode == ctx.box.index(n)
+    return -n[0] * float(np.sum(0.5 * amp[on] * delta[on]
+                                * np.sin(delta[on] * t)))
 
 
 def h_rate(ctx, n, m, p, t, kron="half_opposite"):
     """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
-    idx = _triple_index(ctx.box, n, m, p, kron)
-    if idx is None:
+    amp, Om = _f3_amplitude(ctx, *(ctx.box.index(v) for v in (n, m, p)),
+                            kron)
+    if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
         return 0.0 + 0.0j
-    amp, Om = _f3_amplitude(ctx, *idx, kron)
     return complex(-1j * np.exp(-1j * Om * t) * amp)
 
 
@@ -201,11 +202,21 @@ class TestPairCorrection:
     def test_pair_prediction_structure(self, ctx22_twopoint):
         ctx = ctx22_twopoint
         n, t, eps = (2, 1), 0.7, 0.2
-        assert pair_prediction(ctx, n, (1, 1), t, eps) == 0.0
-        i_n = ctx.box.index(n)
+        i_n, i_m = ctx.box.index(n), ctx.box.index((1, 1))
+        assert pair_prediction(ctx, i_n, i_m, t, eps) == 0.0
         expected = ctx.m2 * ctx.lam2[i_n] + eps ** 2 * f2_diag(ctx, n, t)
-        assert pair_prediction(ctx, n, n, t, eps) == pytest.approx(expected,
-                                                                  rel=1e-14)
+        assert pair_prediction(ctx, i_n, i_n, t, eps) == pytest.approx(
+            expected, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-7])
+    def test_stable_at_small_time(self, ctx33, t):
+        # Against the series -n1 sum coef t^2 / 2 (1 - (delta t)^2 / 12)
+        # of the brute-force terms, whose next relative term is below 1e-22.
+        expected = [-n[0] * _f2_bracket_reference(
+            ctx33, n, lambda c, d: c * t * t / 2.0 * (1.0 - (d * t) ** 2 / 12))
+            for n in mode_list(ctx33.box)]
+        np.testing.assert_allclose(f2_diag_all(ctx33, t), expected,
+                                   rtol=1e-13, atol=0)
 
 
 class TestTripleCorrection:
@@ -258,7 +269,58 @@ class TestTripleCorrection:
     def test_triple_prediction_is_scaled_f3(self, ctx33):
         n, m, p, t, eps = (1, 1), (1, 0), (-2, -1), 0.8, 0.15
         expected = eps * f3(ctx33, n, m, p, t)
-        assert triple_prediction(ctx33, n, m, p, t, eps) == expected
+        idx = [ctx33.box.index(v) for v in (n, m, p)]
+        assert triple_prediction(ctx33, *idx, t, eps) == expected
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-7])
+    def test_stable_at_small_time(self, ctx33, t):
+        # (1 - e^{i Omega t}) / Omega in the half-angle forms, which keep
+        # every digit as Omega t goes to zero.
+        triple = ((1, 0), (1, 0), (-2, 0))
+        Om = sum(omega(v) for v in triple)
+        amp = _f3_amplitude_reference(ctx33, *triple, "half_opposite")
+        got = f3(ctx33, *triple, t)
+        assert got.real == pytest.approx(
+            amp * 2.0 * np.sin(0.5 * Om * t) ** 2 / Om, rel=1e-14, abs=0)
+        assert got.imag == pytest.approx(-amp * np.sin(Om * t) / Om,
+                                         rel=1e-14, abs=0)
+
+
+class TestPredictionArrays:
+    """pair_prediction and triple_prediction over index arrays, against
+    the one-element f2_diag and f3, on every moment of the 3x3 ensemble."""
+
+    t, eps = 1.0, 0.1
+
+    def test_pairs(self, ctx33):
+        box = ctx33.box
+        i_n, i_m = np.triu_indices(box.size)
+        assert len(i_n) == 903
+        got = pair_prediction(ctx33, i_n, i_m, self.t, self.eps)
+        for a, b, value in zip(i_n, i_m, got):
+            if a != b:
+                assert value == 0.0
+                continue
+            n = tuple(box.modes[a])
+            expected = (ctx33.m2 * ctx33.lam2[a]
+                        + self.eps ** 2 * f2_diag(ctx33, n, self.t))
+            assert value == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_triples(self, ctx33):
+        box = ctx33.box
+        zero_sum = np.transpose(zero_sum_triples(box))
+        assert len(zero_sum) == 666
+        free = [[box.index(v) for v in triple]
+                for triple in off_plane_triples(box)]
+        idx = np.concatenate([zero_sum, free])
+        got = triple_prediction(ctx33, *idx.T, self.t, self.eps)
+        for r, (triple, value) in enumerate(zip(idx, got)):
+            if r >= len(zero_sum):
+                assert value == 0.0
+                continue
+            modes = [tuple(box.modes[i]) for i in triple]
+            expected = self.eps * f3(ctx33, *modes, self.t)
+            assert value == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_zero_sum_triples_matches_brute_force(box22):
@@ -330,9 +392,9 @@ class TestFoldedSums:
 
     def test_fold_sizes_at_6x6(self, ctx66):
         # Many terms share a phase, so the fold really merges terms.
-        generic, kron = ctx66._f2_terms
-        assert (len(generic.out), len(kron.out)) == (11430, 84)
-        assert len(ctx66._f2_fold[0]) == 5092
+        mode, _, _, g = ctx66._f2_terms()
+        assert (len(mode), g) == (11514, 11430)
+        assert ctx66._f2_fold[1].shape == (232, 156)
         i_n, i_m, i_p = zero_sum_triples(ctx66.box)
         _, Om = _f3_amplitude(ctx66, i_n, i_m, i_p, "half_opposite")
         assert (len(Om), len(np.unique(0.5 * np.abs(Om)))) == (11430, 232)
