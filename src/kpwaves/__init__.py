@@ -5,8 +5,7 @@ random-data ensembles, and closed-form moment asymptotics, all on a
 shared symmetric lattice truncation.
 """
 
-from .lattice import (LatticeBox, SpectralField, omega, delta, hs_norm,
-                      hs_weights, apply_free_flow)
+from .lattice import LatticeBox, omega, hs_norm, hs_weights, apply_free_flow
 from .operators import dx_product, s_map, f_map
 from .picard import (phi1, extract_d, extract_w, PicardBundle, lambda_eps,
                      invert_lambda_eps, NonContractionError,

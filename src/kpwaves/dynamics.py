@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeBox, SpectralField, _symmetry_defect
+from .lattice import LatticeBox, _symmetry_defect
 from .operators import _squarer
 
 __all__ = [
@@ -154,7 +154,7 @@ def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
     return out
 
 
-def calibrate_dt(box: LatticeBox, u0: SpectralField, eps: float, t: float,
+def calibrate_dt(box: LatticeBox, u0: np.ndarray, eps: float, t: float,
                  target: float = 1e-8, dt0: float | None = None,
                  max_halvings: int = 12) -> float:
     """Halve the step until the step-halving error at time t drops below target.
@@ -165,14 +165,14 @@ def calibrate_dt(box: LatticeBox, u0: SpectralField, eps: float, t: float,
     return _calibrate(box, u0, eps, t, target, dt0, max_halvings)[0]
 
 
-def _calibrate(box: LatticeBox, u0: SpectralField, eps: float, t: float,
+def _calibrate(box: LatticeBox, u0: np.ndarray, eps: float, t: float,
                target: float = 1e-8, dt0: float | None = None,
                max_halvings: int = 12) -> tuple[float, np.ndarray]:
     """calibrate_dt's step together with the state at t evolved with it."""
     dt = default_dt(box) if dt0 is None else dt0
-    coarse = evolve_coeffs(box, u0.coeffs, eps, [t], dt)[0]
+    coarse = evolve_coeffs(box, u0, eps, [t], dt)[0]
     for _ in range(max_halvings):
-        fine = evolve_coeffs(box, u0.coeffs, eps, [t], dt / 2.0)[0]
+        fine = evolve_coeffs(box, u0, eps, [t], dt / 2.0)[0]
         err = float(np.linalg.norm(fine - coarse))
         if err < target:
             return dt, coarse

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeBox, SpectralField, hs_weights
+from .lattice import LatticeBox, hs_weights
 from . import operators, theory
 from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
 from .picard import _picard_coeffs
@@ -259,10 +259,10 @@ def sample_g_batch(box: LatticeBox, law: RandomLaw, seed: int,
 
 
 def sample_u0(profile: SpectrumProfile, law: RandomLaw, seed: int,
-              index: int) -> SpectralField:
-    """Random initial field lambda_n g_n for one sample index."""
+              index: int) -> np.ndarray:
+    """Coefficients lambda_n g_n of the random initial field of one sample."""
     G = sample_g_batch(profile.box, law, seed, np.array([index]))
-    return SpectralField(profile.box, profile.lambdas() * G[0], copy=False)
+    return profile.lambdas() * G[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Wave-vector lattice, dispersion relation, and spectral fields on the torus.
+"""Wave-vector lattice, dispersion relation, and fields on the torus.
 
 The phase space is spanned by Fourier modes u_n, n = (n1, n2), with the
 zero-mean constraint n1 != 0 built into the lattice itself.  A LatticeBox
 is the symmetric rectangular truncation used by every operator in this
-package; fields, its frequencies omega and interaction tables are all
-aligned to its canonical mode ordering.
+package; its frequencies omega and interaction tables are aligned to its
+canonical mode ordering.  A field is a complex coefficient array whose
+last axis holds the box modes in that order; any leading axes are
+broadcast through.  Physical fields obey the reality symmetry
+u(-n) = conj(u(n)), which evolve_coeffs checks of its initial data.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "omega",
-    "delta",
     "LatticeBox",
-    "SpectralField",
     "hs_weights",
     "hs_norm",
     "apply_free_flow",
@@ -32,13 +33,6 @@ def omega(n):
     if np.any(n1 == 0):
         raise ValueError("dispersion is undefined on the line n1 = 0")
     return n1 ** 3 - n2 ** 2 / n1
-
-
-def delta(n, k, l) -> float:
-    """Three-wave phase omega(k) + omega(l) - omega(n) for a split k + l = n."""
-    if (n[0], n[1]) != (k[0] + l[0], k[1] + l[1]):
-        raise ValueError(f"not a convolution triple: {k} + {l} != {n}")
-    return omega(k) + omega(l) - omega(n)
 
 
 class LatticeBox:
@@ -108,62 +102,6 @@ class LatticeBox:
         return f"LatticeBox({self.n1_max}, {self.n2_max})"
 
 
-class SpectralField:
-    """Complex Fourier coefficients aligned to a box's mode ordering.
-
-    Physical fields obey the reality symmetry u(-n) = conj(u(n)).  The
-    constructor does not enforce it because intermediate algebra may break
-    it; evolve_coeffs checks it of its initial data.
-    """
-
-    __slots__ = ("box", "coeffs")
-
-    def __init__(self, box: LatticeBox, coeffs, copy: bool = True):
-        arr = np.array(coeffs, dtype=np.complex128, copy=copy)
-        if arr.shape != (box.size,):
-            raise ValueError(
-                f"expected {box.size} coefficients, got shape {arr.shape}")
-        self.box = box
-        self.coeffs = arr
-
-    @classmethod
-    def zeros(cls, box: LatticeBox) -> "SpectralField":
-        return cls(box, np.zeros(box.size, dtype=np.complex128), copy=False)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.box, self.coeffs, copy=True)
-
-    def _binary(self, other, op):
-        if not isinstance(other, SpectralField):
-            return NotImplemented
-        if other.box != self.box:
-            raise ValueError("fields live on different boxes")
-        return SpectralField(self.box, op(self.coeffs, other.coeffs),
-                             copy=False)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.box, self.coeffs * complex(scalar),
-                             copy=False)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return SpectralField(self.box, self.coeffs / complex(scalar),
-                             copy=False)
-
-    def __neg__(self):
-        return SpectralField(self.box, -self.coeffs, copy=False)
-
-    def __repr__(self):
-        return f"SpectralField(box={self.box!r}, size={self.box.size})"
-
-
 def _symmetry_defect(box: LatticeBox, coeffs: np.ndarray):
     """Largest |u_n - conj(u_{-n})| of each field (last axis) and the
     scale max(1, max |u_n|) it is measured against."""
@@ -178,13 +116,12 @@ def hs_weights(box: LatticeBox, s: float):
     return mag.astype(float) ** (2.0 * s)
 
 
-def hs_norm(u: SpectralField, s: float) -> float:
-    """Sobolev norm sqrt(sum (|n1|+|n2|)**(2s) |u_n|**2)."""
-    w = hs_weights(u.box, s)
-    return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
+def hs_norm(box: LatticeBox, U: np.ndarray, s: float):
+    """Sobolev norm sqrt(sum (|n1|+|n2|)**(2s) |u_n|**2) of each field."""
+    w = hs_weights(box, s)
+    return np.sqrt(np.sum(w * np.abs(U) ** 2, axis=-1))
 
 
-def apply_free_flow(u: SpectralField, t: float) -> SpectralField:
+def apply_free_flow(box: LatticeBox, U: np.ndarray, t: float) -> np.ndarray:
     """Propagate by the linear group, multiplying each mode by e^{i omega t}."""
-    return SpectralField(u.box, u.coeffs * np.exp(1j * u.box.omega * t),
-                         copy=False)
+    return U * np.exp(1j * box.omega * t)

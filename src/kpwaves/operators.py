@@ -1,16 +1,19 @@
 """Bilinear and trilinear interaction operators on a truncated lattice.
 
-All operators are convolution sums restricted to a LatticeBox; leading
-axes of the coefficient arrays are broadcast through.  A sum over the
-splits k + l = n takes one of two forms.  The integrator squares a real
-field on a zero-padded 1-D grid whose length is the smallest 5-smooth
-number past the alias-free bound 3 N1 (3 N2 + 1) + 3 N2 (_fft_embedding),
-spanned by the H = N1 (2 N2 + 1) modes with n1 > 0, L the grid length
-(_squarer).  While H L <= _DENSE_MAX = 4096 (2x1, 2x2
-and 3x3) the two transforms are real matrix products with the grid's DFT
-on those modes (_dense_embedding): grid = X E, square, spec = grid F;
-larger boxes keep an irfft/rfft pair on the grid's half-spectrum
-(_positive_rows).  The BLAS rounds a row differently with the number of
+All operators are convolution sums restricted to a LatticeBox.  They take
+and return coefficient arrays whose last axis holds the box modes, in the
+box ordering; leading axes are broadcast through, and an operand whose
+last axis is not box.size raises ValueError.
+
+A sum over the splits k + l = n takes one of two forms.  The integrator
+squares a real field on a zero-padded 1-D grid whose length is the
+smallest 5-smooth number past the alias-free bound
+3 N1 (3 N2 + 1) + 3 N2 (_fft_embedding), spanned by the
+H = N1 (2 N2 + 1) modes with n1 > 0, L the grid length (_squarer).
+While H L <= _DENSE_MAX = 4096 (2x1, 2x2 and 3x3) the two transforms
+are real matrix products with the grid's DFT on those modes
+(_dense_embedding): grid = X E, square, spec = grid F; larger boxes
+keep an irfft/rfft pair on the grid's half-spectrum (_positive_rows).  The BLAS rounds a row differently with the number of
 rows in its call, so the rows go in zero-padded blocks of _BLOCK_ROWS =
 32 through products of one fixed shape, and a sample's bits do not
 depend on its batch.  The two paths agree to roundoff, not bitwise.
@@ -20,9 +23,9 @@ against 111 us for the FFT pair at 2x2 (250 samples) and 467 against
 lone sample pays for the padding: 22 us at 3x3 against 12 us in blocks
 of 8 and 19 us by FFT, and 237 us against 28 by FFT at 6x6.
 Every other split sum is a segment sum over the pair table, which
-enumerates the splits of a box once: plain in dx_product, weighted by
-1/delta, which does not factor, in s_map.  The nested splits of the
-Picard layer are grouped from it (picard._NestedPlan).
+enumerates the splits of a box once (_split_sum): plain in dx_product,
+weighted by 1/delta, which does not factor, in s_map.  The nested
+splits of the Picard layer are grouped from it (picard._NestedPlan).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeBox, SpectralField
+from .lattice import LatticeBox
 
 __all__ = [
     "PairTable",
@@ -123,14 +126,6 @@ def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
         # reduceat slice ends where its own segment ends.
         out[..., full] = np.add.reduceat(values, seg_starts[full], axis=-1)
     return out
-
-
-def _check_same_box(*fields: SpectralField) -> LatticeBox:
-    box = fields[0].box
-    for f in fields[1:]:
-        if f.box != box:
-            raise ValueError("operands live on different boxes")
-    return box
 
 
 def _smooth_length(n: int) -> int:
@@ -241,42 +236,44 @@ def _squarer(box: LatticeBox, batch: tuple):
     return _positive_rows(box, buf), _positive_rows(box, spec), square
 
 
-def _dx_product(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _split_sum(box: LatticeBox, U: np.ndarray, V: np.ndarray,
+               weight=None) -> np.ndarray:
+    """sum_{k+l=n} U_k V_l, each split times its weight, over the pair table.
+
+    Raises ValueError unless the last axis of U and of V holds box.size
+    modes.
+    """
+    for X in (U, V):
+        if np.shape(X)[-1:] != (box.size,):
+            raise ValueError(f"expected {box.size} modes of {box!r} in the "
+                             f"last axis, got shape {np.shape(X)}")
     pt = pair_table(box)
     prods = U[..., pt.k_idx] * V[..., pt.l_idx]
-    return 1j * box.n1 * segment_sum(prods, pt.seg_starts)
+    if weight is not None:
+        prods *= weight
+    return segment_sum(prods, pt.seg_starts)
 
 
-def _s_apply(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    pt = pair_table(box)
-    prods = U[..., pt.k_idx] * V[..., pt.l_idx] * pt.inv_delta
-    return 0.5 * box.n1 * segment_sum(prods, pt.seg_starts)
-
-
-def dx_product(u: SpectralField, v: SpectralField) -> SpectralField:
+def dx_product(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Derivative of the projected product: i n1 sum_{k+l=n} u_k v_l."""
-    box = _check_same_box(u, v)
-    return SpectralField(box, _dx_product(box, u.coeffs, v.coeffs), copy=False)
+    return 1j * box.n1 * _split_sum(box, U, V)
 
 
-def s_map(u: SpectralField, v: SpectralField) -> SpectralField:
+def s_map(box: LatticeBox, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Phase-weighted symmetric form (n1/2) sum_{k+l=n} u_k v_l / delta.
 
     This is the bilinear kernel of the normal form change of variables;
     delta is the three-wave phase of the split, bounded away from zero.
     """
-    box = _check_same_box(u, v)
-    return SpectralField(box, _s_apply(box, u.coeffs, v.coeffs), copy=False)
+    return 0.5 * box.n1 * _split_sum(box, U, V, pair_table(box).inv_delta)
 
 
-def f_map(a: SpectralField, b: SpectralField, c: SpectralField
-          ) -> SpectralField:
-    """Trilinear resonant interaction, realized as -s_map(c, dx_product(a, b)).
+def f_map(box: LatticeBox, A: np.ndarray, B: np.ndarray, C: np.ndarray
+          ) -> np.ndarray:
+    """Trilinear resonant interaction, realized as -s_map(C, dx_product(A, B)).
 
     The composition keeps the operator consistent with s_map and
     dx_product so that the commutator and flow identities hold exactly on
     the truncated lattice, not only up to discretization.
     """
-    box = _check_same_box(a, b, c)
-    ab = _dx_product(box, a.coeffs, b.coeffs)
-    return SpectralField(box, -_s_apply(box, c.coeffs, ab), copy=False)
+    return -s_map(box, C, dx_product(box, A, B))

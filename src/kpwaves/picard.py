@@ -12,14 +12,17 @@ pass computes b, c and f for a batch of initial data (_picard_coeffs):
 b as a segment sum of the pair products U_k U_l, c and f as one complex
 matrix product per inner mode l = j + q, over fixed blocks of sample
 rows, with phi1 taken once per distinct four-wave phase (_NestedPlan).
-_check_contraction counts its memory before anything is built.  A
-PicardBundle holds (a, b, c, f) of one initial condition;
-PicardBundle.build_batch builds several in that one pass.  The remainder
-d is defined by exact subtraction.  The gauged variable
-v = u + eps s_map(u, u) satisfies a flow equation whose eps^3
-coefficient w admits an algebraic decomposition in terms of a, b, c, d;
-lambda_eps is the resulting polynomial map d -> w and invert_lambda_eps
-recovers d from w by fixed-point iteration.
+_check_contraction counts its memory before anything is built.
+
+Fields are coefficient arrays as in the lattice module: the last axis
+holds the box modes, leading axes are broadcast.  A PicardBundle holds
+the box, the initial data u0 and the arrays (a, b, c, f) of one initial
+condition; PicardBundle.build_batch builds one per row of an array in
+that one pass.  The remainder d is defined by exact subtraction.  The
+gauged variable v = u + eps s_map(u, u) satisfies a flow equation whose
+eps^3 coefficient w admits an algebraic decomposition in terms of a, b,
+c, d; lambda_eps is the resulting polynomial map d -> w and
+invert_lambda_eps recovers d from w by fixed-point iteration.
 
 The exact identities behind the normal form, which hold to roundoff, are
 measured by resonance_margin, identity_residuals and w_residual, which
@@ -36,9 +39,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import operators
-from .lattice import LatticeBox, SpectralField, apply_free_flow, hs_norm
+from .lattice import LatticeBox, apply_free_flow, hs_norm
 from .operators import (pair_table, segment_sum, _starts_from_sorted,
-                        _s_apply, s_map, dx_product, f_map)
+                        s_map, dx_product, f_map)
 
 __all__ = [
     "phi1",
@@ -283,7 +286,7 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     return B.reshape(U0.shape), C.reshape(U0.shape), F.reshape(U0.shape)
 
 
-def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
+def extract_d(u_t: np.ndarray, bundle: PicardBundle) -> np.ndarray:
     """Order-three Picard remainder (u(t) - a - eps b - eps^2 c) / eps^3.
 
     a, b, c and eps come from the bundle of the initial data at time t.
@@ -291,12 +294,10 @@ def extract_d(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
     eps = bundle.eps
     if eps == 0:
         raise ValueError("remainder extraction requires eps != 0")
-    d = (u_t.coeffs - bundle.a.coeffs - eps * bundle.b.coeffs
-         - eps ** 2 * bundle.c.coeffs) / eps ** 3
-    return SpectralField(u_t.box, d, copy=False)
+    return (u_t - bundle.a - eps * bundle.b - eps ** 2 * bundle.c) / eps ** 3
 
 
-def extract_w(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
+def extract_w(u_t: np.ndarray, bundle: PicardBundle) -> np.ndarray:
     """Order-three coefficient of the gauged variable v = u + eps s_map(u, u).
 
     w = (v(t) - a - eps U(t) s_map(u0, u0) - eps^2 f) / eps^3 with f the
@@ -307,65 +308,58 @@ def extract_w(u_t: SpectralField, bundle: PicardBundle) -> SpectralField:
     eps = bundle.eps
     if eps == 0:
         raise ValueError("remainder extraction requires eps != 0")
-    box = u_t.box
-    U = u_t.coeffs
-    v = U + eps * _s_apply(box, U, U)
-    s00 = apply_free_flow(s_map(bundle.u0, bundle.u0), bundle.t).coeffs
-    w = (v - bundle.a.coeffs - eps * s00 - eps ** 2 * bundle.f.coeffs) \
-        / eps ** 3
-    return SpectralField(box, w, copy=False)
+    box, u0 = bundle.box, bundle.u0
+    v = u_t + eps * s_map(box, u_t, u_t)
+    s00 = apply_free_flow(box, s_map(box, u0, u0), bundle.t)
+    return (v - bundle.a - eps * s00 - eps ** 2 * bundle.f) / eps ** 3
 
 
 @dataclass(frozen=True)
 class PicardBundle:
     """Picard data (a, b, c) and the Duhamel integral f of one initial
-    condition at one time."""
+    condition u0 on box at one time, as coefficient arrays."""
 
-    u0: SpectralField
+    box: LatticeBox
+    u0: np.ndarray
     t: float
     eps: float
-    a: SpectralField
-    b: SpectralField
-    c: SpectralField
-    f: SpectralField
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
 
     @classmethod
-    def build_batch(cls, u0s, t: float, eps: float) -> list:
-        """Bundles of several initial conditions on one box, in one pass."""
-        box = u0s[0].box
-        U0 = np.stack([u.coeffs for u in u0s])
+    def build_batch(cls, box: LatticeBox, U0: np.ndarray, t: float,
+                    eps: float) -> list:
+        """Bundles of the rows of U0, initial conditions on box, in one pass."""
+        A = apply_free_flow(box, U0, t)
         B, C, F = _picard_coeffs(box, U0, t)
-        return [cls(u0=u, t=t, eps=eps, a=apply_free_flow(u, t),
-                    b=SpectralField(box, b, copy=False),
-                    c=SpectralField(box, c, copy=False),
-                    f=SpectralField(box, f, copy=False))
-                for u, b, c, f in zip(u0s, B, C, F)]
+        return [cls(box=box, u0=u, t=t, eps=eps, a=a, b=b, c=c, f=f)
+                for u, a, b, c, f in zip(U0, A, B, C, F)]
 
     @classmethod
-    def build(cls, u0: SpectralField, t: float, eps: float) -> "PicardBundle":
-        return cls.build_batch([u0], t, eps)[0]
+    def build(cls, box: LatticeBox, u0: np.ndarray, t: float,
+              eps: float) -> "PicardBundle":
+        return cls.build_batch(box, u0[None], t, eps)[0]
 
 
-def lambda_eps(d: SpectralField, bundle: PicardBundle) -> SpectralField:
+def lambda_eps(d: np.ndarray, bundle: PicardBundle) -> np.ndarray:
     """Polynomial map sending the remainder d to the gauged coefficient w.
 
     lambda_eps(d) = d + 2 eps (s_map(a, d) + eps s_map(b, d)
                     + eps^2 s_map(c, d)) + eps^4 s_map(d, d).
     """
-    box = d.box
-    eps = bundle.eps
-    D = d.coeffs
-    out = D + 2.0 * eps * (
-        _s_apply(box, bundle.a.coeffs, D)
-        + eps * _s_apply(box, bundle.b.coeffs, D)
-        + eps ** 2 * _s_apply(box, bundle.c.coeffs, D)
-    ) + eps ** 4 * _s_apply(box, D, D)
-    return SpectralField(box, out, copy=False)
+    box, eps = bundle.box, bundle.eps
+    return d + 2.0 * eps * (
+        s_map(box, bundle.a, d)
+        + eps * s_map(box, bundle.b, d)
+        + eps ** 2 * s_map(box, bundle.c, d)
+    ) + eps ** 4 * s_map(box, d, d)
 
 
-def invert_lambda_eps(g: SpectralField, bundle: PicardBundle,
+def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,
                       tol: float = 1e-12, max_iter: int = 200
-                      ) -> SpectralField:
+                      ) -> np.ndarray:
     """Solve lambda_eps(d) = g by fixed-point iteration, starting from d = g.
 
     Each step replaces d by g minus the perturbative part of lambda_eps;
@@ -381,7 +375,7 @@ def invert_lambda_eps(g: SpectralField, bundle: PicardBundle,
     history: list[float] = []
     for _ in range(max_iter):
         image = lambda_eps(d, bundle)
-        res = hs_norm(image - g, 0.0)
+        res = hs_norm(bundle.box, image - g, 0.0)
         if res <= tol:
             return d
         history.append(res)
@@ -411,13 +405,13 @@ def resonance_margin(box: LatticeBox) -> float:
     return float(np.min(np.abs(pt.delta) - rhs))
 
 
-def _rel(resid: SpectralField, *refs: SpectralField) -> float:
+def _rel(resid: np.ndarray, *refs: np.ndarray) -> float:
     """Max |resid| relative to the largest coefficient of refs (at least 1)."""
-    scale = max([1.0] + [float(np.abs(f.coeffs).max()) for f in refs])
-    return float(np.abs(resid.coeffs).max()) / scale
+    scale = max([1.0] + [float(np.abs(f).max()) for f in refs])
+    return float(np.abs(resid).max()) / scale
 
 
-def identity_residuals(bundle: PicardBundle, v: SpectralField) -> dict:
+def identity_residuals(bundle: PicardBundle, v: np.ndarray) -> dict:
     """Relative residuals, by name, of the field-pair identities:
 
     commutator         L s(u, v) - s(Lu, v) - s(u, Lv) = -dx(uv)/2
@@ -430,22 +424,24 @@ def identity_residuals(bundle: PicardBundle, v: SpectralField) -> dict:
     the initial data of the bundle and a, b, c, f are its Picard data at
     (t, eps).
     """
-    u, t = bundle.u0, bundle.t
-    box = u.box
+    box, u, t = bundle.box, bundle.u0, bundle.t
 
     def lin(x):
-        return SpectralField(box, 1j * box.omega * x.coeffs, copy=False)
+        return 1j * box.omega * x
+
+    def s(x, y):
+        return s_map(box, x, y)
 
     a, b, c = bundle.a, bundle.b, bundle.c
     out = {}
-    r = (lin(s_map(u, v)) - s_map(lin(u), v) - s_map(u, lin(v))
-         + 0.5 * dx_product(u, v))
+    r = (lin(s(u, v)) - s(lin(u), v) - s(u, lin(v))
+         + 0.5 * dx_product(box, u, v))
     out["commutator"] = _rel(r, u, v)
-    r = f_map(u, v, u) + s_map(u, dx_product(u, v))
+    r = f_map(box, u, v, u) + s(u, dx_product(box, u, v))
     out["cubic-composition"] = _rel(r, u, v)
-    r = b + s_map(a, a) - apply_free_flow(s_map(u, u), t)
+    r = b + s(a, a) - apply_free_flow(box, s(u, u), t)
     out["b-decomposition"] = _rel(r, u, b)
-    r = c + 2.0 * s_map(a, b) - bundle.f
+    r = c + 2.0 * s(a, b) - bundle.f
     out["c-decomposition"] = _rel(r, u, c)
     d_true = v * 0.1
     rec = invert_lambda_eps(lambda_eps(d_true, bundle), bundle, tol=1e-13)
@@ -453,17 +449,18 @@ def identity_residuals(bundle: PicardBundle, v: SpectralField) -> dict:
     return out
 
 
-def w_residual(u_t: SpectralField, bundle: PicardBundle) -> float:
+def w_residual(u_t: np.ndarray, bundle: PicardBundle) -> float:
     """Relative residual of the cubic remainder decomposition at u_t.
 
     extract_w must equal s(b, b) + 2 s(a, c) + 2 eps s(b, c)
     + eps^2 s(c, c) + lambda_eps(extract_d), for any state u_t; the
     bundle is that of the initial data.
     """
-    eps = bundle.eps
+    box, eps = bundle.box, bundle.eps
     a, b, c = bundle.a, bundle.b, bundle.c
     w = extract_w(u_t, bundle)
     d = extract_d(u_t, bundle)
-    recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
-             + eps * eps * s_map(c, c) + lambda_eps(d, bundle))
+    recon = (s_map(box, b, b) + 2.0 * s_map(box, a, c)
+             + 2.0 * eps * s_map(box, b, c) + eps * eps * s_map(box, c, c)
+             + lambda_eps(d, bundle))
     return _rel(w - recon, w)

@@ -297,6 +297,10 @@ def _triple_weights(box: LatticeBox, s: float, i_n, i_m, i_p):
     return w * (mag[i_n] * mag[i_m] * mag[i_p]) ** s
 
 
+# Grid times per block of weighted_sum_triple.
+_TIME_BLOCK = 64
+
+
 def weighted_sum_triple(ctx: TheoryContext, s: float, times) -> np.ndarray:
     """Weighted aggregate of |f3| over ordered zero-sum triples.
 
@@ -312,8 +316,17 @@ def weighted_sum_triple(ctx: TheoryContext, s: float, times) -> np.ndarray:
     w = _triple_weights(ctx.box, s, i_n, i_m, i_p)
     half, group = np.unique(0.5 * np.abs(Om), return_inverse=True)
     scale = 2.0 * np.bincount(group, weights=w * np.abs(amp / Om))
-    return np.array([np.sum(scale * np.abs(np.sin(half * t)))
-                     for t in np.atleast_1d(times)])
+    times = np.atleast_1d(times)
+    out = np.empty(len(times))
+    # A (times x phases) block per _TIME_BLOCK grid times, which bounds
+    # its memory; the sum of a row does not depend on the others.
+    for i in range(0, len(times), _TIME_BLOCK):
+        x = np.multiply.outer(times[i:i + _TIME_BLOCK], half)
+        np.sin(x, out=x)
+        np.abs(x, out=x)
+        x *= scale
+        np.sum(x, axis=-1, out=out[i:i + _TIME_BLOCK])
+    return out
 
 
 def triple_majorant(ctx: TheoryContext, s: float) -> float:

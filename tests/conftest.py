@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from kpwaves import LatticeBox, SpectralField, hs_norm
+from kpwaves import LatticeBox, dx_product, hs_norm, omega, s_map
 from kpwaves.lattice import _symmetry_defect
-from kpwaves.operators import _dx_product, _s_apply
 
 
 # Helpers for tests that address single modes; the package itself works
-# on whole coefficient arrays.
+# on whole coefficient arrays, the last axis holding the box modes.
 
 def mode_list(box):
     """The modes of a box as (n1, n2) tuples of ints, in box order."""
@@ -26,9 +25,16 @@ def off_plane_triples(box):
     return free
 
 
-def coeff(u, n) -> complex:
-    """The coefficient of mode n of a SpectralField."""
-    return complex(u.coeffs[u.box.index(n)])
+def delta(n, k, l) -> float:
+    """Three-wave phase omega(k) + omega(l) - omega(n) for a split k + l = n."""
+    if (n[0], n[1]) != (k[0] + l[0], k[1] + l[1]):
+        raise ValueError(f"not a convolution triple: {k} + {l} != {n}")
+    return omega(k) + omega(l) - omega(n)
+
+
+def coeff(box, u, n) -> complex:
+    """The coefficient of mode n of a field u on box."""
+    return complex(u[box.index(n)])
 
 
 def field_from_modes(box, entries, hermitian=False):
@@ -37,20 +43,20 @@ def field_from_modes(box, entries, hermitian=False):
     With hermitian=True each given mode n also sets -n to the complex
     conjugate unless -n itself appears in entries.
     """
-    u = SpectralField.zeros(box)
+    u = np.zeros(box.size, dtype=complex)
     given = {(int(n[0]), int(n[1])): complex(v) for n, v in entries.items()}
     for n, v in given.items():
-        u.coeffs[box.index(n)] = v
+        u[box.index(n)] = v
         neg = (-n[0], -n[1])
         if hermitian and neg not in given:
-            u.coeffs[box.index(neg)] = np.conj(v)
+            u[box.index(neg)] = np.conj(v)
     return u
 
 
-def is_real_symmetric(u, tol=1e-12) -> bool:
+def is_real_symmetric(box, u, tol=1e-12) -> bool:
     """u(-n) = conj(u(n)) to tol relative to max(1, max |u_n|), the
     tolerance evolve_coeffs applies to its initial data."""
-    dev, scale = _symmetry_defect(u.box, u.coeffs)
+    dev, scale = _symmetry_defect(box, u)
     return bool(dev <= tol * scale)
 
 
@@ -109,7 +115,7 @@ def make_field(rng):
         if hermitian:
             # The mean of z and its mirror n -> conj(z(-n)).
             z = (z + np.conj(z[box.conj_idx])) * 0.5
-        return SpectralField(box, z)
+        return z
 
     return make
 
@@ -138,13 +144,11 @@ def normal_form_residual():
         if not np.allclose(steps, h, rtol=1e-8, atol=1e-12):
             raise ValueError("sample times are not uniformly spaced")
         om = box.omega
-        V = U + eps * _s_apply(box, U, U)
+        V = U + eps * s_map(box, U, U)
         fwd = np.exp(-1j * om * h)
         diff = (fwd * V[2:] - np.conj(fwd) * V[:-2]) / (2.0 * h)
         inner = U[1:-1]
-        target = -eps ** 2 * _s_apply(box, inner, _dx_product(box, inner,
-                                                              inner))
-        return max(hs_norm(SpectralField(box, d - f, copy=False), s)
-                   for d, f in zip(diff, target))
+        target = -eps ** 2 * s_map(box, inner, dx_product(box, inner, inner))
+        return float(np.max(hs_norm(box, diff - target, s)))
 
     return residual

@@ -19,6 +19,7 @@ from kpwaves.dynamics import NonFiniteError
 from kpwaves.ensemble import MomentReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKLOADS = README.parent / "perfbench" / "workloads"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -117,6 +118,15 @@ def test_readme_example_configs_load(tmp_path):
     commands = {load_config(write_cfg(tmp_path, body, name)).command
                 for name, body in blocks}
     assert commands == set(cli._COMMANDS)
+
+
+def test_benchmark_workload_configs_load():
+    # The benchmark runs these files as they are; a key the parser stops
+    # accepting fails here rather than in a benchmark run.
+    workloads = sorted(WORKLOADS.glob("*.cfg"))
+    assert workloads
+    for path in workloads:
+        assert load_config(str(path)).command in cli._COMMANDS, path.name
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ import pytest
 
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
-from kpwaves.operators import _dx_product
+from kpwaves.operators import dx_product
 from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
                               evolve_coeffs)
 
@@ -22,14 +22,14 @@ def test_default_dt_formula(box22):
 def test_rejects_nonpositive_dt(box22, make_field, dt):
     u0 = make_field(box22, hermitian=True)
     with pytest.raises(ValueError, match="dt must be positive"):
-        evolve_coeffs(box22, u0.coeffs, 0.1, [1.0], dt)
+        evolve_coeffs(box22, u0, 0.1, [1.0], dt)
 
 
 def test_zero_coupling_reduces_to_free_flow(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     t = 1.3
-    final = evolve_coeffs(box22, u0.coeffs, 0.0, [t], 0.05)[0]
-    expected = apply_free_flow(u0, t).coeffs
+    final = evolve_coeffs(box22, u0, 0.0, [t], 0.05)[0]
+    expected = apply_free_flow(box22, u0, t)
     np.testing.assert_allclose(final, expected, rtol=0,
                                atol=1e-13 * np.abs(expected).max())
 
@@ -37,9 +37,8 @@ def test_zero_coupling_reduces_to_free_flow(box22, make_field):
 def test_l2_mass_conserved(box33, make_field):
     # sum |u_n|^2 is invariant under the truncated flow.
     u0 = make_field(box33, hermitian=True)
-    states = evolve_coeffs(box33, u0.coeffs, 0.2, 0.25 * np.arange(1, 9),
-                           1e-3)
-    m0 = np.sum(np.abs(u0.coeffs) ** 2)
+    states = evolve_coeffs(box33, u0, 0.2, 0.25 * np.arange(1, 9), 1e-3)
+    m0 = np.sum(np.abs(u0) ** 2)
     drifts = np.abs(np.sum(np.abs(states) ** 2, axis=-1) - m0) / m0
     assert drifts.max() < 1e-10
 
@@ -47,8 +46,8 @@ def test_l2_mass_conserved(box33, make_field):
 def test_restart_matches_single_run(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     eps, dt = 0.2, 0.01
-    one = evolve_coeffs(box22, u0.coeffs, eps, [0.5, 1.0], dt)
-    half = evolve_coeffs(box22, u0.coeffs, eps, [0.5], dt)[0]
+    one = evolve_coeffs(box22, u0, eps, [0.5, 1.0], dt)
+    half = evolve_coeffs(box22, u0, eps, [0.5], dt)[0]
     full = evolve_coeffs(box22, half, eps, [1.0], dt, t0=0.5)[0]
     np.testing.assert_allclose(one[1], full, rtol=0,
                                atol=1e-13 * np.abs(full).max())
@@ -57,10 +56,10 @@ def test_restart_matches_single_run(box22, make_field):
 def test_time_reversal(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     eps, dt = 0.3, 1e-3
-    fwd = evolve_coeffs(box22, u0.coeffs, eps, [1.0], dt)[0]
+    fwd = evolve_coeffs(box22, u0, eps, [1.0], dt)[0]
     back = evolve_coeffs(box22, fwd, eps, [0.0], dt, t0=1.0)[0]
-    np.testing.assert_allclose(back, u0.coeffs, rtol=0,
-                               atol=1e-12 * np.abs(u0.coeffs).max())
+    np.testing.assert_allclose(back, u0, rtol=0,
+                               atol=1e-12 * np.abs(u0).max())
 
 
 # 2x1, 2x2 and 3x3 square the grid by blocked matrix products, 4x4 by FFT.
@@ -72,7 +71,7 @@ _GATE_SHAPES = pytest.mark.parametrize(
 @_GATE_SHAPES
 def test_batched_evolution_matches_loop(shape, make_field):
     box = LatticeBox(*shape)
-    fields = [make_field(box, hermitian=True).coeffs for _ in range(20)]
+    fields = [make_field(box, hermitian=True) for _ in range(20)]
     batch = np.stack(fields)
     eps, dt = 0.15, 0.01
     joint = evolve_coeffs(box, batch, eps, [0.7], dt)[0]
@@ -85,8 +84,7 @@ def test_batched_evolution_matches_loop(shape, make_field):
 def test_split_batch_is_bitwise_identical(shape, make_field):
     # Cuts at 7 and 13 move every sample to another row of its block.
     box = LatticeBox(*shape)
-    batch = np.stack([make_field(box, hermitian=True).coeffs
-                      for _ in range(20)])
+    batch = np.stack([make_field(box, hermitian=True) for _ in range(20)])
     joint = evolve_coeffs(box, batch, 0.15, [0.4, 0.7], 0.01)
     split = [evolve_coeffs(box, part, 0.15, [0.4, 0.7], 0.01)
              for part in (batch[:7], batch[7:13], batch[13:])]
@@ -94,7 +92,7 @@ def test_split_batch_is_bitwise_identical(shape, make_field):
     # In 70 samples, cuts at 31 and 33 put samples on both sides of the
     # 32-row blocks of the dense squarer; a lone sample fills one block.
     batch = np.concatenate([batch, np.stack(
-        [make_field(box, hermitian=True).coeffs for _ in range(50)])])
+        [make_field(box, hermitian=True) for _ in range(50)])])
     joint = evolve_coeffs(box, batch, 0.15, [0.4, 0.7], 0.01)
     split = [evolve_coeffs(box, part, 0.15, [0.4, 0.7], 0.01)
              for part in np.split(batch, [31, 33])]
@@ -107,8 +105,8 @@ def test_split_batch_is_bitwise_identical(shape, make_field):
 def test_step_shrinks_to_land_on_end(box22, make_field):
     # ceil(1.0 / 0.3) = 4 steps of 0.25 each
     u0 = make_field(box22, hermitian=True)
-    shrunk = evolve_coeffs(box22, u0.coeffs, 0.1, [1.0], 0.3)
-    exact = evolve_coeffs(box22, u0.coeffs, 0.1, [1.0], 0.25)
+    shrunk = evolve_coeffs(box22, u0, 0.1, [1.0], 0.3)
+    exact = evolve_coeffs(box22, u0, 0.1, [1.0], 0.25)
     np.testing.assert_array_equal(shrunk, exact)
 
 
@@ -118,7 +116,7 @@ def test_blowup_is_non_finite_without_warnings(box22, make_field):
     u0 = 1e3 * make_field(box22, hermitian=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        final = evolve_coeffs(box22, u0.coeffs, 1.0, [2.0], 0.1)[0]
+        final = evolve_coeffs(box22, u0, 1.0, [2.0], 0.1)[0]
     assert not np.isfinite(final).all()
 
 
@@ -127,8 +125,8 @@ def test_calibrate_dt_meets_target(box22, make_field):
     eps, t, target = 0.3, 1.0, 1e-8
     dt = calibrate_dt(box22, u0, eps, t, target=target)
     assert dt <= default_dt(box22)
-    coarse = evolve_coeffs(box22, u0.coeffs, eps, [t], dt)[0]
-    fine = evolve_coeffs(box22, u0.coeffs, eps, [t], dt / 2.0)[0]
+    coarse = evolve_coeffs(box22, u0, eps, [t], dt)[0]
+    fine = evolve_coeffs(box22, u0, eps, [t], dt / 2.0)[0]
     assert float(np.linalg.norm(fine - coarse)) < target
 
 
@@ -140,7 +138,7 @@ def _complex_rk4(box, U0, eps, t, n_steps, t0=0.0):
     def rhs(W, tau):
         phase = np.exp(1j * om * tau)
         U = phase * W
-        return (-0.5 * eps) * np.conj(phase) * _dx_product(box, U, U)
+        return (-0.5 * eps) * np.conj(phase) * dx_product(box, U, U)
 
     W, h = np.exp(-1j * om * t0) * U0, (t - t0) / n_steps
     for i in range(n_steps):
@@ -157,8 +155,7 @@ def _complex_rk4(box, U0, eps, t, n_steps, t0=0.0):
                          ids=["2x1", "2x2", "3x3", "4x4", "6x6"])
 def test_half_spectrum_matches_complex_rk4(shape, make_field):
     box = LatticeBox(*shape)
-    U0 = np.stack([make_field(box, hermitian=True).coeffs
-                   for _ in range(3)])
+    U0 = np.stack([make_field(box, hermitian=True) for _ in range(3)])
     got = evolve_coeffs(box, U0, 0.3, [0.5], 0.05)[0]
     want = _complex_rk4(box, U0, 0.3, 0.5, 10)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -169,8 +166,7 @@ def test_phase_chunks_match_complex_rk4(shape, make_field):
     # 70 and 80 steps each cross a chunk of 64 stage phases, and the
     # clock is reset to 0.7 between the two segments.
     box = LatticeBox(*shape)
-    U0 = np.stack([make_field(box, hermitian=True).coeffs
-                   for _ in range(3)])
+    U0 = np.stack([make_field(box, hermitian=True) for _ in range(3)])
     got = evolve_coeffs(box, U0, 0.3, [0.7, 1.5], 0.01)
     mid = _complex_rk4(box, U0, 0.3, 0.7, 70)
     want = np.stack([mid, _complex_rk4(box, mid, 0.3, 1.5, 80, t0=0.7)])
@@ -178,16 +174,15 @@ def test_phase_chunks_match_complex_rk4(shape, make_field):
 
 
 def test_states_are_exactly_real(box33, make_field):
-    U0 = np.stack([make_field(box33, hermitian=True).coeffs
-                   for _ in range(4)])
+    U0 = np.stack([make_field(box33, hermitian=True) for _ in range(4)])
     states = evolve_coeffs(box33, U0, 0.2, [0.3, 1.0], 0.01)
     np.testing.assert_array_equal(states,
                                   np.conj(states[..., box33.conj_idx]))
 
 
 def test_rejects_non_real_fields(box22, make_field):
-    real = make_field(box22, hermitian=True).coeffs
-    batch = np.stack([real, make_field(box22).coeffs])
+    real = make_field(box22, hermitian=True)
+    batch = np.stack([real, make_field(box22)])
     for U0 in (batch[1], batch):
         with pytest.raises(ValueError, match="not a real field"):
             evolve_coeffs(box22, U0, 0.1, [1.0], 0.1)
@@ -209,18 +204,18 @@ def test_calibration_returns_its_final_state(box22, make_field):
     dt, state = _calibrate(box22, u0, 0.3, 1.0)
     assert dt == calibrate_dt(box22, u0, 0.3, 1.0)
     np.testing.assert_array_equal(
-        state, evolve_coeffs(box22, u0.coeffs, 0.3, [1.0], dt)[0])
+        state, evolve_coeffs(box22, u0, 0.3, [1.0], dt)[0])
 
 
 class TestNormalFormResidual:
     def test_too_few_samples(self, box22, make_field, normal_form_residual):
-        U = np.stack([make_field(box22, hermitian=True).coeffs] * 2)
+        U = np.stack([make_field(box22, hermitian=True)] * 2)
         with pytest.raises(ValueError):
             normal_form_residual(box22, np.array([0.0, 0.1]), U, 0.1)
 
     def test_nonuniform_grid_rejected(self, box21, make_field,
                                       normal_form_residual):
-        U = np.stack([make_field(box21, hermitian=True).coeffs] * 3)
+        U = np.stack([make_field(box21, hermitian=True)] * 3)
         with pytest.raises(ValueError):
             normal_form_residual(box21, np.array([0.0, 0.1, 0.35]), U, 0.1)
 
@@ -228,18 +223,18 @@ class TestNormalFormResidual:
                                             normal_form_residual):
         u0 = make_field(box22, hermitian=True)
         times = 0.1 * np.arange(5)
-        states = evolve_coeffs(box22, u0.coeffs, 0.0, times[1:], 0.01)
-        U = np.concatenate([u0.coeffs[None], states])
+        states = evolve_coeffs(box22, u0, 0.0, times[1:], 0.01)
+        U = np.concatenate([u0[None], states])
         assert normal_form_residual(box22, times, U, 0.0, s=1.0) < 1e-10
 
 
 def test_rk4_convergence_order(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     eps, t = 0.3, 1.0
-    ref = evolve_coeffs(box22, u0.coeffs, eps, [t], 1.0 / 1024)[0]
+    ref = evolve_coeffs(box22, u0, eps, [t], 1.0 / 1024)[0]
     errs = []
     for dt in (1.0 / 16, 1.0 / 32, 1.0 / 64):
-        got = evolve_coeffs(box22, u0.coeffs, eps, [t], dt)[0]
+        got = evolve_coeffs(box22, u0, eps, [t], dt)[0]
         errs.append(float(np.linalg.norm(got - ref)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for p in orders:

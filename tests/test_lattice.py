@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kpwaves import (LatticeBox, SpectralField, omega, delta, hs_norm,
-                     hs_weights, apply_free_flow)
+from kpwaves import LatticeBox, omega, hs_norm, hs_weights, apply_free_flow
 
-from conftest import coeff, field_from_modes, is_real_symmetric
+from conftest import coeff, delta, field_from_modes, is_real_symmetric
 
 nonzero_n1 = st.integers(-8, 8).filter(lambda a: a != 0)
 any_n2 = st.integers(-8, 8)
@@ -116,41 +115,25 @@ def test_dispersion_table_matches_scalar(box33):
 
 
 class TestSpectralField:
-    def test_shape_check(self, box22):
-        with pytest.raises(ValueError):
-            SpectralField(box22, np.zeros(3))
+    """Fields are coefficient arrays in box order; these check the test
+    helpers that build and inspect them mode by mode."""
 
     def test_from_modes_hermitian(self, box22):
         u = field_from_modes(box22, {(1, 0): 2 - 1j}, hermitian=True)
-        assert coeff(u, (1, 0)) == 2 - 1j
-        assert coeff(u, (-1, 0)) == 2 + 1j
-        assert is_real_symmetric(u)
+        assert coeff(box22, u, (1, 0)) == 2 - 1j
+        assert coeff(box22, u, (-1, 0)) == 2 + 1j
+        assert is_real_symmetric(box22, u)
 
     def test_from_modes_explicit_negative_wins(self, box22):
         u = field_from_modes(
             box22, {(1, 0): 1j, (-1, 0): 5.0}, hermitian=True)
-        assert coeff(u, (-1, 0)) == 5.0
-
-    def test_arithmetic(self, box22, make_field):
-        u = make_field(box22)
-        v = make_field(box22)
-        w = (u + v) - v
-        assert np.allclose(w.coeffs, u.coeffs, rtol=0, atol=1e-15)
-        assert np.allclose((2 * u).coeffs, (u + u).coeffs)
-        assert np.allclose((-u).coeffs, (u * -1).coeffs)
-        assert np.allclose((u / 2).coeffs, (u * 0.5).coeffs)
-
-    def test_box_mismatch(self, box22, box33, make_field):
-        u = make_field(box22)
-        v = make_field(box33)
-        with pytest.raises(ValueError):
-            _ = u + v
+        assert coeff(box22, u, (-1, 0)) == 5.0
 
     def test_reality_check(self, box22, make_field):
         u = make_field(box22, hermitian=True)
-        assert is_real_symmetric(u)
-        u.coeffs[box22.index((1, 1))] += 1e-6
-        assert not is_real_symmetric(u)
+        assert is_real_symmetric(box22, u)
+        u[box22.index((1, 1))] += 1e-6
+        assert not is_real_symmetric(box22, u)
 
 
 def test_hs_weights_formula(box33):
@@ -162,31 +145,30 @@ def test_hs_weights_formula(box33):
 def test_hs_norm_unit_pair(box22):
     # a conjugate pair at (1, 0) has weight 1 at any s, so the norm is sqrt(2)
     u = field_from_modes(box22, {(1, 0): 1.0}, hermitian=True)
-    assert hs_norm(u, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert hs_norm(u, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert hs_norm(box22, u, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert hs_norm(box22, u, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_hs_norm_zero_field(box22):
-    assert hs_norm(SpectralField.zeros(box22), 1.0) == 0.0
+    assert hs_norm(box22, np.zeros(box22.size, dtype=complex), 1.0) == 0.0
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_free_flow_group_law(t, s):
     box = LatticeBox(2, 1)
     rng = np.random.default_rng(7)
-    u = SpectralField(box, rng.standard_normal(box.size)
-                      + 1j * rng.standard_normal(box.size))
-    a = apply_free_flow(apply_free_flow(u, t), s)
-    b = apply_free_flow(u, t + s)
-    assert np.allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-12)
+    u = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
+    a = apply_free_flow(box, apply_free_flow(box, u, t), s)
+    b = apply_free_flow(box, u, t + s)
+    assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_free_flow_preserves_moduli(box33, make_field):
     u = make_field(box33)
-    v = apply_free_flow(u, 17.3)
-    assert np.allclose(np.abs(v.coeffs), np.abs(u.coeffs), rtol=1e-13)
+    v = apply_free_flow(box33, u, 17.3)
+    assert np.allclose(np.abs(v), np.abs(u), rtol=1e-13)
 
 
 def test_free_flow_preserves_reality(box22, make_field):
     u = make_field(box22, hermitian=True)
-    assert is_real_symmetric(apply_free_flow(u, 2.4))
+    assert is_real_symmetric(box22, apply_free_flow(box22, u, 2.4))

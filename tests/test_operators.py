@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kpwaves
-from kpwaves import LatticeBox, SpectralField, delta, dx_product, s_map, f_map
-from kpwaves.operators import pair_table, segment_sum, _dx_product, _s_apply
+from kpwaves import LatticeBox, dx_product, s_map, f_map
+from kpwaves.operators import pair_table, segment_sum
 from kpwaves.picard import _nested_plan
 
-from conftest import coeff, field_from_modes, is_real_symmetric, mode_list
+from conftest import (coeff, delta, field_from_modes, is_real_symmetric,
+                      mode_list)
 
 
 def conv_oracle(box, u, v):
@@ -25,16 +26,16 @@ def conv_oracle(box, u, v):
         for l in mode_list(box):
             n = (k[0] + l[0], k[1] + l[1])
             if n in box:
-                out[n] = out.get(n, 0.0) + coeff(u, k) * coeff(v, l)
-    w = SpectralField.zeros(box)
+                out[n] = out.get(n, 0.0) + coeff(box, u, k) * coeff(box, v, l)
+    w = np.zeros(box.size, dtype=complex)
     for n, val in out.items():
-        w.coeffs[box.index(n)] = val
+        w[box.index(n)] = val
     return w
 
 
 def f_map_oracle(box, a, b, c):
     """Direct triple sum over j + k + l = n with the inner pair in the box."""
-    out = SpectralField.zeros(box)
+    out = np.zeros(box.size, dtype=complex)
     for n in mode_list(box):
         acc = 0.0j
         for j in mode_list(box):
@@ -47,8 +48,8 @@ def f_map_oracle(box, a, b, c):
                     continue
                 d = delta(n, m, l)
                 acc += (n[0] / 2.0) * (j[0] + k[0]) / (1j * d) \
-                    * coeff(a, j) * coeff(b, k) * coeff(c, l)
-        out.coeffs[box.index(n)] = acc
+                    * coeff(box, a, j) * coeff(box, b, k) * coeff(box, c, l)
+        out[box.index(n)] = acc
     return out
 
 
@@ -111,19 +112,19 @@ def test_convolve_matches_double_sum(shape, rng):
     U = rng.standard_normal((3, box.size)) + 1j * rng.standard_normal(
         (3, box.size))
     V = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
-    got = _dx_product(box, U, V)
+    got = dx_product(box, U, V)
     assert got.shape == U.shape
     np.testing.assert_allclose(got, 1j * box.n1 * conv_brute(box, U, V),
                                rtol=0, atol=1e-14 * box.size)
-    np.testing.assert_allclose(_dx_product(box, U, U),
+    np.testing.assert_allclose(dx_product(box, U, U),
                                1j * box.n1 * conv_brute(box, U, U),
                                rtol=0, atol=1e-14 * box.size)
 
 
 def test_convolve_empty_batch(box22):
     U = np.zeros((0, box22.size), dtype=complex)
-    assert _dx_product(box22, U, U).shape == (0, box22.size)
-    assert _dx_product(box22, U, np.ones(box22.size)).shape \
+    assert dx_product(box22, U, U).shape == (0, box22.size)
+    assert dx_product(box22, U, np.ones(box22.size)).shape \
         == (0, box22.size)
 
 
@@ -171,38 +172,38 @@ def test_package_names_are_module_exports():
 def test_dx_product_definition(box22, make_field):
     u = make_field(box22)
     v = make_field(box22)
-    got = dx_product(u, v).coeffs
-    want = 1j * box22.n1 * conv_oracle(box22, u, v).coeffs
+    got = dx_product(box22, u, v)
+    want = 1j * box22.n1 * conv_oracle(box22, u, v)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_dx_product_unit_pair_example(box22):
     u = field_from_modes(box22, {(1, 0): 1.0}, hermitian=True)
-    w = dx_product(u, u)
-    assert coeff(w, (2, 0)) == pytest.approx(2j, rel=1e-15)
-    assert coeff(w, (-2, 0)) == pytest.approx(-2j, rel=1e-15)
+    w = dx_product(box22, u, u)
+    assert coeff(box22, w, (2, 0)) == pytest.approx(2j, rel=1e-15)
+    assert coeff(box22, w, (-2, 0)) == pytest.approx(-2j, rel=1e-15)
 
 
 def test_s_map_unit_pair_example(box22):
     # the only active split at (2, 0) is (1,0)+(1,0) with phase gap -6
     u = field_from_modes(box22, {(1, 0): 1.0}, hermitian=True)
-    w = s_map(u, u)
-    assert coeff(w, (2, 0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
-    assert coeff(w, (-2, 0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
+    w = s_map(box22, u, u)
+    assert coeff(box22, w, (2, 0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
+    assert coeff(box22, w, (-2, 0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
 
 
 def test_s_map_against_sum(box22, make_field):
     u = make_field(box22)
     v = make_field(box22)
-    got = s_map(u, v)
+    got = s_map(box22, u, v)
     for n in ((1, 0), (2, 1), (-1, -2)):
         acc = 0.0j
         for k in mode_list(box22):
             l = (n[0] - k[0], n[1] - k[1])
             if l in box22:
-                acc += ((n[0] / 2.0) * coeff(u, k) * coeff(v, l)
+                acc += ((n[0] / 2.0) * coeff(box22, u, k) * coeff(box22, v, l)
                         / delta(n, k, l))
-        assert coeff(got, n) == pytest.approx(acc, rel=1e-12)
+        assert coeff(box22, got, n) == pytest.approx(acc, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,42 +213,42 @@ def test_s_map_bilinear_symmetric(seed):
     r = np.random.default_rng(seed)
 
     def rand():
-        return SpectralField(box, r.standard_normal(box.size)
-                             + 1j * r.standard_normal(box.size))
+        return r.standard_normal(box.size) + 1j * r.standard_normal(box.size)
 
     u, v, w = rand(), rand(), rand()
     alpha = complex(r.standard_normal(), r.standard_normal())
-    sym = s_map(u, v) - s_map(v, u)
-    assert np.abs(sym.coeffs).max() < 1e-12
-    lin = s_map(u + alpha * w, v) - s_map(u, v) - alpha * s_map(w, v)
-    assert np.abs(lin.coeffs).max() < 1e-11
+    sym = s_map(box, u, v) - s_map(box, v, u)
+    assert np.abs(sym).max() < 1e-12
+    lin = (s_map(box, u + alpha * w, v) - s_map(box, u, v)
+           - alpha * s_map(box, w, v))
+    assert np.abs(lin).max() < 1e-11
 
 
 def test_operators_preserve_reality(box22, make_field):
     u = make_field(box22, hermitian=True)
     v = make_field(box22, hermitian=True)
-    assert is_real_symmetric(dx_product(u, v), tol=1e-13)
-    assert is_real_symmetric(s_map(u, v), tol=1e-13)
-    assert is_real_symmetric(f_map(u, v, u), tol=1e-12)
+    assert is_real_symmetric(box22, dx_product(box22, u, v), tol=1e-13)
+    assert is_real_symmetric(box22, s_map(box22, u, v), tol=1e-13)
+    assert is_real_symmetric(box22, f_map(box22, u, v, u), tol=1e-12)
 
 
 def test_f_map_against_direct_sum(box21, make_field):
     a = make_field(box21)
     b = make_field(box21)
     c = make_field(box21)
-    got = f_map(a, b, c)
+    got = f_map(box21, a, b, c)
     want = f_map_oracle(box21, a, b, c)
-    scale = np.abs(want.coeffs).max()
-    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * scale
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 def test_f_map_is_minus_s_of_dx(box22, make_field):
     a = make_field(box22)
     b = make_field(box22)
     c = make_field(box22)
-    direct = f_map(a, b, c)
-    composed = s_map(c, dx_product(a, b)) * -1.0
-    assert np.allclose(direct.coeffs, composed.coeffs, rtol=0, atol=1e-12)
+    direct = f_map(box22, a, b, c)
+    composed = s_map(box22, c, dx_product(box22, a, b)) * -1.0
+    assert np.allclose(direct, composed, rtol=0, atol=1e-12)
 
 
 def test_commutator_identity(box33, make_field):
@@ -255,28 +256,41 @@ def test_commutator_identity(box33, make_field):
     om = 1j * box33.omega
 
     def lin(x):
-        return SpectralField(box33, om * x.coeffs)
+        return om * x
+
+    def s(x, y):
+        return s_map(box33, x, y)
 
     for _ in range(5):
         u = make_field(box33)
         v = make_field(box33)
-        lhs = lin(s_map(u, v)) - s_map(lin(u), v) - s_map(u, lin(v))
-        rhs = dx_product(u, v) * -0.5
-        scale = max(1.0, np.abs(rhs.coeffs).max())
-        assert np.abs((lhs - rhs).coeffs).max() <= 1e-12 * scale
+        lhs = lin(s(u, v)) - s(lin(u), v) - s(u, lin(v))
+        rhs = dx_product(box33, u, v) * -0.5
+        scale = max(1.0, np.abs(rhs).max())
+        assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
 def test_box_mismatch_raises(box22, box33, make_field):
     u = make_field(box22)
     v = make_field(box33)
     with pytest.raises(ValueError):
-        s_map(u, v)
+        s_map(box22, u, v)
     with pytest.raises(ValueError):
-        dx_product(u, v)
+        dx_product(box22, u, v)
 
 
-def test_s_apply_matches_public_wrapper(box22, make_field):
-    u = make_field(box22)
-    v = make_field(box22)
-    raw = _s_apply(box22, u.coeffs, v.coeffs)
-    assert np.array_equal(raw, s_map(u, v).coeffs)
+def test_mode_count_mismatch_raises(box22):
+    # Every operand's last axis must hold the box's 20 modes, whatever
+    # its leading axes; a right-sized operand beside it does not help.
+    good = np.ones((2, box22.size), dtype=complex)
+    for shape in [(3,), (4, 3), (2, 21), (20, 1), ()]:
+        bad = np.ones(shape, dtype=complex)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="20 modes"):
+                s_map(box22, *pair)
+            with pytest.raises(ValueError, match="20 modes"):
+                dx_product(box22, *pair)
+        for triple in ((bad, good, good), (good, bad, good),
+                       (good, good, bad)):
+            with pytest.raises(ValueError, match="20 modes"):
+                f_map(box22, *triple)

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from kpwaves import picard
-from kpwaves.lattice import LatticeBox, SpectralField, apply_free_flow
-from kpwaves.operators import (_dx_product, f_map, pair_table, s_map,
+from kpwaves.lattice import LatticeBox, apply_free_flow
+from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
                                segment_sum)
 from kpwaves.picard import (
     _contraction_bytes,
@@ -39,10 +39,9 @@ from kpwaves.picard import (
 from conftest import is_real_symmetric, mode_list
 
 
-def free_flow_grid(u0, taus):
+def free_flow_grid(box, u0, taus):
     """Coefficients of the free evolution at every grid time, stacked."""
-    om = u0.box.omega
-    return u0.coeffs[None, :] * np.exp(1j * np.outer(taus, om))
+    return u0[None, :] * np.exp(1j * np.outer(taus, box.omega))
 
 
 class TestPhi1:
@@ -92,8 +91,8 @@ class TestPhi1:
 
 def test_picard_corrections_vanish_at_time_zero(box22, make_field):
     u0 = make_field(box22)
-    bundle = PicardBundle.build(u0, 0.0, 0.1)
-    for out in (bundle.b.coeffs, bundle.c.coeffs, bundle.f.coeffs):
+    bundle = PicardBundle.build(box22, u0, 0.0, 0.1)
+    for out in (bundle.b, bundle.c, bundle.f):
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -102,11 +101,11 @@ def test_picard_b_matches_duhamel_quadrature(box22, make_field):
     t = 0.7
     taus = np.linspace(0.0, t, 1401)
     om = box22.omega
-    A = free_flow_grid(u0, taus)
-    integrand = np.exp(-1j * np.outer(taus, om)) * _dx_product(box22, A, A)
+    A = free_flow_grid(box22, u0, taus)
+    integrand = np.exp(-1j * np.outer(taus, om)) * dx_product(box22, A, A)
     integral = simpson(integrand, x=taus, axis=0)
     expected = -0.5 * np.exp(1j * om * t) * integral
-    got = PicardBundle.build(u0, t, 0.1).b.coeffs
+    got = PicardBundle.build(box22, u0, t, 0.1).b
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -116,12 +115,12 @@ def test_picard_c_matches_duhamel_quadrature(box21, make_field):
     t = 0.6
     taus = np.linspace(0.0, t, 1201)
     om = box21.omega
-    A = free_flow_grid(u0, taus)
-    B = np.stack([_picard_coeffs(box21, u0.coeffs, tau)[0] for tau in taus])
-    integrand = np.exp(-1j * np.outer(taus, om)) * _dx_product(box21, A, B)
+    A = free_flow_grid(box21, u0, taus)
+    B = np.stack([_picard_coeffs(box21, u0, tau)[0] for tau in taus])
+    integrand = np.exp(-1j * np.outer(taus, om)) * dx_product(box21, A, B)
     integral = simpson(integrand, x=taus, axis=0)
     expected = -np.exp(1j * om * t) * integral
-    got = PicardBundle.build(u0, t, 0.1).c.coeffs
+    got = PicardBundle.build(box21, u0, t, 0.1).c
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-7 * np.abs(expected).max())
 
@@ -131,14 +130,12 @@ def test_f_integral_matches_duhamel_quadrature(box21, make_field):
     t = 0.6
     taus = np.linspace(0.0, t, 1201)
     om = box21.omega
-    forcing = np.stack([
-        f_map(a, a, a).coeffs
-        for a in (apply_free_flow(u0, tau) for tau in taus)
-    ])
+    A = free_flow_grid(box21, u0, taus)
+    forcing = f_map(box21, A, A, A)
     integrand = np.exp(-1j * np.outer(taus, om)) * forcing
     integral = simpson(integrand, x=taus, axis=0)
     expected = np.exp(1j * om * t) * integral
-    got = PicardBundle.build(u0, t, 0.1).f.coeffs
+    got = PicardBundle.build(box21, u0, t, 0.1).f
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -146,30 +143,31 @@ def test_f_integral_matches_duhamel_quadrature(box21, make_field):
 def test_b_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
-    a = apply_free_flow(u0, t)
-    lhs = PicardBundle.build(u0, t, 0.1).b
-    rhs = -s_map(a, a) + apply_free_flow(s_map(u0, u0), t)
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
-                               atol=1e-13 * np.abs(rhs.coeffs).max())
+    a = apply_free_flow(box33, u0, t)
+    lhs = PicardBundle.build(box33, u0, t, 0.1).b
+    rhs = -s_map(box33, a, a) \
+        + apply_free_flow(box33, s_map(box33, u0, u0), t)
+    np.testing.assert_allclose(lhs, rhs, rtol=0,
+                               atol=1e-13 * np.abs(rhs).max())
 
 
 def test_c_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
-    a = apply_free_flow(u0, t)
-    bundle = PicardBundle.build(u0, t, 0.1)
+    a = apply_free_flow(box33, u0, t)
+    bundle = PicardBundle.build(box33, u0, t, 0.1)
     lhs = bundle.c
-    rhs = -2.0 * s_map(a, bundle.b) + bundle.f
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
-                               atol=1e-13 * np.abs(rhs.coeffs).max())
+    rhs = -2.0 * s_map(box33, a, bundle.b) + bundle.f
+    np.testing.assert_allclose(lhs, rhs, rtol=0,
+                               atol=1e-13 * np.abs(rhs).max())
 
 
 def test_corrections_preserve_reality(box22, make_field):
     u0 = make_field(box22, hermitian=True)
-    assert is_real_symmetric(u0, tol=1e-12)
-    bundle = PicardBundle.build(u0, 0.8, 0.1)
+    assert is_real_symmetric(box22, u0, tol=1e-12)
+    bundle = PicardBundle.build(box22, u0, 0.8, 0.1)
     for out in (bundle.b, bundle.c, bundle.f):
-        assert is_real_symmetric(out, tol=1e-11)
+        assert is_real_symmetric(box22, out, tol=1e-11)
 
 
 def _nested_splits(box):
@@ -380,33 +378,33 @@ class TestExtract:
         u0 = make_field(box22)
         u_t = make_field(box22)
         t, eps = 0.5, 0.3
-        a = apply_free_flow(u0, t)
-        bundle = PicardBundle.build(u0, t, eps)
+        a = apply_free_flow(box22, u0, t)
+        bundle = PicardBundle.build(box22, u0, t, eps)
         b = bundle.b
         c = bundle.c
         expected = (u_t - a - eps * b - (eps ** 2) * c) / eps ** 3
         got = extract_d(u_t, bundle)
-        np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_extract_w_is_definitional(self, box22, make_field):
         u0 = make_field(box22)
         u_t = make_field(box22)
         t, eps = 0.5, 0.3
-        v = u_t + eps * s_map(u_t, u_t)
-        a = apply_free_flow(u0, t)
-        s00 = apply_free_flow(s_map(u0, u0), t)
-        bundle = PicardBundle.build(u0, t, eps)
+        v = u_t + eps * s_map(box22, u_t, u_t)
+        a = apply_free_flow(box22, u0, t)
+        s00 = apply_free_flow(box22, s_map(box22, u0, u0), t)
+        bundle = PicardBundle.build(box22, u0, t, eps)
         f = bundle.f
         expected = (v - a - eps * s00 - (eps ** 2) * f) / eps ** 3
         got = extract_w(u_t, bundle)
-        np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_extract_rejects_zero_eps(self, box22, make_field):
         u0 = make_field(box22)
         with pytest.raises(ValueError):
-            extract_d(u0, PicardBundle.build(u0, 0.5, 0.0))
+            extract_d(u0, PicardBundle.build(box22, u0, 0.5, 0.0))
         with pytest.raises(ValueError):
-            extract_w(u0, PicardBundle.build(u0, 0.5, 0.0))
+            extract_w(u0, PicardBundle.build(box22, u0, 0.5, 0.0))
 
     def test_w_equals_gauged_remainder(self, box22, make_field):
         # Algebraic identity valid for every state u_t, not only ODE
@@ -415,14 +413,18 @@ class TestExtract:
         u0 = make_field(box22)
         u_t = make_field(box22)
         t, eps = 0.4, 0.25
-        bundle = PicardBundle.build(u0, t, eps)
+        bundle = PicardBundle.build(box22, u0, t, eps)
         a, b, c = bundle.a, bundle.b, bundle.c
         d = extract_d(u_t, bundle)
         w = extract_w(u_t, bundle)
-        recon = (s_map(b, b) + 2.0 * s_map(a, c) + 2.0 * eps * s_map(b, c)
-                 + (eps ** 2) * s_map(c, c) + lambda_eps(d, bundle))
-        np.testing.assert_allclose(w.coeffs, recon.coeffs, rtol=0,
-                                   atol=1e-12 * np.abs(recon.coeffs).max())
+
+        def s(x, y):
+            return s_map(box22, x, y)
+
+        recon = (s(b, b) + 2.0 * s(a, c) + 2.0 * eps * s(b, c)
+                 + (eps ** 2) * s(c, c) + lambda_eps(d, bundle))
+        np.testing.assert_allclose(w, recon, rtol=0,
+                                   atol=1e-12 * np.abs(recon).max())
 
 
 class TestLambdaEps:
@@ -430,27 +432,31 @@ class TestLambdaEps:
         u0 = make_field(box22)
         d = make_field(box22)
         t, eps = 0.6, 0.2
-        bundle = PicardBundle.build(u0, t, eps)
+        bundle = PicardBundle.build(box22, u0, t, eps)
         a, b, c = bundle.a, bundle.b, bundle.c
-        expected = (d + 2.0 * eps * (s_map(a, d) + eps * s_map(b, d)
-                                     + (eps ** 2) * s_map(c, d))
-                    + (eps ** 4) * s_map(d, d))
+
+        def s(x, y):
+            return s_map(box22, x, y)
+
+        expected = (d + 2.0 * eps * (s(a, d) + eps * s(b, d)
+                                     + (eps ** 2) * s(c, d))
+                    + (eps ** 4) * s(d, d))
         got = lambda_eps(d, bundle)
-        np.testing.assert_allclose(got.coeffs, expected.coeffs, rtol=1e-13)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_roundtrip(self, box22, make_field):
         u0 = make_field(box22)
         d = make_field(box22)
-        bundle = PicardBundle.build(u0, 0.6, 0.1)
+        bundle = PicardBundle.build(box22, u0, 0.6, 0.1)
         g = lambda_eps(d, bundle)
         rec = invert_lambda_eps(g, bundle)
-        np.testing.assert_allclose(rec.coeffs, d.coeffs, rtol=0,
-                                   atol=1e-11 * np.abs(d.coeffs).max())
+        np.testing.assert_allclose(rec, d, rtol=0,
+                                   atol=1e-11 * np.abs(d).max())
 
     def test_non_contracting_regime_raises(self, box22, make_field):
         u0 = 50.0 * make_field(box22)
         g = 50.0 * make_field(box22)
-        bundle = PicardBundle.build(u0, 0.5, 1.0)
+        bundle = PicardBundle.build(box22, u0, 0.5, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonContractionError):
                 invert_lambda_eps(g, bundle)
@@ -458,7 +464,7 @@ class TestLambdaEps:
     def test_max_iter_exceeded(self, box22, make_field):
         u0 = 0.5 * make_field(box22)
         d = 0.5 * make_field(box22)
-        bundle = PicardBundle.build(u0, 0.5, 0.05)
+        bundle = PicardBundle.build(box22, u0, 0.5, 0.05)
         g = lambda_eps(d, bundle)
         with pytest.raises(MaxIterExceededError):
             invert_lambda_eps(g, bundle, tol=1e-30, max_iter=2)
@@ -467,11 +473,12 @@ class TestLambdaEps:
 def test_bundle_build_matches_parts(box22, make_field):
     u0 = make_field(box22)
     t, eps = 0.7, 0.15
-    bundle = PicardBundle.build(u0, t, eps)
+    bundle = PicardBundle.build(box22, u0, t, eps)
+    assert bundle.box is box22
     assert bundle.t == t and bundle.eps == eps
-    np.testing.assert_array_equal(bundle.a.coeffs,
-                                  apply_free_flow(u0, t).coeffs)
-    B, C, F = _picard_coeffs(box22, u0.coeffs, t)
-    np.testing.assert_array_equal(bundle.b.coeffs, B)
-    np.testing.assert_array_equal(bundle.c.coeffs, C)
-    np.testing.assert_array_equal(bundle.f.coeffs, F)
+    np.testing.assert_array_equal(bundle.u0, u0)
+    np.testing.assert_array_equal(bundle.a, apply_free_flow(box22, u0, t))
+    B, C, F = _picard_coeffs(box22, u0, t)
+    np.testing.assert_array_equal(bundle.b, B)
+    np.testing.assert_array_equal(bundle.c, C)
+    np.testing.assert_array_equal(bundle.f, F)

@@ -446,8 +446,10 @@ class TestWeightedSums:
 
     @pytest.mark.parametrize("fn", [weighted_sum_pair, weighted_sum_triple])
     def test_grid_matches_single_times(self, ctx22_twopoint, fn):
-        # One value per grid time, each the value that time gives alone.
-        grid = np.array([0.0, 0.3, 7.5, 100.0])
+        # One value per grid time, each the value that time gives alone;
+        # 150 times span three of weighted_sum_triple's blocks of 64.
+        grid = np.concatenate([[0.0, 0.3, 7.5, 100.0],
+                               np.linspace(0.5, 99.5, 146)])
         sums = fn(ctx22_twopoint, 1.0, grid)
         assert sums.shape == grid.shape
         for t, value in zip(grid, sums):
