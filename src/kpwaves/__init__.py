@@ -10,7 +10,8 @@ from .operators import dx_product, s_map, f_map
 from .picard import (phi1, extract_d, extract_w, PicardBundle, lambda_eps,
                      invert_lambda_eps, NonContractionError,
                      MaxIterExceededError)
-from .dynamics import default_dt, calibrate_dt, evolve_coeffs, NonFiniteError
+from .dynamics import (default_dt, calibrate_dt, evolve_coeffs, NonFiniteError,
+                       CalibrationError)
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_u0, EnsembleConfig, MomentReport,
                        estimate_moments, ScanConfig, ScanResult,

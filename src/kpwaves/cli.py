@@ -23,7 +23,7 @@ from .lattice import LatticeBox
 from .operators import pair_table
 from .picard import (PicardBundle, resonance_margin, identity_residuals,
                      w_residual, _check_contraction)
-from .dynamics import (_calibrate, _diverged, calibrate_dt, evolve_coeffs,
+from .dynamics import (_diverged, calibrate_dt, default_dt, evolve_coeffs,
                        NonFiniteError)
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_g_batch, sample_u0, EnsembleConfig,
@@ -416,13 +416,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     # One evolved sample: the cubic remainder decomposition of the
     # normal-form variable must close against the integrated state.
     # Sample 0 is also the first field of the identity pairs, so its
-    # bundle is reused; without a configured dt, the calibration run
-    # already ends at t.
+    # bundle is reused.  The decomposition is algebraic and holds for any
+    # state, so the step is not calibrated: one run at the configured or
+    # default step.
     u0 = bundles[0].u0
-    if cfg.dt:
-        U_t = evolve_coeffs(box, u0, eps, [t], cfg.dt)[0]
-    else:
-        _, U_t = _calibrate(box, u0, eps, t)
+    U_t = evolve_coeffs(box, u0, eps, [t], cfg.dt or default_dt(box))[0]
     if _diverged(U_t):
         raise NonFiniteError(f"sample 0 diverged by t = {t}")
     checks.append(("w-decomposition", w_residual(U_t, bundles[0]),

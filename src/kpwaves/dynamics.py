@@ -45,6 +45,7 @@ __all__ = [
     "evolve_coeffs",
     "calibrate_dt",
     "NonFiniteError",
+    "CalibrationError",
 ]
 
 
@@ -55,6 +56,10 @@ _PHASE_CHUNK = 64
 
 class NonFiniteError(RuntimeError):
     """An evolved state contained NaN or infinity."""
+
+
+class CalibrationError(RuntimeError):
+    """calibrate_dt ran out of halvings before its error met the target."""
 
 
 def _diverged(states: np.ndarray) -> np.ndarray:
@@ -160,22 +165,21 @@ def calibrate_dt(box: LatticeBox, u0: np.ndarray, eps: float, t: float,
     """Halve the step until the step-halving error at time t drops below target.
 
     The error proxy is the l2 distance between the final states computed
-    with dt and dt/2.
+    with dt and dt/2; the first step dt that meets the target is returned.
+    Raises CalibrationError when max_halvings halvings leave the error at
+    or above target (or non-finite).
     """
-    return _calibrate(box, u0, eps, t, target, dt0, max_halvings)[0]
-
-
-def _calibrate(box: LatticeBox, u0: np.ndarray, eps: float, t: float,
-               target: float = 1e-8, dt0: float | None = None,
-               max_halvings: int = 12) -> tuple[float, np.ndarray]:
-    """calibrate_dt's step together with the state at t evolved with it."""
     dt = default_dt(box) if dt0 is None else dt0
     coarse = evolve_coeffs(box, u0, eps, [t], dt)[0]
+    err = np.inf
     for _ in range(max_halvings):
         fine = evolve_coeffs(box, u0, eps, [t], dt / 2.0)[0]
         err = float(np.linalg.norm(fine - coarse))
         if err < target:
-            return dt, coarse
+            return dt
         dt /= 2.0
         coarse = fine
-    return dt, coarse
+    raise CalibrationError(
+        f"step calibration missed its target {target:.1e} within "
+        f"{max_halvings} halvings: step-halving error {err:.3e} at "
+        f"dt = {dt:.6g}")

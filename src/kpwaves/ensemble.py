@@ -605,7 +605,7 @@ def _check_scan(cfg: ScanConfig) -> list:
         raise ValueError(f"triple: {exc}") from None
 
 
-def _calibrated_note(dt: float) -> str:
+def _calibration_note(dt: float) -> str:
     """Tail of a divergence message when the step was calibrated: the
     calibration runs sample 0 alone, so another sample can diverge."""
     return (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
@@ -634,7 +634,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     if dt is None:
         probe = sample_u0(cfg.profile, cfg.law, cfg.seed, 0)
         dt = calibrate_dt(box, probe, max(eps_grid), cfg.t, target=1e-9)
-        note = _calibrated_note(dt)
+        note = _calibration_note(dt)
     phase = np.exp(1j * box.omega * cfg.t)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
@@ -777,7 +777,7 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     if dt is None:
         probe = sample_u0(profile, law, seed, 0)
         dt = calibrate_dt(box, probe, eps, float(grid[-1]), target=1e-9)
-        note = _calibrated_note(dt)
+        note = _calibration_note(dt)
     G = sample_g_batch(box, law, seed, np.arange(sample_count))
     U0 = lam * G
     states = evolve_coeffs(box, U0, eps, grid, dt)

@@ -364,26 +364,29 @@ def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,
 
     Each step replaces d by g minus the perturbative part of lambda_eps;
     for small eps the map is a contraction and the residual decays
-    geometrically.  Raises NonContractionError if the residual fails to
-    shrink by a factor of 0.9 across five consecutive iterations and
-    MaxIterExceededError if the tolerance is not met within max_iter.
+    geometrically.  Raises NonContractionError if the residual is not
+    finite or fails to shrink by a factor of 0.9 across five consecutive
+    iterations, and MaxIterExceededError if the tolerance is not met
+    within max_iter.  numpy stays silent about an iterate that overflows.
 
     The residual is measured as hs_norm(lambda_eps(d) - g, 0), the l2
     norm of the coefficients.
     """
     d = g.copy()
     history: list[float] = []
-    for _ in range(max_iter):
-        image = lambda_eps(d, bundle)
-        res = hs_norm(bundle.box, image - g, 0.0)
-        if res <= tol:
-            return d
-        history.append(res)
-        if len(history) > 5 and history[-1] > 0.9 * history[-6]:
-            raise NonContractionError(
-                f"residual {res:.3e} is not contracting; "
-                f"eps={bundle.eps} is likely outside the contraction regime")
-        d = g - (image - d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            image = lambda_eps(d, bundle)
+            res = hs_norm(bundle.box, image - g, 0.0)
+            if res <= tol:
+                return d
+            history.append(res)
+            if not np.isfinite(res) or (
+                    len(history) > 5 and history[-1] > 0.9 * history[-6]):
+                raise NonContractionError(
+                    f"residual {res:.3e} is not contracting; eps="
+                    f"{bundle.eps} is likely outside the contraction regime")
+            d = g - (image - d)
     raise MaxIterExceededError(
         f"no convergence to {tol:.1e} within {max_iter} iterations "
         f"(last residual {history[-1]:.3e})")

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through main()."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -15,7 +16,8 @@ import numpy as np
 
 from kpwaves import cli, ensemble, operators, picard
 from kpwaves.cli import ConfigError, load_config, main
-from kpwaves.dynamics import NonFiniteError
+from kpwaves.dynamics import (NonFiniteError, calibrate_dt, default_dt,
+                              evolve_coeffs)
 from kpwaves.ensemble import MomentReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -170,6 +172,49 @@ class TestVerify:
         assert main(["--config", bad, "--debug"]) == 2
         assert capsys.readouterr().err.startswith("config error: eps:")
 
+    def test_evolves_sample_once(self, tmp_path, capsys, monkeypatch):
+        # The w-decomposition holds for any state, so verify evolves
+        # sample 0 once, at the configured or the default step, and never
+        # calibrates.
+        calls = []
+
+        def evolve(box, U0, eps, times, dt, t0=0.0):
+            calls.append(dt)
+            return evolve_coeffs(box, U0, eps, times, dt, t0)
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("verify calibrated its step")
+
+        monkeypatch.setattr(cli, "evolve_coeffs", evolve)
+        monkeypatch.setattr(cli, "calibrate_dt", calibrate)
+        box = cli.LatticeBox(2, 2)
+        for dt_line, dt in (("", default_dt(box)), ("dt = 0.01\n", 0.01)):
+            calls.clear()
+            cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\n"
+                            + dt_line)
+            assert main(["--config", cfg]) == 0
+            assert "FAIL" not in capsys.readouterr().out
+            assert calls == [dt]
+
+    def test_non_finite_roundtrip_exits_3_with_one_line(self, tmp_path):
+        # Data far outside the contraction regime overflow the lambda
+        # round trip at its first iterate: one line, no numpy warnings
+        # (run as its own process, so that they would reach stderr).
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\nseed = 1\n"
+                        "eps = 1\nnormalize = false\n"
+                        "profile = power_decay 50 0\nt = 1\n")
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(src)
+        run = subprocess.run([sys.executable, "-m", "kpwaves.cli",
+                              "--config", cfg], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stdout == ""
+        assert re.fullmatch(r"runtime failure: residual (inf|nan) is not "
+                            r"contracting; eps=1\.0 is likely outside the "
+                            r"contraction regime\n", run.stderr)
+
     def test_zero_eps_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "verify.csv"
         cfg = write_cfg(tmp_path, "command = verify\nbox = 2 2\neps = 0\n"
@@ -215,6 +260,22 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert re.fullmatch(r"runtime failure: sample 0 diverged by "
                             r"t = \d\.0\n", err)
+        assert out == "" and not out_path.exists()
+
+    def test_missed_calibration_exits_3(self, tmp_path, capsys,
+                                        monkeypatch):
+        # A calibration that runs out of halvings is a runtime failure
+        # reported in one line, not a step that missed its target.
+        monkeypatch.setattr(cli, "calibrate_dt", functools.partial(
+            calibrate_dt, target=1e-30, max_halvings=3))
+        out_path = tmp_path / "sim.csv"
+        cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 2\n"
+                        f"eps = 0.3\nt = 1\nout = {out_path}\n")
+        assert main(["--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"runtime failure: step calibration missed its "
+                            r"target 1\.0e-30 within 3 halvings: step-halving "
+                            r"error \S+ at dt = 0\.00694444\n", err)
         assert out == "" and not out_path.exists()
 
     def test_requires_out(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
 from kpwaves.operators import dx_product
-from kpwaves.dynamics import (_calibrate, calibrate_dt, default_dt,
+from kpwaves.dynamics import (CalibrationError, calibrate_dt, default_dt,
                               evolve_coeffs)
 
 
@@ -130,6 +130,23 @@ def test_calibrate_dt_meets_target(box22, make_field):
     assert float(np.linalg.norm(fine - coarse)) < target
 
 
+def test_calibration_out_of_halvings_raises(box22, make_field):
+    # Three halvings from default_dt end at default_dt / 8 (about 30
+    # steps to t = 1), still far above the target; the error names the
+    # target, the last step-halving error and that step.
+    u0 = make_field(box22, hermitian=True)
+    eps, t = 0.3, 1.0
+    last = default_dt(box22) / 8.0
+    err = float(np.linalg.norm(
+        evolve_coeffs(box22, u0, eps, [t], last)[0]
+        - evolve_coeffs(box22, u0, eps, [t], 2.0 * last)[0]))
+    with pytest.raises(CalibrationError) as info:
+        calibrate_dt(box22, u0, eps, t, target=1e-30, max_halvings=3)
+    assert str(info.value) == (
+        f"step calibration missed its target 1.0e-30 within 3 halvings: "
+        f"step-halving error {err:.3e} at dt = {last:.6g}")
+
+
 def _complex_rk4(box, U0, eps, t, n_steps, t0=0.0):
     """Classical RK4 of the gauged flow from t0 to t on the full complex
     spectrum, through the pair-table sum of dx_product."""
@@ -196,15 +213,6 @@ def test_empty_batch_keeps_shape(box22):
     U0 = np.zeros((0, box22.size), dtype=complex)
     states = evolve_coeffs(box22, U0, 0.1, [0.5, 1.0], 0.1)
     assert states.shape == (2, 0, box22.size)
-
-
-def test_calibration_returns_its_final_state(box22, make_field):
-    # kpwaves verify evolves its sample once, inside the calibration.
-    u0 = make_field(box22, hermitian=True)
-    dt, state = _calibrate(box22, u0, 0.3, 1.0)
-    assert dt == calibrate_dt(box22, u0, 0.3, 1.0)
-    np.testing.assert_array_equal(
-        state, evolve_coeffs(box22, u0, 0.3, [1.0], dt)[0])
 
 
 class TestNormalFormResidual:
