@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,13 +23,12 @@ from .lattice import LatticeBox
 from .operators import pair_table
 from .picard import (PicardBundle, resonance_margin, identity_residuals,
                      w_residual, _check_contraction)
-from .dynamics import (_diverged, calibrate_dt, default_dt, evolve_coeffs,
-                       NonFiniteError)
+from .dynamics import _diverged, default_dt, evolve_coeffs, NonFiniteError
 from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_g_batch, sample_u0, EnsembleConfig,
                        MomentReport, estimate_moments, ScanConfig,
                        remainder_scan, remainder_growth, _check_scan,
-                       _check_growth)
+                       _check_growth, _step)
 from . import theory
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
@@ -40,38 +39,6 @@ IDENTITY_TOL = 1e-10
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved settings of one run; defaults cover every optional key."""
-
-    command: str = ""
-    box: tuple = (4, 4)
-    s: float = 1.0
-    eps: tuple = (0.1,)
-    t: float = 1.0
-    t_grid: tuple | None = None
-    law: str = "steinhaus"
-    profile: str = "power_decay 1.0 2.0"
-    normalize: bool = True
-    sample_count: int = 1000
-    seed: int = 0
-    dt: float | None = None
-    out: str = ""
-    format: str = "csv"
-    threads: int = 1
-    pairs: str = "diag"
-    triples: str = "zero-sum"
-    mode: tuple = (1, 0)
-    box_sizes: tuple = (4, 8, 16, 32)
-    lambda_exponent: float = 0.25
-    triple: tuple = ((1, 0), (1, 0), (-2, 0))
-    rotations: int = 4
-
-
-_COMMANDS = ("verify", "simulate", "ensemble", "remainder-scan",
-             "box-limit", "theory-curves")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +63,14 @@ def _numbers(key: str, text: str, kind, count: int | None = None) -> tuple:
     return vals
 
 
+def _text(key: str, text: str) -> str:
+    return text.strip()
+
+
+def _float(key: str, text: str) -> float:
+    return _numbers(key, text, float, 1)[0]
+
+
 def _bool(key: str, text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -105,57 +80,59 @@ def _bool(key: str, text: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _parse_command(text: str) -> str:
+def _parse_command(key: str, text: str) -> str:
     if text not in _COMMANDS:
         raise ConfigError(
-            f"command: unknown command {text!r}; choose from "
+            f"{key}: unknown command {text!r}; choose from "
             + ", ".join(_COMMANDS))
     return text
 
 
-def _parse_box(text: str) -> tuple:
-    n1, n2 = _numbers("box", text, int, 2)
+def _parse_box(key: str, text: str) -> tuple:
+    n1, n2 = _numbers(key, text, int, 2)
     if n1 < 1 or n2 < 0:
-        raise ConfigError(f"box: need n1_max >= 1 and n2_max >= 0, got {text!r}")
+        raise ConfigError(
+            f"{key}: need n1_max >= 1 and n2_max >= 0, got {text!r}")
     return (n1, n2)
 
 
-def _parse_eps(text: str) -> tuple:
-    vals = _numbers("eps", text, float)
+def _parse_eps(key: str, text: str) -> tuple:
+    vals = _numbers(key, text, float)
     for e in vals:
         if not 0.0 <= e <= 1.0:
-            raise ConfigError(f"eps: values must lie in [0, 1], got {e}")
+            raise ConfigError(f"{key}: values must lie in [0, 1], got {e}")
     return vals
 
 
-def _parse_t_grid(text: str) -> tuple:
-    start, stop, step = _numbers("t_grid", text, float, 3)
+def _parse_t_grid(key: str, text: str) -> tuple:
+    start, stop, step = _numbers(key, text, float, 3)
     if step <= 0 or stop < start:
-        raise ConfigError(f"t_grid: need start <= stop and step > 0, got {text!r}")
+        raise ConfigError(
+            f"{key}: need start <= stop and step > 0, got {text!r}")
     return (start, stop, step)
 
 
-def _parse_mode(text: str) -> tuple:
-    a, b = _numbers("mode", text, int, 2)
+def _parse_mode(key: str, text: str) -> tuple:
+    a, b = _numbers(key, text, int, 2)
     if a == 0:
-        raise ConfigError("mode: n1 = 0 is outside the phase space")
+        raise ConfigError(f"{key}: n1 = 0 is outside the phase space")
     return (a, b)
 
 
-def _parse_triple(text: str) -> tuple:
-    v = _numbers("triple", text, int, 6)
+def _parse_triple(key: str, text: str) -> tuple:
+    v = _numbers(key, text, int, 6)
     return ((v[0], v[1]), (v[2], v[3]), (v[4], v[5]))
 
 
-def _parse_box_sizes(text: str) -> tuple:
-    vals = _numbers("box_sizes", text, int)
+def _parse_box_sizes(key: str, text: str) -> tuple:
+    vals = _numbers(key, text, int)
     if any(n < 1 for n in vals):
-        raise ConfigError(f"box_sizes: sizes must be >= 1, got {text!r}")
+        raise ConfigError(f"{key}: sizes must be >= 1, got {text!r}")
     return vals
 
 
-def _positive_int(key: str, minimum: int):
-    def parse(text: str) -> int:
+def _int_from(minimum: int):
+    def parse(key: str, text: str) -> int:
         val, = _numbers(key, text, int, 1)
         if val < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
@@ -163,46 +140,50 @@ def _positive_int(key: str, minimum: int):
     return parse
 
 
-def _positive_float(key: str):
-    def parse(text: str) -> float:
-        val, = _numbers(key, text, float, 1)
-        if val <= 0:
-            raise ConfigError(f"{key}: must be positive, got {val}")
-        return val
-    return parse
+def _positive(key: str, text: str) -> float:
+    val = _float(key, text)
+    if val <= 0:
+        raise ConfigError(f"{key}: must be positive, got {val}")
+    return val
 
 
-def _parse_format(text: str) -> str:
+def _parse_format(key: str, text: str) -> str:
     if text not in ("csv", "json"):
-        raise ConfigError(f"format: expected csv or json, got {text!r}")
+        raise ConfigError(f"{key}: expected csv or json, got {text!r}")
     return text
 
 
-_KEY_PARSERS = {
-    "command": _parse_command,
-    "box": _parse_box,
-    "s": lambda v: _numbers("s", v, float, 1)[0],
-    "eps": _parse_eps,
-    "t": lambda v: _numbers("t", v, float, 1)[0],
-    "t_grid": _parse_t_grid,
-    "law": lambda v: v.strip(),
-    "profile": lambda v: v.strip(),
-    "normalize": lambda v: _bool("normalize", v),
-    "sample_count": _positive_int("sample_count", 0),
-    "seed": _positive_int("seed", 0),
-    "dt": _positive_float("dt"),
-    "out": lambda v: v.strip(),
-    "format": _parse_format,
-    "threads": _positive_int("threads", 1),
-    "pairs": lambda v: v.strip(),
-    "triples": lambda v: v.strip(),
-    "mode": _parse_mode,
-    "box_sizes": _parse_box_sizes,
-    "lambda_exponent":
-        lambda v: _numbers("lambda_exponent", v, float, 1)[0],
-    "triple": _parse_triple,
-    "rotations": _positive_int("rotations", 1),
-}
+def _key(default, parse):
+    """A configuration key: its default and parse(key, text), its parser."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class ExperimentConfig:
+    """Resolved settings of one run; defaults cover every optional key."""
+
+    command: str = _key("", _parse_command)
+    box: tuple = _key((4, 4), _parse_box)
+    s: float = _key(1.0, _float)
+    eps: tuple = _key((0.1,), _parse_eps)
+    t: float = _key(1.0, _float)
+    t_grid: tuple | None = _key(None, _parse_t_grid)
+    law: str = _key("steinhaus", _text)
+    profile: str = _key("power_decay 1.0 2.0", _text)
+    normalize: bool = _key(True, _bool)
+    sample_count: int = _key(1000, _int_from(0))
+    seed: int = _key(0, _int_from(0))
+    dt: float | None = _key(None, _positive)
+    out: str = _key("", _text)
+    format: str = _key("csv", _parse_format)
+    threads: int = _key(1, _int_from(1))
+    pairs: str = _key("diag", _text)
+    triples: str = _key("zero-sum", _text)
+    mode: tuple = _key((1, 0), _parse_mode)
+    box_sizes: tuple = _key((4, 8, 16, 32), _parse_box_sizes)
+    lambda_exponent: float = _key(0.25, _float)
+    triple: tuple = _key(((1, 0), (1, 0), (-2, 0)), _parse_triple)
+    rotations: int = _key(4, _int_from(1))
 
 
 def _read_kv_file(path) -> dict:
@@ -231,12 +212,12 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         raw[key] = str(val)
     if "command" not in raw:
         raise ConfigError("command: missing (pass --command or a command= line)")
+    parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
     parsed = {}
     for key, text in raw.items():
-        parser = _KEY_PARSERS.get(key)
-        if parser is None:
+        if key not in parsers:
             raise ConfigError(f"{key}: unknown configuration key")
-        parsed[key] = parser(text)
+        parsed[key] = parsers[key](key, text)
     cfg = ExperimentConfig(**parsed)
     if cfg.command != "verify" and not cfg.out:
         raise ConfigError("out: this command requires an output path")
@@ -294,6 +275,13 @@ def build_profile(cfg: ExperimentConfig, box: LatticeBox,
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from None
     return prof
+
+
+def _inputs(cfg: ExperimentConfig) -> tuple:
+    """The box, the modulus law and the spectrum profile of a run."""
+    box = LatticeBox(*cfg.box)
+    law = build_law(cfg)
+    return box, law, build_profile(cfg, box, law)
 
 
 def _check_in_box(key: str, modes, box: LatticeBox) -> None:
@@ -380,9 +368,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     eps = cfg.eps[0]
     if eps == 0:
         raise ConfigError("eps: the remainder is undefined at eps = 0")
-    box = LatticeBox(*cfg.box)
-    law = build_law(cfg)
-    profile = build_profile(cfg, box, law)
+    box, law, profile = _inputs(cfg)
     t = cfg.t
     margin = resonance_margin(box)
     n_splits = len(pair_table(box))
@@ -443,13 +429,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
-    box = LatticeBox(*cfg.box)
-    law = build_law(cfg)
-    profile = build_profile(cfg, box, law)
+    box, law, profile = _inputs(cfg)
     u0 = sample_u0(profile, law, cfg.seed, 0)
     eps = cfg.eps[0]
     times = _time_grid(cfg) if cfg.t_grid is not None else np.array([cfg.t])
-    dt = cfg.dt or calibrate_dt(box, u0, eps, float(times[-1]) or 1.0)
+    dt, _ = _step(profile, law, cfg.seed, eps, float(times[-1]) or 1.0,
+                  cfg.dt)
     states = evolve_coeffs(box, u0, eps, times, dt)
     bad = _diverged(states)
     if bad.any():
@@ -510,9 +495,7 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
 
 def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
-    box = LatticeBox(*cfg.box)
-    law = build_law(cfg)
-    profile = build_profile(cfg, box, law)
+    box, law, profile = _inputs(cfg)
     ecfg = EnsembleConfig(profile=profile, law=law, eps=cfg.eps[0], t=cfg.t,
                           sample_count=cfg.sample_count,
                           pairs=_select_pairs(cfg, box),
@@ -531,9 +514,7 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
 
 def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     """Scaling of the expansion remainders in eps, and growth in t."""
-    box = LatticeBox(*cfg.box)
-    law = build_law(cfg)
-    profile = build_profile(cfg, box, law)
+    box, law, profile = _inputs(cfg)
     scan_cfg = None
     if len(cfg.eps) >= 3:
         scan_cfg = ScanConfig(
@@ -548,9 +529,6 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     try:
         if scan_cfg is not None:
             _check_scan(scan_cfg)
-        # Growth contracts its whole ensemble at once, the scan a batch.
-        _check_contraction(box, cfg.sample_count if grid is not None else
-                           min(scan_cfg.batch_size, cfg.sample_count))
         if grid is not None:
             _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
     except ValueError as exc:
@@ -601,6 +579,9 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
             f"law: box-limit requires E|g|^2 = 1 and E|g|^4 = 2, "
             f"got ({m2:.6g}, {m4:.6g}); two_point 0 {np.sqrt(2):.17g} 0.5 "
             f"is one such law")
+    if cfg.t == 0:
+        raise ConfigError("t: the pair correction vanishes at t = 0; "
+                          "need t != 0")
     rows = []
     ratios = []
     values = []
@@ -611,6 +592,11 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
         rows.append((n_side, lam, val, ratio))
         values.append(abs(val))
         ratios.append(abs(ratio))
+    if ratios[0] == 0:
+        raise ConfigError(
+            f"box_sizes: the pair correction at mode {cfg.mode} is 0 at the "
+            f"first size N = {cfg.box_sizes[0]}, so it cannot scale the "
+            "ratios; start with a larger box")
     bounded = max(ratios) <= 10.0 * ratios[0]
     extras = {"ratio_first": ratios[0], "ratio_max": max(ratios),
               "bounded": int(bounded)}
@@ -657,6 +643,7 @@ _HANDLERS = {
     "box-limit": cmd_box_limit,
     "theory-curves": cmd_theory_curves,
 }
+_COMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:
@@ -674,21 +661,19 @@ def main(argv=None) -> int:
                         help="override the sampling thread count")
     parser.add_argument("--debug", action="store_true",
                         help="re-raise a runtime failure with its traceback")
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    path, debug = args.pop("config"), args.pop("debug")
 
-    overrides = {}
-    for key in ("command", "seed", "out", "format", "threads"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
+    # Every other flag overrides the configuration key of its name.
+    overrides = {key: val for key, val in args.items() if val is not None}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(path, overrides)
         return _HANDLERS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        if args.debug:
+        if debug:
             raise
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import LatticeBox, hs_weights
 from . import operators, theory
 from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
-from .picard import _picard_coeffs
+from .picard import _check_contraction, _picard_coeffs
 
 __all__ = [
     "RandomLaw",
@@ -268,6 +268,24 @@ def sample_u0(profile: SpectrumProfile, law: RandomLaw, seed: int,
 # ---------------------------------------------------------------------------
 # moment estimation
 
+def _step(profile: SpectrumProfile, law: RandomLaw, seed: int, eps: float,
+          t: float, dt: float | None, target: float = 1e-8
+          ) -> tuple[float, str]:
+    """The step of a run and the tail of its divergence messages.
+
+    A configured dt is returned with an empty tail.  dt = None takes the
+    step calibrate_dt picks for sample 0 at (eps, t), and the tail names
+    it: the calibration runs sample 0 alone, so another sample can
+    diverge.
+    """
+    if dt is not None:
+        return dt, ""
+    probe = sample_u0(profile, law, seed, 0)
+    dt = calibrate_dt(profile.box, probe, eps, t, target=target)
+    return dt, (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
+                "override it")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything that determines a Monte Carlo moment run.
@@ -424,10 +442,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     """
     box = cfg.profile.box
     lam = cfg.profile.lambdas()
-    dt = cfg.dt
-    if dt is None:
-        probe = sample_u0(cfg.profile, cfg.law, cfg.seed, 0)
-        dt = calibrate_dt(box, probe, cfg.eps, cfg.t)
+    dt, _ = _step(cfg.profile, cfg.law, cfg.seed, cfg.eps, cfg.t, cfg.dt)
 
     pair_idx = [(box.index(n), box.index(m)) for n, m in cfg.pairs]
     trip_idx = [(box.index(n), box.index(m), box.index(p))
@@ -525,6 +540,10 @@ def fit_log_slope(xs, ys) -> tuple[float, float]:
     return float(coef[0]), float(np.sqrt(var))
 
 
+# Samples per batch of the remainder scan and the growth fit.
+_SCAN_BATCH = 2048
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Settings for the common-random-number scan of expansion remainders.
@@ -545,7 +564,7 @@ class ScanConfig:
     triple: tuple = ((1, 0), (1, 0), (-2, 0))
     seed: int = 0
     dt: float | None = None
-    batch_size: int = 2048
+    batch_size: int = _SCAN_BATCH
     rotations: int = 4
 
 
@@ -582,7 +601,9 @@ class ScanResult:
 def _check_scan(cfg: ScanConfig) -> list:
     """Check the arguments of remainder_scan; return the triple's box indices.
 
-    Each ValueError starts with the configuration key it rejects.
+    Each ValueError starts with the configuration key it rejects, or
+    names the Picard contraction of one batch when it would not fit in
+    physical memory.
     """
     if len(cfg.eps_grid) < 3:
         raise ValueError("eps: a scan needs at least three values")
@@ -599,17 +620,13 @@ def _check_scan(cfg: ScanConfig) -> list:
     if (sum(m[0] for m in triple) != 0
             or sum(m[1] for m in triple) != 0):
         raise ValueError(f"triple: {triple} does not sum to zero")
+    box = cfg.profile.box
     try:
-        return [cfg.profile.box.index(n) for n in triple]
+        tri = [box.index(n) for n in triple]
     except ValueError as exc:
         raise ValueError(f"triple: {exc}") from None
-
-
-def _calibration_note(dt: float) -> str:
-    """Tail of a divergence message when the step was calibrated: the
-    calibration runs sample 0 alone, so another sample can diverge."""
-    return (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
-            "override it")
+    _check_contraction(box, min(cfg.batch_size, cfg.sample_count))
+    return tri
 
 
 def remainder_scan(cfg: ScanConfig) -> ScanResult:
@@ -630,11 +647,8 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     eps_grid = tuple(float(e) for e in cfg.eps_grid)
 
     lam = cfg.profile.lambdas()
-    dt, note = cfg.dt, ""
-    if dt is None:
-        probe = sample_u0(cfg.profile, cfg.law, cfg.seed, 0)
-        dt = calibrate_dt(box, probe, max(eps_grid), cfg.t, target=1e-9)
-        note = _calibration_note(dt)
+    dt, note = _step(cfg.profile, cfg.law, cfg.seed, max(eps_grid), cfg.t,
+                     cfg.dt, target=1e-9)
     phase = np.exp(1j * box.omega * cfg.t)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
@@ -723,11 +737,11 @@ class GrowthFit:
     stderr: float
 
 
-# Box-sized complex arrays per sample that remainder_growth holds besides
-# its evolved states.  The tracemalloc peak per sample, over 2x1 to 4x4
-# boxes and 3 or 6 grid times, read 8.0-8.8 arrays past the states, in
-# the closed-form subtraction after stepping (the stepper's own peak read
-# 4.7-6.3); the largest is rounded up.
+# Box-sized complex arrays per sample of a batch that remainder_growth
+# holds besides its evolved states.  The tracemalloc peak per sample, over
+# 2x1 to 4x4 boxes and 3 or 6 grid times, read 8.0-8.8 arrays past the
+# states, in the closed-form subtraction after stepping (the stepper's own
+# peak read 4.7-6.3); the largest is rounded up.
 _GROWTH_ARRAYS = 9
 
 
@@ -735,10 +749,11 @@ def _check_growth(box: LatticeBox, eps: float, times,
                   sample_count: int) -> np.ndarray:
     """Check the arguments of remainder_growth; return the sorted times.
 
-    Each ValueError starts with the configuration key it rejects.  The
-    ensemble is evolved in one batch that keeps the state at every grid
-    time; when that batch would exceed physical memory, sample_count is
-    rejected before any sample is drawn.
+    Each ValueError starts with the configuration key it rejects, or
+    names the Picard contraction of one batch when it would not fit.  The
+    samples are evolved in batches of _SCAN_BATCH that keep the state at
+    every grid time; when one batch would exceed physical memory,
+    sample_count is rejected before any sample is drawn.
     """
     if eps == 0:
         raise ValueError("eps: the remainder is undefined at eps = 0")
@@ -749,12 +764,14 @@ def _check_growth(box: LatticeBox, eps: float, times,
         raise ValueError("t_grid: grid times must be positive")
     if sample_count < 1:
         raise ValueError("sample_count: must be >= 1")
-    need = sample_count * box.size * 16 * (grid.size + _GROWTH_ARRAYS)
+    batch = min(_SCAN_BATCH, sample_count)
+    _check_contraction(box, batch)
+    need = batch * box.size * 16 * (grid.size + _GROWTH_ARRAYS)
     memory = operators._physical_memory()
     if need > memory:
         raise ValueError(
-            f"sample_count: {sample_count} samples of {box!r} over "
-            f"{grid.size} grid times need {need} bytes, more than the "
+            f"sample_count: a batch of {batch} samples of {box!r} over "
+            f"{grid.size} grid times needs {need} bytes, more than the "
             f"{memory} bytes of physical memory")
     return grid
 
@@ -764,36 +781,38 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
                      dt: float | None = None) -> GrowthFit:
     """Fit the growth of the cubic-order remainder in time.
 
-    Evolves one ensemble across the whole grid, removes the closed terms
-    a + eps b + eps^2 c from each state, rescales by eps^3, and fits
-    log(max over samples of the H^s norm) against log(1 + t).  Raises
-    NonFiniteError, naming the first sample and grid time (and the step,
-    when it was calibrated), when an evolved state is non-finite.
+    Evolves the samples across the whole grid in batches of _SCAN_BATCH,
+    removes the closed terms a + eps b + eps^2 c from each state,
+    rescales by eps^3, keeps the running maximum over samples of the H^s
+    norm at each grid time, and fits its log against log(1 + t).  The
+    result does not depend on the batching.  When an evolved state is
+    non-finite, raises NonFiniteError naming the first grid time and the
+    lowest sample of the first batch that holds one (and the step, when
+    it was calibrated).
     """
     box = profile.box
     grid = _check_growth(box, eps, times, sample_count)
     lam = profile.lambdas()
-    note = ""
-    if dt is None:
-        probe = sample_u0(profile, law, seed, 0)
-        dt = calibrate_dt(box, probe, eps, float(grid[-1]), target=1e-9)
-        note = _calibration_note(dt)
-    G = sample_g_batch(box, law, seed, np.arange(sample_count))
-    U0 = lam * G
-    states = evolve_coeffs(box, U0, eps, grid, dt)
-    bad = _diverged(states)
-    if bad.any():
-        i_t, i_s = np.argwhere(bad)[0]
-        raise NonFiniteError(
-            f"sample {i_s} diverged by t = {grid[i_t]}{note}")
+    dt, note = _step(profile, law, seed, eps, float(grid[-1]), dt,
+                     target=1e-9)
     om = box.omega
     w = hs_weights(box, s)
-    peak = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        A = U0 * np.exp(1j * om * t)
-        B, C, _ = _picard_coeffs(box, U0, t)
-        D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
-        peak[i] = float(np.sqrt(np.sum(w * np.abs(D) ** 2, axis=1)).max())
+    peak = np.zeros(grid.size)
+    for start in range(0, sample_count, _SCAN_BATCH):
+        U0 = lam * sample_g_batch(box, law, seed, np.arange(
+            start, min(start + _SCAN_BATCH, sample_count)))
+        states = evolve_coeffs(box, U0, eps, grid, dt)
+        bad = _diverged(states)
+        if bad.any():
+            i_t, i_s = np.argwhere(bad)[0]
+            raise NonFiniteError(
+                f"sample {start + i_s} diverged by t = {grid[i_t]}{note}")
+        for i, t in enumerate(grid):
+            A = U0 * np.exp(1j * om * t)
+            B, C, _ = _picard_coeffs(box, U0, t)
+            D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
+            norms = np.sqrt(np.sum(w * np.abs(D) ** 2, axis=1))
+            peak[i] = max(peak[i], float(norms.max()))
     exponent, err = fit_log_slope(1.0 + grid, peak)
     return GrowthFit(times=tuple(grid), max_norms=tuple(peak),
                      exponent=exponent, stderr=err)

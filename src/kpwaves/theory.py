@@ -12,9 +12,11 @@ a single oscillatory factor.  Off-diagonal pair moments and triples off
 the zero-sum plane vanish at these orders.
 
 The repeated-index (Kronecker) part of F3 appears in the literature in
-two inequivalent printings; both are implemented behind flags and the
-package default is the variant selected by the Monte Carlo oracle in the
-acceptance tests.
+two inequivalent printings.  The package implements the one the Monte
+Carlo oracle of the acceptance tests selects: a repeated index enters
+with half weight and the first coordinate of the opposite mode.  The
+other printing survives only as a test reference, which the oracle
+rejects.
 
 Each closed form has one array kernel.  F2 is folded once per context:
 its terms that share a half-phase |delta|/2 share their time factor, so
@@ -161,23 +163,16 @@ def f2_diag(ctx: TheoryContext, n, t):
     return np.take(f2_diag_all(ctx, t), ctx.box.index(n), axis=-1)
 
 
-KRON_CONVENTIONS = ("half_opposite", "repeated")
-
-
-def _check_kron(kron: str) -> None:
-    if kron not in KRON_CONVENTIONS:
-        raise ValueError(f"unknown kron convention {kron!r}")
-
-
-def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p,
-                  kron: str = "half_opposite", first=None, excess=None):
+def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, first=None,
+                  excess=None):
     """Amplitude and phase Omega of F3 at triple indices (ints or arrays).
 
     The amplitude is m2^2 * cyclic + excess * kronecker, with the first
     coordinates taken from first (default box.n1) and excess defaulting
-    to m4 - 2 m2^2; the majorant passes their magnitudes.
+    to m4 - 2 m2^2; the majorant passes their magnitudes.  A repeated
+    index enters the kronecker term with half weight and the first
+    coordinate of the opposite mode.
     """
-    _check_kron(kron)
     if first is None:
         first = ctx.box.n1
     if excess is None:
@@ -185,20 +180,14 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p,
     L = ctx.lam2
     n1, m1, p1 = (first[i].astype(float) for i in (i_n, i_m, i_p))
     cyc = n1 * L[i_m] * L[i_p] + m1 * L[i_p] * L[i_n] + p1 * L[i_n] * L[i_m]
-    if kron == "half_opposite":
-        kr = 0.5 * ((i_m == i_p) * n1 * L[i_m] ** 2
-                    + (i_p == i_n) * m1 * L[i_p] ** 2
-                    + (i_n == i_m) * p1 * L[i_n] ** 2)
-    else:
-        kr = ((i_m == i_p) * m1 * L[i_m] ** 2
-              + (i_p == i_n) * p1 * L[i_p] ** 2
-              + (i_n == i_m) * n1 * L[i_n] ** 2)
+    kr = 0.5 * ((i_m == i_p) * n1 * L[i_m] ** 2
+                + (i_p == i_n) * m1 * L[i_p] ** 2
+                + (i_n == i_m) * p1 * L[i_n] ** 2)
     om = ctx.box.omega
     return ctx.m2 ** 2 * cyc + excess * kr, om[i_n] + om[i_m] + om[i_p]
 
 
-def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t,
-           kron: str = "half_opposite"):
+def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t):
     """f3 at box-index arrays, broadcast against the time t.
 
     -i phi1(Omega, t) amp, 0 off the zero-sum plane.  It is written
@@ -206,7 +195,7 @@ def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t,
     cancellation at small Omega t; picard.phi1's sinc form rescales the
     phase by pi, which costs |Omega t| ulps at large times.
     """
-    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p, kron)
+    amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p)
     box = ctx.box
     on = ((box.n1[i_n] + box.n1[i_m] + box.n1[i_p] == 0)
           & (box.n2[i_n] + box.n2[i_m] + box.n2[i_p] == 0))
@@ -215,7 +204,7 @@ def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t,
     return -2j * np.exp(1j * x) * np.sin(x) * scale
 
 
-def f3(ctx: TheoryContext, n, m, p, t, kron: str = "half_opposite"):
+def f3(ctx: TheoryContext, n, m, p, t):
     """Leading eps coefficient of E u_n u_m u_p, at t or over a time grid.
 
     Returns 0 when n + m + p != 0.  The closed form is
@@ -224,12 +213,12 @@ def f3(ctx: TheoryContext, n, m, p, t, kron: str = "half_opposite"):
              * (m2^2 * cyclic + (m4 - 2 m2^2) * kronecker)
 
     with Omega = omega(n) + omega(m) + omega(p), which never vanishes on
-    zero-sum triples.  kron selects how the repeated-index terms are
-    weighted; the default (kron="half_opposite") is the variant confirmed
-    by the Monte Carlo oracle in the acceptance tests.
+    zero-sum triples.  The repeated-index terms are weighted as in
+    _f3_amplitude, the printing the Monte Carlo oracle of the acceptance
+    tests confirms.
     """
     idx = (ctx.box.index(v) for v in (n, m, p))
-    return _f3_at(ctx, *idx, t, kron)
+    return _f3_at(ctx, *idx, t)
 
 
 def pair_prediction(ctx: TheoryContext, i_n, i_m, t: float,

@@ -152,3 +152,30 @@ def normal_form_residual():
         return float(np.max(hs_norm(box, diff - target, s)))
 
     return residual
+
+
+def _f3_amplitude_reference(ctx, n, m, p, kron="half_opposite",
+                            magnitudes=False):
+    """m2^2 * cyclic + (m4 - 2 m2^2) * kronecker of F3, one triple at a time.
+
+    kron selects a printing of the repeated-index term: "half_opposite",
+    the one theory implements (half weight, first coordinate of the
+    opposite mode), or "repeated" (full weight, first coordinate of the
+    repeated mode), which the acceptance oracle rejects.
+    magnitudes replaces the first coordinates and the excess kurtosis by
+    their absolute values, as in the time-uniform bound.
+    """
+    box, L = ctx.box, ctx.lam2
+    i, j, k = (box.index(v) for v in (n, m, p))
+    a, b, c = n[0], m[0], p[0]
+    excess = ctx.m4 - 2.0 * ctx.m2 ** 2
+    if magnitudes:
+        a, b, c, excess = abs(a), abs(b), abs(c), abs(excess)
+    cyc = a * L[j] * L[k] + b * L[k] * L[i] + c * L[i] * L[j]
+    if kron == "half_opposite":
+        kr = 0.5 * ((j == k) * a * L[j] ** 2 + (k == i) * b * L[k] ** 2
+                    + (i == j) * c * L[i] ** 2)
+    else:
+        kr = ((j == k) * b * L[j] ** 2 + (k == i) * c * L[k] ** 2
+              + (i == j) * a * L[i] ** 2)
+    return ctx.m2 ** 2 * cyc + excess * kr

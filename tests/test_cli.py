@@ -1,7 +1,8 @@
 """End-to-end command line tests, run in process through main()."""
 
 import csv
-import functools
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -131,6 +132,49 @@ def test_benchmark_workload_configs_load():
         assert load_config(str(path)).command in cli._COMMANDS, path.name
 
 
+def test_readme_key_table_matches_config():
+    # The README's "Common keys" table names every key but command once,
+    # with a default that the key's own parser reads as the field default.
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Common keys", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|", table, flags=re.M)
+    keys = {f.name: f for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert sorted(key for key, _ in rows) == sorted(set(keys) - {"command"})
+    for key, cell in rows:
+        cell = cell.strip().strip("`")
+        value = (None if cell in ("unset", "auto")
+                 else keys[key].metadata["parse"](key, cell))
+        assert value == keys[key].default, key
+
+
+def _benchmark_check():
+    """The benchmark's output check, perfbench/check.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", WORKLOADS.parent / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", sorted(WORKLOADS.glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_benchmark_workload_matches_reference(tmp_path, monkeypatch, capsys,
+                                              path):
+    # Each workload as the benchmark runs it, at seed 1 when it takes a
+    # seed, against its stored reference report; verify's identity
+    # residuals are roundoff and take an absolute tolerance.
+    check = _benchmark_check()
+    monkeypatch.chdir(tmp_path)
+    seeded = path.stem != "curves-6x6"
+    argv = ["--config", str(path), "--out", "report.csv"]
+    assert main(argv + ["--seed", "1"] * seeded) == 0
+    reference = (WORKLOADS.parent / "reference"
+                 / f"{path.stem}{'-seed1' * seeded}.csv.gz")
+    report = (tmp_path / "report.csv").read_text(encoding="utf-8")
+    assert check.compare(report, check.read_reference(reference),
+                         {"residual": 1e-10}) == []
+
+
 class TestVerify:
     def test_degenerate_box_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = verify\nbox = 1 0\n")
@@ -186,7 +230,7 @@ class TestVerify:
             raise AssertionError("verify calibrated its step")
 
         monkeypatch.setattr(cli, "evolve_coeffs", evolve)
-        monkeypatch.setattr(cli, "calibrate_dt", calibrate)
+        monkeypatch.setattr(ensemble, "calibrate_dt", calibrate)
         box = cli.LatticeBox(2, 2)
         for dt_line, dt in (("", default_dt(box)), ("dt = 0.01\n", 0.01)):
             calls.clear()
@@ -266,8 +310,10 @@ class TestSimulate:
                                         monkeypatch):
         # A calibration that runs out of halvings is a runtime failure
         # reported in one line, not a step that missed its target.
-        monkeypatch.setattr(cli, "calibrate_dt", functools.partial(
-            calibrate_dt, target=1e-30, max_halvings=3))
+        # The step rule passes its own target, so a wrapper forces both.
+        monkeypatch.setattr(ensemble, "calibrate_dt", lambda *a, **k:
+                            calibrate_dt(*a, **{**k, "target": 1e-30,
+                                                "max_halvings": 3}))
         out_path = tmp_path / "sim.csv"
         cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 2\n"
                         f"eps = 0.3\nt = 1\nout = {out_path}\n")
@@ -458,6 +504,26 @@ class TestBoxLimit:
         assert body[0] == "N,lambda,value,ratio"
         assert len(body) == 4
 
+    @pytest.mark.parametrize("extra, key", [
+        ("mode = 5 0\nbox_sizes = 1 2\nt = 1\n", "box_sizes"),
+        ("mode = 1 0\nbox_sizes = 4 8\nt = 0\n", "t"),
+    ], ids=["mode-out-of-reach", "zero-t"])
+    def test_vanishing_first_ratio_exits_2(self, tmp_path, capsys, extra,
+                                           key):
+        # No split within a box of half-width 1 or 2 reaches mode (5, 0),
+        # and every correction vanishes at t = 0: the first ratio is 0 and
+        # cannot scale the others.
+        out_path = tmp_path / "bl.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = box-limit\n"
+                        "law = two_point 0 1.4142135623730951 0.5\n"
+                        f"out = {out_path}\n" + extra)
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1
+
 
 class TestTheoryCurves:
     def cfg_text(self, out_path, fmt="csv"):
@@ -643,22 +709,49 @@ def test_phase_key_overflow_exits_2(tmp_path, capsys, command):
 
 def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
                                                       monkeypatch):
-    # The contraction of a million samples fits exactly; keeping them at
-    # three grid times does not, and nothing is sampled or evolved.
+    # The contraction of one batch fits; keeping that batch at three grid
+    # times does not, and nothing is sampled or evolved.
     box = cli.LatticeBox(2, 1)
-    memory = picard._contraction_bytes(box, 10 ** 6)
+    batch = ensemble._SCAN_BATCH
+    need = batch * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
+    memory = need - 1
+    assert picard._contraction_bytes(box, batch) <= memory
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
     monkeypatch.setattr(cli, "remainder_growth",
                         lambda *a, **k: pytest.fail("growth ran"))
     picard._nested_plan.cache_clear()
-    need = 10 ** 6 * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"
                     "eps = 0.1\nt_grid = 0.5 1 0.25\nsample_count = 1000000\n"
                     f"dt = 0.05\nout = {out_path}\n")
     assert main(["--config", cfg]) == 2
     out, err = capsys.readouterr()
-    assert err == (f"config error: sample_count: 1000000 samples of {box!r} "
-                   f"over 3 grid times need {need} bytes, more than the "
-                   f"{memory} bytes of physical memory\n")
+    assert err == (f"config error: sample_count: a batch of {batch} samples "
+                   f"of {box!r} over 3 grid times needs {need} bytes, more "
+                   f"than the {memory} bytes of physical memory\n")
     assert out == "" and not out_path.exists()
+
+
+def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
+                                                           monkeypatch):
+    # Growth streams its samples in batches, so a million samples of 2x1
+    # over three grid times pass the pre-flight on a machine that holds
+    # the Picard contraction of the whole ensemble but not its states.
+    box = cli.LatticeBox(2, 1)
+    memory = picard._contraction_bytes(box, 10 ** 6)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    calls = []
+
+    def growth(profile, law, eps, grid, sample_count, **kwargs):
+        calls.append(sample_count)
+        return ensemble.GrowthFit(times=tuple(grid), max_norms=(1.0,) * 3,
+                                  exponent=0.0, stderr=0.0)
+
+    monkeypatch.setattr(cli, "remainder_growth", growth)
+    out_path = tmp_path / "report.csv"
+    cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"
+                    "eps = 0.1\nt_grid = 0.5 1 0.25\nsample_count = 1000000\n"
+                    f"dt = 0.05\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 0
+    assert calls == [10 ** 6]
+    assert "# growth_exponent=0" in out_path.read_text().splitlines()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kpwaves import ensemble
 from kpwaves.lattice import LatticeBox, hs_norm
-from kpwaves.dynamics import NonFiniteError, evolve_coeffs
+from kpwaves.dynamics import NonFiniteError, default_dt, evolve_coeffs
 from kpwaves.ensemble import (
     _moment_sums,
     EnsembleConfig,
@@ -398,3 +399,32 @@ class TestGrowthValidation:
                            match=rf"^sample {first} diverged by "
                                  rf"t = {times[i_t]}$"):
             remainder_growth(profile, law, 1.0, times, 8, dt=0.05)
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_divergence_names_sample_across_batches(self, box22, monkeypatch,
+                                                    size):
+        # Streamed in batches of four, the first divergence lies in the
+        # second batch; the message names its index in the ensemble.
+        monkeypatch.setattr(ensemble, "_SCAN_BATCH", size)
+        profile, law, U0 = _diverging_start(box22)
+        times = (0.25, 0.5, 0.75, 1.0)
+        i_t, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, times,
+                                                    0.05))
+        assert first >= 4
+        with pytest.raises(NonFiniteError,
+                           match=rf"^sample {first} diverged by "
+                                 rf"t = {times[i_t]}$"):
+            remainder_growth(profile, law, 1.0, times, 8, dt=0.05)
+
+    @pytest.mark.parametrize("box", [LatticeBox(2, 1), LatticeBox(4, 4)],
+                             ids=["2x1-dense", "4x4-fft"])
+    def test_batching_does_not_change_results(self, box, monkeypatch):
+        # The growth streams its samples in batches; batches of three give
+        # the fit of one batch bit for bit, on either squarer of the
+        # stepper.
+        profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
+        args = (profile, RandomLaw.two_point(0.5, 1.5, 0.3), 0.1,
+                (0.5, 1.0, 1.5), 10)
+        one = remainder_growth(*args, seed=2, dt=default_dt(box))
+        monkeypatch.setattr(ensemble, "_SCAN_BATCH", 3)
+        assert remainder_growth(*args, seed=2, dt=default_dt(box)) == one

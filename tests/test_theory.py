@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from kpwaves.lattice import LatticeBox, omega
 from kpwaves.ensemble import RandomLaw, SpectrumProfile
 from kpwaves.theory import (
-    KRON_CONVENTIONS,
     TheoryContext,
     box_limit_f2,
     f2_diag,
@@ -24,7 +23,7 @@ from kpwaves.theory import (
     _one_minus_cos,
 )
 
-from conftest import mode_list, off_plane_triples
+from conftest import _f3_amplitude_reference, mode_list, off_plane_triples
 
 
 def g_n_rate(ctx, n, t):
@@ -37,10 +36,9 @@ def g_n_rate(ctx, n, t):
                                 * np.sin(delta[on] * t)))
 
 
-def h_rate(ctx, n, m, p, t, kron="half_opposite"):
+def h_rate(ctx, n, m, p, t):
     """Time derivative of the gauged triple coefficient e^{-i Omega t} f3."""
-    amp, Om = _f3_amplitude(ctx, *(ctx.box.index(v) for v in (n, m, p)),
-                            kron)
+    amp, Om = _f3_amplitude(ctx, *(ctx.box.index(v) for v in (n, m, p)))
     if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) != (0, 0):
         return 0.0 + 0.0j
     return complex(-1j * np.exp(-1j * Om * t) * amp)
@@ -94,28 +92,6 @@ def _f2_terms_reference(ctx, n):
 def _f2_bracket_reference(ctx, n, weight):
     return sum((ctx.m2 ** 2 if generic else 1.0) * weight(coef, d)
                for coef, d, generic in _f2_terms_reference(ctx, n))
-
-
-def _f3_amplitude_reference(ctx, n, m, p, kron, magnitudes=False):
-    """m2^2 * cyclic + (m4 - 2 m2^2) * kronecker of F3, one triple at a time.
-
-    magnitudes replaces the first coordinates and the excess kurtosis by
-    their absolute values, as in the time-uniform bound.
-    """
-    box, L = ctx.box, ctx.lam2
-    i, j, k = (box.index(v) for v in (n, m, p))
-    a, b, c = n[0], m[0], p[0]
-    excess = ctx.m4 - 2.0 * ctx.m2 ** 2
-    if magnitudes:
-        a, b, c, excess = abs(a), abs(b), abs(c), abs(excess)
-    cyc = a * L[j] * L[k] + b * L[k] * L[i] + c * L[i] * L[j]
-    if kron == "half_opposite":
-        kr = 0.5 * ((j == k) * a * L[j] ** 2 + (k == i) * b * L[k] ** 2
-                    + (i == j) * c * L[i] ** 2)
-    else:
-        kr = ((j == k) * b * L[j] ** 2 + (k == i) * c * L[k] ** 2
-              + (i == j) * a * L[i] ** 2)
-    return ctx.m2 ** 2 * cyc + excess * kr
 
 
 def _zero_sum_reference(box):
@@ -227,44 +203,23 @@ class TestTripleCorrection:
     def test_zero_time_vanishes(self, ctx33):
         assert f3(ctx33, (1, 0), (1, 0), (-2, 0), 0.0) == 0.0
 
-    @pytest.mark.parametrize("kron", KRON_CONVENTIONS)
     @pytest.mark.parametrize("triple", [
         ((1, 0), (1, 0), (-2, 0)),
         ((1, 1), (1, -1), (-2, 0)),
         ((2, 1), (-1, 1), (-1, -2)),
     ])
-    def test_h_rate_is_gauged_derivative(self, ctx22_twopoint, triple, kron):
+    def test_h_rate_is_gauged_derivative(self, ctx22_twopoint, triple):
         ctx = ctx22_twopoint
         n, m, p = triple
         Om = omega(n) + omega(m) + omega(p)
 
         def gauged(t):
-            return np.exp(-1j * Om * t) * f3(ctx, n, m, p, t, kron=kron)
+            return np.exp(-1j * Om * t) * f3(ctx, n, m, p, t)
 
         t, h = 0.6, 1e-6
         diff = (gauged(t + h) - gauged(t - h)) / (2 * h)
-        rate = h_rate(ctx, n, m, p, t, kron=kron)
+        rate = h_rate(ctx, n, m, p, t)
         assert abs(diff - rate) <= 1e-6 * max(1.0, abs(rate))
-
-    def test_conventions_differ_on_repeated_indices(self, ctx22_twopoint):
-        ctx = ctx22_twopoint
-        args = ((1, 0), (1, 0), (-2, 0), 0.5)
-        a = f3(ctx, *args, kron="half_opposite")
-        b = f3(ctx, *args, kron="repeated")
-        assert a != b
-
-    @pytest.mark.parametrize("fn", [
-        lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (-2, 0), 0.5, kron=kron),
-        lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (-2, 0), 0.5,
-                                 kron=kron),
-        lambda ctx, kron: f3(ctx, (1, 0), (1, 0), (1, 0), 0.5, kron=kron),
-        lambda ctx, kron: h_rate(ctx, (1, 0), (1, 0), (1, 0), 0.5,
-                                 kron=kron),
-    ], ids=["f3", "h_rate", "f3-off-plane", "h_rate-off-plane"])
-    def test_unknown_convention_rejected(self, ctx33, fn):
-        fn(ctx33, "repeated")
-        with pytest.raises(ValueError):
-            fn(ctx33, "other")
 
     def test_triple_prediction_is_scaled_f3(self, ctx33):
         n, m, p, t, eps = (1, 1), (1, 0), (-2, -1), 0.8, 0.15
@@ -278,7 +233,7 @@ class TestTripleCorrection:
         # every digit as Omega t goes to zero.
         triple = ((1, 0), (1, 0), (-2, 0))
         Om = sum(omega(v) for v in triple)
-        amp = _f3_amplitude_reference(ctx33, *triple, "half_opposite")
+        amp = _f3_amplitude_reference(ctx33, *triple)
         got = f3(ctx33, *triple, t)
         assert got.real == pytest.approx(
             amp * 2.0 * np.sin(0.5 * Om * t) ** 2 / Om, rel=1e-14, abs=0)
@@ -336,13 +291,11 @@ def test_zero_sum_triples_matches_brute_force(box22):
     assert got == expected
 
 
-@pytest.mark.parametrize("kron", KRON_CONVENTIONS)
-def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
+def test_f3_all_matches_scalar(ctx22_twopoint, ctx33):
     # f3 and h_rate against the one-triple formula, on every zero-sum
     # triple of the box (repeated-index triples such as (1,0), (1,0),
     # (-2,0) included), with excess kurtosis of either sign (two-point law
-    # > 0, Steinhaus < 0); under the default convention, which is the one
-    # they sum, also the weighted sum and its majorant.
+    # > 0, Steinhaus < 0); also the weighted sum and its majorant.
     t, s = 0.7, 1.0
     for ctx in (ctx22_twopoint, ctx33):
         triples = _zero_sum_reference(ctx.box)
@@ -350,24 +303,22 @@ def test_f3_all_matches_scalar(ctx22_twopoint, ctx33, kron):
         wsum = bound = 0.0
         for n, m, p in triples:
             Om = omega(n) + omega(m) + omega(p)
-            amp = _f3_amplitude_reference(ctx, n, m, p, kron)
+            amp = _f3_amplitude_reference(ctx, n, m, p)
             val = (1.0 - np.exp(1j * Om * t)) / Om * amp
             rate = -1j * np.exp(-1j * Om * t) * amp
-            got = f3(ctx, n, m, p, t, kron=kron)
+            got = f3(ctx, n, m, p, t)
             assert got == pytest.approx(val, rel=1e-12, abs=1e-15)
-            got = h_rate(ctx, n, m, p, t, kron=kron)
+            got = h_rate(ctx, n, m, p, t)
             assert got == pytest.approx(rate, rel=1e-12, abs=1e-15)
             w = np.sqrt(abs(n[0] * m[0] * p[0])) * (
                 (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
                 * (abs(p[0]) + abs(p[1]))) ** s
             wsum += w * abs(val)
             bound += w * 2.0 / abs(Om) * _f3_amplitude_reference(
-                ctx, n, m, p, kron, magnitudes=True)
-        if kron == "half_opposite":
-            got, = weighted_sum_triple(ctx, s, [t])
-            assert got == pytest.approx(wsum, rel=1e-12)
-            assert triple_majorant(ctx, s) == pytest.approx(bound,
-                                                            rel=1e-12)
+                ctx, n, m, p, magnitudes=True)
+        got, = weighted_sum_triple(ctx, s, [t])
+        assert got == pytest.approx(wsum, rel=1e-12)
+        assert triple_majorant(ctx, s) == pytest.approx(bound, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +347,7 @@ class TestFoldedSums:
         assert (len(mode), g) == (11514, 11430)
         assert ctx66._f2_fold[1].shape == (232, 156)
         i_n, i_m, i_p = zero_sum_triples(ctx66.box)
-        _, Om = _f3_amplitude(ctx66, i_n, i_m, i_p, "half_opposite")
+        _, Om = _f3_amplitude(ctx66, i_n, i_m, i_p)
         assert (len(Om), len(np.unique(0.5 * np.abs(Om)))) == (11430, 232)
 
     def test_pair(self, ctx_fold):
@@ -418,7 +369,7 @@ class TestFoldedSums:
         ctx, s = ctx_fold, 1.0
         triples = _zero_sum_reference(ctx.box)
         Om = np.array([omega(n) + omega(m) + omega(p) for n, m, p in triples])
-        amp = np.array([_f3_amplitude_reference(ctx, n, m, p, "half_opposite")
+        amp = np.array([_f3_amplitude_reference(ctx, n, m, p)
                         for n, m, p in triples])
         w = np.array([np.sqrt(abs(n[0] * m[0] * p[0])) * (
             (abs(n[0]) + abs(n[1])) * (abs(m[0]) + abs(m[1]))
