@@ -6,7 +6,8 @@ format-version line, so any result can be traced back to the run that
 produced it.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 configuration
-error, 3 runtime failure.
+error, 3 runtime failure.  Each command handler imports the layers it
+runs, so a command loads no code it never calls.
 """
 
 from __future__ import annotations
@@ -20,16 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .lattice import LatticeBox
-from .operators import pair_table
-from .picard import (PicardBundle, resonance_margin, identity_residuals,
-                     w_residual, _check_contraction)
-from .dynamics import _diverged, default_dt, evolve_coeffs, NonFiniteError
-from .ensemble import (RandomLaw, SpectrumProfile, normalize_profile,
-                       sample_g_batch, sample_u0, EnsembleConfig,
-                       MomentReport, estimate_moments, ScanConfig,
-                       remainder_scan, remainder_growth, _check_scan,
-                       _check_growth, _step)
-from . import theory
+from .sampling import (RandomLaw, SpectrumProfile, normalize_profile,
+                       sample_g_batch, sample_u0)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
@@ -365,6 +358,10 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     """Exact-identity suite: structural checks that hold to roundoff."""
+    from .operators import pair_table
+    from .picard import (PicardBundle, resonance_margin, identity_residuals,
+                         w_residual, _check_contraction)
+    from .dynamics import _diverged, default_dt, evolve_coeffs, NonFiniteError
     eps = cfg.eps[0]
     if eps == 0:
         raise ConfigError("eps: the remainder is undefined at eps = 0")
@@ -429,6 +426,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
+    from .dynamics import _diverged, evolve_coeffs, NonFiniteError
+    from .ensemble import _step
     box, law, profile = _inputs(cfg)
     u0 = sample_u0(profile, law, cfg.seed, 0)
     eps = cfg.eps[0]
@@ -489,12 +488,14 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
     if text == "none":
         return ()
     if text == "zero-sum":
-        return _mode_tuples(box, *theory.zero_sum_triples(box))
+        from .theory import zero_sum_triples
+        return _mode_tuples(box, *zero_sum_triples(box))
     return tuple(_parse_mode_groups("triples", text, 3, box))
 
 
 def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
+    from .ensemble import EnsembleConfig, MomentReport, estimate_moments
     box, law, profile = _inputs(cfg)
     ecfg = EnsembleConfig(profile=profile, law=law, eps=cfg.eps[0], t=cfg.t,
                           sample_count=cfg.sample_count,
@@ -514,6 +515,8 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
 
 def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     """Scaling of the expansion remainders in eps, and growth in t."""
+    from .ensemble import (ScanConfig, remainder_scan, remainder_growth,
+                           _check_scan, _check_growth)
     box, law, profile = _inputs(cfg)
     scan_cfg = None
     if len(cfg.eps) >= 3:
@@ -572,6 +575,7 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
 
 def cmd_box_limit(cfg: ExperimentConfig) -> int:
     """Pair correction across growing boxes with a flat shrinking spectrum."""
+    from .theory import box_limit_f2
     law = build_law(cfg)
     m2, m4 = law.moments()
     if abs(m2 - 1.0) > 1e-9 or abs(m4 - 2.0) > 1e-9:
@@ -587,7 +591,7 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
     values = []
     for n_side in cfg.box_sizes:
         lam = float(n_side) ** (-cfg.lambda_exponent)
-        val = theory.box_limit_f2(cfg.mode, n_side, lam, cfg.t, m2=m2, m4=m4)
+        val = box_limit_f2(cfg.mode, n_side, lam, cfg.t, m2=m2, m4=m4)
         ratio = val / lam ** 4
         rows.append((n_side, lam, val, ratio))
         values.append(abs(val))
@@ -613,6 +617,7 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
 
 def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     """Closed-form moment curves and weighted sums over a time grid."""
+    from . import theory
     box = LatticeBox(*cfg.box)
     _check_in_box("mode", [cfg.mode], box)
     _check_in_box("triple", cfg.triple, box)

@@ -34,13 +34,15 @@ from kpwaves.theory import (
 )
 from kpwaves.ensemble import (
     EnsembleConfig,
-    RandomLaw,
     ScanConfig,
-    SpectrumProfile,
     estimate_moments,
-    normalize_profile,
     remainder_growth,
     remainder_scan,
+)
+from kpwaves.sampling import (
+    RandomLaw,
+    SpectrumProfile,
+    normalize_profile,
     sample_g_batch,
 )
 

@@ -15,7 +15,7 @@ import pytest
 
 import numpy as np
 
-from kpwaves import cli, ensemble, operators, picard
+from kpwaves import cli, dynamics, ensemble, operators, picard
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.dynamics import (NonFiniteError, calibrate_dt, default_dt,
                               evolve_coeffs)
@@ -106,7 +106,7 @@ class TestConfigParsing:
         def never(ecfg):
             raise RuntimeError("sampling started")
 
-        monkeypatch.setattr(cli, "estimate_moments", never)
+        monkeypatch.setattr(ensemble, "estimate_moments", never)
         cfg = write_cfg(tmp_path, "command = ensemble\nbox = 2 2\n")
         assert main(["--config", cfg]) == 2
         assert "out" in capsys.readouterr().err
@@ -229,7 +229,7 @@ class TestVerify:
         def calibrate(*args, **kwargs):
             raise AssertionError("verify calibrated its step")
 
-        monkeypatch.setattr(cli, "evolve_coeffs", evolve)
+        monkeypatch.setattr(dynamics, "evolve_coeffs", evolve)
         monkeypatch.setattr(ensemble, "calibrate_dt", calibrate)
         box = cli.LatticeBox(2, 2)
         for dt_line, dt in (("", default_dt(box)), ("dt = 0.01\n", 0.01)):
@@ -369,7 +369,7 @@ class TestEnsemble:
         def never(ecfg):
             raise RuntimeError("sampling started")
 
-        monkeypatch.setattr(cli, "estimate_moments", never)
+        monkeypatch.setattr(ensemble, "estimate_moments", never)
         out_path = tmp_path / "report.csv"
         cfg = write_cfg(tmp_path,
                         "command = ensemble\nbox = 2 1\neps = 0.1\nt = 0.5\n"
@@ -407,9 +407,12 @@ class TestRemainderScan:
     @pytest.mark.parametrize("extra, key", [
         ("t_grid = 0 1 0.25\n", "t_grid"),
         ("eps = 0 0.14 0.1\n", "eps"),
+        # A repeated eps would accumulate its point's samples twice.
+        ("eps = 0.2 0.2 0.1\n", "eps"),
         ("sample_count = 0\n", "sample_count"),
         ("t = 0\n", "t"),
-    ], ids=["t_grid-from-zero", "zero-eps", "zero-samples", "zero-t"])
+    ], ids=["t_grid-from-zero", "zero-eps", "repeated-eps", "zero-samples",
+            "zero-t"])
     def test_bad_argument_exits_2_before_computing(self, tmp_path, capsys,
                                                    extra, key):
         out_path = tmp_path / "scan.csv"
@@ -421,6 +424,7 @@ class TestRemainderScan:
         assert main(["--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert err.startswith(f"config error: {key}:")
+        assert err.count("\n") == 1
         assert out == "" and not out_path.exists()
 
     def test_diverging_scan_prints_one_line(self, tmp_path):
@@ -717,7 +721,7 @@ def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     memory = need - 1
     assert picard._contraction_bytes(box, batch) <= memory
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
-    monkeypatch.setattr(cli, "remainder_growth",
+    monkeypatch.setattr(ensemble, "remainder_growth",
                         lambda *a, **k: pytest.fail("growth ran"))
     picard._nested_plan.cache_clear()
     out_path = tmp_path / "report.csv"
@@ -747,7 +751,7 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
         return ensemble.GrowthFit(times=tuple(grid), max_norms=(1.0,) * 3,
                                   exponent=0.0, stderr=0.0)
 
-    monkeypatch.setattr(cli, "remainder_growth", growth)
+    monkeypatch.setattr(ensemble, "remainder_growth", growth)
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"
                     "eps = 0.1\nt_grid = 0.5 1 0.25\nsample_count = 1000000\n"

@@ -12,15 +12,17 @@ from kpwaves.dynamics import NonFiniteError, default_dt, evolve_coeffs
 from kpwaves.ensemble import (
     _moment_sums,
     EnsembleConfig,
-    RandomLaw,
     ScanConfig,
     ScanResult,
-    SpectrumProfile,
     estimate_moments,
     fit_log_slope,
-    normalize_profile,
     remainder_growth,
     remainder_scan,
+)
+from kpwaves.sampling import (
+    RandomLaw,
+    SpectrumProfile,
+    normalize_profile,
     sample_g_batch,
     sample_u0,
 )

@@ -1,10 +1,8 @@
-import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,23 +126,53 @@ def test_convolve_empty_batch(box22):
         == (0, box22.size)
 
 
+# The modules `import kpwaves.cli` loads; each handler imports the rest.
+_CLI_MODULES = {"kpwaves", "kpwaves.cli", "kpwaves.lattice",
+                "kpwaves.sampling"}
+
+
+def _fresh_run(code, *args):
+    """The last stdout line of code run in a new interpreter, as words,
+    after it prints the kpwaves modules it loaded."""
+    src = os.path.dirname(os.path.dirname(kpwaves.__file__))
+    code += ("; print(*sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'kpwaves'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
 def test_cli_import_leaves_fft_unloaded():
     # Both load on first use: numpy.fft when the integrator squares a grid
     # by FFT (boxes past 3x3), the thread pool when an ensemble runs
     # several batches on threads.
-    src = os.path.dirname(os.path.dirname(kpwaves.__file__))
-    code = ("import sys, kpwaves.cli; "
-            "print('numpy.fft' in sys.modules, "
-            "'concurrent.futures' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    out = _fresh_run("import sys, kpwaves.cli; "
+                     "print('numpy.fft' in sys.modules, "
+                     "'concurrent.futures' in sys.modules, end=' ')")
+    assert out[:2] == ["False", "False"]
+    assert set(out[2:]) == _CLI_MODULES
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("theory-curves", {"operators", "theory"}),
+    ("verify", {"operators", "picard", "dynamics"}),
+], ids=["theory-curves", "verify"])
+def test_command_imports_only_its_layers(tmp_path, command, layers):
+    # The closed forms run without the stepper, the Picard layer and the
+    # estimators; verify runs without the closed forms and the estimators.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\nbox = 2 1\nt_grid = 0 1 0.5\n"
+                   f"out = {tmp_path / 'report.csv'}\n")
+    out = _fresh_run("import sys, kpwaves.cli; "
+                     "assert kpwaves.cli.main(sys.argv[1:]) == 0",
+                     "--config", str(cfg))
+    assert set(out) == _CLI_MODULES | {f"kpwaves.{m}" for m in layers}
 
 
 def test_every_exported_name_resolves():
     # A name left in __all__ after its definition is gone fails only on
-    # `import *`; the package imports its names explicitly.
+    # `import *`, or in the package on the name's first access.
     modules = [importlib.import_module(f"kpwaves.{m.name}")
                for m in pkgutil.iter_modules(kpwaves.__path__)]
     assert {m.__name__ for m in modules} >= {"kpwaves.cli", "kpwaves.lattice"}
@@ -156,17 +184,33 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
+# The package names before they were resolved on first access.
+_PACKAGE_NAMES = """
+    LatticeBox omega hs_norm hs_weights apply_free_flow dx_product s_map
+    f_map phi1 extract_d extract_w PicardBundle lambda_eps invert_lambda_eps
+    NonContractionError MaxIterExceededError default_dt calibrate_dt
+    evolve_coeffs NonFiniteError CalibrationError RandomLaw SpectrumProfile
+    normalize_profile sample_u0 EnsembleConfig MomentReport estimate_moments
+    ScanConfig ScanResult remainder_scan GrowthFit remainder_growth
+    TheoryContext f2_diag f3 weighted_sum_pair weighted_sum_triple
+    pair_majorant triple_majorant box_limit_f2
+""".split()
+
+
 def test_package_names_are_module_exports():
-    # Each name the package __init__ imports is in its module's __all__,
-    # so a deletion that leaves it behind there fails above as well.
-    tree = ast.parse(Path(kpwaves.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"kpwaves.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, (node.module, alias.name)
-            assert getattr(kpwaves, alias.name) is getattr(module, alias.name)
+    # Each name of the package table is in its module's __all__, so a
+    # deletion that leaves it behind there fails above as well, and it
+    # resolves to the module's object.
+    assert sorted(kpwaves.__all__) == sorted(_PACKAGE_NAMES)
+    assert len(_PACKAGE_NAMES) == 41
+    assert list(kpwaves._EXPORTS) == kpwaves.__all__
+    for name, module_name in kpwaves._EXPORTS.items():
+        module = importlib.import_module(f"kpwaves.{module_name}")
+        assert name in module.__all__, (module_name, name)
+        assert getattr(kpwaves, name) is getattr(module, name)
+        assert name in dir(kpwaves)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kpwaves.no_such_name
 
 
 def test_dx_product_definition(box22, make_field):

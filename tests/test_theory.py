@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kpwaves.lattice import LatticeBox, omega
-from kpwaves.ensemble import RandomLaw, SpectrumProfile
+from kpwaves.sampling import RandomLaw, SpectrumProfile
 from kpwaves.theory import (
     TheoryContext,
     box_limit_f2,
