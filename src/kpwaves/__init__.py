@@ -10,9 +10,9 @@ from importlib import import_module
 
 # Each public name and the module that defines it.
 _EXPORTS = {name: module for module, names in {
-    "lattice": "LatticeBox omega hs_norm hs_weights apply_free_flow",
+    "lattice": "LatticeBox omega hs_norm hs_weights apply_free_flow phi1",
     "operators": "dx_product s_map f_map",
-    "picard": "phi1 extract_d extract_w PicardBundle lambda_eps "
+    "picard": "extract_d extract_w PicardBundle lambda_eps "
               "invert_lambda_eps NonContractionError MaxIterExceededError",
     "dynamics": "default_dt calibrate_dt evolve_coeffs NonFiniteError "
                 "CalibrationError",

@@ -214,6 +214,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(**parsed)
     if cfg.command != "verify" and not cfg.out:
         raise ConfigError("out: this command requires an output path")
+    if cfg.command != "remainder-scan" and len(cfg.eps) > 1:
+        raise ConfigError(
+            f"eps: {cfg.command} takes one value, got {len(cfg.eps)}; "
+            "a list is for remainder-scan")
     return cfg
 
 
@@ -618,11 +622,9 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
 def cmd_theory_curves(cfg: ExperimentConfig) -> int:
     """Closed-form moment curves and weighted sums over a time grid."""
     from . import theory
-    box = LatticeBox(*cfg.box)
+    box, law, profile = _inputs(cfg)
     _check_in_box("mode", [cfg.mode], box)
     _check_in_box("triple", cfg.triple, box)
-    law = build_law(cfg)
-    profile = build_profile(cfg, box, law)
     ctx = theory.TheoryContext.from_profile(profile, law)
     grid = _time_grid(cfg) if cfg.t_grid is not None \
         else np.arange(0.0, 100.0 + 0.25, 0.5)

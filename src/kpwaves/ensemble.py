@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeBox, hs_weights
+from .lattice import LatticeBox, apply_free_flow, hs_norm
 from . import operators, theory
 from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
 from .picard import _check_contraction, _picard_coeffs
@@ -52,6 +52,10 @@ def _step(profile: SpectrumProfile, law: RandomLaw, seed: int, eps: float,
                 "override it")
 
 
+# Samples per batch of estimate_moments; each thread takes whole batches.
+_MOMENT_BATCH = 4096
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything that determines a Monte Carlo moment run.
@@ -71,7 +75,6 @@ class EnsembleConfig:
     triples: tuple = ()
     seed: int = 0
     dt: float | None = None
-    batch_size: int = 4096
     threads: int = 1
 
 
@@ -203,8 +206,8 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     The estimator is the plain sample mean over sample_count draws, with
     componentwise standard errors combined in quadrature.  Samples whose
     evolved state is non-finite are dropped and reported by index.  The
-    result is a pure function of the config, including the seed; batch
-    size and thread count only affect speed.
+    result is a pure function of the config, including the seed; the
+    batch size _MOMENT_BATCH and the thread count only affect speed.
     """
     box = cfg.profile.box
     lam = cfg.profile.lambdas()
@@ -225,8 +228,8 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
         ok = ~_diverged(U)
         return idx, U, ok
 
-    batches = [(s, min(s + cfg.batch_size, cfg.sample_count))
-               for s in range(0, cfg.sample_count, cfg.batch_size)]
+    batches = [(s, min(s + _MOMENT_BATCH, cfg.sample_count))
+               for s in range(0, cfg.sample_count, _MOMENT_BATCH)]
 
     def reduce_all(results):
         # Runs in fixed batch order regardless of thread count.  A failed
@@ -253,41 +256,32 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                             pair_moments={}, triple_moments={})
 
     ctx = theory.TheoryContext.from_profile(cfg.profile, cfg.law)
-    n_pairs, n_trips = len(pair_idx), len(trip_idx)
     (tot_re, tot_im), (tot_re2, tot_im2) = \
         sums.finish().reshape(2, -1, 2).transpose(0, 2, 1)
+    mean = (tot_re + 1j * tot_im) / good
+    var_re = np.maximum(tot_re2 / good - mean.real ** 2, 0.0)
+    var_im = np.maximum(tot_im2 / good - mean.imag ** 2, 0.0)
+    se = np.sqrt((var_re + var_im) / max(good - 1, 1))
 
-    def finish(cols, count):
-        mean = (tot_re[cols] + 1j * tot_im[cols]) / count
-        var_re = np.maximum(tot_re2[cols] / count - mean.real ** 2, 0.0)
-        var_im = np.maximum(tot_im2[cols] / count - mean.imag ** 2, 0.0)
-        se = np.sqrt((var_re + var_im) / max(count - 1, 1))
-        return mean, se
-
-    pair_entries = {}
-    if n_pairs:
-        mean, se = finish(slice(0, n_pairs), good)
-        pred = theory.pair_prediction(ctx, *np.transpose(pair_idx), cfg.t,
-                                      cfg.eps)
-        for r, (n, m) in enumerate(cfg.pairs):
-            pair_entries[(tuple(n), tuple(m))] = MomentEntry(
-                modes=(tuple(n), tuple(m)), estimate=complex(mean[r]),
-                std_error=float(se[r]), prediction=complex(pred[r]))
-    trip_entries = {}
-    if n_trips:
-        mean, se = finish(slice(n_pairs, None), good)
-        pred = theory.triple_prediction(ctx, *np.transpose(trip_idx), cfg.t,
-                                        cfg.eps)
-        for r, (n, m, p) in enumerate(cfg.triples):
-            trip_entries[(tuple(n), tuple(m), tuple(p))] = MomentEntry(
-                modes=(tuple(n), tuple(m), tuple(p)),
-                estimate=complex(mean[r]), std_error=float(se[r]),
-                prediction=complex(pred[r]))
+    n_pairs = len(pair_idx)
+    moments = []
+    for cols, groups, idx, predict in (
+            (slice(0, n_pairs), cfg.pairs, pair_idx, theory.pair_prediction),
+            (slice(n_pairs, None), cfg.triples, trip_idx,
+             theory.triple_prediction)):
+        pred = (predict(ctx, *np.transpose(idx), cfg.t, cfg.eps)
+                if idx else ())
+        entries = {}
+        for group, est, err, p in zip(groups, mean[cols], se[cols], pred):
+            modes = tuple(map(tuple, group))
+            entries[modes] = MomentEntry(
+                modes=modes, estimate=complex(est), std_error=float(err),
+                prediction=complex(p))
+        moments.append(entries)
 
     return MomentReport(eps=cfg.eps, t=cfg.t, seed=cfg.seed,
                         sample_count=good, failed_samples=tuple(failed),
-                        pair_moments=pair_entries,
-                        triple_moments=trip_entries)
+                        pair_moments=moments[0], triple_moments=moments[1])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,6 @@ class ScanConfig:
     triple: tuple = ((1, 0), (1, 0), (-2, 0))
     seed: int = 0
     dt: float | None = None
-    batch_size: int = _SCAN_BATCH
     rotations: int = 4
 
 
@@ -393,7 +386,7 @@ def _check_scan(cfg: ScanConfig) -> list:
         tri = [box.index(n) for n in triple]
     except ValueError as exc:
         raise ValueError(f"triple: {exc}") from None
-    _check_contraction(box, min(cfg.batch_size, cfg.sample_count))
+    _check_contraction(box, min(_SCAN_BATCH, cfg.sample_count))
     return tri
 
 
@@ -417,7 +410,6 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     lam = cfg.profile.lambdas()
     dt, note = _step(cfg.profile, cfg.law, cfg.seed, max(eps_grid), cfg.t,
                      cfg.dt, target=1e-9)
-    phase = np.exp(1j * box.omega * cfg.t)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
     rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
             for k in range(cfg.rotations)]
@@ -427,14 +419,14 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
 
     done = 0
     while done < cfg.sample_count:
-        nb = min(cfg.batch_size, cfg.sample_count - done)
+        nb = min(_SCAN_BATCH, cfg.sample_count - done)
         G0 = sample_g_batch(box, cfg.law, cfg.seed,
                             np.arange(done, done + nb))
         acc2 = {e: np.zeros((nb, nm)) for e in eps_grid}
         acc3 = {e: np.zeros(nb, dtype=np.complex128) for e in eps_grid}
         for rot in rots:
             U0 = G0 * rot * lam
-            A = U0 * phase
+            A = apply_free_flow(box, U0, cfg.t)
             B, C, _ = _picard_coeffs(box, U0, cfg.t)
             for e in eps_grid:
                 U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
@@ -563,8 +555,6 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     lam = profile.lambdas()
     dt, note = _step(profile, law, seed, eps, float(grid[-1]), dt,
                      target=1e-9)
-    om = box.omega
-    w = hs_weights(box, s)
     peak = np.zeros(grid.size)
     for start in range(0, sample_count, _SCAN_BATCH):
         U0 = lam * sample_g_batch(box, law, seed, np.arange(
@@ -576,11 +566,10 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
             raise NonFiniteError(
                 f"sample {start + i_s} diverged by t = {grid[i_t]}{note}")
         for i, t in enumerate(grid):
-            A = U0 * np.exp(1j * om * t)
+            A = apply_free_flow(box, U0, t)
             B, C, _ = _picard_coeffs(box, U0, t)
             D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
-            norms = np.sqrt(np.sum(w * np.abs(D) ** 2, axis=1))
-            peak[i] = max(peak[i], float(norms.max()))
+            peak[i] = max(peak[i], float(hs_norm(box, D, s).max()))
     exponent, err = fit_log_slope(1.0 + grid, peak)
     return GrowthFit(times=tuple(grid), max_norms=tuple(peak),
                      exponent=exponent, stderr=err)

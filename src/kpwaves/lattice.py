@@ -8,6 +8,8 @@ canonical mode ordering.  A field is a complex coefficient array whose
 last axis holds the box modes in that order; any leading axes are
 broadcast through.  Physical fields obey the reality symmetry
 u(-n) = conj(u(n)), which evolve_coeffs checks of its initial data.
+phi1 is the time integral of a free-flow phase, shared by the Picard
+corrections and the closed-form triple moment.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "hs_weights",
     "hs_norm",
     "apply_free_flow",
+    "phi1",
 ]
 
 
@@ -125,3 +128,15 @@ def hs_norm(box: LatticeBox, U: np.ndarray, s: float):
 def apply_free_flow(box: LatticeBox, U: np.ndarray, t: float) -> np.ndarray:
     """Propagate by the linear group, multiplying each mode by e^{i omega t}."""
     return U * np.exp(1j * box.omega * t)
+
+
+def phi1(theta, t):
+    """Oscillatory integral (e^{i theta t} - 1) / (i theta), elementwise.
+
+    Evaluated as t e^{ix} sin(x) / x with x = theta t / 2 and the quotient
+    taken as 1 where x = 0: no cancellation at small theta t, exactly t at
+    theta = 0, and no division by theta, which may be subnormal.
+    """
+    x = 0.5 * np.multiply(theta, t, dtype=float)
+    quotient = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    return t * np.exp(1j * x) * quotient

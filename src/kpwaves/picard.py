@@ -12,6 +12,8 @@ pass computes b, c and f for a batch of initial data (_picard_coeffs):
 b as a segment sum of the pair products U_k U_l, c and f as one complex
 matrix product per inner mode l = j + q, over fixed blocks of sample
 rows, with phi1 taken once per distinct four-wave phase (_NestedPlan).
+The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
+is the lattice module's, which theory's F3 takes too.
 _check_contraction counts its memory before anything is built.
 
 Fields are coefficient arrays as in the lattice module: the last axis
@@ -39,12 +41,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import operators
-from .lattice import LatticeBox, apply_free_flow, hs_norm
+from .lattice import LatticeBox, apply_free_flow, hs_norm, phi1
 from .operators import (pair_table, segment_sum, _starts_from_sorted,
                         s_map, dx_product, f_map)
 
 __all__ = [
-    "phi1",
     "extract_d",
     "extract_w",
     "PicardBundle",
@@ -73,16 +74,6 @@ class NonContractionError(RuntimeError):
 
 class MaxIterExceededError(RuntimeError):
     """Fixed-point iteration hit its iteration cap before converging."""
-
-
-def phi1(theta, t):
-    """Oscillatory integral (e^{i theta t} - 1) / (i theta), elementwise.
-
-    Evaluated as t e^{i theta t / 2} sinc(theta t / 2), which has no
-    cancellation at small theta t and equals t exactly at theta = 0.
-    """
-    th = np.asarray(theta, dtype=float)
-    return t * np.exp(0.5j * th * t) * np.sinc(th * t / (2.0 * np.pi))
 
 
 class PhaseKeyOverflowError(ValueError):

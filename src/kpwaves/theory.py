@@ -23,13 +23,12 @@ its terms that share a half-phase |delta|/2 share their time factor, so
 F2 at every mode is -n1 (sin^2(t |delta|/2) @ A) with A a (phases x
 modes) amplitude matrix, one vector-matrix product per time (232 x 156
 at a 6x6 box, from 11,514 terms).  F3 at box-index arrays is
--i phi1(Omega, t) amp in the half-angle form
--2i e^{i Omega t/2} sin(Omega t/2) / Omega, which keeps every digit at
-small Omega t.  f2_diag, f3 and the predictions are calls of these
-kernels.  The weighted sum of |F3| folds the triples with equal |Omega|
-once per call, in |1 - e^{ix}| = 2 |sin(x/2)|.  The folded sums match
-the term-by-term sums to roundoff, not bitwise; the majorants sum the
-unfolded terms.
+-i amp phi1(Omega, t), with phi1 the oscillatory integral of the lattice
+module that the Picard corrections use too.  f2_diag, f3 and the
+predictions are calls of these kernels.  The weighted sum of |F3| folds
+the triples with equal |Omega| once per call, in
+|1 - e^{ix}| = 2 |sin(x/2)|.  The folded sums match the term-by-term
+sums to roundoff, not bitwise; the majorants sum the unfolded terms.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import LatticeBox, hs_weights, omega
+from .lattice import LatticeBox, hs_weights, omega, phi1
 from .operators import pair_table
 
 __all__ = [
@@ -190,18 +189,14 @@ def _f3_amplitude(ctx: TheoryContext, i_n, i_m, i_p, first=None,
 def _f3_at(ctx: TheoryContext, i_n, i_m, i_p, t):
     """f3 at box-index arrays, broadcast against the time t.
 
-    -i phi1(Omega, t) amp, 0 off the zero-sum plane.  It is written
-    as -2i e^{i Omega t / 2} sin(Omega t / 2) / Omega, which has no
-    cancellation at small Omega t; picard.phi1's sinc form rescales the
-    phase by pi, which costs |Omega t| ulps at large times.
+    -i amp phi1(Omega, t), 0 off the zero-sum plane.  phi1's half-angle
+    form keeps every digit at small Omega t.
     """
     amp, Om = _f3_amplitude(ctx, i_n, i_m, i_p)
     box = ctx.box
     on = ((box.n1[i_n] + box.n1[i_m] + box.n1[i_p] == 0)
           & (box.n2[i_n] + box.n2[i_m] + box.n2[i_p] == 0))
-    x = 0.5 * np.multiply(Om, t)
-    scale = np.divide(amp, Om, out=np.zeros_like(Om), where=on)
-    return -2j * np.exp(1j * x) * np.sin(x) * scale
+    return -1j * np.where(on, amp, 0.0) * phi1(Om, t)
 
 
 def f3(ctx: TheoryContext, n, m, p, t):

@@ -176,7 +176,7 @@ def moment_run():
     cfg = EnsembleConfig(profile=profile, law=law, eps=EPS_MOMENTS,
                          t=T_MOMENTS, sample_count=4000,
                          pairs=tuple(pairs), triples=tuple(zero_sum + free),
-                         seed=0, batch_size=1024)
+                         seed=0)
     report = estimate_moments(cfg)
     ctx = TheoryContext.from_profile(profile, law)
     return ctx, report, len(zero_sum)

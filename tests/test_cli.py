@@ -101,6 +101,20 @@ class TestConfigParsing:
         assert got == f"config error: {err}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["verify", "simulate", "ensemble",
+                                         "box-limit", "theory-curves"])
+    def test_eps_list_exits_2_outside_scan(self, tmp_path, capsys, command):
+        # Only remainder-scan reads more than the first value.
+        out_path = tmp_path / "report.csv"
+        cfg = write_cfg(tmp_path, f"command = {command}\nbox = 2 1\n"
+                        "eps = 0.1 0.5\nt = 0.5\nsample_count = 8\n"
+                        f"out = {out_path}\n")
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert err == (f"config error: eps: {command} takes one value, "
+                       "got 2; a list is for remainder-scan\n")
+
     def test_missing_out_stops_ensemble_before_sampling(self, tmp_path,
                                                         capsys, monkeypatch):
         def never(ecfg):
@@ -550,7 +564,9 @@ class TestTheoryCurves:
     @pytest.mark.parametrize("extra, key", [
         ("box = 1 1\n", "triple"),
         ("box = 3 3\nmode = 5 0\n", "mode"),
-    ], ids=["triple", "mode"])
+        # The inputs are built before the modes are checked against them.
+        ("box = 3 3\nmode = 5 0\nlaw = bogus\n", "law"),
+    ], ids=["triple", "mode", "law-before-mode"])
     def test_mode_outside_box_exits_2(self, tmp_path, capsys, extra, key):
         cfg = write_cfg(tmp_path, "command = theory-curves\n"
                         f"out = {tmp_path / 'tc.csv'}\n" + extra)
@@ -697,12 +713,14 @@ def test_memory_check_counts_batch_arrays(tmp_path, capsys, monkeypatch):
     assert picard._nested_plan.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "remainder-scan"])
-def test_phase_key_overflow_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, eps", [("verify", "0.2"),
+                                          ("remainder-scan", "0.2 0.1 0.05")],
+                         ids=["verify", "remainder-scan"])
+def test_phase_key_overflow_exits_2(tmp_path, capsys, command, eps):
     # lcm(1..37) 37^3 does not fit in int64.
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, f"command = {command}\nbox = 37 0\n"
-                    f"eps = 0.2 0.1 0.05\nout = {out_path}\n")
+                    f"eps = {eps}\nout = {out_path}\n")
     assert main(["--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and not out_path.exists()

@@ -207,11 +207,13 @@ class TestEstimateMoments:
         assert report.sample_count == 0
         assert report.pair_moments == {} and report.triple_moments == {}
 
-    def test_batch_size_does_not_change_results(self, box22):
+    def test_batch_size_does_not_change_results(self, box22, monkeypatch):
         diagonal = tuple((n, n) for n in mode_list(box22))
-        reports = [estimate_moments(self.make_cfg(
-            box22, eps=0.1, sample_count=200, pairs=diagonal,
-            batch_size=size)) for size in (7, 16, 200, 1, 65)]
+        reports = []
+        for size in (7, 16, 200, 1, 65):
+            monkeypatch.setattr(ensemble, "_MOMENT_BATCH", size)
+            reports.append(estimate_moments(self.make_cfg(
+                box22, eps=0.1, sample_count=200, pairs=diagonal)))
         for other in reports[1:]:
             for key, entry in reports[0].pair_moments.items():
                 assert other.pair_moments[key].estimate == entry.estimate
@@ -249,13 +251,12 @@ class TestEstimateMoments:
                 assert (abs(got[1, r, i] - math.fsum(v * v for v in vals))
                         <= 1e-13 * scale2)
 
-    def test_threads_do_not_change_results(self, box22):
+    def test_threads_do_not_change_results(self, box22, monkeypatch):
+        monkeypatch.setattr(ensemble, "_MOMENT_BATCH", 16)
         serial = estimate_moments(self.make_cfg(box22, eps=0.1,
-                                                sample_count=64,
-                                                batch_size=16, threads=1))
+                                                sample_count=64, threads=1))
         threaded = estimate_moments(self.make_cfg(box22, eps=0.1,
-                                                  sample_count=64,
-                                                  batch_size=16, threads=3))
+                                                  sample_count=64, threads=3))
         for key in serial.pair_moments:
             assert (serial.pair_moments[key].estimate
                     == threaded.pair_moments[key].estimate)
@@ -329,22 +330,25 @@ class TestScanValidation:
             assert point.pair_value >= 0 and point.triple_value >= 0
             assert np.isfinite(point.pair_error)
 
-    def test_batch_size_does_not_change_results(self, box21):
-        one, split = (remainder_scan(self.base(box21, sample_count=80,
-                                               rotations=2, batch_size=size))
-                      for size in (80, 7))
+    def test_batch_size_does_not_change_results(self, box21, monkeypatch):
+        results = []
+        for size in (80, 7):
+            monkeypatch.setattr(ensemble, "_SCAN_BATCH", size)
+            results.append(remainder_scan(self.base(box21, sample_count=80,
+                                                    rotations=2)))
+        one, split = results
         assert one == split
 
-    def test_diverging_sample_raises(self, box22):
+    def test_diverging_sample_raises(self, box22, monkeypatch):
         profile, law, U0 = _diverging_start(box22)
         for e in (0.5, 0.7):
             assert np.isfinite(evolve_coeffs(box22, U0, e, [1.0], 0.05)).all()
         _, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, [1.0],
                                                   0.05))
         assert first >= 4  # in the second batch of four
+        monkeypatch.setattr(ensemble, "_SCAN_BATCH", 4)
         cfg = ScanConfig(profile=profile, law=law, eps_grid=(0.5, 0.7, 1.0),
-                         t=1.0, sample_count=8, dt=0.05, rotations=1,
-                         batch_size=4)
+                         t=1.0, sample_count=8, dt=0.05, rotations=1)
         with pytest.raises(NonFiniteError,
                            match=rf"^sample {first} diverged at eps = 1\.0$"):
             remainder_scan(cfg)

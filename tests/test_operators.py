@@ -154,16 +154,18 @@ def test_cli_import_leaves_fft_unloaded():
     assert set(out[2:]) == _CLI_MODULES
 
 
-@pytest.mark.parametrize("command, layers", [
-    ("theory-curves", {"operators", "theory"}),
-    ("verify", {"operators", "picard", "dynamics"}),
-], ids=["theory-curves", "verify"])
-def test_command_imports_only_its_layers(tmp_path, command, layers):
+@pytest.mark.parametrize("command, extra, layers", [
+    ("theory-curves", "", {"operators", "theory"}),
+    ("verify", "", {"operators", "picard", "dynamics"}),
+    ("box-limit", "law = two_point 0 1.4142135623730951 0.5\n",
+     {"operators", "theory"}),
+], ids=["theory-curves", "verify", "box-limit"])
+def test_command_imports_only_its_layers(tmp_path, command, extra, layers):
     # The closed forms run without the stepper, the Picard layer and the
     # estimators; verify runs without the closed forms and the estimators.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = {command}\nbox = 2 1\nt_grid = 0 1 0.5\n"
-                   f"out = {tmp_path / 'report.csv'}\n")
+                   f"out = {tmp_path / 'report.csv'}\n" + extra)
     out = _fresh_run("import sys, kpwaves.cli; "
                      "assert kpwaves.cli.main(sys.argv[1:]) == 0",
                      "--config", str(cfg))

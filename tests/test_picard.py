@@ -6,19 +6,20 @@ flow, so a sign, prefactor, or kernel mistake in the tables would show
 up as an O(1) relative deviation.
 """
 
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from kpwaves import picard
 from kpwaves.dynamics import (CalibrationError, calibrate_dt, default_dt,
                               evolve_coeffs)
-from kpwaves.lattice import LatticeBox, apply_free_flow
+from kpwaves.lattice import LatticeBox, apply_free_flow, phi1
 from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
                                segment_sum)
 from kpwaves.picard import (
@@ -35,7 +36,6 @@ from kpwaves.picard import (
     extract_w,
     invert_lambda_eps,
     lambda_eps,
-    phi1,
     w_residual,
 )
 
@@ -88,8 +88,22 @@ class TestPhi1:
     @given(theta=st.floats(min_value=-200.0, max_value=200.0),
            t=st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=60, deadline=None)
+    @example(theta=5e-324, t=5.0)  # a subnormal theta: phi1 must not divide
     def test_bounded_by_interval_length(self, theta, t):
         assert abs(phi1(theta, t)) <= t * (1 + 1e-12) + 1e-15
+
+    @given(theta=st.floats(min_value=-2e4, max_value=2e4),
+           t=st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_large_phase_matches_closed_form(self, theta, t):
+        # Away from theta t = 0 the closed form loses no digits; phi1 must
+        # keep them for |theta t| up to 2e4.  Both sides see theta t
+        # rounded the same way, so the bound is a few ulps.
+        z = cmath.exp(1j * theta * t) - 1.0
+        assume(abs(z) > 0.5)
+        expected = z / (1j * theta)
+        assert abs(complex(phi1(theta, t)) - expected) \
+            <= 2e-15 * abs(expected)
 
 
 def test_picard_corrections_vanish_at_time_zero(box22, make_field):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kpwaves.lattice import LatticeBox, omega
+from kpwaves.lattice import LatticeBox, omega, phi1
 from kpwaves.sampling import RandomLaw, SpectrumProfile
 from kpwaves.theory import (
     TheoryContext,
@@ -20,6 +20,7 @@ from kpwaves.theory import (
     weighted_sum_triple,
     zero_sum_triples,
     _f3_amplitude,
+    _f3_at,
     _one_minus_cos,
 )
 
@@ -220,6 +221,17 @@ class TestTripleCorrection:
         diff = (gauged(t + h) - gauged(t - h)) / (2 * h)
         rate = h_rate(ctx, n, m, p, t)
         assert abs(diff - rate) <= 1e-6 * max(1.0, abs(rate))
+
+    def test_is_phi1_times_amplitude(self, ctx33):
+        # -i amp phi1(Omega, t) to the last bit on the zero-sum plane: at
+        # one time over every triple, and at one triple over a time grid.
+        i_n, i_m, i_p = zero_sum_triples(ctx33.box)
+        amp, Om = _f3_amplitude(ctx33, i_n, i_m, i_p)
+        got = _f3_at(ctx33, i_n, i_m, i_p, 0.7)
+        assert got.tobytes() == (-1j * amp * phi1(Om, 0.7)).tobytes()
+        grid = np.arange(0.0, 100.25, 0.5)
+        got = _f3_at(ctx33, i_n[7], i_m[7], i_p[7], grid)
+        assert got.tobytes() == (-1j * amp[7] * phi1(Om[7], grid)).tobytes()
 
     def test_triple_prediction_is_scaled_f3(self, ctx33):
         n, m, p, t, eps = (1, 1), (1, 0), (-2, -1), 0.8, 0.15
