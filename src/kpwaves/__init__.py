@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in {
     "dynamics": "default_dt calibrate_dt evolve_coeffs NonFiniteError "
                 "CalibrationError",
     "sampling": "RandomLaw SpectrumProfile normalize_profile sample_u0",
-    "ensemble": "EnsembleConfig MomentReport estimate_moments ScanConfig "
-                "ScanResult remainder_scan GrowthFit remainder_growth",
+    "ensemble": "MomentReport estimate_moments ScanResult remainder_scan "
+                "GrowthFit remainder_growth",
     "theory": "TheoryContext f2_diag f3 weighted_sum_pair weighted_sum_triple "
               "pair_majorant triple_majorant box_limit_f2",
 }.items() for name in names.split()}

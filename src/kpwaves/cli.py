@@ -430,8 +430,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
-    from .dynamics import _diverged, evolve_coeffs, NonFiniteError
-    from .ensemble import _step
+    from .dynamics import _diverged, _step, evolve_coeffs, NonFiniteError
     box, law, profile = _inputs(cfg)
     u0 = sample_u0(profile, law, cfg.seed, 0)
     eps = cfg.eps[0]
@@ -499,14 +498,13 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
 
 def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
-    from .ensemble import EnsembleConfig, MomentReport, estimate_moments
+    from .ensemble import MomentReport, estimate_moments
     box, law, profile = _inputs(cfg)
-    ecfg = EnsembleConfig(profile=profile, law=law, eps=cfg.eps[0], t=cfg.t,
-                          sample_count=cfg.sample_count,
-                          pairs=_select_pairs(cfg, box),
-                          triples=_select_triples(cfg, box),
-                          seed=cfg.seed, dt=cfg.dt, threads=cfg.threads)
-    report = estimate_moments(ecfg)
+    report = estimate_moments(profile, law, cfg.eps[0], cfg.t,
+                              cfg.sample_count,
+                              pairs=_select_pairs(cfg, box),
+                              triples=_select_triples(cfg, box),
+                              seed=cfg.seed, dt=cfg.dt, threads=cfg.threads)
     extras = ({"failed_samples": list(report.failed_samples)}
               if report.failed_samples else None)
     emit_table(cfg, MomentReport.COLUMNS, report.rows(), extras=extras)
@@ -519,23 +517,19 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
 
 def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     """Scaling of the expansion remainders in eps, and growth in t."""
-    from .ensemble import (ScanConfig, remainder_scan, remainder_growth,
-                           _check_scan, _check_growth)
+    from .ensemble import (remainder_scan, remainder_growth, _check_scan,
+                           _check_growth)
     box, law, profile = _inputs(cfg)
-    scan_cfg = None
-    if len(cfg.eps) >= 3:
-        scan_cfg = ScanConfig(
-            profile=profile, law=law, eps_grid=cfg.eps, t=cfg.t,
-            sample_count=cfg.sample_count, triple=cfg.triple,
-            seed=cfg.seed, dt=cfg.dt, rotations=cfg.rotations)
+    scanning = len(cfg.eps) >= 3
     grid = _time_grid(cfg) if cfg.t_grid is not None else None
-    if scan_cfg is None and grid is None:
+    if not scanning and grid is None:
         raise ConfigError(
             "eps: need at least three values for a slope fit, "
             "or a t_grid for the growth fit")
     try:
-        if scan_cfg is not None:
-            _check_scan(scan_cfg)
+        if scanning:
+            _check_scan(box, cfg.eps, cfg.t, cfg.sample_count, cfg.triple,
+                        cfg.rotations)
         if grid is not None:
             _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
     except ValueError as exc:
@@ -543,8 +537,10 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
     rows = []
     extras = {}
     status = 0
-    if scan_cfg is not None:
-        scan = remainder_scan(scan_cfg)
+    if scanning:
+        scan = remainder_scan(profile, law, cfg.eps, cfg.t, cfg.sample_count,
+                              triple=cfg.triple, seed=cfg.seed, dt=cfg.dt,
+                              rotations=cfg.rotations)
         rows.extend(("scan", p.eps, None, p.pair_value, p.pair_error,
                      p.triple_value, p.triple_error, None)
                     for p in scan.points)
@@ -566,7 +562,8 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
                                cfg.sample_count, seed=cfg.seed, s=cfg.s,
                                dt=cfg.dt)
         for t, norm in zip(fit.times, fit.max_norms):
-            rows.append(("growth", None, t, None, None, None, None, norm))
+            rows.append(("growth", cfg.eps[0], t, None, None, None, None,
+                         norm))
         extras.update(growth_exponent=fit.exponent,
                       growth_stderr=fit.stderr)
         print(f"remainder-scan: growth exponent {fit.exponent:.3f} "

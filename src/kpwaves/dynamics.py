@@ -30,7 +30,9 @@ conjugate mirror.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times, and its callers find the samples that
-diverged with one per-sample mask, _diverged.
+diverged with one per-sample mask, _diverged.  _step is the one step rule
+of the commands that evolve seeded samples: a configured dt, or the step
+calibrate_dt picks for sample 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .lattice import LatticeBox, _symmetry_defect
 from .operators import _squarer
+from .sampling import RandomLaw, SpectrumProfile, sample_u0
 
 __all__ = [
     "default_dt",
@@ -183,3 +186,21 @@ def calibrate_dt(box: LatticeBox, u0: np.ndarray, eps: float, t: float,
         f"step calibration missed its target {target:.1e} within "
         f"{max_halvings} halvings: step-halving error {err:.3e} at "
         f"dt = {dt:.6g}")
+
+
+def _step(profile: SpectrumProfile, law: RandomLaw, seed: int, eps: float,
+          t: float, dt: float | None, target: float = 1e-8
+          ) -> tuple[float, str]:
+    """The step of a run and the tail of its divergence messages.
+
+    A configured dt is returned with an empty tail.  dt = None takes the
+    step calibrate_dt picks for sample 0 at (eps, t), and the tail names
+    it: the calibration runs sample 0 alone, so another sample can
+    diverge.
+    """
+    if dt is not None:
+        return dt, ""
+    probe = sample_u0(profile, law, seed, 0)
+    dt = calibrate_dt(profile.box, probe, eps, t, target=target)
+    return dt, (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
+                "override it")

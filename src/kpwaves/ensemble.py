@@ -1,6 +1,12 @@
 """Monte Carlo estimators over the seeded initial data of `sampling`:
 moments against the closed forms, the common-random-number scan of the
 expansion remainders in eps, and the growth fit of the cubic remainder.
+
+The three take plain arguments: the profile, the law, eps (an eps grid
+for the scan), the time (a time grid for the growth fit) and
+sample_count, then keywords whose defaults are those of the
+configuration keys of the same name.  They draw and evolve their samples
+in batches of _BATCH and take their step from dynamics._step.
 """
 
 from __future__ import annotations
@@ -12,16 +18,14 @@ import numpy as np
 
 from .lattice import LatticeBox, apply_free_flow, hs_norm
 from . import operators, theory
-from .dynamics import _diverged, calibrate_dt, evolve_coeffs, NonFiniteError
+from .dynamics import _diverged, _step, evolve_coeffs, NonFiniteError
 from .picard import _check_contraction, _picard_coeffs
-from .sampling import RandomLaw, SpectrumProfile, sample_g_batch, sample_u0
+from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
 __all__ = [
-    "EnsembleConfig",
     "MomentEntry",
     "MomentReport",
     "estimate_moments",
-    "ScanConfig",
     "ScanPoint",
     "ScanResult",
     "remainder_scan",
@@ -31,52 +35,13 @@ __all__ = [
 ]
 
 
+# Samples per batch of every estimator; each thread of estimate_moments
+# takes whole batches.
+_BATCH = 2048
+
+
 # ---------------------------------------------------------------------------
 # moment estimation
-
-def _step(profile: SpectrumProfile, law: RandomLaw, seed: int, eps: float,
-          t: float, dt: float | None, target: float = 1e-8
-          ) -> tuple[float, str]:
-    """The step of a run and the tail of its divergence messages.
-
-    A configured dt is returned with an empty tail.  dt = None takes the
-    step calibrate_dt picks for sample 0 at (eps, t), and the tail names
-    it: the calibration runs sample 0 alone, so another sample can
-    diverge.
-    """
-    if dt is not None:
-        return dt, ""
-    probe = sample_u0(profile, law, seed, 0)
-    dt = calibrate_dt(profile.box, probe, eps, t, target=target)
-    return dt, (f" with dt = {dt:.6g}, calibrated on sample 0; set dt to "
-                "override it")
-
-
-# Samples per batch of estimate_moments; each thread takes whole batches.
-_MOMENT_BATCH = 4096
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Everything that determines a Monte Carlo moment run.
-
-    pairs is a sequence of ((n), (m)) mode pairs for E u_n conj(u_m);
-    triples a sequence of (n, m, p) for E u_n u_m u_p.  dt = None picks
-    a step by halving until the step-doubling error of a probe sample
-    falls below 1e-8.
-    """
-
-    profile: SpectrumProfile
-    law: RandomLaw
-    eps: float
-    t: float
-    sample_count: int
-    pairs: tuple = ()
-    triples: tuple = ()
-    seed: int = 0
-    dt: float | None = None
-    threads: int = 1
-
 
 @dataclass(frozen=True)
 class MomentEntry:
@@ -200,36 +165,44 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
     return _BlockSums(block_sum)
 
 
-def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
+def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
+                     t: float, sample_count: int, *, pairs=(), triples=(),
+                     seed: int = 0, dt: float | None = None,
+                     threads: int = 1) -> MomentReport:
     """Monte Carlo estimates of the requested pair and triple moments.
+
+    pairs is a sequence of ((n), (m)) mode pairs for E u_n conj(u_m);
+    triples a sequence of (n, m, p) for E u_n u_m u_p.  dt = None picks
+    a step by halving until the step-doubling error of a probe sample
+    falls below 1e-8.
 
     The estimator is the plain sample mean over sample_count draws, with
     componentwise standard errors combined in quadrature.  Samples whose
     evolved state is non-finite are dropped and reported by index.  The
-    result is a pure function of the config, including the seed; the
-    batch size _MOMENT_BATCH and the thread count only affect speed.
+    result is a pure function of the arguments, including the seed; the
+    batch size _BATCH and the thread count only affect speed.
     """
-    box = cfg.profile.box
-    lam = cfg.profile.lambdas()
-    dt, _ = _step(cfg.profile, cfg.law, cfg.seed, cfg.eps, cfg.t, cfg.dt)
+    box = profile.box
+    lam = profile.lambdas()
+    dt, _ = _step(profile, law, seed, eps, t, dt)
 
-    pair_idx = [(box.index(n), box.index(m)) for n, m in cfg.pairs]
+    pair_idx = [(box.index(n), box.index(m)) for n, m in pairs]
     trip_idx = [(box.index(n), box.index(m), box.index(p))
-                for n, m, p in cfg.triples]
+                for n, m, p in triples]
     sums = _moment_sums(box, pair_idx, trip_idx)
     failed: list[int] = []
     good = 0
 
     def run_batch(start: int, stop: int):
         idx = np.arange(start, stop, dtype=np.int64)
-        G = sample_g_batch(box, cfg.law, cfg.seed, idx)
+        G = sample_g_batch(box, law, seed, idx)
         U0 = lam * G
-        U = evolve_coeffs(box, U0, cfg.eps, [cfg.t], dt)[0]
+        U = evolve_coeffs(box, U0, eps, [t], dt)[0]
         ok = ~_diverged(U)
         return idx, U, ok
 
-    batches = [(s, min(s + _MOMENT_BATCH, cfg.sample_count))
-               for s in range(0, cfg.sample_count, _MOMENT_BATCH)]
+    batches = [(s, min(s + _BATCH, sample_count))
+               for s in range(0, sample_count, _BATCH)]
 
     def reduce_all(results):
         # Runs in fixed batch order regardless of thread count.  A failed
@@ -241,21 +214,21 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
             U[~ok] = 0.0
             sums.add(U)
 
-    if cfg.threads > 1 and len(batches) > 1:
+    if threads > 1 and len(batches) > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             reduce_all(ex.map(lambda ab: run_batch(*ab), batches))
     else:
         reduce_all(run_batch(*ab) for ab in batches)
 
     if good == 0:
-        if cfg.sample_count > 0:
+        if sample_count > 0:
             raise RuntimeError("every sample diverged; nothing to estimate")
-        return MomentReport(eps=cfg.eps, t=cfg.t, seed=cfg.seed,
+        return MomentReport(eps=eps, t=t, seed=seed,
                             sample_count=0, failed_samples=(),
                             pair_moments={}, triple_moments={})
 
-    ctx = theory.TheoryContext.from_profile(cfg.profile, cfg.law)
+    ctx = theory.TheoryContext.from_profile(profile, law)
     (tot_re, tot_im), (tot_re2, tot_im2) = \
         sums.finish().reshape(2, -1, 2).transpose(0, 2, 1)
     mean = (tot_re + 1j * tot_im) / good
@@ -266,10 +239,10 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
     n_pairs = len(pair_idx)
     moments = []
     for cols, groups, idx, predict in (
-            (slice(0, n_pairs), cfg.pairs, pair_idx, theory.pair_prediction),
-            (slice(n_pairs, None), cfg.triples, trip_idx,
+            (slice(0, n_pairs), pairs, pair_idx, theory.pair_prediction),
+            (slice(n_pairs, None), triples, trip_idx,
              theory.triple_prediction)):
-        pred = (predict(ctx, *np.transpose(idx), cfg.t, cfg.eps)
+        pred = (predict(ctx, *np.transpose(idx), t, eps)
                 if idx else ())
         entries = {}
         for group, est, err, p in zip(groups, mean[cols], se[cols], pred):
@@ -279,7 +252,7 @@ def estimate_moments(cfg: EnsembleConfig) -> MomentReport:
                 prediction=complex(p))
         moments.append(entries)
 
-    return MomentReport(eps=cfg.eps, t=cfg.t, seed=cfg.seed,
+    return MomentReport(eps=eps, t=t, seed=seed,
                         sample_count=good, failed_samples=tuple(failed),
                         pair_moments=moments[0], triple_moments=moments[1])
 
@@ -298,33 +271,6 @@ def fit_log_slope(xs, ys) -> tuple[float, float]:
     ss = float(res[0]) if len(res) else float(np.sum((ly - design @ coef) ** 2))
     var = ss / (lx.size - 2) / float(np.sum((lx - lx.mean()) ** 2))
     return float(coef[0]), float(np.sqrt(var))
-
-
-# Samples per batch of the remainder scan and the growth fit.
-_SCAN_BATCH = 2048
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Settings for the common-random-number scan of expansion remainders.
-
-    The same sample indices are reused at every eps, so Monte Carlo noise
-    largely cancels in the differences against the closed low-order terms.
-    Each base sample is further averaged over `rotations` global phase
-    rotations of its initial data; a term survives the average only when
-    its total phase winding is a multiple of `rotations`, which removes
-    the dominant odd-winding fluctuations without touching any mean.
-    """
-
-    profile: SpectrumProfile
-    law: RandomLaw
-    eps_grid: tuple
-    t: float
-    sample_count: int
-    triple: tuple = ((1, 0), (1, 0), (-2, 0))
-    seed: int = 0
-    dt: float | None = None
-    rotations: int = 4
 
 
 @dataclass(frozen=True)
@@ -357,41 +303,52 @@ class ScanResult:
         return self.pair_slope is None or self.triple_slope is None
 
 
-def _check_scan(cfg: ScanConfig) -> list:
+def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
+                triple, rotations: int) -> list:
     """Check the arguments of remainder_scan; return the triple's box indices.
 
     Each ValueError starts with the configuration key it rejects, or
     names the Picard contraction of one batch when it would not fit in
     physical memory.
     """
-    if len(cfg.eps_grid) < 3:
+    if len(eps_grid) < 3:
         raise ValueError("eps: a scan needs at least three values")
-    if len(set(cfg.eps_grid)) < len(cfg.eps_grid):
+    if len(set(eps_grid)) < len(eps_grid):
         raise ValueError("eps: a scan needs distinct values")
-    if any(e <= 0 for e in cfg.eps_grid):
+    if any(e <= 0 for e in eps_grid):
         raise ValueError("eps: values must be positive")
-    if cfg.t == 0:
+    if t == 0:
         raise ValueError("t: every remainder vanishes at t = 0; "
                          "need t != 0")
-    if cfg.rotations < 1:
+    if rotations < 1:
         raise ValueError("rotations: must be >= 1")
-    if cfg.sample_count < 1:
+    if sample_count < 1:
         raise ValueError("sample_count: must be >= 1")
-    triple = cfg.triple
     if (sum(m[0] for m in triple) != 0
             or sum(m[1] for m in triple) != 0):
         raise ValueError(f"triple: {triple} does not sum to zero")
-    box = cfg.profile.box
     try:
         tri = [box.index(n) for n in triple]
     except ValueError as exc:
         raise ValueError(f"triple: {exc}") from None
-    _check_contraction(box, min(_SCAN_BATCH, cfg.sample_count))
+    _check_contraction(box, min(_BATCH, sample_count))
     return tri
 
 
-def remainder_scan(cfg: ScanConfig) -> ScanResult:
+def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
+                   t: float, sample_count: int, *,
+                   triple=((1, 0), (1, 0), (-2, 0)), seed: int = 0,
+                   dt: float | None = None, rotations: int = 4
+                   ) -> ScanResult:
     """Measure how fast the pair and triple remainders shrink with eps.
+
+    The same sample indices are reused at every eps of eps_grid, so Monte
+    Carlo noise largely cancels in the differences against the closed
+    low-order terms.  Each base sample is further averaged over
+    `rotations` global phase rotations of its initial data; a term
+    survives the average only when its total phase winding is a multiple
+    of `rotations`, which removes the dominant odd-winding fluctuations
+    without touching any mean.
 
     Per sample, the closed forms a, b, c are subtracted from the evolved
     state inside the expectation: the pair channel keeps
@@ -403,33 +360,31 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
     naming the sample and eps (and the step, when it was calibrated), as
     soon as an evolved state is non-finite.
     """
-    tri = _check_scan(cfg)
-    box = cfg.profile.box
-    eps_grid = tuple(float(e) for e in cfg.eps_grid)
+    box = profile.box
+    tri = _check_scan(box, eps_grid, t, sample_count, triple, rotations)
+    eps_grid = tuple(float(e) for e in eps_grid)
 
-    lam = cfg.profile.lambdas()
-    dt, note = _step(cfg.profile, cfg.law, cfg.seed, max(eps_grid), cfg.t,
-                     cfg.dt, target=1e-9)
+    lam = profile.lambdas()
+    dt, note = _step(profile, law, seed, max(eps_grid), t, dt, target=1e-9)
     half_sign = np.where(box.n1 > 0, 1.0, -1.0)
-    rots = [np.exp(2j * np.pi * (k / cfg.rotations) * half_sign)
-            for k in range(cfg.rotations)]
+    rots = [np.exp(2j * np.pi * (k / rotations) * half_sign)
+            for k in range(rotations)]
 
     nm = box.size
     sums = _BlockSums(lambda rows: rows.sum(axis=0))
 
     done = 0
-    while done < cfg.sample_count:
-        nb = min(_SCAN_BATCH, cfg.sample_count - done)
-        G0 = sample_g_batch(box, cfg.law, cfg.seed,
-                            np.arange(done, done + nb))
+    while done < sample_count:
+        nb = min(_BATCH, sample_count - done)
+        G0 = sample_g_batch(box, law, seed, np.arange(done, done + nb))
         acc2 = {e: np.zeros((nb, nm)) for e in eps_grid}
         acc3 = {e: np.zeros(nb, dtype=np.complex128) for e in eps_grid}
         for rot in rots:
             U0 = G0 * rot * lam
-            A = apply_free_flow(box, U0, cfg.t)
-            B, C, _ = _picard_coeffs(box, U0, cfg.t)
+            A = apply_free_flow(box, U0, t)
+            B, C, _ = _picard_coeffs(box, U0, t)
             for e in eps_grid:
-                U = evolve_coeffs(box, U0, e, [cfg.t], dt)[0]
+                U = evolve_coeffs(box, U0, e, [t], dt)[0]
                 bad = _diverged(U)
                 if bad.any():
                     raise NonFiniteError(
@@ -439,7 +394,7 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
                       - 2 * e * np.real(np.conj(A) * B)
                       - e * e * (np.abs(B) ** 2 + 2 * np.real(np.conj(A) * C))
                       - 2 * e ** 3 * np.real(np.conj(B) * C))
-                acc2[e] += r2 / cfg.rotations
+                acc2[e] += r2 / rotations
                 u3, a3, b3, c3 = (X[:, tri] for X in (U, A, B, C))
 
                 def prod(x, y, z):
@@ -451,14 +406,14 @@ def remainder_scan(cfg: ScanConfig) -> ScanResult:
                       - e * e * (prod(c3, a3, a3) + prod(a3, c3, a3)
                                  + prod(a3, a3, c3) + prod(b3, b3, a3)
                                  + prod(b3, a3, b3) + prod(a3, b3, b3)))
-                acc3[e] += r3 / cfg.rotations
+                acc3[e] += r3 / rotations
         sums.add(np.concatenate(
             [np.column_stack([acc2[e], acc2[e] ** 2, acc3[e].real,
                               acc3[e].imag, np.abs(acc3[e]) ** 2])
              for e in eps_grid], axis=1))
         done += nb
 
-    M = cfg.sample_count
+    M = sample_count
     points = []
     for e, tot in zip(eps_grid, sums.finish().reshape(len(eps_grid), -1)):
         mean2 = tot[:nm] / M
@@ -511,7 +466,7 @@ def _check_growth(box: LatticeBox, eps: float, times,
 
     Each ValueError starts with the configuration key it rejects, or
     names the Picard contraction of one batch when it would not fit.  The
-    samples are evolved in batches of _SCAN_BATCH that keep the state at
+    samples are evolved in batches of _BATCH that keep the state at
     every grid time; when one batch would exceed physical memory,
     sample_count is rejected before any sample is drawn.
     """
@@ -524,24 +479,21 @@ def _check_growth(box: LatticeBox, eps: float, times,
         raise ValueError("t_grid: grid times must be positive")
     if sample_count < 1:
         raise ValueError("sample_count: must be >= 1")
-    batch = min(_SCAN_BATCH, sample_count)
+    batch = min(_BATCH, sample_count)
     _check_contraction(box, batch)
-    need = batch * box.size * 16 * (grid.size + _GROWTH_ARRAYS)
-    memory = operators._physical_memory()
-    if need > memory:
-        raise ValueError(
-            f"sample_count: a batch of {batch} samples of {box!r} over "
-            f"{grid.size} grid times needs {need} bytes, more than the "
-            f"{memory} bytes of physical memory")
+    operators._check_memory(
+        batch * box.size * 16 * (grid.size + _GROWTH_ARRAYS),
+        f"sample_count: a batch of {batch} samples of {box!r} over "
+        f"{grid.size} grid times")
     return grid
 
 
 def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
-                     times, sample_count: int, seed: int = 0, s: float = 1.0,
-                     dt: float | None = None) -> GrowthFit:
+                     times, sample_count: int, *, seed: int = 0,
+                     s: float = 1.0, dt: float | None = None) -> GrowthFit:
     """Fit the growth of the cubic-order remainder in time.
 
-    Evolves the samples across the whole grid in batches of _SCAN_BATCH,
+    Evolves the samples across the whole grid in batches of _BATCH,
     removes the closed terms a + eps b + eps^2 c from each state,
     rescales by eps^3, keeps the running maximum over samples of the H^s
     norm at each grid time, and fits its log against log(1 + t).  The
@@ -556,9 +508,9 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     dt, note = _step(profile, law, seed, eps, float(grid[-1]), dt,
                      target=1e-9)
     peak = np.zeros(grid.size)
-    for start in range(0, sample_count, _SCAN_BATCH):
+    for start in range(0, sample_count, _BATCH):
         U0 = lam * sample_g_batch(box, law, seed, np.arange(
-            start, min(start + _SCAN_BATCH, sample_count)))
+            start, min(start + _BATCH, sample_count)))
         states = evolve_coeffs(box, U0, eps, grid, dt)
         bad = _diverged(states)
         if bad.any():

@@ -112,6 +112,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise ValueError when `what`, which needs `need` bytes, would
+    exceed physical memory; the message starts with `what`."""
+    memory = _physical_memory()
+    if need > memory:
+        raise ValueError(f"{what} needs {need} bytes, more than the "
+                         f"{memory} bytes of physical memory")
+
+
 def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     """Sum contiguous segments of the last axis.
 

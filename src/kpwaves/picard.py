@@ -193,12 +193,9 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
 def _check_contraction(box: LatticeBox, batch: int) -> None:
     """Raise ValueError, before anything is built, when a Picard pass over
     `batch` fields of box would exceed physical memory."""
-    need = _contraction_bytes(box, batch)
-    memory = operators._physical_memory()
-    if need > memory:
-        raise ValueError(
-            f"Picard contraction of {box!r} over {batch} samples needs "
-            f"{need} bytes, more than the {memory} bytes of physical memory")
+    operators._check_memory(_contraction_bytes(box, batch),
+                            f"Picard contraction of {box!r} over {batch} "
+                            "samples")
 
 
 def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float

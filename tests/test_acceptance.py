@@ -33,8 +33,6 @@ from kpwaves.theory import (
     zero_sum_triples,
 )
 from kpwaves.ensemble import (
-    EnsembleConfig,
-    ScanConfig,
     estimate_moments,
     remainder_growth,
     remainder_scan,
@@ -173,11 +171,9 @@ def moment_run():
     zero_sum = [(modes[a], modes[b], modes[c])
                 for a, b, c in zip(i_n, i_m, i_p)]
     free = off_plane_triples(box)
-    cfg = EnsembleConfig(profile=profile, law=law, eps=EPS_MOMENTS,
-                         t=T_MOMENTS, sample_count=4000,
-                         pairs=tuple(pairs), triples=tuple(zero_sum + free),
-                         seed=0)
-    report = estimate_moments(cfg)
+    report = estimate_moments(profile, law, EPS_MOMENTS, T_MOMENTS, 4000,
+                              pairs=tuple(pairs),
+                              triples=tuple(zero_sum + free), seed=0)
     ctx = TheoryContext.from_profile(profile, law)
     return ctx, report, len(zero_sum)
 
@@ -290,10 +286,9 @@ def test_remainder_scaling():
     law = RandomLaw.steinhaus()
     profile = normalize_profile(SpectrumProfile.power_decay(box, 1.0, 2.0),
                                 law, s=1.0)
-    cfg = ScanConfig(profile=profile, law=law,
-                     eps_grid=(0.2, 0.14, 0.1, 0.07), t=1.0,
-                     sample_count=2000, seed=0, rotations=4)
-    res = remainder_scan(cfg)
+    eps_grid = (0.2, 0.14, 0.1, 0.07)
+    res = remainder_scan(profile, law, eps_grid, 1.0, 2000, seed=0,
+                         rotations=4)
     ok = (not res.noise_dominated
           and res.pair_slope is not None and res.triple_slope is not None
           and abs(res.pair_slope - 4.0) <= 0.7
@@ -301,7 +296,7 @@ def test_remainder_scaling():
     _gate("remainder scaling", ok,
           f"pair slope {res.pair_slope:.3f} in 4.0 +/- 0.7, "
           f"triple slope {res.triple_slope:.3f} in 3.0 +/- 0.7 "
-          f"over eps in {cfg.eps_grid}")
+          f"over eps in {eps_grid}")
 
 
 def test_weighted_sums_bounded(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -117,7 +118,7 @@ class TestConfigParsing:
 
     def test_missing_out_stops_ensemble_before_sampling(self, tmp_path,
                                                         capsys, monkeypatch):
-        def never(ecfg):
+        def never(*args, **kwargs):
             raise RuntimeError("sampling started")
 
         monkeypatch.setattr(ensemble, "estimate_moments", never)
@@ -244,7 +245,7 @@ class TestVerify:
             raise AssertionError("verify calibrated its step")
 
         monkeypatch.setattr(dynamics, "evolve_coeffs", evolve)
-        monkeypatch.setattr(ensemble, "calibrate_dt", calibrate)
+        monkeypatch.setattr(dynamics, "calibrate_dt", calibrate)
         box = cli.LatticeBox(2, 2)
         for dt_line, dt in (("", default_dt(box)), ("dt = 0.01\n", 0.01)):
             calls.clear()
@@ -325,7 +326,7 @@ class TestSimulate:
         # A calibration that runs out of halvings is a runtime failure
         # reported in one line, not a step that missed its target.
         # The step rule passes its own target, so a wrapper forces both.
-        monkeypatch.setattr(ensemble, "calibrate_dt", lambda *a, **k:
+        monkeypatch.setattr(dynamics, "calibrate_dt", lambda *a, **k:
                             calibrate_dt(*a, **{**k, "target": 1e-30,
                                                 "max_halvings": 3}))
         out_path = tmp_path / "sim.csv"
@@ -380,7 +381,7 @@ class TestEnsemble:
     def test_mode_outside_box_exits_2_before_sampling(self, tmp_path, capsys,
                                                       monkeypatch, extra,
                                                       key):
-        def never(ecfg):
+        def never(*args, **kwargs):
             raise RuntimeError("sampling started")
 
         monkeypatch.setattr(ensemble, "estimate_moments", never)
@@ -482,6 +483,23 @@ class TestRemainderScan:
         assert capsys.readouterr().err == f"runtime failure: {failure}\n"
         assert main(["--config", write_cfg(tmp_path, text + "dt = 0.001\n")]) \
             in (0, 1)
+
+    def test_growth_rows_name_the_first_eps(self, tmp_path):
+        # With an eps list the growth fit runs at the first value alone:
+        # its rows are those of that value, and their eps cell names it.
+        def growth_rows(eps):
+            out_path = tmp_path / "scan.csv"
+            cfg = write_cfg(tmp_path, "command = remainder-scan\nbox = 2 1\n"
+                            f"eps = {eps}\nt_grid = 0.5 1.5 0.5\n"
+                            f"sample_count = 16\nout = {out_path}\n")
+            assert main(["--config", cfg]) in (0, 1)
+            _, _, columns, rows = _read_csv_report(out_path)
+            return [dict(zip(columns, r)) for r in rows if r[0] == "growth"]
+
+        listed = growth_rows("0.2 0.1 0.05")
+        assert len(listed) == 3
+        assert all(float(r["eps"]) == 0.2 for r in listed)
+        assert listed == growth_rows("0.2")
 
     def test_noise_dominated_scan_exits_1(self, tmp_path, capsys):
         # Sub-resolution eps with a tiny ensemble: the pair remainder is
@@ -729,12 +747,31 @@ def test_phase_key_overflow_exits_2(tmp_path, capsys, command, eps):
     assert err.endswith(", past int64\n")
 
 
+def test_estimator_defaults_are_config_defaults():
+    # An estimator keyword that names a configuration key defaults to that
+    # key's default, so a call that leaves it out runs what a config file
+    # that leaves the key unset runs.  pairs and triples are excepted: the
+    # configuration holds their text, the estimator the parsed modes.
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(cli.ExperimentConfig)}
+    checked = set()
+    for estimator in (ensemble.estimate_moments, ensemble.remainder_scan,
+                      ensemble.remainder_growth):
+        for name, param in inspect.signature(estimator).parameters.items():
+            if (param.default is inspect.Parameter.empty
+                    or name not in defaults or name in ("pairs", "triples")):
+                continue
+            assert param.default == defaults[name], (estimator, name)
+            checked.add(name)
+    assert checked == {"seed", "dt", "threads", "triple", "rotations", "s"}
+
+
 def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
                                                       monkeypatch):
     # The contraction of one batch fits; keeping that batch at three grid
     # times does not, and nothing is sampled or evolved.
     box = cli.LatticeBox(2, 1)
-    batch = ensemble._SCAN_BATCH
+    batch = ensemble._BATCH
     need = batch * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
     memory = need - 1
     assert picard._contraction_bytes(box, batch) <= memory

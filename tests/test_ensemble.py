@@ -11,8 +11,6 @@ from kpwaves.lattice import LatticeBox, hs_norm
 from kpwaves.dynamics import NonFiniteError, default_dt, evolve_coeffs
 from kpwaves.ensemble import (
     _moment_sums,
-    EnsembleConfig,
-    ScanConfig,
     ScanResult,
     estimate_moments,
     fit_log_slope,
@@ -177,21 +175,20 @@ class TestNormalizeProfile:
 
 
 class TestEstimateMoments:
-    def make_cfg(self, box, **kw):
+    def estimate(self, box, **kw):
         profile = SpectrumProfile.power_decay(box, 0.5, 1.0)
-        defaults = dict(profile=profile, law=RandomLaw.steinhaus(),
-                        eps=0.0, t=0.8, sample_count=32,
+        defaults = dict(eps=0.0, t=0.8, sample_count=32,
                         pairs=(((1, 0), (1, 0)), ((2, 1), (2, 1))),
                         triples=(((1, 0), (1, 0), (-2, 0)),),
                         seed=3, dt=0.05)
         defaults.update(kw)
-        return EnsembleConfig(**defaults)
+        return estimate_moments(profile, RandomLaw.steinhaus(), **defaults)
 
     def test_free_flow_diagonals_are_exact(self, box22):
         # At eps = 0 with unit moduli, |u_n(t)|^2 = lambda_n^2 for every
         # sample, so the estimator must hit the prediction to roundoff
         # with vanishing standard error.
-        report = estimate_moments(self.make_cfg(box22))
+        report = self.estimate(box22)
         lam = SpectrumProfile.power_decay(box22, 0.5, 1.0).lambdas()
         for (n, m), entry in report.pair_moments.items():
             expected = lam[box22.index(n)] ** 2
@@ -203,7 +200,7 @@ class TestEstimateMoments:
             assert abs(entry.estimate - entry.prediction) < 1e-12
 
     def test_zero_samples_yield_empty_report(self, box22):
-        report = estimate_moments(self.make_cfg(box22, sample_count=0))
+        report = self.estimate(box22, sample_count=0)
         assert report.sample_count == 0
         assert report.pair_moments == {} and report.triple_moments == {}
 
@@ -211,9 +208,9 @@ class TestEstimateMoments:
         diagonal = tuple((n, n) for n in mode_list(box22))
         reports = []
         for size in (7, 16, 200, 1, 65):
-            monkeypatch.setattr(ensemble, "_MOMENT_BATCH", size)
-            reports.append(estimate_moments(self.make_cfg(
-                box22, eps=0.1, sample_count=200, pairs=diagonal)))
+            monkeypatch.setattr(ensemble, "_BATCH", size)
+            reports.append(self.estimate(box22, eps=0.1, sample_count=200,
+                                         pairs=diagonal))
         for other in reports[1:]:
             for key, entry in reports[0].pair_moments.items():
                 assert other.pair_moments[key].estimate == entry.estimate
@@ -252,11 +249,9 @@ class TestEstimateMoments:
                         <= 1e-13 * scale2)
 
     def test_threads_do_not_change_results(self, box22, monkeypatch):
-        monkeypatch.setattr(ensemble, "_MOMENT_BATCH", 16)
-        serial = estimate_moments(self.make_cfg(box22, eps=0.1,
-                                                sample_count=64, threads=1))
-        threaded = estimate_moments(self.make_cfg(box22, eps=0.1,
-                                                  sample_count=64, threads=3))
+        monkeypatch.setattr(ensemble, "_BATCH", 16)
+        serial = self.estimate(box22, eps=0.1, sample_count=64, threads=1)
+        threaded = self.estimate(box22, eps=0.1, sample_count=64, threads=3)
         for key in serial.pair_moments:
             assert (serial.pair_moments[key].estimate
                     == threaded.pair_moments[key].estimate)
@@ -294,37 +289,35 @@ def _first_nonfinite(states):
 
 
 class TestScanValidation:
-    def base(self, box21, **kw):
+    def scan(self, box21, **kw):
         profile = SpectrumProfile.power_decay(box21, 0.3, 1.0)
-        defaults = dict(profile=profile, law=RandomLaw.steinhaus(),
-                        eps_grid=(0.2, 0.15, 0.1), t=0.5, sample_count=8,
+        defaults = dict(eps_grid=(0.2, 0.15, 0.1), t=0.5, sample_count=8,
                         seed=0, dt=0.05, rotations=1)
         defaults.update(kw)
-        return ScanConfig(**defaults)
+        return remainder_scan(profile, RandomLaw.steinhaus(), **defaults)
 
     def test_short_eps_grid_rejected(self, box21):
         with pytest.raises(ValueError):
-            remainder_scan(self.base(box21, eps_grid=(0.2, 0.1)))
+            self.scan(box21, eps_grid=(0.2, 0.1))
 
     def test_nonpositive_eps_rejected(self, box21):
         with pytest.raises(ValueError):
-            remainder_scan(self.base(box21, eps_grid=(0.2, 0.1, -0.05)))
+            self.scan(box21, eps_grid=(0.2, 0.1, -0.05))
 
     def test_zero_rotations_rejected(self, box21):
         with pytest.raises(ValueError):
-            remainder_scan(self.base(box21, rotations=0))
+            self.scan(box21, rotations=0)
 
     def test_zero_samples_rejected(self, box21):
         with pytest.raises(ValueError):
-            remainder_scan(self.base(box21, sample_count=0))
+            self.scan(box21, sample_count=0)
 
     def test_unbalanced_triple_rejected(self, box21):
         with pytest.raises(ValueError):
-            remainder_scan(self.base(
-                box21, triple=((1, 0), (1, 0), (-2, 1))))
+            self.scan(box21, triple=((1, 0), (1, 0), (-2, 1)))
 
     def test_small_scan_runs(self, box21):
-        result = remainder_scan(self.base(box21, sample_count=32))
+        result = self.scan(box21, sample_count=32)
         assert len(result.points) == 3
         for point in result.points:
             assert point.pair_value >= 0 and point.triple_value >= 0
@@ -333,9 +326,8 @@ class TestScanValidation:
     def test_batch_size_does_not_change_results(self, box21, monkeypatch):
         results = []
         for size in (80, 7):
-            monkeypatch.setattr(ensemble, "_SCAN_BATCH", size)
-            results.append(remainder_scan(self.base(box21, sample_count=80,
-                                                    rotations=2)))
+            monkeypatch.setattr(ensemble, "_BATCH", size)
+            results.append(self.scan(box21, sample_count=80, rotations=2))
         one, split = results
         assert one == split
 
@@ -346,12 +338,11 @@ class TestScanValidation:
         _, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, [1.0],
                                                   0.05))
         assert first >= 4  # in the second batch of four
-        monkeypatch.setattr(ensemble, "_SCAN_BATCH", 4)
-        cfg = ScanConfig(profile=profile, law=law, eps_grid=(0.5, 0.7, 1.0),
-                         t=1.0, sample_count=8, dt=0.05, rotations=1)
+        monkeypatch.setattr(ensemble, "_BATCH", 4)
         with pytest.raises(NonFiniteError,
                            match=rf"^sample {first} diverged at eps = 1\.0$"):
-            remainder_scan(cfg)
+            remainder_scan(profile, law, (0.5, 0.7, 1.0), 1.0, 8, dt=0.05,
+                           rotations=1)
 
     def test_noise_dominated_property(self):
         clean = ScanResult(points=(), pair_slope=4.0, pair_slope_err=0.1,
@@ -411,7 +402,7 @@ class TestGrowthValidation:
                                                     size):
         # Streamed in batches of four, the first divergence lies in the
         # second batch; the message names its index in the ensemble.
-        monkeypatch.setattr(ensemble, "_SCAN_BATCH", size)
+        monkeypatch.setattr(ensemble, "_BATCH", size)
         profile, law, U0 = _diverging_start(box22)
         times = (0.25, 0.5, 0.75, 1.0)
         i_t, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, times,
@@ -432,5 +423,5 @@ class TestGrowthValidation:
         args = (profile, RandomLaw.two_point(0.5, 1.5, 0.3), 0.1,
                 (0.5, 1.0, 1.5), 10)
         one = remainder_growth(*args, seed=2, dt=default_dt(box))
-        monkeypatch.setattr(ensemble, "_SCAN_BATCH", 3)
+        monkeypatch.setattr(ensemble, "_BATCH", 3)
         assert remainder_growth(*args, seed=2, dt=default_dt(box)) == one

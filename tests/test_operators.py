@@ -159,7 +159,8 @@ def test_cli_import_leaves_fft_unloaded():
     ("verify", "", {"operators", "picard", "dynamics"}),
     ("box-limit", "law = two_point 0 1.4142135623730951 0.5\n",
      {"operators", "theory"}),
-], ids=["theory-curves", "verify", "box-limit"])
+    ("simulate", "", {"dynamics", "operators"}),
+], ids=["theory-curves", "verify", "box-limit", "simulate"])
 def test_command_imports_only_its_layers(tmp_path, command, extra, layers):
     # The closed forms run without the stepper, the Picard layer and the
     # estimators; verify runs without the closed forms and the estimators.
@@ -192,8 +193,8 @@ _PACKAGE_NAMES = """
     f_map phi1 extract_d extract_w PicardBundle lambda_eps invert_lambda_eps
     NonContractionError MaxIterExceededError default_dt calibrate_dt
     evolve_coeffs NonFiniteError CalibrationError RandomLaw SpectrumProfile
-    normalize_profile sample_u0 EnsembleConfig MomentReport estimate_moments
-    ScanConfig ScanResult remainder_scan GrowthFit remainder_growth
+    normalize_profile sample_u0 MomentReport estimate_moments ScanResult
+    remainder_scan GrowthFit remainder_growth
     TheoryContext f2_diag f3 weighted_sum_pair weighted_sum_triple
     pair_majorant triple_majorant box_limit_f2
 """.split()
@@ -204,7 +205,7 @@ def test_package_names_are_module_exports():
     # deletion that leaves it behind there fails above as well, and it
     # resolves to the module's object.
     assert sorted(kpwaves.__all__) == sorted(_PACKAGE_NAMES)
-    assert len(_PACKAGE_NAMES) == 41
+    assert len(_PACKAGE_NAMES) == 39
     assert list(kpwaves._EXPORTS) == kpwaves.__all__
     for name, module_name in kpwaves._EXPORTS.items():
         module = importlib.import_module(f"kpwaves.{module_name}")
