@@ -42,12 +42,15 @@ def _split(text: str) -> list:
 
 
 def _numbers(key: str, text: str, kind, count: int | None = None) -> tuple:
-    """The numbers of a value, each parsed by kind (float or int)."""
+    """The numbers of a value, each parsed by kind (float or int); nan and
+    inf are not numbers of any key."""
     toks = _split(text)
     try:
         vals = tuple(kind(x) for x in toks)
+        if kind is float and not np.isfinite(vals).all():
+            raise ValueError
     except ValueError:
-        what = "integers" if kind is int else "numbers"
+        what = "integers" if kind is int else "finite numbers"
         raise ConfigError(f"{key}: expected {what}, got {text!r}") from None
     if count is not None and len(vals) != count:
         raise ConfigError(f"{key}: expected {count} values, got {len(vals)}")
@@ -124,11 +127,13 @@ def _parse_box_sizes(key: str, text: str) -> tuple:
     return vals
 
 
-def _int_from(minimum: int):
+def _int_from(minimum: int, maximum: int | None = None):
     def parse(key: str, text: str) -> int:
         val, = _numbers(key, text, int, 1)
         if val < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(f"{key}: must be <= {maximum}, got {val}")
         return val
     return parse
 
@@ -165,7 +170,7 @@ class ExperimentConfig:
     profile: str = _key("power_decay 1.0 2.0", _text)
     normalize: bool = _key(True, _bool)
     sample_count: int = _key(1000, _int_from(0))
-    seed: int = _key(0, _int_from(0))
+    seed: int = _key(0, _int_from(0, 2 ** 64 - 1))
     dt: float | None = _key(None, _positive)
     out: str = _key("", _text)
     format: str = _key("csv", _parse_format)

@@ -141,20 +141,28 @@ def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,
     (ValueError otherwise), and every returned state is exactly so.
     Returns an array with one leading time axis; each requested time is
     hit exactly by shrinking the step within each segment.  Times must be
-    monotone (increasing or decreasing away from t0).  A diverging state
-    comes back as inf or NaN without numpy warnings; callers find it with
-    _diverged.
+    finite and monotone (increasing or decreasing away from t0), and no
+    segment may need 2^63 steps or more (ValueError before any step).  A
+    diverging state comes back as inf or NaN without numpy warnings;
+    callers find it with _diverged.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     U0 = np.asarray(U0)
     dev, scale = _symmetry_defect(box, U0)
     if np.any(dev > 1e-12 * scale):
         raise ValueError("U0 is not a real field: u(-n) != conj(u(n))")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    spans = np.diff(times, prepend=t0)
-    steps = np.where(spans == 0.0, 0, np.maximum(
-        1, np.ceil(np.abs(spans) / dt - 1e-12))).astype(np.int64)
+    if not (np.isfinite(times).all() and np.isfinite(t0)):
+        raise ValueError("times must be finite")
+    with np.errstate(over="ignore"):
+        spans = np.diff(times, prepend=t0)
+        steps = np.where(spans == 0.0, 0, np.maximum(
+            1, np.ceil(np.abs(spans) / dt - 1e-12)))
+    if not (steps < 2.0 ** 63).all():
+        raise ValueError(f"a segment needs {steps.max():.3g} steps of "
+                         f"dt = {dt:g}, more than int64 holds")
+    steps = steps.astype(np.int64)
     segments = zip(steps, spans / np.maximum(steps, 1), times)
     out = np.empty(times.shape + U0.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):

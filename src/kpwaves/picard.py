@@ -11,7 +11,7 @@ term sum over the nested splits k + (j + q) = n, grouped from it.  One
 pass computes b, c and f for a batch of initial data (_picard_coeffs):
 b as a segment sum of the pair products U_k U_l, c and f as one complex
 matrix product per inner mode l = j + q, over fixed blocks of sample
-rows, with phi1 taken once per distinct four-wave phase (_NestedPlan).
+rows, with phi1 taken once per four-wave phase that occurs (_NestedPlan).
 The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
 is the lattice module's, which theory's F3 takes too.
 _check_contraction counts its memory before anything is built.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,30 +101,17 @@ class _NestedPlan:
 
     A group (m0, m1, o0, o1) of one mode l pairs its inner splits l = j + q,
     the pair-table segment m0:m1, with its outer splits n = k + l, the
-    pair-table entries outer[o0:o1]; back inverts outer.  The four-wave
-    phase of a nested split is (key[inner] + key[outer]) / denom exactly
-    (_pair_keys); distinct lists the offsets from lo of the keys that
-    occur.
+    pair-table entries outer[o0:o1]; back inverts outer.  phases holds
+    the four-wave phases that occur, in exact key order (_pair_keys), and
+    index per group, inner x outer, each nested split's number in phases,
+    in the smallest unsigned type that holds their count.
     """
 
-    denom: int
-    key: np.ndarray
     outer: np.ndarray
     back: np.ndarray
     groups: tuple
-    lo: int
-    span: int
-
-    def offsets(self, m0, m1, o0, o1) -> np.ndarray:
-        """Phase-table offsets of one group's nested splits, inner x outer."""
-        return self.key[m0:m1, None] - self.lo + self.key[self.outer[o0:o1]]
-
-    @cached_property
-    def distinct(self) -> np.ndarray:
-        seen = np.zeros(self.span, dtype=bool)
-        for group in self.groups:
-            seen[self.offsets(*group)] = True
-        return np.flatnonzero(seen)
+    phases: np.ndarray
+    index: tuple
 
 
 def _pair_keys(box: LatticeBox) -> tuple:
@@ -155,8 +142,19 @@ def _nested_plan(box: LatticeBox) -> _NestedPlan:
     groups = tuple((int(m_starts[l]), int(m_starts[l + 1]),
                     int(o_starts[l]), int(o_starts[l + 1]))
                    for l in np.flatnonzero(np.diff(o_starts)))
-    return _NestedPlan(denom, key, outer, np.argsort(outer), groups, lo,
-                       span)
+    # Mark the four-wave keys that occur and number them in key order,
+    # in transient tables over the key range.
+    def offsets(m0, m1, o0, o1):
+        return key[m0:m1, None] - lo + key[outer[o0:o1]]
+    seen = np.zeros(span, dtype=bool)
+    for group in groups:
+        seen[offsets(*group)] = True
+    distinct = np.flatnonzero(seen)
+    number = np.zeros(span, dtype=np.min_scalar_type(len(distinct)))
+    number[distinct] = np.arange(len(distinct))
+    return _NestedPlan(outer, np.argsort(outer), groups,
+                       (distinct + lo) / denom,
+                       tuple(number[offsets(*group)] for group in groups))
 
 
 def _row_block(box: LatticeBox) -> int:
@@ -175,16 +173,20 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     span = _pair_keys(box)[3]
     rows = _row_block(box)
     sizes = _group_sizes(box)
-    # Per pair-table entry: the plan's key, outer and back, the call's phi1
-    # and split factors, and their transients.  Per phase-table entry: its
-    # value and a seen flag.  Per distinct phase, at most one per entry and
-    # per nested split: its offset and the 64 B of phi1 on it.  One block:
-    # the pair-table arrays, and over the modes the samples, the inner sums
-    # and a segment sum with its reduceat result.  The largest group's
-    # int64 offsets and complex kernel, the batch's B, C and F, and 256 KiB
-    # for small arrays and numpy's ufunc buffers (up to 8192 elements,
-    # which a broadcast product over a short axis fills).
-    return (96 * len(pt) + 17 * span + 72 * min(span, int(sizes.sum()))
+    distinct = min(span, int(sizes.sum()))
+    number = np.min_scalar_type(distinct).itemsize
+    # Per pair-table entry: the build's keys, the plan's outer and back,
+    # the call's phi1 and split factors, and their transients.  Per slot
+    # of the key range, in the build: a seen flag and a phase number.  Per
+    # phase, at most one per slot and per nested split: its key or value
+    # and the 64 B of phi1 on it.  Per nested split: its phase number.
+    # One block: the pair-table arrays, and over the modes the samples,
+    # the inner sums and a segment sum with its reduceat result.  The
+    # largest group's int64 offsets and complex kernel, the batch's B, C
+    # and F, and 256 KiB for small arrays and numpy's ufunc buffers (up to
+    # 8192 elements, which a broadcast product over a short axis fills).
+    return (96 * len(pt) + (1 + number) * span + 72 * distinct
+            + number * int(sizes.sum())
             + _ITEM * rows * (_BLOCK_ARRAYS * len(pt) + 4 * box.size)
             + 24 * int(sizes.max(initial=0))
             + 3 * _ITEM * batch * box.size + (1 << 18))
@@ -224,9 +226,7 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     # Complex, so that no product casts through a ufunc buffer.
     fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
     fac_outer = (box.n1[pt.l_idx] / (2.0 * pt.delta)).astype(complex)
-    # phi1 once per distinct four-wave phase, at its key's offset.
-    phase4 = np.empty(plan.span, dtype=np.complex128)
-    phase4[plan.distinct] = phi1((plan.distinct + plan.lo) / plan.denom, t)
+    phase4 = phi1(plan.phases, t)
     rotation = np.exp(1j * box.omega * t)
     coef_b = -0.5 * box.n1 * rotation
     coef = 1j * box.n1 * rotation
@@ -257,9 +257,9 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
         np.multiply(P, kernel_b, out=Yf)
         np.multiply(coef_b, segment_sum(Yf, pt.seg_starts)[:n],
                     out=B[s:s + n])
-        for m0, m1, o0, o1 in plan.groups:
-            kernel = phase4[plan.offsets(m0, m1, o0, o1)]
-            np.matmul(PQ[:, m0:m1], kernel, out=Y[:, o0:o1])
+        for (m0, m1, o0, o1), index in zip(plan.groups, plan.index):
+            np.matmul(PQ[:, m0:m1], np.take(phase4, index, mode="clip"),
+                      out=Y[:, o0:o1])
         # Back to pair-table order: Yf, Yc in P, Q, and U_k in Yf.
         np.take(Y, plan.back, axis=1, out=PQ, mode="clip")
         np.take(block, pt.k_idx, axis=1, out=Yf, mode="clip")

@@ -70,6 +70,38 @@ class TestConfigParsing:
         assert cfg.seed == 9
         assert cfg.out == "flagged.csv"
 
+    @pytest.mark.parametrize("line", [
+        "t = nan", "dt = inf", "s = nan", "t_grid = 0 inf 0.5",
+        "lambda_exponent = -inf", "law = clipped_gaussian 1 inf",
+        "profile = power_decay nan 2"], ids=lambda line: line.split()[0])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, line):
+        # nan and inf parse as floats but are no value of any key; each
+        # is one config error line, before anything runs.
+        out_path = tmp_path / "sim.csv"
+        cfg = write_cfg(tmp_path, f"command = simulate\nbox = 2 1\n{line}\n"
+                        f"out = {out_path}\n")
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        key, value = (part.strip() for part in line.split("="))
+        if key in ("law", "profile"):
+            value = value.split(None, 1)[1]
+        assert err == (f"config error: {key}: expected finite numbers, "
+                       f"got {value!r}\n")
+        assert out == "" and not out_path.exists()
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        # The sampler keys its draws by a 64-bit seed.
+        cfg = write_cfg(tmp_path, "command = verify\nbox = 2 1\n")
+        assert main(["--config", cfg, "--seed", str(2 ** 64)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: seed: must be <= {2 ** 64 - 1}, "
+            f"got {2 ** 64}\n")
+        path = write_cfg(tmp_path, f"command = verify\nseed = {2 ** 64}\n",
+                         name="file.cfg")
+        with pytest.raises(ConfigError, match="seed: must be <="):
+            load_config(path)
+        assert load_config(path, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+
     def test_unknown_command_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "command = frobnicate\n")
         assert main(["--config", cfg]) == 2
@@ -160,6 +192,18 @@ def test_readme_key_table_matches_config():
         value = (None if cell in ("unset", "auto")
                  else keys[key].metadata["parse"](key, cell))
         assert value == keys[key].default, key
+
+
+def test_readme_memory_figures_match_count():
+    # The pre-flight figures README gives for verify's 8 fields are the
+    # Picard contraction's count, in GB to two significant digits.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    figures = re.findall(r"([\d.]+) GB at `(\d+) \2`",
+                         text.split("for `verify` about", 1)[1][:120])
+    assert [int(n) for _, n in figures] == [8, 10, 11]
+    for value, n in figures:
+        need = picard._contraction_bytes(cli.LatticeBox(int(n), int(n)), 8)
+        assert value == f"{need / 1e9:.2g}", n
 
 
 def _benchmark_check():
@@ -320,6 +364,18 @@ class TestSimulate:
         assert re.fullmatch(r"runtime failure: sample 0 diverged by "
                             r"t = \d\.0\n", err)
         assert out == "" and not out_path.exists()
+
+    def test_time_past_int64_steps_exits_3(self, tmp_path, capsys):
+        # 1e302 steps of 0.01 do not fit a step count: the run fails
+        # before stepping instead of writing the free rotation.
+        out_path = tmp_path / "sim.csv"
+        cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 1\n"
+                        f"t = 1e300\ndt = 0.01\nout = {out_path}\n")
+        assert main(["--config", cfg]) == 3
+        assert capsys.readouterr() == (
+            "", "runtime failure: a segment needs 1e+302 steps of "
+            "dt = 0.01, more than int64 holds\n")
+        assert not out_path.exists()
 
     def test_missed_calibration_exits_3(self, tmp_path, capsys,
                                         monkeypatch):

@@ -18,11 +18,30 @@ def test_default_dt_formula(box22):
     assert default_dt(box22) == pytest.approx(0.5 / 9.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
 def test_rejects_nonpositive_dt(box22, make_field, dt):
     u0 = make_field(box22, hermitian=True)
     with pytest.raises(ValueError, match="dt must be positive"):
         evolve_coeffs(box22, u0, 0.1, [1.0], dt)
+
+
+@pytest.mark.parametrize("times, t0, match", [
+    ([1e17], 0.0, "needs 1e\\+19 steps of dt = 0.01, more than int64"),
+    ([1e300], 0.0, "needs 1e\\+302 steps"),
+    ([1.7e308], -1.7e308, "needs inf steps"),
+    ([1.0, float("nan")], 0.0, "times must be finite"),
+    ([float("inf")], 0.0, "times must be finite"),
+    ([1.0], float("-inf"), "times must be finite"),
+], ids=["1e17", "1e300", "overflow", "nan", "inf", "t0-inf"])
+def test_rejects_times_it_cannot_step(times, t0, match, make_field):
+    # A step count past int64 would cast to INT_MIN and take no step at
+    # all, returning the free rotation as the state at 1e17.
+    box = LatticeBox(2, 1)
+    u0 = make_field(box, hermitian=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            evolve_coeffs(box, u0, 0.1, times, 1e-2, t0)
 
 
 def test_zero_coupling_reduces_to_free_flow(box22, make_field):

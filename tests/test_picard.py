@@ -27,6 +27,7 @@ from kpwaves.picard import (
     _group_sizes,
     _nested_plan,
     _omega_keys,
+    _pair_keys,
     _picard_coeffs,
     PhaseKeyOverflowError,
     MaxIterExceededError,
@@ -240,12 +241,12 @@ class TestNestedPlan:
         # weighs U_j U_q U_k by the whole kernel of each split.
         box = LatticeBox(*size)
         pt = pair_table(box)
-        plan = _nested_plan(box)
+        denom, key = _pair_keys(box)[:2]
         t = 0.7
         U0 = rng.standard_normal((3, box.size)) \
             + 1j * rng.standard_normal((3, box.size))
         inner, outer = _nested_splits(box)
-        p4 = phi1((plan.key[inner] + plan.key[outer]) / plan.denom, t)
+        p4 = phi1((key[inner] + key[outer]) / denom, t)
         kernel_c = box.n1[pt.out_idx[inner]] / (2.0 * pt.delta[inner]) \
             * (p4 - phi1(pt.delta[outer], t))
         kernel_f = box.n1[pt.l_idx[outer]] / (2.0 * pt.delta[outer]) * p4
@@ -284,10 +285,11 @@ class TestPhaseKeys:
     def test_split_keys_are_four_wave_phases(self, box44):
         pt = pair_table(box44)
         plan = _nested_plan(box44)
+        denom, pair_key = _pair_keys(box44)[:2]
         inner, outer = _nested_splits(box44)
-        key = plan.key[inner] + plan.key[outer]
+        key = pair_key[inner] + pair_key[outer]
         four = pt.delta[inner] + pt.delta[outer]
-        np.testing.assert_allclose(key / plan.denom, four,
+        np.testing.assert_allclose(key / denom, four,
                                    rtol=1e-12, atol=1e-12)
         # Resonance decided in integers: the four-wave phase times the
         # product M of the four n1 is sum +-(M m1^3 - (M / m1) m2^2).
@@ -299,9 +301,13 @@ class TestPhaseKeys:
                     for sign, m in zip((1, 1, 1, -1), modes))
         assert (numer == 0).any() and (numer != 0).any()
         np.testing.assert_array_equal(key == 0, numer == 0)
-        # Every key that occurs has its phase in the table.
-        assert np.isin(key - plan.lo, plan.distinct).all()
-        assert len(np.unique(key)) == len(plan.distinct)
+        # Each nested split's stored number points to the phase of its
+        # key, and every key that occurs has exactly one phase.
+        number = np.concatenate([index.ravel() for index in plan.index])
+        np.testing.assert_array_equal(plan.phases[number], key / denom)
+        assert len(np.unique(key)) == len(plan.phases)
+        dtype = np.min_scalar_type(len(plan.phases))
+        assert all(index.dtype == dtype for index in plan.index)
 
     def test_overflow_is_typed(self):
         # lcm(1..30) 30^3 is about 6e16; lcm(1..37) 37^3 is past int64,
@@ -372,6 +378,23 @@ class TestStreamedContraction:
         assert all(np.isfinite(X).all() for X in (B, C, F))
         assert peak <= 64 * 2 ** 20
         assert peak <= _contraction_bytes(box, 2)
+
+    def test_pass_at_8x8_holds_nothing_over_the_key_range(self, rng):
+        # With the plan built, a pass takes phi1 of the phases that occur
+        # (35,689 here), not a complex table over all 1,397,761 keys of
+        # the key range (22 MB and a 30 MiB peak when it did).
+        box = LatticeBox(8, 8)
+        assert _pair_keys(box)[3] == 1_397_761
+        assert len(_nested_plan(box).phases) == 35_689
+        U0 = rng.standard_normal((2, box.size)) \
+            + 1j * rng.standard_normal((2, box.size))
+        tracemalloc.start()
+        try:
+            _picard_coeffs(box, U0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_peak_within_memory_check_at_6x6(self, rng, batch):
