@@ -127,15 +127,21 @@ def _parse_box_sizes(key: str, text: str) -> tuple:
     return vals
 
 
-def _int_from(minimum: int, maximum: int | None = None):
+def _int_from(minimum: int):
     def parse(key: str, text: str) -> int:
         val, = _numbers(key, text, int, 1)
         if val < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-        if maximum is not None and val > maximum:
-            raise ConfigError(f"{key}: must be <= {maximum}, got {val}")
         return val
     return parse
+
+
+def _parse_seed(key: str, text: str) -> int:
+    """A seed of the sampler's 64-bit counter hash."""
+    val = _int_from(0)(key, text)
+    if val >= 2 ** 64:
+        raise ConfigError(f"{key}: must be <= {2 ** 64 - 1}, got {val}")
+    return val
 
 
 def _positive(key: str, text: str) -> float:
@@ -170,7 +176,7 @@ class ExperimentConfig:
     profile: str = _key("power_decay 1.0 2.0", _text)
     normalize: bool = _key(True, _bool)
     sample_count: int = _key(1000, _int_from(0))
-    seed: int = _key(0, _int_from(0, 2 ** 64 - 1))
+    seed: int = _key(0, _parse_seed)
     dt: float | None = _key(None, _positive)
     out: str = _key("", _text)
     format: str = _key("csv", _parse_format)
