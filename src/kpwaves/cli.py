@@ -587,7 +587,7 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
 
 def cmd_box_limit(cfg: ExperimentConfig) -> int:
     """Pair correction across growing boxes with a flat shrinking spectrum."""
-    from .theory import box_limit_f2
+    from .theory import box_limit_f2, _check_box_limit
     law = build_law(cfg)
     m2, m4 = law.moments()
     if abs(m2 - 1.0) > 1e-9 or abs(m4 - 2.0) > 1e-9:
@@ -598,6 +598,10 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
     if cfg.t == 0:
         raise ConfigError("t: the pair correction vanishes at t = 0; "
                           "need t != 0")
+    try:
+        _check_box_limit(cfg.mode, cfg.box_sizes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = []
     ratios = []
     values = []

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeBox, apply_free_flow, hs_norm
-from . import operators, theory
+from . import operators
 from .dynamics import _diverged, _step, evolve_coeffs, NonFiniteError
-from .picard import _check_contraction, _picard_coeffs
 from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
 __all__ = [
@@ -228,6 +227,7 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
                             sample_count=0, failed_samples=(),
                             pair_moments={}, triple_moments={})
 
+    from . import theory
     ctx = theory.TheoryContext.from_profile(profile, law)
     (tot_re, tot_im), (tot_re2, tot_im2) = \
         sums.finish().reshape(2, -1, 2).transpose(0, 2, 1)
@@ -331,6 +331,7 @@ def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
         tri = [box.index(n) for n in triple]
     except ValueError as exc:
         raise ValueError(f"triple: {exc}") from None
+    from .picard import _check_contraction
     _check_contraction(box, min(_BATCH, sample_count))
     return tri
 
@@ -360,6 +361,7 @@ def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
     naming the sample and eps (and the step, when it was calibrated), as
     soon as an evolved state is non-finite.
     """
+    from .picard import _picard_coeffs
     box = profile.box
     tri = _check_scan(box, eps_grid, t, sample_count, triple, rotations)
     eps_grid = tuple(float(e) for e in eps_grid)
@@ -480,6 +482,7 @@ def _check_growth(box: LatticeBox, eps: float, times,
     if sample_count < 1:
         raise ValueError("sample_count: must be >= 1")
     batch = min(_BATCH, sample_count)
+    from .picard import _check_contraction
     _check_contraction(box, batch)
     operators._check_memory(
         batch * box.size * 16 * (grid.size + _GROWTH_ARRAYS),
@@ -502,6 +505,7 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
     lowest sample of the first batch that holds one (and the step, when
     it was calibrated).
     """
+    from .picard import _picard_coeffs
     box = profile.box
     grid = _check_growth(box, eps, times, sample_count)
     lam = profile.lambdas()

@@ -335,14 +335,13 @@ def lambda_eps(d: np.ndarray, bundle: PicardBundle) -> np.ndarray:
     """Polynomial map sending the remainder d to the gauged coefficient w.
 
     lambda_eps(d) = d + 2 eps (s_map(a, d) + eps s_map(b, d)
-                    + eps^2 s_map(c, d)) + eps^4 s_map(d, d).
+                    + eps^2 s_map(c, d)) + eps^4 s_map(d, d)
+                  = d + 2 eps s_map(a_eps, d) + eps^4 s_map(d, d),
+    with a_eps = a + eps b + eps^2 c, the second-order Picard field.
     """
     box, eps = bundle.box, bundle.eps
-    return d + 2.0 * eps * (
-        s_map(box, bundle.a, d)
-        + eps * s_map(box, bundle.b, d)
-        + eps ** 2 * s_map(box, bundle.c, d)
-    ) + eps ** 4 * s_map(box, d, d)
+    a_eps = bundle.a + eps * bundle.b + eps ** 2 * bundle.c
+    return d + 2.0 * eps * s_map(box, a_eps, d) + eps ** 4 * s_map(box, d, d)
 
 
 def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,
@@ -444,14 +443,14 @@ def w_residual(u_t: np.ndarray, bundle: PicardBundle) -> float:
     """Relative residual of the cubic remainder decomposition at u_t.
 
     extract_w must equal s(b, b) + 2 s(a, c) + 2 eps s(b, c)
-    + eps^2 s(c, c) + lambda_eps(extract_d), for any state u_t; the
-    bundle is that of the initial data.
+    + eps^2 s(c, c) + lambda_eps(extract_d) for any state u_t, the bundle
+    being that of the initial data; one split sum takes the s(., c) terms.
     """
     box, eps = bundle.box, bundle.eps
     a, b, c = bundle.a, bundle.b, bundle.c
     w = extract_w(u_t, bundle)
     d = extract_d(u_t, bundle)
-    recon = (s_map(box, b, b) + 2.0 * s_map(box, a, c)
-             + 2.0 * eps * s_map(box, b, c) + eps * eps * s_map(box, c, c)
+    recon = (s_map(box, b, b)
+             + s_map(box, 2.0 * a + 2.0 * eps * b + eps * eps * c, c)
              + lambda_eps(d, bundle))
     return _rel(w - recon, w)

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lattice import LatticeBox, hs_weights, omega, phi1
-from .operators import pair_table
+from .operators import _check_memory, pair_table
 
 __all__ = [
     "TheoryContext",
@@ -325,6 +325,22 @@ def triple_majorant(ctx: TheoryContext, s: float) -> float:
                             excess=abs(ctx.m4 - 2.0 * ctx.m2 ** 2))
     w = _triple_weights(box, s, i_n, i_m, i_p)
     return float(np.sum(w * 2.0 / np.abs(Om) * amp))
+
+
+# Bytes per point of box_limit_f2's grid.  The tracemalloc peak over
+# modes (1, 0) to (-2, 5) and N = 4 to 1024 read 66-103 B per point; the
+# largest is rounded up.
+_BOX_LIMIT_POINT_BYTES = 104
+
+
+def _check_box_limit(n, sizes) -> None:
+    """Raise ValueError, before any grid is built, when box_limit_f2 at
+    mode n and one of `sizes` would exceed physical memory; the message
+    starts with the configuration key box_sizes."""
+    for N in sizes:
+        points = (2 * (N + abs(n[0])) + 1) * (2 * (N + abs(n[1])) + 1)
+        _check_memory(_BOX_LIMIT_POINT_BYTES * points,
+                      f"box_sizes: the grid of N = {N} at mode {n}")
 
 
 def box_limit_f2(n, N: int, lambda_N: float, t: float,

@@ -16,7 +16,7 @@ import pytest
 
 import numpy as np
 
-from kpwaves import cli, dynamics, ensemble, operators, picard
+from kpwaves import cli, dynamics, ensemble, operators, picard, theory
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.dynamics import (NonFiniteError, calibrate_dt, default_dt,
                               evolve_coeffs)
@@ -615,6 +615,42 @@ class TestBoxLimit:
         assert out == "" and not out_path.exists()
         assert err.startswith(f"config error: {key}: ")
         assert err.count("\n") == 1
+
+    def test_size_beyond_memory_exits_2(self, tmp_path, capsys):
+        # A grid of 4e40 points is a configuration error, not numpy's.
+        out_path = tmp_path / "bl.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = box-limit\n"
+                        "law = two_point 0 1.4142135623730951 0.5\n"
+                        f"box_sizes = {10 ** 20}\nout = {out_path}\n")
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert err.startswith(f"config error: box_sizes: the grid of "
+                              f"N = {10 ** 20} at mode (1, 0) needs ")
+        assert err.count("\n") == 1
+
+    def test_every_size_is_counted_before_the_first_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # The grid of N = 4 at mode (1, 0) fits and that of N = 8 does
+        # not: no size runs and no report is written.
+        need = theory._BOX_LIMIT_POINT_BYTES * (2 * 9 + 1) * (2 * 8 + 1)
+        memory = need - 1
+        assert theory._BOX_LIMIT_POINT_BYTES * 11 * 9 <= memory
+        monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(theory, "box_limit_f2",
+                            lambda *a, **k: pytest.fail("a size ran"))
+        out_path = tmp_path / "bl.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = box-limit\n"
+                        "law = two_point 0 1.4142135623730951 0.5\n"
+                        f"mode = 1 0\nbox_sizes = 4 8\nout = {out_path}\n")
+        assert main(["--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"config error: box_sizes: the grid of N = 8 at mode "
+                       f"(1, 0) needs {need} bytes, more than the {memory} "
+                       "bytes of physical memory\n")
+        assert out == "" and not out_path.exists()
 
 
 class TestTheoryCurves:

@@ -154,21 +154,32 @@ def test_cli_import_leaves_fft_unloaded():
     assert set(out[2:]) == _CLI_MODULES
 
 
-@pytest.mark.parametrize("command, extra, layers", [
-    ("theory-curves", "", {"operators", "theory"}),
-    ("verify", "", {"operators", "picard", "dynamics"}),
+@pytest.mark.parametrize("command, extra, layers, codes", [
+    ("theory-curves", "", {"operators", "theory"}, (0,)),
+    ("verify", "", {"operators", "picard", "dynamics"}, (0,)),
     ("box-limit", "law = two_point 0 1.4142135623730951 0.5\n",
-     {"operators", "theory"}),
-    ("simulate", "", {"dynamics", "operators"}),
-], ids=["theory-curves", "verify", "box-limit", "simulate"])
-def test_command_imports_only_its_layers(tmp_path, command, extra, layers):
+     {"operators", "theory"}, (0,)),
+    ("simulate", "", {"dynamics", "operators"}, (0,)),
+    ("ensemble", "sample_count = 4\ndt = 0.05\n",
+     {"operators", "dynamics", "ensemble", "theory"}, (0,)),
+    # The scan and the growth fit; a scan this small may exit 1 as
+    # noise-dominated.
+    ("remainder-scan", "eps = 0.2 0.1 0.05\nsample_count = 4\n"
+     "rotations = 1\ndt = 0.05\n",
+     {"operators", "dynamics", "ensemble", "picard"}, (0, 1)),
+], ids=["theory-curves", "verify", "box-limit", "simulate", "ensemble",
+        "remainder-scan"])
+def test_command_imports_only_its_layers(tmp_path, command, extra, layers,
+                                         codes):
     # The closed forms run without the stepper, the Picard layer and the
-    # estimators; verify runs without the closed forms and the estimators.
+    # estimators; verify runs without the closed forms and the estimators;
+    # the moment estimator runs without the Picard layer, and the
+    # remainder scan without the closed forms.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\nbox = 2 1\nt_grid = 0 1 0.5\n"
+    cfg.write_text(f"command = {command}\nbox = 2 1\nt_grid = 0.5 1 0.25\n"
                    f"out = {tmp_path / 'report.csv'}\n" + extra)
     out = _fresh_run("import sys, kpwaves.cli; "
-                     "assert kpwaves.cli.main(sys.argv[1:]) == 0",
+                     f"assert kpwaves.cli.main(sys.argv[1:]) in {codes}",
                      "--config", str(cfg))
     assert set(out) == _CLI_MODULES | {f"kpwaves.{m}" for m in layers}
 

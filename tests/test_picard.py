@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from kpwaves import picard
+from kpwaves import operators, picard
 from kpwaves.dynamics import (CalibrationError, calibrate_dt, default_dt,
                               evolve_coeffs)
 from kpwaves.lattice import LatticeBox, apply_free_flow, phi1
@@ -484,6 +484,26 @@ def test_w_residual_holds_off_trajectory(shape, make_field):
                 evolve_coeffs(box, u0, eps, [t], rough)[0]):
         assert np.isfinite(u_t).all()
         assert w_residual(u_t, bundle) <= 1e-10
+
+
+def test_each_bilinear_split_sum_is_taken_once(box22, make_field,
+                                               monkeypatch):
+    # s_map is linear in its first argument: lambda_eps takes its three
+    # linear terms through a + eps b + eps^2 c, w_residual its three
+    # s(., c) terms in one, and extract_w two more (4 and 10 expanded).
+    bundle = PicardBundle.build(box22, make_field(box22), 0.4, 0.25)
+    calls = []
+    split_sum = operators._split_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return split_sum(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_split_sum", counted)
+    lambda_eps(make_field(box22), bundle)
+    assert len(calls) == 2
+    w_residual(make_field(box22), bundle)
+    assert len(calls) == 2 + 6
 
 
 class TestLambdaEps:
