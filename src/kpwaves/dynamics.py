@@ -13,13 +13,20 @@ any drift in that quantity is integrator error.
 A right-hand side at stage time tau is Q * square(P * w), with the gauge
 phases P = e^{i omega tau} and Q = coef conj(P) folding in the coupling
 coef = -i eps n1 / 2.  The stepper takes P and Q of the stage times
-t0 + j h / 2 of up to _PHASE_CHUNK = 64 steps with one np.exp, t0 the
-start of the segment, and runs the four stages in place, in
-preallocated state buffers.  Stepping 1000 samples of the 3x3 box
-through 56 steps took 151 ms of process CPU on one core, against 164 ms
-with per-step phases, fresh temporaries and squares in blocks of 8
-rows; 250 samples of the 2x2 box through 72 steps took 19 against 25 ms
-(medians of five alternating runs on a shared 2-core machine).
+t0 + j h / 2 of up to _PHASE_CHUNK = 8 steps with one np.exp, t0 the
+start of the segment, from the clock: a phase carried from step to step
+by e^{i omega h} would gather roundoff.  The squarer takes them into its
+kernel (operators._squarer): folded into its DFT matrices up to 3x3,
+multiplied in past that.  The four stages run in place in three
+registers: the state, the sum of the slopes, and a stage's state, which
+its slope overwrites.  Stepping 1000 samples of the 3x3 box through 56
+steps took 125 ms of process CPU on one core, against 196 ms with the
+phases multiplied into every stage's state and square; 1000 samples of
+the 2x2 box through 72 steps, the remainder scan's four eps at once,
+took 50 against 90 ms, and 250 samples 16 against 24 ms (medians of 21
+alternating runs on a shared 2-core machine).  Calibrating the step on
+a lone sample at 3x3, where the fold costs about what it saves, took
+117 against 114 ms.
 
 Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
 n1 > 0 half of the spectrum; each right-hand side squares the real grid
@@ -52,9 +59,11 @@ __all__ = [
 ]
 
 
-# Steps whose stage phases _rk4_segments takes with one np.exp call; P
-# and Q then hold at most 2 * 64 + 1 rows of the n1 > 0 modes.
-_PHASE_CHUNK = 64
+# Steps whose stage phases _rk4_segments takes with one np.exp call, and
+# whose gauge-folded DFT matrices the dense squarer builds at once: 1.1 MB
+# at 3x3.  Chunks of 8 steps stepped one sample and 1000 samples of 2x2
+# and 3x3 within 4% of the fastest of 4 to 32 steps.
+_PHASE_CHUNK = 8
 
 
 class NonFiniteError(RuntimeError):
@@ -80,8 +89,8 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
     """Step a real U0 from t0 through (n_steps, h, t_end) segments by RK4.
 
     The state holds the n1 > 0 modes only, the second half of the box
-    ordering, as (..., N1, 2 N2 + 1) rows; the n1 < 0 half of a real field
-    is their conjugate mirror.  Writes the full state at the i-th t_end,
+    ordering, in the squarer's layout; the n1 < 0 half of a real field is
+    their conjugate mirror.  Writes the full state at the i-th t_end,
     where the clock is reset to t_end, into out[i].
     """
     half = box.size // 2
@@ -89,17 +98,12 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
     om = box.omega[half:].reshape(rows)
     coef = (-0.5j * eps) * box.n1[half:].reshape(rows)
     batch = U0.shape[:-1]
-    src, dst, square = _squarer(box, batch)
-    W = U0[..., half:].reshape(batch + rows) * np.exp(-1j * om * t0)
-    # acc sums ((k1 + 2 k2) + 2 k3) + k4, k holds the latest stage and y
-    # the next stage's state or a scaled k.
-    acc, k, y = (np.empty_like(W) for _ in range(3))
-
-    def rhs(P, Q, Y, out):
-        # dW/dt at the gauged state Y; P = e^{i omega tau}, Q = coef conj(P).
-        np.multiply(P, Y, out=src)
-        square()
-        np.multiply(Q, dst, out=out)
+    W, read, stages = _squarer(
+        box, U0[..., half:].reshape(batch + rows) * np.exp(-1j * om * t0),
+        2 * _PHASE_CHUNK + 1)
+    # acc sums ((k1 + 2 k2) + 2 k3) + k4; y holds the next stage's state,
+    # then that stage's slope.
+    acc, y = np.zeros_like(W), np.zeros_like(W)
 
     t = t0
     for U, (n_steps, h, t_end) in zip(out, segments):
@@ -108,28 +112,32 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
             # Stage times t + j h / 2 of steps first .. first + m - 1.
             tau = t + (0.5 * h) * np.arange(2 * first, 2 * (first + m) + 1)
             P = np.exp(1j * om * tau[:, None, None])
-            Q = coef * np.conj(P)
+            rhs = stages(P, coef * np.conj(P))
             for j in range(0, 2 * m, 2):
-                rhs(P[j], Q[j], W, acc)
+                rhs(j, W, acc)
                 np.multiply(acc, 0.5 * h, out=y)
                 y += W
-                rhs(P[j + 1], Q[j + 1], y, k)
-                np.multiply(k, 2.0, out=y)
+                rhs(j + 1, y, y)
+                y *= 2.0
                 acc += y
-                np.multiply(k, 0.5 * h, out=y)
+                y *= 0.25 * h
                 y += W
-                rhs(P[j + 1], Q[j + 1], y, k)
-                np.multiply(k, 2.0, out=y)
+                rhs(j + 1, y, y)
+                y *= 2.0
                 acc += y
-                np.multiply(k, h, out=y)
+                y *= 0.5 * h
                 y += W
-                rhs(P[j + 2], Q[j + 2], y, k)
-                acc += k
+                rhs(j + 2, y, y)
+                acc += y
                 acc *= h / 6.0
                 W += acc
         t = t_end
-        U[..., half:] = (np.exp(1j * om * t) * W).reshape(batch + (half,))
-        U[..., box.conj_idx[half:]] = np.conj(U[..., half:])
+        # out is C-ordered, so this reshape is a view of U.
+        modes = U[..., half:].reshape(-1, half)
+        read(W, modes)
+        modes *= np.exp(1j * om * t).ravel()
+        # The box order puts -n at the mirror position of n.
+        np.conjugate(U[..., :half - 1:-1], out=U[..., :half])
 
 
 def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,

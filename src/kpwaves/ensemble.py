@@ -336,6 +336,20 @@ def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
     return tri
 
 
+def _evolve_over_eps(box: LatticeBox, U0: np.ndarray, groups, t: float,
+                     dt: float):
+    """Yield (eps, U) for each eps of the groups, U the states of U0 at t
+    evolved at eps.  v = eps u solves the flow at eps = 1 when u solves it
+    at eps, and RK4 commutes with the scaling, so a group steps as one
+    batch of eps U0 at eps = 1."""
+    for group in groups:
+        scale = np.array(group)[:, None, None]
+        states = evolve_coeffs(box, (scale * U0).reshape(-1, U0.shape[-1]),
+                               1.0, [t], dt)[0]
+        for e, V in zip(group, states.reshape((len(group),) + U0.shape)):
+            yield e, V / e
+
+
 def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
                    t: float, sample_count: int, *,
                    triple=((1, 0), (1, 0), (-2, 0)), seed: int = 0,
@@ -375,6 +389,10 @@ def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
     nm = box.size
     sums = _BlockSums(lambda rows: rows.sum(axis=0))
 
+    # As many eps as fit in _BATCH rows step in one call.
+    per_call = max(1, _BATCH // min(_BATCH, sample_count))
+    groups = [eps_grid[i:i + per_call]
+              for i in range(0, len(eps_grid), per_call)]
     done = 0
     while done < sample_count:
         nb = min(_BATCH, sample_count - done)
@@ -385,8 +403,7 @@ def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
             U0 = G0 * rot * lam
             A = apply_free_flow(box, U0, t)
             B, C, _ = _picard_coeffs(box, U0, t)
-            for e in eps_grid:
-                U = evolve_coeffs(box, U0, e, [t], dt)[0]
+            for e, U in _evolve_over_eps(box, U0, groups, t, dt):
                 bad = _diverged(U)
                 if bad.any():
                     raise NonFiniteError(

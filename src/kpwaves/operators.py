@@ -13,15 +13,29 @@ H = N1 (2 N2 + 1) modes with n1 > 0, L the grid length (_squarer).
 While H L <= _DENSE_MAX = 4096 (2x1, 2x2 and 3x3) the two transforms
 are real matrix products with the grid's DFT on those modes
 (_dense_embedding): grid = X E, square, spec = grid F; larger boxes
-keep an irfft/rfft pair on the grid's half-spectrum (_positive_rows).  The BLAS rounds a row differently with the number of
-rows in its call, so the rows go in zero-padded blocks of _BLOCK_ROWS =
-32 through products of one fixed shape, and a sample's bits do not
-depend on its batch.  The two paths agree to roundoff, not bitwise.
-One square on one core (medians of 40 rounds of 50 calls) cost 39 us
-against 111 us for the FFT pair at 2x2 (250 samples) and 467 against
-839 us at 3x3 (1000 samples); blocks of 8 rows cost 48 and 523 us.  A
-lone sample pays for the padding: 22 us at 3x3 against 12 us in blocks
-of 8 and 19 us by FFT, and 237 us against 28 by FFT at 6x6.
+keep an irfft/rfft pair on the grid's half-spectrum (_positive_rows).
+The BLAS rounds a sample differently with the number of samples in its
+call, so the samples go in zero-padded blocks of _BLOCK_ROWS = 32
+through products of one fixed shape, with the grid of at most
+_GRID_BLOCKS = 16 blocks held at a time to cap its memory, and a
+sample's bits do not depend on its batch.
+The two paths agree to roundoff, not bitwise.  One square on one core
+(medians of 40 rounds of 50 calls) cost 39 us against 111 us for the
+FFT pair at 2x2 (250 samples) and 467 against 839 us at 3x3 (1000
+samples); blocks of 8 rows cost 48 and 523 us.  A lone sample pays for
+the padding: 22 us at 3x3 against 12 us in blocks of 8 and 19 us by
+FFT, and 237 us against 28 by FFT at 6x6.
+The stepper's gauge phases fold into the dense path's matrices, P into
+the rows of E and Q into the columns of F, so that a right-hand side
+Q square(P X) is two products and a square of the state itself; a
+block keeps its samples in columns, and the products run as E^T X^T
+and F^T grid^T, which the BLAS ran 10-15% faster than X E and grid F
+at 1 and 32 blocks of 2x2 and 3x3.  The FFT path
+multiplies the phases in.  A right-hand side took 135 us at 2x2 and
+450 us at 3x3 (1000 samples), against 226 and 700 us with the phases
+multiplied into the state and the square, and 22 against 32 us for a
+lone sample at 3x3; folding the 17 stage times of a chunk took 30 and
+93 us (medians of 40 alternating rounds of 50 calls).
 Every other split sum is a segment sum over the pair table, which
 enumerates the splits of a box once (_split_sum): plain in dx_product,
 weighted by 1/delta, which does not factor, in s_map.  The nested
@@ -48,11 +62,13 @@ __all__ = [
     "f_map",
 ]
 
-# The dense path of _squarer: rows per matrix product (the last block
-# padded with zero rows), and the largest H L it runs at; see the module
+# The dense path of _squarer: samples per block of the matrix products
+# (the last block padded with zero samples), the largest H L it runs at,
+# and the most blocks whose grid it holds at once; see the module
 # docstring.
 _BLOCK_ROWS = 32
 _DENSE_MAX = 4096
+_GRID_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -200,49 +216,104 @@ def _positive_rows(box: LatticeBox, half_spectrum: np.ndarray) -> np.ndarray:
     return rows[..., :2 * box.n2_max + 1]
 
 
-def _squarer(box: LatticeBox, batch: tuple):
-    """Buffers and kernel of the quadratic term for a batch of states.
+def _squarer(box: LatticeBox, modes: np.ndarray, times: int):
+    """State and quadratic kernel of the gauged flow for a batch of states.
 
-    Returns (src, dst, square): views shaped batch + (N1, 2 N2 + 1) of the
-    n1 > 0 modes of a real field and of the spectrum of its grid's square,
-    and the function that fills dst from src.  The buffers are allocated
-    per call, so calls are independent; padding stays zero.
+    modes holds the n1 > 0 modes of a batch of real fields, shaped
+    batch + (N1, 2 N2 + 1).  Returns (state, read, stages): state holds
+    them in the kernel's layout, read(a, out) writes the modes of an
+    array of that layout into out, shaped (batch size, H) with its last
+    axis contiguous, and zeroed arrays of the same layout serve as the
+    stepper's other registers.  stages(P, Q) takes the gauge phases of
+    up to `times` stage times, shaped (T, N1, 2 N2 + 1), and returns
+    rhs(j, Y, out), which writes Q[j] times the spectrum of the square of
+    the grid of P[j] Y into the register out; out may be Y.  Padding
+    stays zero under linear combinations of registers.  The buffers are
+    allocated per call, so calls are independent.
     """
     half = box.size // 2
-    rows = (box.n1_max, 2 * box.n2_max + 1)
+    batch = modes.shape[:-2]
     length = _fft_embedding(box)[0]
     if half * length <= _DENSE_MAX:
         E, F = _dense_embedding(box)
         n = math.prod(batch)
         blocks = -(-n // _BLOCK_ROWS)
-        buf = np.zeros((blocks, _BLOCK_ROWS, half), dtype=np.complex128)
-        grid = np.empty((blocks, _BLOCK_ROWS, length))
-        spec = np.empty_like(buf)
+        # A block holds its samples in columns, the real and imaginary
+        # part of mode h in rows 2h and 2h + 1: its grid is E^T block and
+        # the spectrum of the square F^T grid, with the operands the BLAS
+        # multiplies fastest (see the module docstring).
+        state = np.zeros((blocks, 2 * half, _BLOCK_ROWS))
+        given = np.ascontiguousarray(modes).reshape(n, half).view(float)
+        for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+            state[b, :, :n - lo] = given[lo:lo + _BLOCK_ROWS].T
+        grid = np.empty((min(_GRID_BLOCKS, blocks), length, _BLOCK_ROWS))
+        groups = [(slice(lo, lo + _GRID_BLOCKS), grid[:blocks - lo])
+                  for lo in range(0, blocks, _GRID_BLOCKS)]
+        # Per mode h, rows 2h and 2h + 1 of E (which take Re u_h and
+        # Im u_h) and of F^T (which give the spectrum's Re and Im at h),
+        # and the same rows for a factor i: c + i s folds in as c times
+        # the first pair plus s times the second.
+        FT = np.ascontiguousarray(F.T)
+        pairs_e = np.stack([E.reshape(half, 2 * length),
+                            np.hstack([E[1::2], -E[0::2]])], axis=1)
+        pairs_f = np.stack([FT.reshape(half, 2 * length),
+                            np.hstack([-FT[1::2], FT[0::2]])], axis=1)
+        stage_e = np.empty((times,) + E.shape)
+        stage_f = np.empty_like(stage_e)
 
-        def square():
-            # One GEMM of R rows per block: every call has the same shape.
-            np.matmul(buf.view(float), E, out=grid)
-            np.square(grid, out=grid)
-            np.matmul(grid, F, out=spec.view(float))
+        def fold(phases, pairs, out):
+            # One product per mode of its (c, s) over the stage times.
+            T = len(phases)
+            np.matmul(phases.view(float).reshape(T, half, 2)
+                      .transpose(1, 0, 2), pairs,
+                      out=out[:T].reshape(T, half, -1).transpose(1, 0, 2))
 
-        def modes(a):
-            return a.reshape(-1, half)[:n].reshape(batch + rows)
+        def stages(P, Q):
+            # P folds into E and Q into F: the stage's square is then two
+            # real matrix products of the state.
+            fold(P, pairs_e, stage_e)
+            fold(Q, pairs_f, stage_f)
 
-        return modes(buf), modes(spec), square
+            def rhs(j, Y, out):
+                # Each block is its own GEMM, and every GEMM has one shape.
+                for part, x in groups:
+                    np.matmul(stage_e[j].T, Y[part], out=x)
+                    np.square(x, out=x)
+                    np.matmul(stage_f[j], x, out=out[part])
+
+            return rhs
+
+        def read(a, out):
+            dst = out.view(float)
+            for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+                dst[lo:lo + _BLOCK_ROWS] = a[b, :, :n - lo].T
+
+        return state, read, stages
     # Half-spectrum of the real grid (zero off the box), the grid, and the
     # spectrum of its square.
+    state = np.ascontiguousarray(modes, dtype=np.complex128)
     buf = np.zeros(batch + (length // 2 + 1,), dtype=np.complex128)
     grid = np.empty(batch + (length,))
     spec = np.empty_like(buf)
+    src, dst = _positive_rows(box, buf), _positive_rows(box, spec)
 
-    def square():
-        # irfft gives the grid with its index reversed, which the square
-        # and the forward rfft undo: spec is the cyclic convolution of buf.
-        np.fft.irfft(buf, length, norm="forward", out=grid)
-        np.square(grid, out=grid)
-        np.fft.rfft(grid, norm="forward", out=spec)
+    def stages(P, Q):
+        def rhs(j, Y, out):
+            np.multiply(P[j], Y, out=src)
+            # irfft gives the grid with its index reversed, which the
+            # square and the forward rfft undo: spec is the cyclic
+            # convolution of buf.
+            np.fft.irfft(buf, length, norm="forward", out=grid)
+            np.square(grid, out=grid)
+            np.fft.rfft(grid, norm="forward", out=spec)
+            np.multiply(Q[j], dst, out=out)
 
-    return _positive_rows(box, buf), _positive_rows(box, spec), square
+        return rhs
+
+    def read(a, out):
+        out[...] = a.reshape(-1, half)
+
+    return state, read, stages
 
 
 def _split_sum(box: LatticeBox, U: np.ndarray, V: np.ndarray,

@@ -166,6 +166,19 @@ def _row_block(box: LatticeBox) -> int:
     return rows
 
 
+def _phase_bound(box: LatticeBox) -> int:
+    """Most four-wave phases the plan of box can hold, counted without
+    building it: no more than the slots of the key range, the nested
+    splits, or the unordered pairs of distinct pair keys (a four-wave key
+    is the sum of an inner and an outer pair key)."""
+    key, span = _pair_keys(box)[1::2]
+    # Distinct pair keys, counted in a sorted copy: np.unique's first call
+    # took 1.2 MB of peak RSS in a 2x2 remainder scan.
+    ordered = np.sort(key, kind="stable")
+    keys = int(ordered.size and np.count_nonzero(np.diff(ordered)) + 1)
+    return min(span, int(_group_sizes(box).sum()), keys * (keys + 1) // 2)
+
+
 def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     """Bytes that building the plan of box and one _picard_coeffs call
     on `batch` fields hold at most, counted before either allocates."""
@@ -173,13 +186,13 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     span = _pair_keys(box)[3]
     rows = _row_block(box)
     sizes = _group_sizes(box)
-    distinct = min(span, int(sizes.sum()))
+    distinct = _phase_bound(box)
     number = np.min_scalar_type(distinct).itemsize
     # Per pair-table entry: the build's keys, the plan's outer and back,
     # the call's phi1 and split factors, and their transients.  Per slot
     # of the key range, in the build: a seen flag and a phase number.  Per
-    # phase, at most one per slot and per nested split: its key or value
-    # and the 64 B of phi1 on it.  Per nested split: its phase number.
+    # phase: its key or value and the 64 B of phi1 on it.  Per nested
+    # split: its phase number.
     # One block: the pair-table arrays, and over the modes the samples,
     # the inner sums and a segment sum with its reduceat result.  The
     # largest group's int64 offsets and complex kernel, the batch's B, C

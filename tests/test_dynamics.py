@@ -8,8 +8,9 @@ import pytest
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
 from kpwaves.operators import dx_product
-from kpwaves.dynamics import (CalibrationError, calibrate_dt, default_dt,
-                              evolve_coeffs)
+from kpwaves.dynamics import (_PHASE_CHUNK, CalibrationError, calibrate_dt,
+                              default_dt, evolve_coeffs)
+from kpwaves.operators import _BLOCK_ROWS, _GRID_BLOCKS
 
 
 def test_default_dt_formula(box22):
@@ -119,6 +120,15 @@ def test_split_batch_is_bitwise_identical(shape, make_field):
     for i in (0, 32, 69):
         lone = evolve_coeffs(box, batch[i], 0.15, [0.4, 0.7], 0.01)
         np.testing.assert_array_equal(lone, joint[:, i])
+    # The dense squarer takes the grid of at most _GRID_BLOCKS blocks at a
+    # time; a batch past them matches its parts on either side of the cut.
+    cut = _GRID_BLOCKS * _BLOCK_ROWS
+    batch = np.stack([make_field(box, hermitian=True)
+                      for _ in range(cut + 40)])
+    joint = evolve_coeffs(box, batch, 0.15, [0.05], 0.01)
+    split = [evolve_coeffs(box, part, 0.15, [0.05], 0.01)
+             for part in np.split(batch, [cut])]
+    np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
 
 
 def test_step_shrinks_to_land_on_end(box22, make_field):
@@ -199,14 +209,34 @@ def test_half_spectrum_matches_complex_rk4(shape, make_field):
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4)], ids=["2x2", "4x4"])
 def test_phase_chunks_match_complex_rk4(shape, make_field):
-    # 70 and 80 steps each cross a chunk of 64 stage phases, and the
-    # clock is reset to 0.7 between the two segments.
+    # Segments of 2 C + 3 and C + 5 steps, C = _PHASE_CHUNK, each cross
+    # the boundary of a chunk of stage phases (folded into the dense
+    # squarer's matrices at 2x2, multiplied in at 4x4) and end in a short
+    # chunk; the clock is reset to the end of the first between the two.
     box = LatticeBox(*shape)
     U0 = np.stack([make_field(box, hermitian=True) for _ in range(3)])
-    got = evolve_coeffs(box, U0, 0.3, [0.7, 1.5], 0.01)
-    mid = _complex_rk4(box, U0, 0.3, 0.7, 70)
-    want = np.stack([mid, _complex_rk4(box, mid, 0.3, 1.5, 80, t0=0.7)])
+    first, second = 2 * _PHASE_CHUNK + 3, _PHASE_CHUNK + 5
+    mid_t, end_t = 0.01 * first, 0.01 * (first + second)
+    got = evolve_coeffs(box, U0, 0.3, [mid_t, end_t], 0.01)
+    mid = _complex_rk4(box, U0, 0.3, mid_t, first)
+    want = np.stack([mid, _complex_rk4(box, mid, 0.3, end_t, second,
+                                       t0=mid_t)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4)],
+                         ids=["2x2", "3x3", "4x4"])
+def test_eps_scaling_matches_coupling(shape, make_field):
+    # v = eps u solves the flow at eps = 1 when u solves it at eps, and
+    # RK4 commutes with the scaling: the remainder scan steps its eps grid
+    # as one batch at eps = 1 this way.  2x2 and 3x3 square the grid by
+    # matrix products, 4x4 by FFT.
+    box = LatticeBox(*shape)
+    U0 = np.stack([make_field(box, hermitian=True) for _ in range(3)])
+    for e in (0.07, 0.2, 1.5):
+        want = evolve_coeffs(box, U0, e, [0.4, 0.7], 0.01)
+        got = evolve_coeffs(box, e * U0, 1.0, [0.4, 0.7], 0.01) / e
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_states_are_exactly_real(box33, make_field):

@@ -331,6 +331,27 @@ class TestScanValidation:
         one, split = results
         assert one == split
 
+    def test_eps_grid_steps_within_batch(self, box21, monkeypatch):
+        # Each call evolves the samples of as many eps as fit in _BATCH
+        # rows: 250 samples step their four eps at once, per rotation;
+        # 600 take three and then one; 1500 one at a time.
+        rows = []
+
+        def evolve(box, U0, *args):
+            rows.append(len(U0))
+            return evolve_coeffs(box, U0, *args)
+
+        monkeypatch.setattr(ensemble, "evolve_coeffs", evolve)
+        grid = (0.2, 0.15, 0.1, 0.07)
+        for count, rotations, calls in ((250, 2, [1000] * 2),
+                                        (600, 1, [1800, 600]),
+                                        (1500, 1, [1500] * 4)):
+            rows.clear()
+            self.scan(box21, eps_grid=grid, sample_count=count,
+                      rotations=rotations)
+            assert rows == calls
+            assert max(rows) <= ensemble._BATCH
+
     def test_diverging_sample_raises(self, box22, monkeypatch):
         profile, law, U0 = _diverging_start(box22)
         for e in (0.5, 0.7):
@@ -338,11 +359,16 @@ class TestScanValidation:
         _, first = _first_nonfinite(evolve_coeffs(box22, U0, 1.0, [1.0],
                                                   0.05))
         assert first >= 4  # in the second batch of four
-        monkeypatch.setattr(ensemble, "_BATCH", 4)
-        with pytest.raises(NonFiniteError,
-                           match=rf"^sample {first} diverged at eps = 1\.0$"):
-            remainder_scan(profile, law, (0.5, 0.7, 1.0), 1.0, 8, dt=0.05,
-                           rotations=1)
+        # The three eps of a batch step in one call; a batch of four takes
+        # them one at a time.  Either way the first diverging sample of
+        # the first eps that has one is named.
+        for size in (ensemble._BATCH, 4):
+            monkeypatch.setattr(ensemble, "_BATCH", size)
+            with pytest.raises(
+                    NonFiniteError,
+                    match=rf"^sample {first} diverged at eps = 1\.0$"):
+                remainder_scan(profile, law, (0.5, 0.7, 1.0), 1.0, 8,
+                               dt=0.05, rotations=1)
 
     def test_noise_dominated_property(self):
         clean = ScanResult(points=(), pair_slope=4.0, pair_slope_err=0.1,

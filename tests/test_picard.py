@@ -28,6 +28,7 @@ from kpwaves.picard import (
     _nested_plan,
     _omega_keys,
     _pair_keys,
+    _phase_bound,
     _picard_coeffs,
     PhaseKeyOverflowError,
     MaxIterExceededError,
@@ -395,6 +396,17 @@ class TestStreamedContraction:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2 ** 20
+
+    def test_phase_bound_covers_the_plan(self):
+        # The memory count takes the phases from _phase_bound before the
+        # plan is built; at 8x8 the pairs of the 1,120 distinct pair keys
+        # bound them to 627,760, under the 1,397,761 slots of the key
+        # range.
+        for n1 in range(1, 9):
+            for n2 in range(9):
+                box = LatticeBox(n1, n2)
+                assert _phase_bound(box) >= len(_nested_plan(box).phases), box
+        assert _phase_bound(LatticeBox(8, 8)) == 627_760
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_peak_within_memory_check_at_6x6(self, rng, batch):
