@@ -14,8 +14,7 @@ _EXPORTS = {name: module for module, names in {
     "operators": "dx_product s_map f_map",
     "picard": "extract_d extract_w PicardBundle lambda_eps "
               "invert_lambda_eps NonContractionError MaxIterExceededError",
-    "dynamics": "default_dt calibrate_dt evolve_coeffs NonFiniteError "
-                "CalibrationError",
+    "dynamics": "calibrate_dt evolve_coeffs NonFiniteError CalibrationError",
     "sampling": "RandomLaw SpectrumProfile normalize_profile sample_u0",
     "ensemble": "MomentReport estimate_moments ScanResult remainder_scan "
                 "GrowthFit remainder_growth",

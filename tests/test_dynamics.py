@@ -8,15 +8,15 @@ import pytest
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
 from kpwaves.operators import dx_product
-from kpwaves.dynamics import (_PHASE_CHUNK, CalibrationError, calibrate_dt,
-                              default_dt, evolve_coeffs)
+from kpwaves.dynamics import (_PHASE_CHUNK, _default_dt, CalibrationError,
+                              calibrate_dt, evolve_coeffs)
 from kpwaves.operators import _BLOCK_ROWS, _GRID_BLOCKS
 
 
 def test_default_dt_formula(box22):
     max_om = float(np.max(np.abs(box22.omega)))
     assert max_om == 8.0
-    assert default_dt(box22) == pytest.approx(0.5 / 9.0, rel=1e-15)
+    assert _default_dt(box22) == pytest.approx(0.5 / 9.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
@@ -153,19 +153,19 @@ def test_calibrate_dt_meets_target(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     eps, t, target = 0.3, 1.0, 1e-8
     dt = calibrate_dt(box22, u0, eps, t, target=target)
-    assert dt <= default_dt(box22)
+    assert dt <= _default_dt(box22)
     coarse = evolve_coeffs(box22, u0, eps, [t], dt)[0]
     fine = evolve_coeffs(box22, u0, eps, [t], dt / 2.0)[0]
     assert float(np.linalg.norm(fine - coarse)) < target
 
 
 def test_calibration_out_of_halvings_raises(box22, make_field):
-    # Three halvings from default_dt end at default_dt / 8 (about 30
+    # Three halvings from _default_dt end at _default_dt / 8 (about 30
     # steps to t = 1), still far above the target; the error names the
     # target, the last step-halving error and that step.
     u0 = make_field(box22, hermitian=True)
     eps, t = 0.3, 1.0
-    last = default_dt(box22) / 8.0
+    last = _default_dt(box22) / 8.0
     err = float(np.linalg.norm(
         evolve_coeffs(box22, u0, eps, [t], last)[0]
         - evolve_coeffs(box22, u0, eps, [t], 2.0 * last)[0]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kpwaves import ensemble
 from kpwaves.lattice import LatticeBox, hs_norm
-from kpwaves.dynamics import NonFiniteError, default_dt, evolve_coeffs
+from kpwaves.dynamics import NonFiniteError, _default_dt, evolve_coeffs
 from kpwaves.ensemble import (
     _moment_sums,
     ScanResult,
@@ -448,6 +448,6 @@ class TestGrowthValidation:
         profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
         args = (profile, RandomLaw.two_point(0.5, 1.5, 0.3), 0.1,
                 (0.5, 1.0, 1.5), 10)
-        one = remainder_growth(*args, seed=2, dt=default_dt(box))
+        one = remainder_growth(*args, seed=2, dt=_default_dt(box))
         monkeypatch.setattr(ensemble, "_BATCH", 3)
-        assert remainder_growth(*args, seed=2, dt=default_dt(box)) == one
+        assert remainder_growth(*args, seed=2, dt=_default_dt(box)) == one

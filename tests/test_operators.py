@@ -156,7 +156,7 @@ def test_cli_import_leaves_fft_unloaded():
 
 @pytest.mark.parametrize("command, extra, layers, codes", [
     ("theory-curves", "", {"operators", "theory"}, (0,)),
-    ("verify", "", {"operators", "picard", "dynamics"}, (0,)),
+    ("verify", "", {"operators", "picard"}, (0,)),
     ("box-limit", "law = two_point 0 1.4142135623730951 0.5\n",
      {"operators", "theory"}, (0,)),
     ("simulate", "", {"dynamics", "operators"}, (0,)),
@@ -172,9 +172,9 @@ def test_cli_import_leaves_fft_unloaded():
 def test_command_imports_only_its_layers(tmp_path, command, extra, layers,
                                          codes):
     # The closed forms run without the stepper, the Picard layer and the
-    # estimators; verify runs without the closed forms and the estimators;
-    # the moment estimator runs without the Picard layer, and the
-    # remainder scan without the closed forms.
+    # estimators; verify runs without the stepper, the closed forms and the
+    # estimators; the moment estimator runs without the Picard layer, and
+    # the remainder scan without the closed forms.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = {command}\nbox = 2 1\nt_grid = 0.5 1 0.25\n"
                    f"out = {tmp_path / 'report.csv'}\n" + extra)
@@ -202,8 +202,8 @@ def test_every_exported_name_resolves():
 _PACKAGE_NAMES = """
     LatticeBox omega hs_norm hs_weights apply_free_flow dx_product s_map
     f_map phi1 extract_d extract_w PicardBundle lambda_eps invert_lambda_eps
-    NonContractionError MaxIterExceededError default_dt calibrate_dt
-    evolve_coeffs NonFiniteError CalibrationError RandomLaw SpectrumProfile
+    NonContractionError MaxIterExceededError calibrate_dt evolve_coeffs
+    NonFiniteError CalibrationError RandomLaw SpectrumProfile
     normalize_profile sample_u0 MomentReport estimate_moments ScanResult
     remainder_scan GrowthFit remainder_growth
     TheoryContext f2_diag f3 weighted_sum_pair weighted_sum_triple
@@ -216,7 +216,7 @@ def test_package_names_are_module_exports():
     # deletion that leaves it behind there fails above as well, and it
     # resolves to the module's object.
     assert sorted(kpwaves.__all__) == sorted(_PACKAGE_NAMES)
-    assert len(_PACKAGE_NAMES) == 39
+    assert len(_PACKAGE_NAMES) == 38
     assert list(kpwaves._EXPORTS) == kpwaves.__all__
     for name, module_name in kpwaves._EXPORTS.items():
         module = importlib.import_module(f"kpwaves.{module_name}")

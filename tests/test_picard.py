@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from kpwaves import operators, picard
-from kpwaves.dynamics import (CalibrationError, calibrate_dt, default_dt,
+from kpwaves.dynamics import (CalibrationError, _default_dt, calibrate_dt,
                               evolve_coeffs)
 from kpwaves.lattice import LatticeBox, apply_free_flow, phi1
 from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
@@ -482,13 +482,13 @@ class TestExtract:
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4)],
                          ids=["2x2", "3x3", "4x4"])
 def test_w_residual_holds_off_trajectory(shape, make_field):
-    # kpwaves verify evolves its sample once, at an uncalibrated step:
-    # the decomposition it checks closes for a random real state and for
-    # one evolved at a step that calibration rejects.
+    # The decomposition closes for any state, on or off the trajectory:
+    # for a random real state and for one evolved at a step that
+    # calibration rejects.
     box = LatticeBox(*shape)
     u0 = make_field(box, hermitian=True)
     t, eps = 1.0, 0.3
-    rough = 4.0 * default_dt(box)
+    rough = 4.0 * _default_dt(box)
     with pytest.raises(CalibrationError):
         calibrate_dt(box, u0, eps, t, dt0=rough, max_halvings=1)
     bundle = PicardBundle.build(box, u0, t, eps)
