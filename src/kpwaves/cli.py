@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -343,6 +342,7 @@ def emit_table(cfg: ExperimentConfig, columns: tuple | list, rows: list,
     """
     extras = extras or {}
     if cfg.format == "json":
+        import json
         obj = {
             "version": FORMAT_VERSION,
             "config": config_echo(cfg),
@@ -402,7 +402,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             worst[name] = max(worst.get(name, 0.0), r)
     notes = {
         "commutator": f"max rel residual over {n_fields} field pairs",
-        "cubic-composition": "f_map against -s_map(., dx_product)",
+        "cubic-composition": "f_map against its own body: always 0",
         "b-decomposition": "first corrector against its two-term form",
         "c-decomposition": "second corrector against -2 s_map(a, b) + f",
         "lambda-roundtrip": "invert_lambda_eps after lambda_eps",

@@ -472,11 +472,11 @@ class GrowthFit:
 
 
 # Box-sized complex arrays per sample of a batch that remainder_growth
-# holds besides its evolved states.  The tracemalloc peak per sample, over
-# 2x1 to 4x4 boxes and 3 or 6 grid times, read 8.0-8.8 arrays past the
-# states, in the closed-form subtraction after stepping (the stepper's own
-# peak read 4.7-6.3); the largest is rounded up.
-_GROWTH_ARRAYS = 9
+# holds besides its evolved states.  The tracemalloc peak per sample (the
+# rise from 1024 to 2048 samples), over 2x1 to 4x4 boxes and 3 or 6 grid
+# times, read 2.5-6.3 arrays past the states in the stepper and 4.0 in
+# the closed-form subtraction after it; the largest is rounded up.
+_GROWTH_ARRAYS = 7
 
 
 def _check_growth(box: LatticeBox, eps: float, times,
@@ -539,9 +539,14 @@ def remainder_growth(profile: SpectrumProfile, law: RandomLaw, eps: float,
             raise NonFiniteError(
                 f"sample {start + i_s} diverged by t = {grid[i_t]}{note}")
         for i, t in enumerate(grid):
-            A = apply_free_flow(box, U0, t)
-            B, C, _ = _picard_coeffs(box, U0, t)
-            D = (states[i] - A - eps * B - eps * eps * C) / eps ** 3
+            # D in the state's row; B, C and F go before the next pass.
+            D = states[i]
+            D -= apply_free_flow(box, U0, t)
+            B, C, F = _picard_coeffs(box, U0, t)
+            D -= np.multiply(eps, B, out=B)
+            D -= np.multiply(eps * eps, C, out=C)
+            D /= eps ** 3
+            del B, C, F
             peak[i] = max(peak[i], float(hs_norm(box, D, s).max()))
     exponent, err = fit_log_slope(1.0 + grid, peak)
     return GrowthFit(times=tuple(grid), max_norms=tuple(peak),

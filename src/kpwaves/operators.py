@@ -92,13 +92,6 @@ class PairTable:
         return len(self.out_idx)
 
 
-def _starts_from_sorted(out_idx: np.ndarray, n_out: int) -> np.ndarray:
-    counts = np.bincount(out_idx, minlength=n_out)
-    starts = np.zeros(n_out + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return starts
-
-
 @lru_cache(maxsize=None)
 def pair_table(box: LatticeBox) -> PairTable:
     """Build (and cache) the pair interaction table of a box."""
@@ -107,11 +100,11 @@ def pair_table(box: LatticeBox) -> PairTable:
     l1 = box.n1[:, None] - box.n1[None, :]
     l2 = box.n2[:, None] - box.n2[None, :]
     l_idx = box.lookup(l1, l2)
+    # np.nonzero lists the entries in row-major order, sorted by n.
     out_g, k_g = np.nonzero(l_idx >= 0)
     l_g = l_idx[out_g, k_g]
-    order = np.argsort(out_g, kind="stable")
-    out_g, k_g, l_g = out_g[order], k_g[order], l_g[order]
     dlt = om[k_g] + om[l_g] - om[out_g]
+    counts = np.bincount(out_g, minlength=box.size)
     return PairTable(
         box=box,
         out_idx=out_g,
@@ -119,7 +112,7 @@ def pair_table(box: LatticeBox) -> PairTable:
         l_idx=l_g,
         delta=dlt,
         inv_delta=1.0 / dlt,
-        seg_starts=_starts_from_sorted(out_g, box.size),
+        seg_starts=np.append(0, np.cumsum(counts)),
     )
 
 

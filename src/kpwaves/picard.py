@@ -7,11 +7,12 @@ For initial data u0 the flow map is expanded as
 where a is the free evolution and b, c have closed forms as oscillatory
 sums over the interaction tables.  b sums over the splits k + l = n of
 the pair table; c and the Duhamel integral f of the resonant trilinear
-term sum over the nested splits k + (j + q) = n, grouped from it.  One
-pass computes b, c and f for a batch of initial data (_picard_coeffs):
-b as a segment sum of the pair products U_k U_l, c and f as one complex
-matrix product per inner mode l = j + q, over fixed blocks of sample
-rows, with phi1 taken once per four-wave phase that occurs (_NestedPlan).
+term sum over the nested splits k + (j + q) = n, grouped by the inner
+mode l = j + q into the pair table's own segments.  One pass computes b,
+c and f for a batch of initial data (_picard_coeffs): b as a segment sum
+of the pair products U_k U_l, c and f as one complex matrix product per
+segment, in place over fixed blocks of sample rows, with phi1 taken once
+per four-wave phase that occurs (_NestedPlan).
 The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
 is the lattice module's, which theory's F3 takes too.
 _check_contraction counts its memory before anything is built.
@@ -42,8 +43,7 @@ import numpy as np
 
 from . import operators
 from .lattice import LatticeBox, apply_free_flow, hs_norm, phi1
-from .operators import (pair_table, segment_sum, _starts_from_sorted,
-                        s_map, dx_product, f_map)
+from .operators import pair_table, segment_sum, s_map, dx_product, f_map
 
 __all__ = [
     "extract_d",
@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 # Byte budget of one block of samples in the Picard passes, the most rows
-# a block takes, and its complex arrays over the pair table per row: the
-# C/F pass holds two, each two rows per sample.
+# a block takes, and the complex arrays over the pair table per row that
+# set them: the pass holds three, but four keep every box's block shape.
 _BLOCK_BYTES = 1 << 23
 _MAX_ROWS = 64
 _BLOCK_ARRAYS = 4
@@ -99,17 +99,17 @@ def _omega_keys(box: LatticeBox) -> tuple[int, np.ndarray]:
 class _NestedPlan:
     """Nested splits k + (j + q) = n of a box, grouped by the inner mode l.
 
-    A group (m0, m1, o0, o1) of one mode l pairs its inner splits l = j + q,
-    the pair-table segment m0:m1, with its outer splits n = k + l, the
-    pair-table entries outer[o0:o1]; back inverts outer.  phases holds
-    the four-wave phases that occur, in exact key order (_pair_keys), and
-    index per group, inner x outer, each nested split's number in phases,
-    in the smallest unsigned type that holds their count.
+    The box is closed under n -> -n, so (n, k) -> (-k, n) pairs the outer
+    splits n = k + l of l one-to-one with its inner splits l = j + q, the
+    pair-table segment m0:m1 of l (_groups).  Sorted stably by l, the pair
+    table holds the outer splits of l at m0:m1 too; back[e] is the place
+    of entry e in that order.  phases holds the four-wave phases that
+    occur, in exact key order (_pair_keys), and index per group, inner x
+    outer, each nested split's number in phases, in the smallest unsigned
+    type that holds their count.
     """
 
-    outer: np.ndarray
     back: np.ndarray
-    groups: tuple
     phases: np.ndarray
     index: tuple
 
@@ -126,9 +126,15 @@ def _pair_keys(box: LatticeBox) -> tuple:
 
 
 def _group_sizes(box: LatticeBox) -> np.ndarray:
-    """Nested splits per inner mode l: its outer times its inner splits."""
-    pt = pair_table(box)
-    return np.bincount(pt.l_idx, minlength=box.size) * np.diff(pt.seg_starts)
+    """Nested splits per inner mode l: its segment's length squared."""
+    return np.diff(pair_table(box).seg_starts) ** 2
+
+
+def _groups(box: LatticeBox) -> list:
+    """Extents (m0, m1) of the nonempty pair-table segments, in mode
+    order: the groups of the nested-split plan."""
+    starts = pair_table(box).seg_starts.tolist()
+    return [(m0, m1) for m0, m1 in zip(starts, starts[1:]) if m1 > m0]
 
 
 @lru_cache(maxsize=None)
@@ -137,23 +143,18 @@ def _nested_plan(box: LatticeBox) -> _NestedPlan:
     pt = pair_table(box)
     denom, key, lo, span = _pair_keys(box)
     outer = np.argsort(pt.l_idx, kind="stable")
-    o_starts = _starts_from_sorted(pt.l_idx[outer], box.size)
-    m_starts = pt.seg_starts
-    groups = tuple((int(m_starts[l]), int(m_starts[l + 1]),
-                    int(o_starts[l]), int(o_starts[l + 1]))
-                   for l in np.flatnonzero(np.diff(o_starts)))
+    groups = _groups(box)
     # Mark the four-wave keys that occur and number them in key order,
     # in transient tables over the key range.
-    def offsets(m0, m1, o0, o1):
-        return key[m0:m1, None] - lo + key[outer[o0:o1]]
+    def offsets(m0, m1):
+        return key[m0:m1, None] - lo + key[outer[m0:m1]]
     seen = np.zeros(span, dtype=bool)
     for group in groups:
         seen[offsets(*group)] = True
     distinct = np.flatnonzero(seen)
     number = np.zeros(span, dtype=np.min_scalar_type(len(distinct)))
     number[distinct] = np.arange(len(distinct))
-    return _NestedPlan(outer, np.argsort(outer), groups,
-                       (distinct + lo) / denom,
+    return _NestedPlan(np.argsort(outer), (distinct + lo) / denom,
                        tuple(number[offsets(*group)] for group in groups))
 
 
@@ -186,22 +187,25 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     span = _pair_keys(box)[3]
     rows = _row_block(box)
     sizes = _group_sizes(box)
+    longest = math.isqrt(int(sizes.max(initial=0)))
     distinct = _phase_bound(box)
     number = np.min_scalar_type(distinct).itemsize
-    # Per pair-table entry: the build's keys, the plan's outer and back,
+    # Per pair-table entry: the build's keys and order, the plan's back,
     # the call's phi1 and split factors, and their transients.  Per slot
     # of the key range, in the build: a seen flag and a phase number.  Per
     # phase: its key or value and the 64 B of phi1 on it.  Per nested
     # split: its phase number.
-    # One block: the pair-table arrays, and over the modes the samples,
+    # One block: three pair-table arrays, and over the modes the samples,
     # the inner sums and a segment sum with its reduceat result.  The
-    # largest group's int64 offsets and complex kernel, the batch's B, C
-    # and F, and 256 KiB for small arrays and numpy's ufunc buffers (up to
-    # 8192 elements, which a broadcast product over a short axis fills).
+    # largest group's int64 offsets and complex kernel, and numpy's copy
+    # of the two block rows per sample that its product overwrites; the
+    # batch's B, C and F, and 256 KiB for small arrays and numpy's ufunc
+    # buffers (up to 8192 elements, which a broadcast product over a short
+    # axis fills).
     return (96 * len(pt) + (1 + number) * span + 72 * distinct
             + number * int(sizes.sum())
-            + _ITEM * rows * (_BLOCK_ARRAYS * len(pt) + 4 * box.size)
-            + 24 * int(sizes.max(initial=0))
+            + _ITEM * rows * (3 * len(pt) + 4 * box.size)
+            + 24 * longest ** 2 + 2 * _ITEM * rows * longest
             + 3 * _ITEM * batch * box.size + (1 << 18))
 
 
@@ -233,6 +237,7 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     """
     pt = pair_table(box)
     plan = _nested_plan(box)
+    groups = _groups(box)
     rows = _row_block(box)
     phi_pair = phi1(pt.delta, t)
     kernel_b = 1j * phi_pair
@@ -249,8 +254,8 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     F = np.empty_like(B)
     block = np.zeros((rows, box.size), dtype=np.complex128)
     PQ = np.empty((2 * rows, len(pt)), dtype=np.complex128)
-    Y = np.empty_like(PQ)
-    P, Q, Yf, Yc = PQ[:rows], PQ[rows:], Y[:rows], Y[rows:]
+    P, Q = PQ[:rows], PQ[rows:]
+    S = np.empty_like(P)
     # Every product names its operands in a fixed order through out=:
     # numpy's complex a * b and b * a can differ in the last bit, and it
     # elides a large temporary by computing X * (tmp) as tmp *= X, so an
@@ -261,29 +266,31 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
         n = min(rows, len(X) - s)
         block[:n] = X[s:s + n]
         block[n:] = 0.0
-        np.take(block, pt.k_idx, axis=1, out=Yf, mode="clip")
-        np.take(block, pt.l_idx, axis=1, out=Yc, mode="clip")
-        np.multiply(Yf, Yc, out=P)
+        np.take(block, pt.k_idx, axis=1, out=P, mode="clip")
+        np.take(block, pt.l_idx, axis=1, out=Q, mode="clip")
+        np.multiply(P, Q, out=P)
+        # B from P, in Q before Q is formed.
+        np.multiply(P, kernel_b, out=Q)
+        np.multiply(coef_b, segment_sum(Q, pt.seg_starts)[:n],
+                    out=B[s:s + n])
         np.multiply(P, fac_inner, out=Q)
         sums = segment_sum(Q, pt.seg_starts)
-        # B from P, in Yf, which the per-mode products overwrite next.
-        np.multiply(P, kernel_b, out=Yf)
-        np.multiply(coef_b, segment_sum(Yf, pt.seg_starts)[:n],
-                    out=B[s:s + n])
-        for (m0, m1, o0, o1), index in zip(plan.groups, plan.index):
+        # Each product over its own operands: numpy copies the overlap.
+        for (m0, m1), index in zip(groups, plan.index):
             np.matmul(PQ[:, m0:m1], np.take(phase4, index, mode="clip"),
-                      out=Y[:, o0:o1])
-        # Back to pair-table order: Yf, Yc in P, Q, and U_k in Yf.
-        np.take(Y, plan.back, axis=1, out=PQ, mode="clip")
-        np.take(block, pt.k_idx, axis=1, out=Yf, mode="clip")
-        np.multiply(P, fac_outer, out=P)
-        np.multiply(Yf, P, out=P)
-        np.take(sums, pt.l_idx, axis=1, out=Yc, mode="clip")
-        np.multiply(Yc, phi_pair, out=Yc)
-        np.subtract(Q, Yc, out=Q)
-        np.multiply(Yf, Q, out=Q)
-        np.multiply(coef, segment_sum(Q, pt.seg_starts)[:n], out=C[s:s + n])
-        np.multiply(-coef, segment_sum(P, pt.seg_starts)[:n], out=F[s:s + n])
+                      out=PQ[:, m0:m1])
+        # Back to pair-table order: Yf in S, Yc in P, and U_k in Q.
+        np.take(P, plan.back, axis=1, out=S, mode="clip")
+        np.take(Q, plan.back, axis=1, out=P, mode="clip")
+        np.take(block, pt.k_idx, axis=1, out=Q, mode="clip")
+        np.multiply(S, fac_outer, out=S)
+        np.multiply(Q, S, out=S)
+        np.multiply(-coef, segment_sum(S, pt.seg_starts)[:n], out=F[s:s + n])
+        np.take(sums, pt.l_idx, axis=1, out=S, mode="clip")
+        np.multiply(S, phi_pair, out=S)
+        np.subtract(P, S, out=P)
+        np.multiply(Q, P, out=P)
+        np.multiply(coef, segment_sum(P, pt.seg_starts)[:n], out=C[s:s + n])
     return B.reshape(U0.shape), C.reshape(U0.shape), F.reshape(U0.shape)
 
 
@@ -349,12 +356,13 @@ def lambda_eps(d: np.ndarray, bundle: PicardBundle) -> np.ndarray:
 
     lambda_eps(d) = d + 2 eps (s_map(a, d) + eps s_map(b, d)
                     + eps^2 s_map(c, d)) + eps^4 s_map(d, d)
-                  = d + 2 eps s_map(a_eps, d) + eps^4 s_map(d, d),
-    with a_eps = a + eps b + eps^2 c, the second-order Picard field.
+                  = d + s_map(2 eps a_eps + eps^4 d, d),
+    with a_eps = a + eps b + eps^2 c, the second-order Picard field:
+    one split sum, since s_map is linear in its first argument.
     """
     box, eps = bundle.box, bundle.eps
     a_eps = bundle.a + eps * bundle.b + eps ** 2 * bundle.c
-    return d + 2.0 * eps * s_map(box, a_eps, d) + eps ** 4 * s_map(box, d, d)
+    return d + s_map(box, 2.0 * eps * a_eps + eps ** 4 * d, d)
 
 
 def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,

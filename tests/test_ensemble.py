@@ -1,6 +1,7 @@
 """Sampling determinism, law moments, estimators, and remainder scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,29 @@ class TestGrowthValidation:
         assert len(fit.max_norms) == 3
         assert all(v > 0 for v in fit.max_norms)
         assert np.isfinite(fit.exponent) and np.isfinite(fit.stderr)
+
+    @pytest.mark.parametrize("size", [(2, 1), (4, 4)], ids=["2x1", "4x4"])
+    def test_peak_per_sample_within_the_count(self, size):
+        # The pre-flight budgets the states and _GROWTH_ARRAYS box-sized
+        # arrays per sample; the traced peak's rise from 256 to 512
+        # samples is that per-sample cost (fixed tables cancel).  The
+        # subtraction after stepping read 9 arrays when it formed A and D
+        # beside B, C and F and kept the last pass's arrays into the next.
+        box = LatticeBox(*size)
+        law = RandomLaw.steinhaus()
+        profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
+        times = (0.1, 0.2, 0.3)
+        remainder_growth(profile, law, 0.1, times, 2, dt=0.05)
+        peaks = []
+        for count in (256, 512):
+            tracemalloc.start()
+            try:
+                remainder_growth(profile, law, 0.1, times, count, dt=0.05)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_sample = (peaks[1] - peaks[0]) / (256 * box.size * 16)
+        assert per_sample <= len(times) + ensemble._GROWTH_ARRAYS
 
     def test_diverging_sample_raises(self, box22):
         profile, law, U0 = _diverging_start(box22)

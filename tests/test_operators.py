@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import kpwaves
 from kpwaves import LatticeBox, dx_product, s_map, f_map
 from kpwaves.operators import pair_table, segment_sum
-from kpwaves.picard import _nested_plan
+from kpwaves.picard import _groups, _nested_plan
 
 from conftest import (coeff, delta, field_from_modes, is_real_symmetric,
                       mode_list)
@@ -73,7 +73,19 @@ class TestTables:
     def test_empty_box_tables(self):
         box = LatticeBox(1, 0)
         assert len(pair_table(box)) == 0
-        assert _nested_plan(box).groups == ()
+        assert _groups(box) == [] and _nested_plan(box).index == ()
+
+    def test_right_parts_fill_the_segments(self):
+        # The box is closed under n -> -n, so (n, k) -> (-k, n) pairs the
+        # splits n = k + l of a mode l with its own splits l = k + q: the
+        # nested-split groups are the pair table's segments.
+        for n1 in range(1, 9):
+            for n2 in range(9):
+                box = LatticeBox(n1, n2)
+                pt = pair_table(box)
+                assert np.array_equal(
+                    np.bincount(pt.l_idx, minlength=box.size),
+                    np.diff(pt.seg_starts)), box
 
 
 def test_segment_sum_with_empty_segments():
@@ -144,14 +156,15 @@ def _fresh_run(code, *args):
 
 
 def test_cli_import_leaves_fft_unloaded():
-    # Both load on first use: numpy.fft when the integrator squares a grid
-    # by FFT (boxes past 3x3), the thread pool when an ensemble runs
-    # several batches on threads.
+    # Each loads on first use: numpy.fft when the integrator squares a
+    # grid by FFT (boxes past 3x3), the thread pool when an ensemble runs
+    # several batches on threads, json when a report is written as JSON.
     out = _fresh_run("import sys, kpwaves.cli; "
                      "print('numpy.fft' in sys.modules, "
-                     "'concurrent.futures' in sys.modules, end=' ')")
-    assert out[:2] == ["False", "False"]
-    assert set(out[2:]) == _CLI_MODULES
+                     "'concurrent.futures' in sys.modules, "
+                     "'json' in sys.modules, end=' ')")
+    assert out[:3] == ["False", "False", "False"]
+    assert set(out[3:]) == _CLI_MODULES
 
 
 @pytest.mark.parametrize("command, extra, layers, codes", [

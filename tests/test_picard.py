@@ -25,6 +25,7 @@ from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
 from kpwaves.picard import (
     _contraction_bytes,
     _group_sizes,
+    _groups,
     _nested_plan,
     _omega_keys,
     _pair_keys,
@@ -192,10 +193,10 @@ def test_corrections_preserve_reality(box22, make_field):
 def _nested_splits(box):
     """Pair-table entries (inner, outer) of every nested split of box, in
     the plan's order: per group, inner splits by outer splits."""
-    plan = _nested_plan(box)
+    order = np.argsort(_nested_plan(box).back)
     inner, outer = [], []
-    for m0, m1, o0, o1 in plan.groups:
-        i, o = np.meshgrid(np.arange(m0, m1), plan.outer[o0:o1],
+    for m0, m1 in _groups(box):
+        i, o = np.meshgrid(np.arange(m0, m1), order[m0:m1],
                            indexing="ij")
         inner.append(i.ravel())
         outer.append(o.ravel())
@@ -230,8 +231,9 @@ class TestNestedPlan:
     @pytest.mark.parametrize("size, count", [(6, 913_770), (8, 5_309_304)])
     def test_nested_split_counts(self, size, count):
         box = LatticeBox(size, size)
-        sizes = [(m1 - m0) * (o1 - o0)
-                 for m0, m1, o0, o1 in _nested_plan(box).groups]
+        plan = _nested_plan(box)
+        sizes = [index.size for index in plan.index]
+        assert sizes == [(m1 - m0) ** 2 for m0, m1 in _groups(box)]
         assert sum(sizes) == _group_sizes(box).sum() == count
         assert max(sizes) == _group_sizes(box).max()
 
@@ -408,6 +410,26 @@ class TestStreamedContraction:
                 assert _phase_bound(box) >= len(_nested_plan(box).phases), box
         assert _phase_bound(LatticeBox(8, 8)) == 627_760
 
+    def test_block_holds_three_pair_table_arrays(self, rng):
+        # Each group's product overwrites its own operands, so a block of
+        # 8 rows holds P, Q and one scratch array over the 11,430 splits
+        # of 6x6, besides the pass's four arrays over the pair table (phi1,
+        # the B kernel and the two split factors) and 1 MiB of small
+        # arrays; with a fourth block array the peak read 6.85 MiB.
+        box = LatticeBox(6, 6)
+        n_pairs = len(pair_table(box))
+        assert n_pairs == 11_430 and picard._row_block(box) == 8
+        U0 = rng.standard_normal((8, box.size)) \
+            + 1j * rng.standard_normal((8, box.size))
+        _nested_plan(box)
+        tracemalloc.start()
+        try:
+            _picard_coeffs(box, U0, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * 8 + 4) * n_pairs * 16 + (1 << 20)
+
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_peak_within_memory_check_at_6x6(self, rng, batch):
         # The pre-flight check counts _contraction_bytes; the traced peak
@@ -500,9 +522,10 @@ def test_w_residual_holds_off_trajectory(shape, make_field):
 
 def test_each_bilinear_split_sum_is_taken_once(box22, make_field,
                                                monkeypatch):
-    # s_map is linear in its first argument: lambda_eps takes its three
-    # linear terms through a + eps b + eps^2 c, w_residual its three
-    # s(., c) terms in one, and extract_w two more (4 and 10 expanded).
+    # s_map is linear in its first argument: lambda_eps takes its four
+    # terms in one, through 2 eps (a + eps b + eps^2 c) + eps^4 d,
+    # w_residual its three s(., c) terms in one, and extract_w two more
+    # (4 and 10 expanded).
     bundle = PicardBundle.build(box22, make_field(box22), 0.4, 0.25)
     calls = []
     split_sum = operators._split_sum
@@ -513,9 +536,9 @@ def test_each_bilinear_split_sum_is_taken_once(box22, make_field,
 
     monkeypatch.setattr(operators, "_split_sum", counted)
     lambda_eps(make_field(box22), bundle)
-    assert len(calls) == 2
+    assert len(calls) == 1
     w_residual(make_field(box22), bundle)
-    assert len(calls) == 2 + 6
+    assert len(calls) == 1 + 5
 
 
 class TestLambdaEps:
