@@ -12,7 +12,9 @@ mode l = j + q into the pair table's own segments.  One pass computes b,
 c and f for a batch of initial data (_picard_coeffs): b as a segment sum
 of the pair products U_k U_l, c and f as one complex matrix product per
 segment, in place over fixed blocks of sample rows, with phi1 taken once
-per four-wave phase that occurs (_NestedPlan).
+per four-wave phase that occurs (_NestedPlan).  A block runs over chunks
+of whole segments of at most _CHUNK_SPLITS splits (_chunks), so it holds
+arrays over one chunk, not over the pair table.
 The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
 is the lattice module's, which theory's F3 takes too.
 _check_contraction counts its memory before anything is built.
@@ -35,6 +37,7 @@ call them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,11 +63,17 @@ __all__ = [
 ]
 
 # Byte budget of one block of samples in the Picard passes, the most rows
-# a block takes, and the complex arrays over the pair table per row that
-# set them: the pass holds three, but four keep every box's block shape.
+# a block takes, and the complex arrays over the whole pair table per row
+# that set them.  The pass holds three arrays over one chunk of whole
+# groups of at most _CHUNK_SPLITS splits (_chunks), but rows are still
+# counted over the whole table, so every box keeps its block shape.  The
+# tables of 2x2 (114 splits) and 3x3 (666) stay one chunk: with a chunk
+# per group, a pass over 250 samples at 2x2 took 11.6 ms against 4.0 ms,
+# and over 1000 at 3x3 136 ms against 64 ms (medians of 10, one core).
 _BLOCK_BYTES = 1 << 23
 _MAX_ROWS = 64
 _BLOCK_ARRAYS = 4
+_CHUNK_SPLITS = 1024
 _ITEM = np.dtype(np.complex128).itemsize
 
 
@@ -102,14 +111,21 @@ class _NestedPlan:
     The box is closed under n -> -n, so (n, k) -> (-k, n) pairs the outer
     splits n = k + l of l one-to-one with its inner splits l = j + q, the
     pair-table segment m0:m1 of l (_groups).  Sorted stably by l, the pair
-    table holds the outer splits of l at m0:m1 too; back[e] is the place
-    of entry e in that order.  phases holds the four-wave phases that
+    table holds the outer splits of l at m0:m1 too.  The pass takes the
+    groups in chunks of consecutive modes l0:l1 (_chunks), the pair-table
+    slice m0:m1 of their segments: outer[m0:m1] holds the chunk's outer
+    splits in pair-table order, back[m0:m1] the place of each among the
+    chunk's outer splits sorted by l, and out_starts, per chunk, their
+    segments by output mode.  phases holds the four-wave phases that
     occur, in exact key order (_pair_keys), and index per group, inner x
     outer, each nested split's number in phases, in the smallest unsigned
     type that holds their count.
     """
 
+    chunks: tuple
+    outer: np.ndarray
     back: np.ndarray
+    out_starts: tuple
     phases: np.ndarray
     index: tuple
 
@@ -137,6 +153,22 @@ def _groups(box: LatticeBox) -> list:
     return [(m0, m1) for m0, m1 in zip(starts, starts[1:]) if m1 > m0]
 
 
+def _chunks(box: LatticeBox) -> list:
+    """Mode extents (l0, l1) of the chunks of the Picard pass, in mode
+    order: consecutive modes whose pair-table segments, whole groups of
+    the plan, hold at most _CHUNK_SPLITS splits together, or a single
+    group that holds more.  A table that fits one chunk is one."""
+    starts = pair_table(box).seg_starts.tolist()
+    chunks, l0 = [], 0
+    for l in range(1, len(starts) - 1):
+        if (starts[l + 1] - starts[l0] > _CHUNK_SPLITS
+                and starts[l] > starts[l0]):
+            chunks.append((l0, l))
+            l0 = l
+    chunks.append((l0, len(starts) - 1))
+    return chunks
+
+
 @lru_cache(maxsize=None)
 def _nested_plan(box: LatticeBox) -> _NestedPlan:
     """Build (and cache) the nested-split plan of a box."""
@@ -154,8 +186,19 @@ def _nested_plan(box: LatticeBox) -> _NestedPlan:
     distinct = np.flatnonzero(seen)
     number = np.zeros(span, dtype=np.min_scalar_type(len(distinct)))
     number[distinct] = np.arange(len(distinct))
-    return _NestedPlan(np.argsort(outer), (distinct + lo) / denom,
-                       tuple(number[offsets(*group)] for group in groups))
+    index = tuple(number[offsets(*group)] for group in groups)
+    # Each chunk's outer splits back to pair-table order, in place.
+    chunks = _chunks(box)
+    back = np.empty_like(outer)
+    out_starts = []
+    for l0, l1 in chunks:
+        m0, m1 = pt.seg_starts[l0], pt.seg_starts[l1]
+        back[m0:m1] = np.argsort(outer[m0:m1])
+        outer[m0:m1].sort()
+        counts = np.bincount(pt.out_idx[outer[m0:m1]], minlength=box.size)
+        out_starts.append(np.append(0, np.cumsum(counts)))
+    return _NestedPlan(tuple(chunks), outer, back, tuple(out_starts),
+                       (distinct + lo) / denom, index)
 
 
 def _row_block(box: LatticeBox) -> int:
@@ -186,25 +229,29 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     pt = pair_table(box)
     span = _pair_keys(box)[3]
     rows = _row_block(box)
+    chunks = _chunks(box)
+    width = max(pt.seg_starts[l1] - pt.seg_starts[l0] for l0, l1 in chunks)
     sizes = _group_sizes(box)
     longest = math.isqrt(int(sizes.max(initial=0)))
     distinct = _phase_bound(box)
     number = np.min_scalar_type(distinct).itemsize
-    # Per pair-table entry: the build's keys and order, the plan's back,
-    # the call's phi1 and split factors, and their transients.  Per slot
-    # of the key range, in the build: a seen flag and a phase number.  Per
-    # phase: its key or value and the 64 B of phi1 on it.  Per nested
-    # split: its phase number.
-    # One block: three pair-table arrays, and over the modes the samples,
-    # the inner sums and a segment sum with its reduceat result.  The
+    # Per pair-table entry: the plan's outer and back, the build's keys
+    # and sort, the call's phi1, split factors and outer operands (80 B),
+    # and their transients.  Per slot of the key range, in the build: a
+    # seen flag and a phase number.  Per phase: its key or value and the
+    # 64 B of phi1 on it.  Per nested split: its phase number.  Per chunk:
+    # its outer segments over the modes.
+    # One block: three arrays over the widest chunk, and over the modes
+    # the samples, the stacked inner and outer sums, a segment sum and its
+    # reduceat result, each two rows per sample but the samples.  The
     # largest group's int64 offsets and complex kernel, and numpy's copy
     # of the two block rows per sample that its product overwrites; the
     # batch's B, C and F, and 256 KiB for small arrays and numpy's ufunc
     # buffers (up to 8192 elements, which a broadcast product over a short
     # axis fills).
-    return (96 * len(pt) + (1 + number) * span + 72 * distinct
-            + number * int(sizes.sum())
-            + _ITEM * rows * (3 * len(pt) + 4 * box.size)
+    return (120 * len(pt) + (1 + number) * span + 72 * distinct
+            + number * int(sizes.sum()) + 8 * len(chunks) * (box.size + 1)
+            + _ITEM * rows * (3 * int(width) + 9 * box.size)
             + 24 * longest ** 2 + 2 * _ITEM * rows * longest
             + 3 * _ITEM * batch * box.size + (1 << 18))
 
@@ -233,29 +280,51 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     F_n ~ sum_o U_k l1 Yf_o / (2 delta_o) and
     C_n ~ sum_o U_k (Yc_o - phi1(delta_o, t) sum_i Q_i).  The samples go
     in zero-padded blocks of _row_block(box) rows, so each product has one
-    shape and a sample's bits do not depend on its batch.
+    shape and a sample's bits do not depend on its batch.  Each block
+    runs over the plan's chunks: P and Q over the chunk's inner splits,
+    B and the inner sums of its modes, and its outer splits' share of F
+    and C, added up by output mode.  A table of one chunk sums F and C in
+    pair-table order, as one segment sum.
     """
     pt = pair_table(box)
     plan = _nested_plan(box)
-    groups = _groups(box)
     rows = _row_block(box)
-    phi_pair = phi1(pt.delta, t)
-    kernel_b = 1j * phi_pair
-    # Complex, so that no product casts through a ufunc buffer.
+    # The outer splits' operands in the plan's order: l's place in its
+    # chunk's inner sums, the split factor, U_k's mode and phi1; formed
+    # first, while few arrays over the table are held.  Complex factors,
+    # so that no product casts through a ufunc buffer.
+    l_outer = pt.l_idx[plan.outer]
+    fac_outer = (box.n1[l_outer] / (2.0 * pt.delta[plan.outer])
+                 ).astype(complex)
+    k_outer = pt.k_idx[plan.outer]
+    kernel_b = phi1(pt.delta, t)
+    phi_outer = kernel_b[plan.outer]
+    np.multiply(1j, kernel_b, out=kernel_b)
     fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
-    fac_outer = (box.n1[pt.l_idx] / (2.0 * pt.delta)).astype(complex)
     phase4 = phi1(plan.phases, t)
     rotation = np.exp(1j * box.omega * t)
     coef_b = -0.5 * box.n1 * rotation
     coef = 1j * box.n1 * rotation
+    # Per chunk: its modes and splits, the inner segments over its slice,
+    # the outer ones, and its groups over the slice with their kernels.
+    starts = pt.seg_starts
+    chunks = []
+    for (l0, l1), out_starts in zip(plan.chunks, plan.out_starts):
+        m0, m1 = int(starts[l0]), int(starts[l1])
+        l_outer[m0:m1] -= l0
+        chunks.append((l0, l1, m0, m1, starts[l0:l1 + 1] - m0, out_starts,
+                       []))
+    ends = [m1 for _, _, _, m1, *_ in chunks]
+    for (g0, g1), index in zip(_groups(box), plan.index):
+        _, _, m0, _, _, _, own = chunks[bisect.bisect_right(ends, g0)]
+        own.append((g0 - m0, g1 - m0, index))
+    width = max(m1 - m0 for _, _, m0, m1, *_ in chunks)
     X = U0.reshape(-1, box.size)
     B = np.empty(X.shape, dtype=np.complex128)
     C = np.empty_like(B)
     F = np.empty_like(B)
     block = np.zeros((rows, box.size), dtype=np.complex128)
-    PQ = np.empty((2 * rows, len(pt)), dtype=np.complex128)
-    P, Q = PQ[:rows], PQ[rows:]
-    S = np.empty_like(P)
+    buf = np.empty(3 * rows * width, dtype=np.complex128)
     # Every product names its operands in a fixed order through out=:
     # numpy's complex a * b and b * a can differ in the last bit, and it
     # elides a large temporary by computing X * (tmp) as tmp *= X, so an
@@ -266,31 +335,42 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
         n = min(rows, len(X) - s)
         block[:n] = X[s:s + n]
         block[n:] = 0.0
-        np.take(block, pt.k_idx, axis=1, out=P, mode="clip")
-        np.take(block, pt.l_idx, axis=1, out=Q, mode="clip")
-        np.multiply(P, Q, out=P)
-        # B from P, in Q before Q is formed.
-        np.multiply(P, kernel_b, out=Q)
-        np.multiply(coef_b, segment_sum(Q, pt.seg_starts)[:n],
-                    out=B[s:s + n])
-        np.multiply(P, fac_inner, out=Q)
-        sums = segment_sum(Q, pt.seg_starts)
-        # Each product over its own operands: numpy copies the overlap.
-        for (m0, m1), index in zip(groups, plan.index):
-            np.matmul(PQ[:, m0:m1], np.take(phase4, index, mode="clip"),
-                      out=PQ[:, m0:m1])
-        # Back to pair-table order: Yf in S, Yc in P, and U_k in Q.
-        np.take(P, plan.back, axis=1, out=S, mode="clip")
-        np.take(Q, plan.back, axis=1, out=P, mode="clip")
-        np.take(block, pt.k_idx, axis=1, out=Q, mode="clip")
-        np.multiply(S, fac_outer, out=S)
-        np.multiply(Q, S, out=S)
-        np.multiply(-coef, segment_sum(S, pt.seg_starts)[:n], out=F[s:s + n])
-        np.take(sums, pt.l_idx, axis=1, out=S, mode="clip")
-        np.multiply(S, phi_pair, out=S)
-        np.subtract(P, S, out=P)
-        np.multiply(Q, P, out=P)
-        np.multiply(coef, segment_sum(P, pt.seg_starts)[:n], out=C[s:s + n])
+        total = None
+        for l0, l1, m0, m1, inner, out_starts, own in chunks:
+            # P, Q and S stacked: P | Q for the products, Q | S for the
+            # segment sums, each taken in one call.
+            PQS = buf[:3 * rows * (m1 - m0)].reshape(3 * rows, m1 - m0)
+            P, Q, S = PQS[:rows], PQS[rows:2 * rows], PQS[2 * rows:]
+            np.take(block, pt.k_idx[m0:m1], axis=1, out=P, mode="clip")
+            np.take(block, pt.l_idx[m0:m1], axis=1, out=Q, mode="clip")
+            np.multiply(P, Q, out=P)
+            # The terms of the inner sums in Q, of B in S.
+            np.multiply(P, fac_inner[m0:m1], out=Q)
+            np.multiply(P, kernel_b[m0:m1], out=S)
+            sums = segment_sum(PQS[rows:], inner)
+            np.multiply(coef_b[l0:l1], sums[rows:rows + n],
+                        out=B[s:s + n, l0:l1])
+            # Each product over its own operands: numpy copies the overlap.
+            for g0, g1, index in own:
+                np.matmul(PQS[:2 * rows, g0:g1],
+                          np.take(phase4, index, mode="clip"),
+                          out=PQS[:2 * rows, g0:g1])
+            # To pair-table order: Yf in S and Yc in P, less the inner
+            # sums' term; U_k in Q.  Then the terms of C in Q, F's in S.
+            np.take(P, plan.back[m0:m1], axis=1, out=S, mode="clip")
+            np.take(Q, plan.back[m0:m1], axis=1, out=P, mode="clip")
+            np.take(sums[:rows], l_outer[m0:m1], axis=1, out=Q, mode="clip")
+            np.multiply(Q, phi_outer[m0:m1], out=Q)
+            np.subtract(P, Q, out=P)
+            np.take(block, k_outer[m0:m1], axis=1, out=Q, mode="clip")
+            np.multiply(S, fac_outer[m0:m1], out=S)
+            np.multiply(Q, S, out=S)
+            np.multiply(Q, P, out=Q)
+            # The first chunk's sums are the block's, signed zeros too.
+            part = segment_sum(PQS[rows:], out_starts)
+            total = part if total is None else np.add(total, part, out=total)
+        np.multiply(coef, total[:n], out=C[s:s + n])
+        np.multiply(-coef, total[rows:rows + n], out=F[s:s + n])
     return B.reshape(U0.shape), C.reshape(U0.shape), F.reshape(U0.shape)
 
 
@@ -375,11 +455,14 @@ def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,
     geometrically.  Raises NonContractionError if the residual is not
     finite or fails to shrink by a factor of 0.9 across five consecutive
     iterations, and MaxIterExceededError if the tolerance is not met
-    within max_iter.  numpy stays silent about an iterate that overflows.
+    within max_iter, and ValueError, before iterating, if max_iter < 1.
+    numpy stays silent about an iterate that overflows.
 
     The residual is measured as hs_norm(lambda_eps(d) - g, 0), the l2
     norm of the coefficients.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     d = g.copy()
     history: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):

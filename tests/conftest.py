@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def field_from_modes(box, entries, hermitian=False):
         if hermitian and neg not in given:
             u[box.index(neg)] = np.conj(v)
     return u
+
+
+def traced_peak(fn, *args):
+    """Bytes of the tracemalloc peak while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def is_real_symmetric(box, u, tol=1e-12) -> bool:

@@ -1,7 +1,6 @@
 """Sampling determinism, law moments, estimators, and remainder scans."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from kpwaves.sampling import (
     sample_u0,
 )
 
-from conftest import is_real_symmetric, mode_list
+from conftest import is_real_symmetric, mode_list, traced_peak
 
 ALL_LAWS = [
     RandomLaw.steinhaus(),
@@ -413,26 +412,27 @@ class TestGrowthValidation:
         assert all(v > 0 for v in fit.max_norms)
         assert np.isfinite(fit.exponent) and np.isfinite(fit.stderr)
 
-    @pytest.mark.parametrize("size", [(2, 1), (4, 4)], ids=["2x1", "4x4"])
-    def test_peak_per_sample_within_the_count(self, size):
+    @pytest.mark.parametrize("size, times", [
+        pytest.param((2, 1), (0.1, 0.2, 0.3), id="2x1"),
+        pytest.param((4, 4), (0.1, 0.2, 0.3), id="4x4"),
+        pytest.param((2, 1), tuple(0.05 * np.arange(1, 97)),
+                     id="2x1-96-times"),
+    ])
+    def test_peak_per_sample_within_the_count(self, size, times):
         # The pre-flight budgets the states and _GROWTH_ARRAYS box-sized
         # arrays per sample; the traced peak's rise from 256 to 512
         # samples is that per-sample cost (fixed tables cancel).  The
         # subtraction after stepping read 9 arrays when it formed A and D
         # beside B, C and F and kept the last pass's arrays into the next.
+        # Over 96 grid times a divergence mask over every state at once
+        # read 109.5 arrays against the 103 counted.
         box = LatticeBox(*size)
         law = RandomLaw.steinhaus()
         profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
-        times = (0.1, 0.2, 0.3)
         remainder_growth(profile, law, 0.1, times, 2, dt=0.05)
-        peaks = []
-        for count in (256, 512):
-            tracemalloc.start()
-            try:
-                remainder_growth(profile, law, 0.1, times, count, dt=0.05)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(lambda: remainder_growth(
+                     profile, law, 0.1, times, count, dt=0.05))
+                 for count in (256, 512)]
         per_sample = (peaks[1] - peaks[0]) / (256 * box.size * 16)
         assert per_sample <= len(times) + ensemble._GROWTH_ARRAYS
 

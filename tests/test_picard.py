@@ -8,7 +8,6 @@ up as an O(1) relative deviation.
 
 import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,7 @@ from kpwaves.picard import (
     w_residual,
 )
 
-from conftest import is_real_symmetric, mode_list
+from conftest import is_real_symmetric, mode_list, traced_peak
 
 
 def free_flow_grid(box, u0, taus):
@@ -193,7 +192,13 @@ def test_corrections_preserve_reality(box22, make_field):
 def _nested_splits(box):
     """Pair-table entries (inner, outer) of every nested split of box, in
     the plan's order: per group, inner splits by outer splits."""
-    order = np.argsort(_nested_plan(box).back)
+    pt = pair_table(box)
+    plan = _nested_plan(box)
+    # Each chunk's outer splits, put back in the groups' order.
+    order = np.empty_like(plan.outer)
+    for l0, l1 in plan.chunks:
+        m0, m1 = pt.seg_starts[l0], pt.seg_starts[l1]
+        order[m0 + plan.back[m0:m1]] = plan.outer[m0:m1]
     inner, outer = [], []
     for m0, m1 in _groups(box):
         i, o = np.meshgrid(np.arange(m0, m1), order[m0:m1],
@@ -372,13 +377,9 @@ class TestStreamedContraction:
         U0 = rng.standard_normal((2, box.size)) \
             + 1j * rng.standard_normal((2, box.size))
         _nested_plan.cache_clear()
-        tracemalloc.start()
-        try:
-            B, C, F = _picard_coeffs(box, U0, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert all(np.isfinite(X).all() for X in (B, C, F))
+        out = []
+        peak = traced_peak(lambda: out.extend(_picard_coeffs(box, U0, 0.5)))
+        assert all(np.isfinite(X).all() for X in out)
         assert peak <= 64 * 2 ** 20
         assert peak <= _contraction_bytes(box, 2)
 
@@ -391,12 +392,7 @@ class TestStreamedContraction:
         assert len(_nested_plan(box).phases) == 35_689
         U0 = rng.standard_normal((2, box.size)) \
             + 1j * rng.standard_normal((2, box.size))
-        tracemalloc.start()
-        try:
-            _picard_coeffs(box, U0, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_picard_coeffs, box, U0, 0.5)
         assert peak <= 12 * 2 ** 20
 
     def test_phase_bound_covers_the_plan(self):
@@ -422,12 +418,7 @@ class TestStreamedContraction:
         U0 = rng.standard_normal((8, box.size)) \
             + 1j * rng.standard_normal((8, box.size))
         _nested_plan(box)
-        tracemalloc.start()
-        try:
-            _picard_coeffs(box, U0, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_picard_coeffs, box, U0, 0.5)
         assert peak <= (3 * 8 + 4) * n_pairs * 16 + (1 << 20)
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
@@ -438,13 +429,94 @@ class TestStreamedContraction:
         U0 = rng.standard_normal((batch, box.size)) \
             + 1j * rng.standard_normal((batch, box.size))
         _nested_plan.cache_clear()
-        tracemalloc.start()
-        try:
-            _picard_coeffs(box, U0, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_picard_coeffs, box, U0, 0.5)
         assert peak <= _contraction_bytes(box, batch)
+
+    def test_block_holds_arrays_over_one_chunk(self, rng):
+        # A block of 8 rows holds P, Q and S over one chunk of whole
+        # groups, at most _CHUNK_SPLITS splits (1,011 of the 11,430 at
+        # 6x6), besides the pass's five arrays over the pair table (the B
+        # kernel, phi1 and the two split factors, and U_k's and l's
+        # indices) and 1 MiB of small arrays.  With P, Q and S over the
+        # whole table the peak read 5.4 MiB.
+        box = LatticeBox(6, 6)
+        pt = pair_table(box)
+        plan = _nested_plan(box)
+        width = max(pt.seg_starts[l1] - pt.seg_starts[l0]
+                    for l0, l1 in plan.chunks)
+        assert width <= picard._CHUNK_SPLITS and len(plan.chunks) == 12
+        U0 = rng.standard_normal((8, box.size)) \
+            + 1j * rng.standard_normal((8, box.size))
+        peak = traced_peak(_picard_coeffs, box, U0, 0.5)
+        assert peak <= (5 * len(pt) + 3 * 8 * width) * 16 + (1 << 20)
+
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    @pytest.mark.parametrize("batch", [1, 5, 17])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6],
+                             ids=["2x2", "3x3", "4x4", "5x5", "6x6"])
+    def test_cf_match_whole_table_pass(self, rng, size, batch, t):
+        # C and F of the chunked pass against the whole-table pass, written
+        # out: per block of rows, P and Q over the whole pair table, one
+        # product per group with the outer splits sorted stably by l, and
+        # the outer sums in pair-table order.  Tables of one chunk run the
+        # same operations in the same order, bit for bit.
+        box = LatticeBox(size, size)
+        pt = pair_table(box)
+        denom, key = _pair_keys(box)[:2]
+        by_l = np.argsort(pt.l_idx, kind="stable")
+        back = np.argsort(by_l)
+        U0 = rng.standard_normal((batch, box.size)) \
+            + 1j * rng.standard_normal((batch, box.size))
+        phi_pair = phi1(pt.delta, t)
+        fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
+        fac_outer = (box.n1[pt.l_idx] / (2.0 * pt.delta)).astype(complex)
+        coef = 1j * box.n1 * np.exp(1j * box.omega * t)
+        rows = picard._row_block(box)
+        want_c, want_f = np.empty_like(U0), np.empty_like(U0)
+        for s in range(0, batch, rows):
+            n = min(rows, batch - s)
+            X = np.zeros((rows, box.size), dtype=complex)
+            X[:n] = U0[s:s + n]
+            P = X[:, pt.k_idx] * X[:, pt.l_idx]
+            Q = P * fac_inner
+            sums = segment_sum(Q, pt.seg_starts)
+            PQ = np.concatenate([P, Q])
+            Y = np.empty_like(PQ)
+            for m0, m1 in _groups(box):
+                kernel = phi1((key[m0:m1, None] + key[by_l[m0:m1]]) / denom,
+                              t)
+                Y[:, m0:m1] = PQ[:, m0:m1] @ kernel
+            U_k = X[:, pt.k_idx]
+            terms_f = np.multiply(U_k, Y[:rows, back] * fac_outer)
+            terms_c = np.multiply(
+                U_k, Y[rows:, back] - sums[:, pt.l_idx] * phi_pair)
+            want_f[s:s + n] = np.multiply(
+                -coef, segment_sum(terms_f, pt.seg_starts))[:n]
+            want_c[s:s + n] = np.multiply(
+                coef, segment_sum(terms_c, pt.seg_starts))[:n]
+        _, C, F = _picard_coeffs(box, U0, t)
+        if len(_nested_plan(box).chunks) == 1:
+            np.testing.assert_array_equal(C, want_c)
+            np.testing.assert_array_equal(F, want_f)
+        else:
+            assert size >= 4
+            for got, want in ((C, want_c), (F, want_f)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n1", range(1, 9))
+    def test_count_bounds_build_and_pass(self, rng, n1):
+        # The traced peak of building the plan and one pass stays within
+        # _contraction_bytes on every box up to 8x8, whether the table is
+        # one chunk or many.
+        for n2 in range(9):
+            box = LatticeBox(n1, n2)
+            for batch in (1, 8):
+                U0 = rng.standard_normal((batch, box.size)) \
+                    + 1j * rng.standard_normal((batch, box.size))
+                _nested_plan.cache_clear()
+                peak = traced_peak(_picard_coeffs, box, U0, 0.5)
+                assert peak <= _contraction_bytes(box, batch), (box, batch)
 
 
 class TestExtract:
@@ -583,6 +655,14 @@ class TestLambdaEps:
         g = lambda_eps(d, bundle)
         with pytest.raises(MaxIterExceededError):
             invert_lambda_eps(g, bundle, tol=1e-30, max_iter=2)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, box22, make_field, max_iter):
+        # Rejected before iterating: with no iteration there is no residual
+        # to report.
+        bundle = PicardBundle.build(box22, make_field(box22), 0.5, 0.05)
+        with pytest.raises(ValueError, match="^max_iter must be >= 1"):
+            invert_lambda_eps(make_field(box22), bundle, max_iter=max_iter)
 
 
 def test_bundle_build_matches_parts(box22, make_field):
