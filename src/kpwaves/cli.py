@@ -501,10 +501,28 @@ def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
     return tuple(_parse_mode_groups("triples", text, 3, box))
 
 
+def _moment_count(cfg: ExperimentConfig, box: LatticeBox) -> int:
+    """The number of moments the pairs and triples keys select, counted
+    without forming the modes of `all` and `zero-sum`."""
+    from .theory import _zero_sum_count
+    size = box.size
+    pairs = {"none": 0, "diag": size, "all": size * (size + 1) // 2}
+    triples = {"none": 0, "zero-sum": _zero_sum_count(box)}
+    return ((pairs[cfg.pairs] if cfg.pairs in pairs
+             else len(_select_pairs(cfg, box)))
+            + (triples[cfg.triples] if cfg.triples in triples
+               else len(_select_triples(cfg, box))))
+
+
 def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
-    from .ensemble import MomentReport, estimate_moments
+    from .ensemble import MomentReport, estimate_moments, _check_moments
     box, law, profile = _inputs(cfg)
+    try:
+        _check_moments(box, cfg.sample_count, _moment_count(cfg, box),
+                       cfg.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = estimate_moments(profile, law, cfg.eps[0], cfg.t,
                               cfg.sample_count,
                               pairs=_select_pairs(cfg, box),

@@ -13,7 +13,7 @@ any drift in that quantity is integrator error.
 A right-hand side at stage time tau is Q * square(P * w), with the gauge
 phases P = e^{i omega tau} and Q = coef conj(P) folding in the coupling
 coef = -i eps n1 / 2.  The stepper takes P and Q of the stage times
-t0 + j h / 2 of up to _PHASE_CHUNK = 8 steps with one np.exp, t0 the
+t0 + j h / 2 of up to _PHASE_CHUNK = 2 steps with one np.exp, t0 the
 start of the segment, from the clock: a phase carried from step to step
 by e^{i omega h} would gather roundoff.  The squarer takes them into its
 kernel (operators._squarer): folded into its DFT matrices up to 3x3,
@@ -26,7 +26,9 @@ the 2x2 box through 72 steps, the remainder scan's four eps at once,
 took 50 against 90 ms, and 250 samples 16 against 24 ms (medians of 21
 alternating runs on a shared 2-core machine).  Calibrating the step on
 a lone sample at 3x3, where the fold costs about what it saves, took
-117 against 114 ms.
+117 against 114 ms.  The registers and the squarer's buffers are
+dropped before the last requested state is read into the output, whose
+pages that read writes first.
 
 Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
 n1 > 0 half of the spectrum; each right-hand side squares the real grid
@@ -59,10 +61,13 @@ __all__ = [
 
 
 # Steps whose stage phases _rk4_segments takes with one np.exp call, and
-# whose gauge-folded DFT matrices the dense squarer builds at once: 1.1 MB
-# at 3x3.  Chunks of 8 steps stepped one sample and 1000 samples of 2x2
-# and 3x3 within 4% of the fastest of 4 to 32 steps.
-_PHASE_CHUNK = 8
+# whose gauge-folded DFT matrices the dense squarer builds at once: 5
+# stage times, 0.34 MB at 3x3, where chunks of 8 steps held 17 and
+# 1.14 MB.  Against chunks of 8, the median time ratio of 61 in-process
+# rounds in random order on one core read 1.002 for 1000 samples of 2x2,
+# 1.004 for 1000 of 3x3 and 1.009 for calibrating the step of a lone 3x3
+# sample, each within the noise of its rounds.
+_PHASE_CHUNK = 2
 
 
 class NonFiniteError(RuntimeError):
@@ -110,7 +115,8 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
     acc, y = np.zeros_like(W), np.zeros_like(W)
 
     t = t0
-    for U, (n_steps, h, t_end) in zip(out, segments):
+    last = len(out) - 1
+    for i, (U, (n_steps, h, t_end)) in enumerate(zip(out, segments)):
         for first in range(0, n_steps, _PHASE_CHUNK):
             m = min(_PHASE_CHUNK, n_steps - first)
             # Stage times t + j h / 2 of steps first .. first + m - 1.
@@ -136,6 +142,10 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
                 acc *= h / 6.0
                 W += acc
         t = t_end
+        if i == last:
+            # The pages of the last state are first written by read: the
+            # registers and the stage matrices of the squarer go first.
+            acc = y = stages = rhs = P = None
         # out is C-ordered, so this reshape is a view of U.
         modes = U[..., half:].reshape(-1, half)
         read(W, modes)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .lattice import LatticeBox, apply_free_flow, hs_norm
 from . import operators
-from .dynamics import _diverged, _step, evolve_coeffs, NonFiniteError
+from .dynamics import (_PHASE_CHUNK, _diverged, _step, evolve_coeffs,
+                       NonFiniteError)
 from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
 __all__ = [
@@ -95,6 +96,9 @@ class MomentReport:
 # Samples per block of the fixed-order reductions below.
 _BLOCK = 64
 
+# Moment columns whose products _moment_sums forms at once.
+_COLUMNS = 256
+
 
 class _BlockSums:
     """Sums over samples, taken in fixed blocks of sample index.
@@ -103,8 +107,12 @@ class _BlockSums:
     any size.  The rows of samples [b B, (b + 1) B), B = _BLOCK, are
     reduced by `block_sum` to the sum of their summands, and the block
     sums are added in block order, so the total is the same to the last
-    bit whatever the batch size and thread count.  Reducing one block at
-    a time also bounds the memory the summands take.
+    bit whatever the batch size and thread count.  A block cut by the end
+    of a batch is carried, and topped up from the head of the next batch;
+    every other block is reduced where its batch holds it, so a batch is
+    never copied.  block_sum may in turn take a block's columns a few at
+    a time (_moment_sums does): a column's sum over the block's rows does
+    not depend on the other columns.
     """
 
     def __init__(self, block_sum):
@@ -113,8 +121,14 @@ class _BlockSums:
         self._rows = None
 
     def add(self, rows: np.ndarray) -> None:
-        if self._rows is not None:
-            rows = np.concatenate([self._rows, rows])
+        if self._rows is not None and len(self._rows):
+            head = _BLOCK - len(self._rows)
+            carried = np.concatenate([self._rows, rows[:head]])
+            rows = rows[head:]
+            if len(carried) < _BLOCK:
+                self._rows = carried
+                return
+            self.total = self.total + self.block_sum(carried)
         full = len(rows) - len(rows) % _BLOCK
         for lo in range(0, full, _BLOCK):
             self.total = self.total + self.block_sum(rows[lo:lo + _BLOCK])
@@ -132,7 +146,13 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
     Column r takes U_a conj(U_b) for the r-th pair (a, b) of pair_idx and
     U_a U_b U_c for each triple (a, b, c) of trip_idx after them.  The
     total is laid out as (2, columns, 2): the sums, then the sums of
-    squares, of each column's real and imaginary parts.
+    squares, of each column's real and imaginary parts.  A block forms
+    its products _COLUMNS columns at a time and writes each chunk's sums
+    into its total: its buffers hold at most _COLUMNS columns whatever
+    the number of moments, and every sum has the bits of a whole-width
+    block, since a column's sum over the rows does not depend on the
+    other columns.  The buffers are made per block, so they are not held
+    while a batch is stepped.
     """
     n_pairs = len(pair_idx)
     width = n_pairs + len(trip_idx)
@@ -143,25 +163,85 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
     b_idx = np.array([j for _, j in pair_idx]
                      + [box.size + p[1] for p in trip_idx], dtype=np.int64)
     c_idx = np.array([p[2] for p in trip_idx], dtype=np.int64)
-    # One block's products, their gathered second factors (whose memory
-    # then takes the squares of the products' parts) and third factors.
-    prods = np.empty((_BLOCK, width), dtype=np.complex128)
-    seconds = np.empty_like(prods)
-    thirds = np.empty((_BLOCK, len(trip_idx)), dtype=np.complex128)
 
     def block_sum(U):
-        x, y, z = prods[:len(U)], seconds[:len(U)], thirds[:len(U)]
-        np.take(U, a_idx, axis=1, out=x, mode="clip")
-        np.take(np.concatenate([np.conj(U), U], axis=1), b_idx, axis=1,
-                out=y, mode="clip")
-        np.multiply(x, y, out=x)
-        np.take(U, c_idx, axis=1, out=z, mode="clip")
-        x[:, n_pairs:] *= z
-        parts = x.view(float)
-        squares = np.square(parts, out=y.view(float))
-        return np.concatenate([parts.sum(axis=0), squares.sum(axis=0)])
+        rows = len(U)
+        both = np.concatenate([np.conj(U), U], axis=1)
+        # One chunk's products, their gathered second factors (whose
+        # memory then takes the squares of the products' parts) and third
+        # factors, flat so that a chunk of any width is a contiguous view.
+        prods, seconds, thirds = (np.empty(rows * min(cols, _COLUMNS),
+                                           dtype=np.complex128)
+                                  for cols in (width, width, len(trip_idx)))
+        total = np.empty((2, 2 * width))
+        for lo in range(0, width, _COLUMNS):
+            hi = min(lo + _COLUMNS, width)
+            x, y = (buf[:rows * (hi - lo)].reshape(rows, hi - lo)
+                    for buf in (prods, seconds))
+            np.take(U, a_idx[lo:hi], axis=1, out=x, mode="clip")
+            np.take(both, b_idx[lo:hi], axis=1, out=y, mode="clip")
+            np.multiply(x, y, out=x)
+            # The chunk's triples start at column mid.
+            mid = min(max(n_pairs, lo), hi)
+            if mid < hi:
+                z = thirds[:rows * (hi - mid)].reshape(rows, hi - mid)
+                np.take(U, c_idx[mid - n_pairs:hi - n_pairs], axis=1, out=z,
+                        mode="clip")
+                x[:, mid - lo:] *= z
+            parts = x.view(float)
+            parts.sum(axis=0, out=total[0, 2 * lo:2 * hi])
+            np.square(parts, out=y.view(float)).sum(
+                axis=0, out=total[1, 2 * lo:2 * hi])
+        return total.ravel()
 
     return _BlockSums(block_sum)
+
+
+# Box-sized complex arrays per sample of a batch that estimate_moments
+# holds while stepping it: its states and the stepper's workspace.  The
+# tracemalloc peak per sample (the rise from 1024 to 2048 samples of one
+# batch, diagonal pairs), over boxes 1x0 to 6x6, read 3.5-4.3 arrays on
+# the dense squarer (up to 3x3) and 7.0-7.3 on the FFT pair past it; the
+# largest is rounded up.
+_MOMENT_ARRAYS = 8
+
+# Bytes per moment past the chunk buffers: its modes as selected, its
+# indices and sums, its prediction, and the report's entry and row.  The
+# rise of the ensemble handler's tracemalloc peak over one sample, from
+# diagonal pairs to every pair or to the zero-sum triples, read 710-780 B
+# per pair and 730-880 B per triple at 4x4 to 10x6; the largest is
+# rounded up.
+_MOMENT_BYTES = 1024
+
+
+def _moment_bytes(box: LatticeBox, sample_count: int, moments: int,
+                  threads: int) -> int:
+    """Bytes an ensemble of `moments` moments takes at most, its report
+    included.
+
+    _MOMENT_ARRAYS box-sized arrays per sample and the stepper's fixed
+    buffers for each batch held at once (one per thread, at most the
+    number of batches), a block's three chunk buffers and its
+    [conj(U), U] in _moment_sums, and _MOMENT_BYTES per moment.
+    """
+    batch = min(_BATCH, sample_count)
+    held = min(threads, -(-sample_count // _BATCH))
+    return (held * (batch * box.size * 16 * _MOMENT_ARRAYS
+                    + operators._squarer_bytes(box, 2 * _PHASE_CHUNK + 1))
+            + _BLOCK * 16 * (3 * min(moments, _COLUMNS) + 2 * box.size)
+            + moments * _MOMENT_BYTES)
+
+
+def _check_moments(box: LatticeBox, sample_count: int, moments: int,
+                   threads: int) -> None:
+    """Raise ValueError when an ensemble of `moments` moments would not
+    fit in physical memory; the message names the moments, the box, the
+    batch and the threads."""
+    operators._check_memory(
+        _moment_bytes(box, sample_count, moments, threads),
+        f"ensemble: {moments} moments of {box!r} over batches of "
+        f"{min(_BATCH, sample_count)} samples on {threads} "
+        f"thread{'s' * (threads > 1)}")
 
 
 def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
@@ -179,9 +259,12 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     componentwise standard errors combined in quadrature.  Samples whose
     evolved state is non-finite are dropped and reported by index.  The
     result is a pure function of the arguments, including the seed; the
-    batch size _BATCH and the thread count only affect speed.
+    batch size _BATCH and the thread count only affect speed.  Raises
+    ValueError before drawing a sample when the ensemble would not fit in
+    physical memory (_moment_bytes).
     """
     box = profile.box
+    _check_moments(box, sample_count, len(pairs) + len(triples), threads)
     lam = profile.lambdas()
     dt, _ = _step(profile, law, seed, eps, t, dt)
 
@@ -195,8 +278,8 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     def run_batch(start: int, stop: int):
         idx = np.arange(start, stop, dtype=np.int64)
         G = sample_g_batch(box, law, seed, idx)
-        U0 = lam * G
-        U = evolve_coeffs(box, U0, eps, [t], dt)[0]
+        G *= lam
+        U = evolve_coeffs(box, G, eps, [t], dt)[0]
         ok = ~_diverged(U)
         return idx, U, ok
 
@@ -212,11 +295,26 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
             good += int(ok.sum())
             U[~ok] = 0.0
             sums.add(U)
+            # Reduced: the batch goes before the next one is awaited.
+            del idx, U, ok
 
     if threads > 1 and len(batches) > 1:
+        from collections import deque
         from concurrent.futures import ThreadPoolExecutor
+
+        def in_order(ex):
+            # At most `threads` batches are held: the one being reduced
+            # and the threads - 1 submitted after it.
+            window = deque()
+            for ab in batches:
+                if len(window) == threads:
+                    yield window.popleft().result()
+                window.append(ex.submit(run_batch, *ab))
+            while window:
+                yield window.popleft().result()
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            reduce_all(ex.map(lambda ab: run_batch(*ab), batches))
+            reduce_all(in_order(ex))
     else:
         reduce_all(run_batch(*ab) for ab in batches)
 

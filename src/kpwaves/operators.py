@@ -34,8 +34,9 @@ at 1 and 32 blocks of 2x2 and 3x3.  The FFT path
 multiplies the phases in.  A right-hand side took 135 us at 2x2 and
 450 us at 3x3 (1000 samples), against 226 and 700 us with the phases
 multiplied into the state and the square, and 22 against 32 us for a
-lone sample at 3x3; folding the 17 stage times of a chunk took 30 and
-93 us (medians of 40 alternating rounds of 50 calls).
+lone sample at 3x3; folding the 5 stage times of a chunk of 2 steps
+took 12 and 26 us for 1000 samples, against 20 and 62 us for the 17 of
+a chunk of 8 (medians of 40 rounds of 50 calls).
 Every other split sum is a segment sum over the pair table, which
 enumerates the splits of a box once (_split_sum): plain in dx_product,
 weighted by 1/delta, which does not factor, in s_map.  The nested
@@ -307,6 +308,19 @@ def _squarer(box: LatticeBox, modes: np.ndarray, times: int):
         out[...] = a.reshape(-1, half)
 
     return state, read, stages
+
+
+def _squarer_bytes(box: LatticeBox, times: int) -> int:
+    """Bytes _squarer holds past its per-sample arrays over `times` stage
+    times: on the dense path the DFT matrices, their per-mode pairs, the
+    stage matrices and a grid of _GRID_BLOCKS blocks; none on the FFT
+    path, whose buffers are all per sample."""
+    half = box.size // 2
+    length = _fft_embedding(box)[0]
+    if half * length > _DENSE_MAX:
+        return 0
+    return 8 * ((14 + 4 * times) * half * length
+                + _GRID_BLOCKS * _BLOCK_ROWS * length)
 
 
 def _split_sum(box: LatticeBox, U: np.ndarray, V: np.ndarray,

@@ -29,12 +29,12 @@ _MODULUS_SALT = np.uint64(0x13198A2E03707344)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64."""
-    x = (x + _GAMMA).astype(np.uint64)
+    """SplitMix64 finalizer, elementwise and in place on a uint64 array."""
+    x += _GAMMA
     x ^= x >> np.uint64(30)
-    x = (x * _MIX1).astype(np.uint64)
+    x *= _MIX1
     x ^= x >> np.uint64(27)
-    x = (x * _MIX2).astype(np.uint64)
+    x *= _MIX2
     x ^= x >> np.uint64(31)
     return x
 
@@ -51,8 +51,12 @@ def _uniforms(seed: int, index, n1, n2, salt: np.uint64) -> np.ndarray:
               np.asarray(n1, dtype=np.int64).astype(np.uint64),
               np.asarray(n2, dtype=np.int64).astype(np.uint64),
               salt):
-        h = _mix64(h ^ w)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        h ^= w
+        _mix64(h)
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ def zero_sum_triples(box: LatticeBox):
     return i_n[good], i_m[good], i_p[good]
 
 
+def _zero_sum_count(box: LatticeBox) -> int:
+    """len(zero_sum_triples(box)[0]), counted without forming the triples.
+
+    These are the ordered (n, m) with n + m in the box, which is closed
+    under n -> -n.  The box is the product of its rows 1 <= |a| <= N1 and
+    its columns |b| <= N2, so the count is the product of the numbers of
+    ordered pairs of each set whose sum lies in it: (2 N + 1)^2 - N (N + 1)
+    on -N..N, and 6 N + 1 fewer on the rows, which leave out 0.
+    """
+    def pairs(n):
+        return (2 * n + 1) ** 2 - n * (n + 1)
+
+    return (pairs(box.n1_max) - 6 * box.n1_max - 1) * pairs(box.n2_max)
+
+
 def weighted_sum_pair(ctx: TheoryContext, s: float, times) -> np.ndarray:
     """Weighted aggregate sum |n1| (|n1|+|n2|)^{2s} |F2(n, t)| over the box.
 

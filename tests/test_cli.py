@@ -21,6 +21,8 @@ from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.dynamics import calibrate_dt
 from kpwaves.ensemble import MomentReport
 
+from conftest import traced_peak
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 WORKLOADS = README.parent / "perfbench" / "workloads"
 
@@ -908,3 +910,97 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
     assert main(["--config", cfg]) == 0
     assert calls == [10 ** 6]
     assert "# growth_exponent=0" in out_path.read_text().splitlines()
+
+
+def _ensemble_cfg(tmp_path, box, pairs, triples, count, threads=1):
+    out_path = tmp_path / "moments.csv"
+    return out_path, write_cfg(
+        tmp_path, f"command = ensemble\nbox = {box}\n"
+        "profile = power_decay 1.0 1.5\neps = 0.1\nt = 1.0\ndt = 0.05\n"
+        f"sample_count = {count}\npairs = {pairs}\ntriples = {triples}\n"
+        f"threads = {threads}\nout = {out_path}\n")
+
+
+def test_ensemble_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
+                                                        monkeypatch):
+    # Every pair and zero-sum triple of 3x3 (903 + 666 moments) over two
+    # batches on two threads: one byte short, nothing is sampled.
+    box = cli.LatticeBox(3, 3)
+    need = ensemble._moment_bytes(box, 4000, 1569, 2)
+    assert need == (2 * (2048 * box.size * 16 * ensemble._MOMENT_ARRAYS
+                         + operators._squarer_bytes(
+                             box, 2 * dynamics._PHASE_CHUNK + 1))
+                    + 64 * 16 * (3 * 256 + 2 * box.size)
+                    + 1569 * ensemble._MOMENT_BYTES)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(ensemble, "sample_g_batch",
+                        lambda *a, **k: pytest.fail("a sample was drawn"))
+    out_path, cfg = _ensemble_cfg(tmp_path, "3 3", "all", "zero-sum", 4000,
+                                  threads=2)
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: ensemble: 1569 moments of {box!r} over "
+                   "batches of 2048 samples on 2 threads needs "
+                   f"{need} bytes, more than the {need - 1} bytes of "
+                   "physical memory\n")
+    assert out == "" and not out_path.exists()
+
+
+def test_ensemble_counts_moments_without_forming_them(tmp_path, capsys,
+                                                      monkeypatch):
+    # 60x60 has 14,520 modes: every pair and zero-sum triple would take
+    # gigabytes of mode tuples before the first sample.  The pre-flight
+    # counts them from the box alone.
+    box = cli.LatticeBox(60, 60)
+    moments = box.size * (box.size + 1) // 2 + theory._zero_sum_count(box)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 10 ** 9)
+    for name in ("_select_pairs", "_select_triples"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a: pytest.fail("moments were formed"))
+    out_path, cfg = _ensemble_cfg(tmp_path, "60 60", "all", "zero-sum", 10)
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: ensemble: {moments} moments of "
+                          f"{box!r} over batches of 10 samples on 1 thread "
+                          "needs ")
+    assert err.count("\n") == 1 and out == "" and not out_path.exists()
+
+
+def test_ensemble_pre_flight_passes_what_fits(tmp_path, capsys, monkeypatch):
+    # Exactly the counted bytes: the run goes ahead.
+    box = cli.LatticeBox(2, 2)
+    need = ensemble._moment_bytes(box, 100, 3, 1)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+    out_path, cfg = _ensemble_cfg(
+        tmp_path, "2 2", "1 0 1 0; 2 1 2 1", "1 0 1 0 -2 0", 100)
+    assert main(["--config", cfg]) == 0
+    assert "2 pair and 1 triple moments" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("box, pairs, triples, count, threads, batch", [
+    pytest.param("2 2", "diag", "none", 1, 1, None, id="2x2-diag-1"),
+    pytest.param("2 2", "diag", "none", 1000, 1, None, id="2x2-diag-1000"),
+    pytest.param("3 3", "all", "zero-sum", 1, 1, None, id="3x3-all-1"),
+    pytest.param("3 3", "all", "zero-sum", 1000, 1, None,
+                 id="3x3-all-1000"),
+    pytest.param("3 3", "all", "zero-sum", 1000, 2, 256,
+                 id="3x3-all-1000-threads"),
+    pytest.param("4 4", "all", "zero-sum", 256, 1, None,
+                 id="4x4-all-256"),
+])
+def test_ensemble_count_bounds_traced_peak(tmp_path, capsys, monkeypatch,
+                                           box, pairs, triples, count,
+                                           threads, batch):
+    # The whole handler, report included, with the zero-sum triples
+    # formed afresh; a first run loads the modules and the box's tables.
+    if batch is not None:
+        monkeypatch.setattr(ensemble, "_BATCH", batch)
+    out_path, cfg = _ensemble_cfg(tmp_path, box, pairs, triples, count,
+                                  threads)
+    assert main(["--config", cfg]) == 0
+    theory.zero_sum_triples.cache_clear()
+    peak = traced_peak(main, ["--config", cfg])
+    lattice = cli.LatticeBox(*map(int, box.split()))
+    moments = cli._moment_count(load_config(cfg), lattice)
+    assert peak <= ensemble._moment_bytes(lattice, count, moments, threads)
+    capsys.readouterr()

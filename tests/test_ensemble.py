@@ -1,6 +1,8 @@
 """Sampling determinism, law moments, estimators, and remainder scans."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from kpwaves.ensemble import (
     remainder_growth,
     remainder_scan,
 )
+from kpwaves.theory import zero_sum_triples
 from kpwaves.sampling import (
     RandomLaw,
     SpectrumProfile,
@@ -248,6 +251,35 @@ class TestEstimateMoments:
                 assert (abs(got[1, r, i] - math.fsum(v * v for v in vals))
                         <= 1e-13 * scale2)
 
+    def test_threads_hold_at_most_threads_batches(self, box22, monkeypatch):
+        # Ten batches on two threads, reduced slowly: a batch is held from
+        # the end of its evolution to the end of its reduction.  With
+        # every batch submitted at once, nine were held together.
+        monkeypatch.setattr(ensemble, "_BATCH", 16)
+        lock = threading.Lock()
+        held, most = [0], [0]
+
+        def evolve(*args):
+            states = evolve_coeffs(*args)
+            with lock:
+                held[0] += 1
+                most[0] = max(most[0], held[0])
+            return states
+
+        add = ensemble._BlockSums.add
+
+        def slow_add(self, rows):
+            time.sleep(0.02)
+            add(self, rows)
+            with lock:
+                held[0] -= 1
+
+        monkeypatch.setattr(ensemble, "evolve_coeffs", evolve)
+        monkeypatch.setattr(ensemble._BlockSums, "add", slow_add)
+        report = self.estimate(box22, eps=0.1, sample_count=160, threads=2)
+        assert report.sample_count == 160 and held == [0]
+        assert most[0] <= 2
+
     def test_threads_do_not_change_results(self, box22, monkeypatch):
         monkeypatch.setattr(ensemble, "_BATCH", 16)
         serial = self.estimate(box22, eps=0.1, sample_count=64, threads=1)
@@ -258,6 +290,103 @@ class TestEstimateMoments:
         for key in serial.triple_moments:
             assert (serial.triple_moments[key].estimate
                     == threaded.triple_moments[key].estimate)
+
+
+def _whole_width_sums(box, pair_idx, trip_idx):
+    """_moment_sums with the products of every column of a block formed at
+    once: the block sum of the moment summands, written out."""
+    n_pairs = len(pair_idx)
+    a_idx = np.array([p[0] for p in pair_idx + trip_idx], dtype=np.int64)
+    b_idx = np.array([j for _, j in pair_idx]
+                     + [box.size + p[1] for p in trip_idx], dtype=np.int64)
+    c_idx = np.array([p[2] for p in trip_idx], dtype=np.int64)
+
+    def block_sum(U):
+        x = (np.take(U, a_idx, axis=1)
+             * np.take(np.concatenate([np.conj(U), U], axis=1), b_idx,
+                       axis=1))
+        x[:, n_pairs:] *= np.take(U, c_idx, axis=1)
+        parts = x.view(float)
+        return np.concatenate([parts.sum(axis=0),
+                               np.square(parts).sum(axis=0)])
+
+    return ensemble._BlockSums(block_sum)
+
+
+class TestStreamedReduction:
+    @pytest.fixture(scope="class")
+    def evolved33(self, box33):
+        law = RandomLaw.clipped_gaussian(0.8, 1.6)
+        profile = SpectrumProfile.power_decay(box33, 1.0, 1.5)
+        G = sample_g_batch(box33, law, 3, np.arange(150))
+        return evolve_coeffs(box33, profile.lambdas() * G, 0.1, [0.5],
+                             0.05)[0]
+
+    @pytest.mark.parametrize("n_pairs, n_triples", [
+        pytest.param(512, 0, id="pairs-only"),
+        pytest.param(0, 300, id="triples-only"),
+        pytest.param(300, 100, id="boundary-in-chunk"),
+        pytest.param(903, 666, id="partial-last-chunk"),
+    ])
+    def test_chunks_match_whole_width_block_sum(self, box33, evolved33,
+                                                n_pairs, n_triples):
+        # 3x3 has 903 pairs and 666 zero-sum triples.  In chunks of 256
+        # columns: two whole chunks of pairs; one partial chunk of
+        # triples; pairs giving way to triples at column 300 of the chunk
+        # [256, 512); and 1569 columns, whose last chunk holds 33.  The
+        # 150 samples come in batches of 50, which cut the blocks.
+        assert ensemble._COLUMNS == 256
+        i, j = np.triu_indices(box33.size)
+        pairs = list(zip(i.tolist(), j.tolist()))[:n_pairs]
+        triples = list(zip(*(a.tolist()
+                             for a in zero_sum_triples(box33))))[:n_triples]
+        assert len(pairs) == n_pairs and len(triples) == n_triples
+        chunked = _moment_sums(box33, pairs, triples)
+        whole = _whole_width_sums(box33, pairs, triples)
+        for lo in range(0, 150, 50):
+            chunked.add(evolved33[lo:lo + 50])
+            whole.add(evolved33[lo:lo + 50])
+        got, want = chunked.finish(), whole.finish()
+        assert got.shape == want.shape == (4 * (n_pairs + n_triples),)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    def test_second_add_does_not_copy_the_batch(self):
+        # A carried partial block is topped up from the head of the next
+        # batch and the rest is reduced where it lies: the second add of
+        # 2048 rows holds one block, not a copy of the batch.  The totals
+        # are those of a single add of every row.
+        rows = np.random.default_rng(5).random((100 + 2048, 64))
+        sums = ensemble._BlockSums(lambda block: block.sum(axis=0))
+        sums.add(rows[:100])
+        batch = rows[100:]
+        assert traced_peak(sums.add, batch) < batch.nbytes / 8
+        once = ensemble._BlockSums(lambda block: block.sum(axis=0))
+        once.add(rows)
+        np.testing.assert_array_equal(sums.finish(), once.finish())
+
+    def test_peak_within_states_and_chunk_buffers(self, box33):
+        # All 1569 moments of 3x3 over 1000 samples.  The samples, their
+        # evolved states and the stepper's registers, grid and stage
+        # matrices take under five state arrays; a block's products take
+        # three chunk buffers: 3.95 MiB.  With buffers over every column,
+        # made before stepping, the peak read 8.7 MiB; it reads 3.2 MiB.
+        law = RandomLaw.steinhaus()
+        profile = SpectrumProfile.power_decay(box33, 1.0, 1.5)
+        modes = mode_list(box33)
+        i, j = np.triu_indices(box33.size)
+        pairs = [(modes[a], modes[b]) for a, b in zip(i, j)]
+        triples = [tuple(modes[k] for k in trip)
+                   for trip in zip(*zero_sum_triples(box33))]
+
+        def run(count):
+            return estimate_moments(profile, law, 0.1, 1.0, count,
+                                    pairs=pairs, triples=triples, dt=0.02)
+
+        run(8)
+        states = 1000 * box33.size * 16
+        chunks = 3 * ensemble._BLOCK * ensemble._COLUMNS * 16
+        assert traced_peak(run, 1000) <= 5 * states + chunks
 
 
 class TestFitLogSlope:

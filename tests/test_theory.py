@@ -20,6 +20,7 @@ from kpwaves.theory import (
     weighted_sum_triple,
     zero_sum_triples,
     _f3_amplitude,
+    _zero_sum_count,
     _f3_at,
     _one_minus_cos,
 )
@@ -301,6 +302,15 @@ def test_zero_sum_triples_matches_brute_force(box22):
             if rest in box22:
                 expected.add((a, b, box22.index(rest)))
     assert got == expected
+
+
+def test_zero_sum_count_matches_triples():
+    # The ensemble pre-flight counts the zero-sum triples without forming
+    # them; every box up to 8x8, the empty 1x0 among them, agrees.
+    for n1 in range(1, 9):
+        for n2 in range(0, 9):
+            box = LatticeBox(n1, n2)
+            assert _zero_sum_count(box) == len(zero_sum_triples(box)[0])
 
 
 def test_f3_all_matches_scalar(ctx22_twopoint, ctx33):
