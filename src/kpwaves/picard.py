@@ -11,10 +11,13 @@ term sum over the nested splits k + (j + q) = n, grouped by the inner
 mode l = j + q into the pair table's own segments.  One pass computes b,
 c and f for a batch of initial data (_picard_coeffs): b as a segment sum
 of the pair products U_k U_l, c and f as one complex matrix product per
-segment, in place over fixed blocks of sample rows, with phi1 taken once
-per four-wave phase that occurs (_NestedPlan).  A block runs over chunks
-of whole segments of at most _CHUNK_SPLITS splits (_chunks), so it holds
-arrays over one chunk, not over the pair table.
+segment, in place over fixed blocks of sample rows.  The pass takes the
+segments in chunks of at most _CHUNK_SPLITS splits (_chunks), forms each
+chunk's operands and phase numbers once and runs every block through it,
+so it holds arrays over one chunk, not over the pair table.  phi1 is
+taken once per four-wave phase that occurs (_NestedPlan); a four-wave key
+is the sum of two pair keys, so the plan numbers the phases in a table
+over pairs of distinct pair keys and holds nothing per nested split.
 The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
 is the lattice module's, which theory's F3 takes too.
 _check_contraction counts its memory before anything is built.
@@ -37,7 +40,6 @@ call them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,12 +66,13 @@ __all__ = [
 
 # Byte budget of one block of samples in the Picard passes, the most rows
 # a block takes, and the complex arrays over the whole pair table per row
-# that set them.  The pass holds three arrays over one chunk of whole
-# groups of at most _CHUNK_SPLITS splits (_chunks), but rows are still
-# counted over the whole table, so every box keeps its block shape.  The
-# tables of 2x2 (114 splits) and 3x3 (666) stay one chunk: with a chunk
-# per group, a pass over 250 samples at 2x2 took 11.6 ms against 4.0 ms,
-# and over 1000 at 3x3 136 ms against 64 ms (medians of 10, one core).
+# that set them.  The pass holds the block's three arrays and its operands
+# over one chunk of whole groups of at most _CHUNK_SPLITS splits
+# (_chunks), but rows are still counted over the whole table, so every
+# box keeps its block shape.  The tables of 2x2 (114 splits) and 3x3 (666)
+# stay one chunk: with a chunk per group, a pass over 250 samples at 2x2
+# took 11.6 ms against 4.0 ms, and over 1000 at 3x3 136 ms against 64 ms
+# (medians of 10, one core).
 _BLOCK_BYTES = 1 << 23
 _MAX_ROWS = 64
 _BLOCK_ARRAYS = 4
@@ -117,9 +120,13 @@ class _NestedPlan:
     splits in pair-table order, back[m0:m1] the place of each among the
     chunk's outer splits sorted by l, and out_starts, per chunk, their
     segments by output mode.  phases holds the four-wave phases that
-    occur, in exact key order (_pair_keys), and index per group, inner x
-    outer, each nested split's number in phases, in the smallest unsigned
-    type that holds their count.
+    occur, in exact key order (_pair_keys).  A nested split's four-wave
+    key is the sum of its inner and outer pair keys, so rank, each
+    pair-table entry's rank among the distinct pair keys, and table, the
+    phase number of each sum of two of them, give every nested split's
+    number in phases (_chunk_numbers), in the smallest unsigned type that
+    holds their count.  No nested split reads the entry of a pair of
+    keys that no nested split joins.
     """
 
     chunks: tuple
@@ -127,7 +134,8 @@ class _NestedPlan:
     back: np.ndarray
     out_starts: tuple
     phases: np.ndarray
-    index: tuple
+    rank: np.ndarray
+    table: np.ndarray
 
 
 def _pair_keys(box: LatticeBox) -> tuple:
@@ -169,24 +177,40 @@ def _chunks(box: LatticeBox) -> list:
     return chunks
 
 
+def _key_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair key's rank among the distinct ones, and those in order."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    return rank, ordered[new]
+
+
 @lru_cache(maxsize=None)
 def _nested_plan(box: LatticeBox) -> _NestedPlan:
     """Build (and cache) the nested-split plan of a box."""
     pt = pair_table(box)
     denom, key, lo, span = _pair_keys(box)
     outer = np.argsort(pt.l_idx, kind="stable")
-    groups = _groups(box)
+    rank, keys = _key_ranks(key)
     # Mark the four-wave keys that occur and number them in key order,
-    # in transient tables over the key range.
-    def offsets(m0, m1):
-        return key[m0:m1, None] - lo + key[outer[m0:m1]]
+    # in transient tables over the key range; then the number of each
+    # sum of two distinct pair keys, a row at a time.
     seen = np.zeros(span, dtype=bool)
-    for group in groups:
-        seen[offsets(*group)] = True
+    for m0, m1 in _groups(box):
+        seen[key[m0:m1, None] - lo + key[outer[m0:m1]]] = True
     distinct = np.flatnonzero(seen)
+    del seen
     number = np.zeros(span, dtype=np.min_scalar_type(len(distinct)))
     number[distinct] = np.arange(len(distinct))
-    index = tuple(number[offsets(*group)] for group in groups)
+    table = np.empty((len(keys), len(keys)), dtype=number.dtype)
+    sums = np.empty(len(keys), dtype=np.int64)
+    for row, first in zip(table, keys.tolist()):
+        np.add(keys, first - lo, out=sums)
+        np.take(number, sums, out=row, mode="clip")
+    del number, sums
     # Each chunk's outer splits back to pair-table order, in place.
     chunks = _chunks(box)
     back = np.empty_like(outer)
@@ -198,7 +222,27 @@ def _nested_plan(box: LatticeBox) -> _NestedPlan:
         counts = np.bincount(pt.out_idx[outer[m0:m1]], minlength=box.size)
         out_starts.append(np.append(0, np.cumsum(counts)))
     return _NestedPlan(tuple(chunks), outer, back, tuple(out_starts),
-                       (distinct + lo) / denom, index)
+                       (distinct + lo) / denom, rank, table)
+
+
+def _chunk_numbers(box: LatticeBox, plan: _NestedPlan, l0: int, l1: int
+                   ) -> list:
+    """The groups of chunk l0:l1 of the plan as (g0, g1, numbers): the
+    group's place g0:g1 in the chunk's pair-table slice and its nested
+    splits' numbers in plan.phases, inner x outer, the outer splits
+    sorted stably by l.  Each group's numbers are one flat gather from
+    plan.table."""
+    starts = pair_table(box).seg_starts
+    m0, m1 = int(starts[l0]), int(starts[l1])
+    # The inner splits' rows of the table, and the outer splits' ranks in
+    # the groups' order.
+    rows = plan.rank[m0:m1] * len(plan.table)
+    ranks = np.empty(m1 - m0, dtype=np.intp)
+    ranks[plan.back[m0:m1]] = plan.rank[plan.outer[m0:m1]]
+    table = plan.table.ravel()
+    segments = (starts[l0:l1 + 1] - m0).tolist()
+    return [(g0, g1, table[rows[g0:g1, None] + ranks[g0:g1]])
+            for g0, g1 in zip(segments, segments[1:]) if g1 > g0]
 
 
 def _row_block(box: LatticeBox) -> int:
@@ -210,17 +254,21 @@ def _row_block(box: LatticeBox) -> int:
     return rows
 
 
+def _key_count(box: LatticeBox) -> int:
+    """Distinct pair keys of box, counted in a sorted copy: np.unique's
+    first call took 1.2 MB of peak RSS in a 2x2 remainder scan."""
+    ordered = np.sort(_pair_keys(box)[1], kind="stable")
+    return int(ordered.size and np.count_nonzero(np.diff(ordered)) + 1)
+
+
 def _phase_bound(box: LatticeBox) -> int:
     """Most four-wave phases the plan of box can hold, counted without
     building it: no more than the slots of the key range, the nested
     splits, or the unordered pairs of distinct pair keys (a four-wave key
     is the sum of an inner and an outer pair key)."""
-    key, span = _pair_keys(box)[1::2]
-    # Distinct pair keys, counted in a sorted copy: np.unique's first call
-    # took 1.2 MB of peak RSS in a 2x2 remainder scan.
-    ordered = np.sort(key, kind="stable")
-    keys = int(ordered.size and np.count_nonzero(np.diff(ordered)) + 1)
-    return min(span, int(_group_sizes(box).sum()), keys * (keys + 1) // 2)
+    keys = _key_count(box)
+    return min(_pair_keys(box)[3], int(_group_sizes(box).sum()),
+               keys * (keys + 1) // 2)
 
 
 def _contraction_bytes(box: LatticeBox, batch: int) -> int:
@@ -230,30 +278,43 @@ def _contraction_bytes(box: LatticeBox, batch: int) -> int:
     span = _pair_keys(box)[3]
     rows = _row_block(box)
     chunks = _chunks(box)
-    width = max(pt.seg_starts[l1] - pt.seg_starts[l0] for l0, l1 in chunks)
+    starts = pt.seg_starts
+    width = max(starts[l1] - starts[l0] for l0, l1 in chunks)
     sizes = _group_sizes(box)
+    nested = max(int(sizes[l0:l1].sum()) for l0, l1 in chunks)
     longest = math.isqrt(int(sizes.max(initial=0)))
+    keys = _key_count(box)
     distinct = _phase_bound(box)
     number = np.min_scalar_type(distinct).itemsize
-    # Per pair-table entry: the plan's outer and back, the build's keys
-    # and sort, the call's phi1, split factors and outer operands (80 B),
-    # and their transients.  Per slot of the key range, in the build: a
-    # seen flag and a phase number.  Per phase: its key or value and the
-    # 64 B of phi1 on it.  Per nested split: its phase number.  Per chunk:
-    # its outer segments over the modes.
+    # The plan's held arrays: per pair-table entry its outer, back and
+    # rank (24 B), per pair of distinct pair keys a phase number, per
+    # phase its value and per chunk its outer segments over the modes.
+    plan = (24 * len(pt) + number * keys ** 2 + 8 * distinct
+            + 8 * len(chunks) * (box.size + 1))
+    # The build, besides: per pair-table entry the keys and the sort that
+    # ranks them (40 B); per slot of the key range a seen flag and a phase
+    # number; per phase its key and, while it is numbered, its number; per
+    # distinct pair key a row of sums; the largest group's int64 offsets.
+    build = (40 * len(pt) + (1 + number) * span + 16 * distinct
+             + 8 * keys + 8 * longest ** 2)
+    # One call, besides: phi1 of each phase with its transients (64 B).
+    # Per split of the widest chunk, its operands (80 B) and the outer
+    # ranks or, while the operands form, their transients (16 B); the
+    # chunk's nested splits' phase numbers.
     # One block: three arrays over the widest chunk, and over the modes
     # the samples, the stacked inner and outer sums, a segment sum and its
     # reduceat result, each two rows per sample but the samples.  The
-    # largest group's int64 offsets and complex kernel, and numpy's copy
-    # of the two block rows per sample that its product overwrites; the
-    # batch's B, C and F, and 256 KiB for small arrays and numpy's ufunc
-    # buffers (up to 8192 elements, which a broadcast product over a short
-    # axis fills).
-    return (120 * len(pt) + (1 + number) * span + 72 * distinct
-            + number * int(sizes.sum()) + 8 * len(chunks) * (box.size + 1)
+    # largest group's int64 flat index and complex kernel, and numpy's
+    # copy of the two block rows per sample that its product overwrites;
+    # the batch's B, C and F.
+    call = (64 * distinct + 96 * int(width) + number * nested
             + _ITEM * rows * (3 * int(width) + 9 * box.size)
             + 24 * longest ** 2 + 2 * _ITEM * rows * longest
-            + 3 * _ITEM * batch * box.size + (1 << 18))
+            + 3 * _ITEM * batch * box.size)
+    # The build frees its transients before the call forms anything; 256
+    # KiB for small arrays and numpy's ufunc buffers (up to 8192 elements,
+    # which a broadcast product over a short axis fills).
+    return plan + max(build, call) + (1 << 18)
 
 
 def _check_contraction(box: LatticeBox, batch: int) -> None:
@@ -280,63 +341,61 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     F_n ~ sum_o U_k l1 Yf_o / (2 delta_o) and
     C_n ~ sum_o U_k (Yc_o - phi1(delta_o, t) sum_i Q_i).  The samples go
     in zero-padded blocks of _row_block(box) rows, so each product has one
-    shape and a sample's bits do not depend on its batch.  Each block
-    runs over the plan's chunks: P and Q over the chunk's inner splits,
-    B and the inner sums of its modes, and its outer splits' share of F
-    and C, added up by output mode.  A table of one chunk sums F and C in
-    pair-table order, as one segment sum.
+    shape and a sample's bits do not depend on its batch.  The pass runs
+    chunk by chunk over the plan's chunks, and each chunk over every
+    block: P and Q over the chunk's inner splits, B and the inner sums of
+    its modes, and its outer splits' share of F and C, summed by output
+    mode and added to their rows in chunk order.  A table of one chunk
+    sums F and C in pair-table order, as one segment sum.
     """
     pt = pair_table(box)
     plan = _nested_plan(box)
     rows = _row_block(box)
-    # The outer splits' operands in the plan's order: l's place in its
-    # chunk's inner sums, the split factor, U_k's mode and phi1; formed
-    # first, while few arrays over the table are held.  Complex factors,
-    # so that no product casts through a ufunc buffer.
-    l_outer = pt.l_idx[plan.outer]
-    fac_outer = (box.n1[l_outer] / (2.0 * pt.delta[plan.outer])
-                 ).astype(complex)
-    k_outer = pt.k_idx[plan.outer]
-    kernel_b = phi1(pt.delta, t)
-    phi_outer = kernel_b[plan.outer]
-    np.multiply(1j, kernel_b, out=kernel_b)
-    fac_inner = (box.n1[pt.out_idx] / (2.0 * pt.delta)).astype(complex)
+    starts = pt.seg_starts
     phase4 = phi1(plan.phases, t)
     rotation = np.exp(1j * box.omega * t)
     coef_b = -0.5 * box.n1 * rotation
     coef = 1j * box.n1 * rotation
-    # Per chunk: its modes and splits, the inner segments over its slice,
-    # the outer ones, and its groups over the slice with their kernels.
-    starts = pt.seg_starts
-    chunks = []
-    for (l0, l1), out_starts in zip(plan.chunks, plan.out_starts):
-        m0, m1 = int(starts[l0]), int(starts[l1])
-        l_outer[m0:m1] -= l0
-        chunks.append((l0, l1, m0, m1, starts[l0:l1 + 1] - m0, out_starts,
-                       []))
-    ends = [m1 for _, _, _, m1, *_ in chunks]
-    for (g0, g1), index in zip(_groups(box), plan.index):
-        _, _, m0, _, _, _, own = chunks[bisect.bisect_right(ends, g0)]
-        own.append((g0 - m0, g1 - m0, index))
-    width = max(m1 - m0 for _, _, m0, m1, *_ in chunks)
+    width = max(starts[l1] - starts[l0] for l0, l1 in plan.chunks)
     X = U0.reshape(-1, box.size)
     B = np.empty(X.shape, dtype=np.complex128)
     C = np.empty_like(B)
     F = np.empty_like(B)
     block = np.zeros((rows, box.size), dtype=np.complex128)
     buf = np.empty(3 * rows * width, dtype=np.complex128)
-    # Every product names its operands in a fixed order through out=:
-    # numpy's complex a * b and b * a can differ in the last bit, and it
-    # elides a large temporary by computing X * (tmp) as tmp *= X, so an
-    # inline product could round a sample differently in another batch.
-    # np.take copies out= through a buffer unless mode is "clip" (every
-    # index here is in range).
-    for s in range(0, len(X), rows):
-        n = min(rows, len(X) - s)
-        block[:n] = X[s:s + n]
-        block[n:] = 0.0
-        total = None
-        for l0, l1, m0, m1, inner, out_starts, own in chunks:
+
+    def contract(l0, l1, out_starts, first):
+        # One chunk over every block: C and F add its outer splits' share
+        # to their rows, the first chunk's share assigned, signed zeros
+        # too.  Its operands, held for the blocks and freed on return,
+        # before the next chunk's form: l's place in the chunk's inner
+        # sums, the split factors, U_k's mode, phi1 and the B kernel, and
+        # its groups' phase numbers.  Complex factors, so that no product
+        # casts through a ufunc buffer.
+        m0, m1 = int(starts[l0]), int(starts[l1])
+        inner = starts[l0:l1 + 1] - m0
+        outer, back = plan.outer[m0:m1], plan.back[m0:m1]
+        l_outer = pt.l_idx[outer]
+        fac_outer = (box.n1[l_outer] / (2.0 * pt.delta[outer])
+                     ).astype(complex)
+        l_outer -= l0
+        k_outer = pt.k_idx[outer]
+        phi_outer = phi1(pt.delta[outer], t)
+        kernel_b = phi1(pt.delta[m0:m1], t)
+        np.multiply(1j, kernel_b, out=kernel_b)
+        fac_inner = (box.n1[pt.out_idx[m0:m1]] / (2.0 * pt.delta[m0:m1])
+                     ).astype(complex)
+        own = _chunk_numbers(box, plan, l0, l1)
+        # Every product names its operands in a fixed order through out=:
+        # numpy's complex a * b and b * a can differ in the last bit, and
+        # it elides a large temporary by computing X * (tmp) as tmp *= X,
+        # so an inline product could round a sample differently in
+        # another batch.  np.take copies out= through a buffer unless mode
+        # is "clip" (every index here is in range).
+        for s in range(0, len(X), rows):
+            n = min(rows, len(X) - s)
+            block[:n] = X[s:s + n]
+            block[n:] = 0.0
             # P, Q and S stacked: P | Q for the products, Q | S for the
             # segment sums, each taken in one call.
             PQS = buf[:3 * rows * (m1 - m0)].reshape(3 * rows, m1 - m0)
@@ -345,32 +404,40 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
             np.take(block, pt.l_idx[m0:m1], axis=1, out=Q, mode="clip")
             np.multiply(P, Q, out=P)
             # The terms of the inner sums in Q, of B in S.
-            np.multiply(P, fac_inner[m0:m1], out=Q)
-            np.multiply(P, kernel_b[m0:m1], out=S)
+            np.multiply(P, fac_inner, out=Q)
+            np.multiply(P, kernel_b, out=S)
             sums = segment_sum(PQS[rows:], inner)
             np.multiply(coef_b[l0:l1], sums[rows:rows + n],
                         out=B[s:s + n, l0:l1])
             # Each product over its own operands: numpy copies the overlap.
-            for g0, g1, index in own:
+            for g0, g1, numbers in own:
                 np.matmul(PQS[:2 * rows, g0:g1],
-                          np.take(phase4, index, mode="clip"),
+                          np.take(phase4, numbers, mode="clip"),
                           out=PQS[:2 * rows, g0:g1])
             # To pair-table order: Yf in S and Yc in P, less the inner
             # sums' term; U_k in Q.  Then the terms of C in Q, F's in S.
-            np.take(P, plan.back[m0:m1], axis=1, out=S, mode="clip")
-            np.take(Q, plan.back[m0:m1], axis=1, out=P, mode="clip")
-            np.take(sums[:rows], l_outer[m0:m1], axis=1, out=Q, mode="clip")
-            np.multiply(Q, phi_outer[m0:m1], out=Q)
+            np.take(P, back, axis=1, out=S, mode="clip")
+            np.take(Q, back, axis=1, out=P, mode="clip")
+            np.take(sums[:rows], l_outer, axis=1, out=Q, mode="clip")
+            np.multiply(Q, phi_outer, out=Q)
             np.subtract(P, Q, out=P)
-            np.take(block, k_outer[m0:m1], axis=1, out=Q, mode="clip")
-            np.multiply(S, fac_outer[m0:m1], out=S)
+            np.take(block, k_outer, axis=1, out=Q, mode="clip")
+            np.multiply(S, fac_outer, out=S)
             np.multiply(Q, S, out=S)
             np.multiply(Q, P, out=Q)
-            # The first chunk's sums are the block's, signed zeros too.
             part = segment_sum(PQS[rows:], out_starts)
-            total = part if total is None else np.add(total, part, out=total)
-        np.multiply(coef, total[:n], out=C[s:s + n])
-        np.multiply(-coef, total[rows:rows + n], out=F[s:s + n])
+            if first:
+                C[s:s + n] = part[:n]
+                F[s:s + n] = part[rows:rows + n]
+            else:
+                np.add(C[s:s + n], part[:n], out=C[s:s + n])
+                np.add(F[s:s + n], part[rows:rows + n], out=F[s:s + n])
+
+    for i, ((l0, l1), out_starts) in enumerate(zip(plan.chunks,
+                                                   plan.out_starts)):
+        contract(l0, l1, out_starts, i == 0)
+    np.multiply(coef, C, out=C)
+    np.multiply(-coef, F, out=F)
     return B.reshape(U0.shape), C.reshape(U0.shape), F.reshape(U0.shape)
 
 

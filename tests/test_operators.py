@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import kpwaves
 from kpwaves import LatticeBox, dx_product, s_map, f_map
 from kpwaves.operators import pair_table, segment_sum
-from kpwaves.picard import _groups, _nested_plan
+from kpwaves.picard import _chunk_numbers, _groups, _nested_plan
 
 from conftest import (coeff, delta, field_from_modes, is_real_symmetric,
                       mode_list)
@@ -73,7 +73,10 @@ class TestTables:
     def test_empty_box_tables(self):
         box = LatticeBox(1, 0)
         assert len(pair_table(box)) == 0
-        assert _groups(box) == [] and _nested_plan(box).index == ()
+        plan = _nested_plan(box)
+        assert _groups(box) == []
+        assert all(_chunk_numbers(box, plan, *chunk) == []
+                   for chunk in plan.chunks)
 
     def test_right_parts_fill_the_segments(self):
         # The box is closed under n -> -n, so (n, k) -> (-k, n) pairs the

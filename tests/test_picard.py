@@ -7,6 +7,7 @@ up as an O(1) relative deviation.
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from kpwaves.lattice import LatticeBox, apply_free_flow, phi1
 from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
                                segment_sum)
 from kpwaves.picard import (
+    _chunk_numbers,
     _contraction_bytes,
     _group_sizes,
     _groups,
@@ -208,6 +210,13 @@ def _nested_splits(box):
     return np.concatenate(inner), np.concatenate(outer)
 
 
+def _plan_numbers(box):
+    """Each group's phase numbers, inner x outer, in the plan's order."""
+    plan = _nested_plan(box)
+    return [numbers for chunk in plan.chunks
+            for _, _, numbers in _chunk_numbers(box, plan, *chunk)]
+
+
 class TestNestedPlan:
     """The plan groups the nested splits k + (j + q) = n by l = j + q."""
 
@@ -236,11 +245,32 @@ class TestNestedPlan:
     @pytest.mark.parametrize("size, count", [(6, 913_770), (8, 5_309_304)])
     def test_nested_split_counts(self, size, count):
         box = LatticeBox(size, size)
-        plan = _nested_plan(box)
-        sizes = [index.size for index in plan.index]
+        sizes = [numbers.size for numbers in _plan_numbers(box)]
         assert sizes == [(m1 - m0) ** 2 for m0, m1 in _groups(box)]
         assert sum(sizes) == _group_sizes(box).sum() == count
         assert max(sizes) == _group_sizes(box).max()
+
+    def test_held_plan_follows_the_pair_table(self):
+        # The cached plan holds, per pair-table entry, an outer split, its
+        # place in its chunk and the entry's key rank; a phase number per
+        # pair of the 1,120 distinct pair keys, the phases and each
+        # chunk's outer segments: 3.6 MiB at 8x8.  A number per nested
+        # split alone took 10.1 MiB (5,309,304 as uint16).
+        box = LatticeBox(8, 8)
+        pt = pair_table(box)
+        plan = _nested_plan(box)
+        keys = len(np.unique(_pair_keys(box)[1]))
+        assert keys == 1_120
+        parts = []
+        for field in dataclasses.fields(plan):
+            value = getattr(plan, field.name)
+            parts.extend(value if isinstance(value, tuple) else [value])
+        held = sum(part.nbytes for part in parts
+                   if isinstance(part, np.ndarray))
+        number = np.min_scalar_type(len(plan.phases)).itemsize
+        assert held <= (24 * len(pt) + number * keys ** 2
+                        + 8 * len(plan.phases)
+                        + 8 * len(plan.chunks) * (box.size + 1))
 
     @pytest.mark.parametrize("size", [(2, 1), (3, 3), (4, 4)],
                              ids=["2x1", "3x3", "4x4"])
@@ -311,11 +341,12 @@ class TestPhaseKeys:
         np.testing.assert_array_equal(key == 0, numer == 0)
         # Each nested split's stored number points to the phase of its
         # key, and every key that occurs has exactly one phase.
-        number = np.concatenate([index.ravel() for index in plan.index])
+        numbers = _plan_numbers(box44)
+        number = np.concatenate([group.ravel() for group in numbers])
         np.testing.assert_array_equal(plan.phases[number], key / denom)
         assert len(np.unique(key)) == len(plan.phases)
         dtype = np.min_scalar_type(len(plan.phases))
-        assert all(index.dtype == dtype for index in plan.index)
+        assert all(group.dtype == dtype for group in numbers)
 
     def test_overflow_is_typed(self):
         # lcm(1..30) 30^3 is about 6e16; lcm(1..37) 37^3 is past int64,
@@ -449,6 +480,31 @@ class TestStreamedContraction:
             + 1j * rng.standard_normal((8, box.size))
         peak = traced_peak(_picard_coeffs, box, U0, 0.5)
         assert peak <= (5 * len(pt) + 3 * 8 * width) * 16 + (1 << 20)
+
+    def test_pass_holds_operands_over_one_chunk(self, rng):
+        # A warm pass over 8 rows at 6x6 forms each chunk's operands (the
+        # B kernel, phi1 and the two split factors, and U_k's and l's
+        # indices) and its nested splits' phase numbers once, and holds
+        # them over the widest chunk (1,011 splits; 106,100 nested splits
+        # at most), besides the block's P, Q and S, index arrays no larger
+        # than the plan's rank table and 1 MiB of small arrays.  With the
+        # five operand arrays over the whole pair table the peak read
+        # 1.90 MiB.
+        box = LatticeBox(6, 6)
+        pt = pair_table(box)
+        plan = _nested_plan(box)
+        starts = pt.seg_starts
+        width = max(starts[l1] - starts[l0] for l0, l1 in plan.chunks)
+        nested = max(_group_sizes(box)[l0:l1].sum()
+                     for l0, l1 in plan.chunks)
+        assert (width, nested) == (1_011, 106_100)
+        U0 = rng.standard_normal((8, box.size)) \
+            + 1j * rng.standard_normal((8, box.size))
+        _picard_coeffs(box, U0, 0.5)
+        peak = traced_peak(_picard_coeffs, box, U0, 0.5)
+        assert peak <= ((3 * 8 + 5) * width * 16
+                        + plan.table.itemsize * nested
+                        + plan.rank.nbytes + (1 << 20))
 
     @pytest.mark.parametrize("t", [0.0, 0.8])
     @pytest.mark.parametrize("batch", [1, 5, 17])
