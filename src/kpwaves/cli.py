@@ -433,13 +433,30 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return 1 if failures else 0
 
 
+# Bytes per row of a simulate report past its state: the row's tuple and
+# values, and its column entries while the writer formats them.  The
+# handler's tracemalloc peak on boxes 2x1 to 4x4 over 201 to 2001 grid
+# times read 190-270 B per row; rounded up.
+_SIMULATE_ROW_BYTES = 320
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
-    from .dynamics import _diverged, _step, evolve_coeffs, NonFiniteError
+    from .dynamics import (_PHASE_CHUNK, _diverged, _step, evolve_coeffs,
+                           NonFiniteError)
+    from .operators import _check_memory, _squarer_bytes
     box, law, profile = _inputs(cfg)
-    u0 = sample_u0(profile, law, cfg.seed, 0)
     eps = cfg.eps[0]
     times = _time_grid(cfg) if cfg.t_grid is not None else np.array([cfg.t])
+    # The states at every grid time and the report's rows, counted before
+    # the step is calibrated or taken, with the stepper's fixed buffers.
+    try:
+        _check_memory(len(times) * box.size * (16 + _SIMULATE_ROW_BYTES)
+                      + _squarer_bytes(box, 2 * _PHASE_CHUNK + 1),
+                      f"t_grid: {len(times)} grid times of {box!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    u0 = sample_u0(profile, law, cfg.seed, 0)
     dt, _ = _step(profile, law, cfg.seed, eps, float(times[-1]) or 1.0,
                   cfg.dt)
     states = evolve_coeffs(box, u0, eps, times, dt)

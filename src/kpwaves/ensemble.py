@@ -401,13 +401,44 @@ class ScanResult:
         return self.pair_slope is None or self.triple_slope is None
 
 
+# Box-sized complex arrays per sample of a batch that remainder_scan
+# holds besides its accumulators, its block-sum rows and one evolve call:
+# the batch's initial data, a, b, c and f, an evolved state and its
+# remainder terms.  The handler's tracemalloc peak less the pass's count
+# and the rest of _scan_bytes, over 2x1 to 4x4 boxes, 3 to 24 eps, batches
+# of 2048 and 1 or 2 rotations, read 2.6-4.3 of them; rounded up with room.
+_SCAN_ARRAYS = 8
+
+
+def _scan_bytes(box: LatticeBox, eps_count: int, sample_count: int) -> int:
+    """Bytes remainder_scan holds at most past one Picard pass.
+
+    Per eps, a batch's accumulators (a float per sample and mode, a
+    complex per sample); then the larger of one evolve call's stacked
+    states with _MOMENT_ARRAYS box-sized arrays per row and the stepper's
+    fixed buffers, and the batch's block-sum rows, 2 N + 3 floats per
+    sample and eps, twice: the per-eps parts and the rows they are
+    concatenated into; besides _SCAN_ARRAYS box-sized arrays per sample.
+    """
+    batch = min(_BATCH, sample_count)
+    stacked = min(eps_count, max(1, _BATCH // batch)) * batch
+    row = 16 * box.size
+    evolve = (stacked * row * _MOMENT_ARRAYS
+              + operators._squarer_bytes(box, 2 * _PHASE_CHUNK + 1))
+    rows = 2 * eps_count * batch * 8 * (2 * box.size + 3)
+    return (eps_count * batch * (8 * box.size + 16)
+            + _SCAN_ARRAYS * batch * row + max(evolve, rows))
+
+
 def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
                 triple, rotations: int) -> list:
     """Check the arguments of remainder_scan; return the triple's box indices.
 
     Each ValueError starts with the configuration key it rejects, or
     names the Picard contraction of one batch when it would not fit in
-    physical memory.
+    physical memory.  When the contraction fits but one batch's pass and
+    the scan's own arrays (_scan_bytes) would not, sample_count is
+    rejected before any sample is drawn.
     """
     if len(eps_grid) < 3:
         raise ValueError("eps: a scan needs at least three values")
@@ -429,8 +460,14 @@ def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
         tri = [box.index(n) for n in triple]
     except ValueError as exc:
         raise ValueError(f"triple: {exc}") from None
-    from .picard import _check_contraction
-    _check_contraction(box, min(_BATCH, sample_count))
+    from .picard import _check_contraction, _pass_bytes
+    batch = min(_BATCH, sample_count)
+    _check_contraction(box, batch)
+    operators._check_memory(
+        _pass_bytes(box, batch)
+        + _scan_bytes(box, len(eps_grid), sample_count),
+        f"sample_count: a batch of {batch} samples of {box!r} over "
+        f"{len(eps_grid)} eps values")
     return tri
 
 

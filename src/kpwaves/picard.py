@@ -11,16 +11,12 @@ term sum over the nested splits k + (j + q) = n, grouped by the inner
 mode l = j + q into the pair table's own segments.  One pass computes b,
 c and f for a batch of initial data (_picard_coeffs): b as a segment sum
 of the pair products U_k U_l, c and f as one complex matrix product per
-segment, in place over fixed blocks of sample rows.  The pass takes the
-segments in chunks of at most _CHUNK_SPLITS splits (_chunks), forms each
-chunk's operands and phase numbers once and runs every block through it,
-so it holds arrays over one chunk, not over the pair table.  phi1 is
-taken once per four-wave phase that occurs (_NestedPlan); a four-wave key
-is the sum of two pair keys, so the plan numbers the phases in a table
-over pairs of distinct pair keys and holds nothing per nested split.
-The oscillatory integral phi1(theta, t) = (e^{i theta t} - 1) / (i theta)
-is the lattice module's, which theory's F3 takes too.
-_check_contraction counts its memory before anything is built.
+segment, over fixed blocks of sample rows and chunks of at most
+_CHUNK_SPLITS splits.  phi1(theta, t) = (e^{i theta t} - 1) / (i theta),
+the lattice module's, is taken once per four-wave phase that occurs; the
+plan (_NestedPlan) numbers the phases by pairs of pair-key ranks and
+holds nothing per nested split.  _check_contraction counts the plan's
+build before it, and the pass from the built plan before the pass.
 
 Fields are coefficient arrays as in the lattice module: the last axis
 holds the box modes, leading axes are broadcast.  A PicardBundle holds
@@ -66,18 +62,17 @@ __all__ = [
 
 # Byte budget of one block of samples in the Picard passes, the most rows
 # a block takes, and the complex arrays over the whole pair table per row
-# that set them.  The pass holds the block's three arrays and its operands
-# over one chunk of whole groups of at most _CHUNK_SPLITS splits
-# (_chunks), but rows are still counted over the whole table, so every
-# box keeps its block shape.  The tables of 2x2 (114 splits) and 3x3 (666)
-# stay one chunk: with a chunk per group, a pass over 250 samples at 2x2
-# took 11.6 ms against 4.0 ms, and over 1000 at 3x3 136 ms against 64 ms
-# (medians of 10, one core).
+# that set them (rows are counted over the whole table, so every box keeps
+# its block shape); the most splits of a chunk (_chunks).  The tables of
+# 2x2 and 3x3 stay one chunk: with a chunk per group, a pass over 250
+# samples at 2x2 took 11.6 ms against 4.0 ms, and over 1000 at 3x3 136 ms
+# against 64 ms (medians of 10, one core).  The entries per _lower_sums.
 _BLOCK_BYTES = 1 << 23
 _MAX_ROWS = 64
 _BLOCK_ARRAYS = 4
 _CHUNK_SPLITS = 1024
 _ITEM = np.dtype(np.complex128).itemsize
+_SUM_BLOCK = 1 << 13
 
 
 class NonContractionError(RuntimeError):
@@ -113,20 +108,16 @@ class _NestedPlan:
 
     The box is closed under n -> -n, so (n, k) -> (-k, n) pairs the outer
     splits n = k + l of l one-to-one with its inner splits l = j + q, the
-    pair-table segment m0:m1 of l (_groups).  Sorted stably by l, the pair
-    table holds the outer splits of l at m0:m1 too.  The pass takes the
-    groups in chunks of consecutive modes l0:l1 (_chunks), the pair-table
-    slice m0:m1 of their segments: outer[m0:m1] holds the chunk's outer
-    splits in pair-table order, back[m0:m1] the place of each among the
-    chunk's outer splits sorted by l, and out_starts, per chunk, their
-    segments by output mode.  phases holds the four-wave phases that
-    occur, in exact key order (_pair_keys).  A nested split's four-wave
-    key is the sum of its inner and outer pair keys, so rank, each
-    pair-table entry's rank among the distinct pair keys, and table, the
-    phase number of each sum of two of them, give every nested split's
-    number in phases (_chunk_numbers), in the smallest unsigned type that
-    holds their count.  No nested split reads the entry of a pair of
-    keys that no nested split joins.
+    pair-table segment m0:m1 of l (_groups), where the table sorted stably
+    by l holds the outer splits of l.  For each chunk l0:l1 (_chunks), the
+    slice m0:m1 of its segments, outer[m0:m1] holds its outer splits in
+    pair-table order, back[m0:m1] the place of each among them sorted by
+    l, and out_starts its segments by output mode.  phases holds the
+    four-wave phases that occur, in key order.  A four-wave key is the sum
+    of the inner and outer pair keys, so rank, each entry's rank among the
+    K distinct pair keys (_key_ranks), and the K x K table of phase
+    numbers, in the smallest unsigned type that holds their count, number
+    every nested split (_chunk_numbers); none reads an unjoined pair's.
     """
 
     chunks: tuple
@@ -139,14 +130,9 @@ class _NestedPlan:
 
 
 def _pair_keys(box: LatticeBox) -> tuple:
-    """D, the integer D delta of every pair-table entry, the lowest
-    four-wave key and the length of a table holding every one (a sum of
-    two pair keys lies in [2 min, 2 max])."""
-    pt = pair_table(box)
-    denom, dw = _omega_keys(box)
-    key = dw[pt.k_idx] + dw[pt.l_idx] - dw[pt.out_idx]
-    lo, hi = int(key.min(initial=0)), int(key.max(initial=0))
-    return denom, key, 2 * lo, 2 * (hi - lo) + 1
+    """D and the integer D delta of every pair-table entry."""
+    pt, (denom, dw) = pair_table(box), _omega_keys(box)
+    return denom, dw[pt.k_idx] + dw[pt.l_idx] - dw[pt.out_idx]
 
 
 def _group_sizes(box: LatticeBox) -> np.ndarray:
@@ -163,9 +149,8 @@ def _groups(box: LatticeBox) -> list:
 
 def _chunks(box: LatticeBox) -> list:
     """Mode extents (l0, l1) of the chunks of the Picard pass, in mode
-    order: consecutive modes whose pair-table segments, whole groups of
-    the plan, hold at most _CHUNK_SPLITS splits together, or a single
-    group that holds more.  A table that fits one chunk is one."""
+    order: consecutive modes whose segments, whole groups of the plan,
+    hold at most _CHUNK_SPLITS splits together, or one larger group."""
     starts = pair_table(box).seg_starts.tolist()
     chunks, l0 = [], 0
     for l in range(1, len(starts) - 1):
@@ -177,40 +162,64 @@ def _chunks(box: LatticeBox) -> list:
     return chunks
 
 
-def _key_ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair key's rank among the distinct ones, and those in order."""
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before: the first of each run of equal values."""
+    new = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return new
+
+
+@lru_cache(maxsize=None)
+def _key_ranks(box: LatticeBox) -> tuple:
+    """D, each pair-table entry's rank among the distinct pair keys of
+    box and those keys in order; the pre-flight counts them first."""
+    denom, key = _pair_keys(box)
     order = np.argsort(key, kind="stable")
     ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new = _first_of_runs(ordered)
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1
-    return rank, ordered[new]
+    return denom, rank, ordered[new]
+
+
+def _lower_sums(keys: np.ndarray, joined: np.ndarray):
+    """Yield (block, lower, sums) over blocks of about _SUM_BLOCK entries
+    of the K x K mask joined: the slice of rows r and columns c <= r, the
+    mask of its entries c <= r that joined marks and their key sums."""
+    rows = max(1, _SUM_BLOCK // max(1, len(keys)))
+    for r0 in range(0, len(keys), rows):
+        lower = np.tril(joined[r0:r0 + rows, :r0 + rows], r0)
+        sums = np.add.outer(keys[r0:r0 + rows], keys[:r0 + rows])
+        yield np.s_[r0:r0 + rows, :r0 + rows], lower, sums[lower]
 
 
 @lru_cache(maxsize=None)
 def _nested_plan(box: LatticeBox) -> _NestedPlan:
     """Build (and cache) the nested-split plan of a box."""
     pt = pair_table(box)
-    denom, key, lo, span = _pair_keys(box)
+    denom, rank, keys = _key_ranks(box)
     outer = np.argsort(pt.l_idx, kind="stable")
-    rank, keys = _key_ranks(key)
-    # Mark the four-wave keys that occur and number them in key order,
-    # in transient tables over the key range; then the number of each
-    # sum of two distinct pair keys, a row at a time.
-    seen = np.zeros(span, dtype=bool)
+    # Mark the (inner, outer) rank pairs that nested splits join.  The mask
+    # is symmetric: k + (j + q) = n through l = j + q has the partner
+    # j + (k + (-n)) = -q through -l, with the inner and outer keys swapped.
+    joined = np.zeros((len(keys), len(keys)), dtype=bool)
     for m0, m1 in _groups(box):
-        seen[key[m0:m1, None] - lo + key[outer[m0:m1]]] = True
-    distinct = np.flatnonzero(seen)
-    del seen
-    number = np.zeros(span, dtype=np.min_scalar_type(len(distinct)))
-    number[distinct] = np.arange(len(distinct))
-    table = np.empty((len(keys), len(keys)), dtype=number.dtype)
-    sums = np.empty(len(keys), dtype=np.int64)
-    for row, first in zip(table, keys.tolist()):
-        np.add(keys, first - lo, out=sums)
-        np.take(number, sums, out=row, mode="clip")
-    del number, sums
+        joined.ravel()[rank[m0:m1, None] * len(keys)
+                       + rank[outer[m0:m1]]] = True
+    # The four-wave keys that occur, numbered in key order by one sort, and
+    # each joined pair's number, both ways round; no nested split reads the
+    # zeros of the pairs that none joins.
+    sums = np.concatenate([part for _, _, part in _lower_sums(keys, joined)]
+                          + [keys[:0]])
+    sums.sort()
+    distinct = sums[_first_of_runs(sums)]
+    del sums
+    table = np.zeros(joined.shape, dtype=np.min_scalar_type(len(distinct)))
+    for block, lower, part in _lower_sums(keys, joined):
+        table[block][lower] = table.T[block][lower] = np.searchsorted(
+            distinct, part)
+    del joined
     # Each chunk's outer splits back to pair-table order, in place.
     chunks = _chunks(box)
     back = np.empty_like(outer)
@@ -221,17 +230,20 @@ def _nested_plan(box: LatticeBox) -> _NestedPlan:
         outer[m0:m1].sort()
         counts = np.bincount(pt.out_idx[outer[m0:m1]], minlength=box.size)
         out_starts.append(np.append(0, np.cumsum(counts)))
+    phases = distinct.view(np.float64)  # in place, a block at a time
+    for i in range(0, len(distinct), _SUM_BLOCK):
+        np.divide(distinct[i:i + _SUM_BLOCK], denom,
+                  out=phases[i:i + _SUM_BLOCK])
     return _NestedPlan(tuple(chunks), outer, back, tuple(out_starts),
-                       (distinct + lo) / denom, rank, table)
+                       phases, rank, table)
 
 
 def _chunk_numbers(box: LatticeBox, plan: _NestedPlan, l0: int, l1: int
                    ) -> list:
     """The groups of chunk l0:l1 of the plan as (g0, g1, numbers): the
     group's place g0:g1 in the chunk's pair-table slice and its nested
-    splits' numbers in plan.phases, inner x outer, the outer splits
-    sorted stably by l.  Each group's numbers are one flat gather from
-    plan.table."""
+    splits' numbers in plan.phases, inner x outer (the outer splits sorted
+    stably by l), one flat gather from plan.table."""
     starts = pair_table(box).seg_starts
     m0, m1 = int(starts[l0]), int(starts[l1])
     # The inner splits' rows of the table, and the outer splits' ranks in
@@ -254,75 +266,69 @@ def _row_block(box: LatticeBox) -> int:
     return rows
 
 
-def _key_count(box: LatticeBox) -> int:
-    """Distinct pair keys of box, counted in a sorted copy: np.unique's
-    first call took 1.2 MB of peak RSS in a 2x2 remainder scan."""
-    ordered = np.sort(_pair_keys(box)[1], kind="stable")
-    return int(ordered.size and np.count_nonzero(np.diff(ordered)) + 1)
+def _build_bytes(box: LatticeBox) -> int:
+    """Bytes that the pair table, the key ranks and building the plan of
+    box hold at most, counted before the build from the pair table's
+    length n and the K distinct pair keys."""
+    n, keys = len(pair_table(box)), len(_key_ranks(box)[2])
+    sizes, square = _group_sizes(box), keys ** 2
+    # The joined pairs c <= r, and so the phases, are at most the
+    # unordered pairs of distinct keys and the nested splits.
+    pairs = min(keys * (keys + 1) // 2, int(sizes.sum()))
+    number = np.min_scalar_type(pairs).itemsize
+    # Held: the pair table (40 B per entry), the ranks and the keys.
+    # Ranking takes 48 B per entry; then outer (8 B) and the largest of:
+    # the mask and the largest group's int64 offsets; the mask and the
+    # sums of the joined pairs, twice, with their run mask; the mask, the
+    # table, the distinct sums and one block of sums (40 B an entry); the
+    # table, the phases, back and the chunks' sorts.
+    build = max(48 * n, 8 * n + max(
+        square + 8 * int(sizes.max(initial=0)), square + 17 * pairs,
+        (1 + number) * square + 8 * pairs + 40 * (_SUM_BLOCK + keys),
+        number * square + 8 * pairs + 24 * n))
+    return 48 * n + 8 * (box.size + 1 + keys) + build + (1 << 18)
 
 
-def _phase_bound(box: LatticeBox) -> int:
-    """Most four-wave phases the plan of box can hold, counted without
-    building it: no more than the slots of the key range, the nested
-    splits, or the unordered pairs of distinct pair keys (a four-wave key
-    is the sum of an inner and an outer pair key)."""
-    keys = _key_count(box)
-    return min(_pair_keys(box)[3], int(_group_sizes(box).sum()),
-               keys * (keys + 1) // 2)
-
-
-def _contraction_bytes(box: LatticeBox, batch: int) -> int:
-    """Bytes that building the plan of box and one _picard_coeffs call
-    on `batch` fields hold at most, counted before either allocates."""
-    pt = pair_table(box)
-    span = _pair_keys(box)[3]
-    rows = _row_block(box)
-    chunks = _chunks(box)
-    starts = pt.seg_starts
-    width = max(starts[l1] - starts[l0] for l0, l1 in chunks)
-    sizes = _group_sizes(box)
-    nested = max(int(sizes[l0:l1].sum()) for l0, l1 in chunks)
+def _pass_bytes(box: LatticeBox, batch: int) -> int:
+    """Bytes that the pair table, the plan of box and one _picard_coeffs
+    call on `batch` fields hold at most, counted from the built plan's
+    phases and chunk widths before the call forms anything."""
+    pt, plan, rows = pair_table(box), _nested_plan(box), _row_block(box)
+    starts, sizes = pt.seg_starts, _group_sizes(box)
+    width = max(starts[l1] - starts[l0] for l0, l1 in plan.chunks)
+    nested = max(int(sizes[l0:l1].sum()) for l0, l1 in plan.chunks)
     longest = math.isqrt(int(sizes.max(initial=0)))
-    keys = _key_count(box)
-    distinct = _phase_bound(box)
-    number = np.min_scalar_type(distinct).itemsize
-    # The plan's held arrays: per pair-table entry its outer, back and
-    # rank (24 B), per pair of distinct pair keys a phase number, per
-    # phase its value and per chunk its outer segments over the modes.
-    plan = (24 * len(pt) + number * keys ** 2 + 8 * distinct
-            + 8 * len(chunks) * (box.size + 1))
-    # The build, besides: per pair-table entry the keys and the sort that
-    # ranks them (40 B); per slot of the key range a seen flag and a phase
-    # number; per phase its key and, while it is numbered, its number; per
-    # distinct pair key a row of sums; the largest group's int64 offsets.
-    build = (40 * len(pt) + (1 + number) * span + 16 * distinct
-             + 8 * keys + 8 * longest ** 2)
-    # One call, besides: phi1 of each phase with its transients (64 B).
-    # Per split of the widest chunk, its operands (80 B) and the outer
-    # ranks or, while the operands form, their transients (16 B); the
-    # chunk's nested splits' phase numbers.
-    # One block: three arrays over the widest chunk, and over the modes
-    # the samples, the stacked inner and outer sums, a segment sum and its
-    # reduceat result, each two rows per sample but the samples.  The
-    # largest group's int64 flat index and complex kernel, and numpy's
-    # copy of the two block rows per sample that its product overwrites;
-    # the batch's B, C and F.
+    distinct, number = len(plan.phases), plan.table.itemsize
+    # Held: the pair table, the ranks and keys, the plan's outer and back
+    # (16 B per entry), table, phases and chunks' segments.  One call: phi1
+    # of each phase with its transients (64 B); per split of the widest
+    # chunk its operands (80 B) and outer ranks (16 B), and the chunk's
+    # nested splits' numbers; a block's three arrays over that chunk and
+    # nine rows per sample over the modes (samples, inner and outer sums,
+    # segment sums); the largest group's int64 index and complex kernel
+    # and numpy's copy of the block rows its product overwrites; B, C and
+    # F.  256 KiB for small arrays and numpy's ufunc buffers.
+    held = (64 * len(pt) + 8 * (box.size + 1 + len(plan.table))
+            + plan.table.nbytes + 8 * distinct
+            + 8 * len(plan.chunks) * (box.size + 1))
     call = (64 * distinct + 96 * int(width) + number * nested
             + _ITEM * rows * (3 * int(width) + 9 * box.size)
             + 24 * longest ** 2 + 2 * _ITEM * rows * longest
             + 3 * _ITEM * batch * box.size)
-    # The build frees its transients before the call forms anything; 256
-    # KiB for small arrays and numpy's ufunc buffers (up to 8192 elements,
-    # which a broadcast product over a short axis fills).
-    return plan + max(build, call) + (1 << 18)
+    return held + call + (1 << 18)
 
 
 def _check_contraction(box: LatticeBox, batch: int) -> None:
-    """Raise ValueError, before anything is built, when a Picard pass over
-    `batch` fields of box would exceed physical memory."""
-    operators._check_memory(_contraction_bytes(box, batch),
-                            f"Picard contraction of {box!r} over {batch} "
-                            "samples")
+    """Raise ValueError when building the plan of box (counted before the
+    build) or a Picard pass over `batch` fields (counted from the built
+    plan) would exceed physical memory; a failed check caches no plan."""
+    what = f"Picard contraction of {box!r} over {batch} samples"
+    operators._check_memory(_build_bytes(box), what)
+    try:
+        operators._check_memory(_pass_bytes(box, batch), what)
+    except ValueError:
+        _nested_plan.cache_clear()
+        raise
 
 
 def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
@@ -342,11 +348,9 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
     C_n ~ sum_o U_k (Yc_o - phi1(delta_o, t) sum_i Q_i).  The samples go
     in zero-padded blocks of _row_block(box) rows, so each product has one
     shape and a sample's bits do not depend on its batch.  The pass runs
-    chunk by chunk over the plan's chunks, and each chunk over every
-    block: P and Q over the chunk's inner splits, B and the inner sums of
-    its modes, and its outer splits' share of F and C, summed by output
-    mode and added to their rows in chunk order.  A table of one chunk
-    sums F and C in pair-table order, as one segment sum.
+    each of the plan's chunks over every block: P and Q over its inner
+    splits, B and the inner sums of its modes, and its outer splits' share
+    of F and C, summed by output mode and added in chunk order.
     """
     pt = pair_table(box)
     plan = _nested_plan(box)
@@ -366,12 +370,9 @@ def _picard_coeffs(box: LatticeBox, U0: np.ndarray, t: float
 
     def contract(l0, l1, out_starts, first):
         # One chunk over every block: C and F add its outer splits' share
-        # to their rows, the first chunk's share assigned, signed zeros
-        # too.  Its operands, held for the blocks and freed on return,
-        # before the next chunk's form: l's place in the chunk's inner
-        # sums, the split factors, U_k's mode, phi1 and the B kernel, and
-        # its groups' phase numbers.  Complex factors, so that no product
-        # casts through a ufunc buffer.
+        # to their rows (the first chunk's assigned, signed zeros too).  Its
+        # operands are freed on return, before the next chunk's form; the
+        # factors are complex, so that no product casts through a buffer.
         m0, m1 = int(starts[l0]), int(starts[l1])
         inner = starts[l0:l1 + 1] - m0
         outer, back = plan.outer[m0:m1], plan.back[m0:m1]
@@ -523,10 +524,8 @@ def invert_lambda_eps(g: np.ndarray, bundle: PicardBundle,
     finite or fails to shrink by a factor of 0.9 across five consecutive
     iterations, and MaxIterExceededError if the tolerance is not met
     within max_iter, and ValueError, before iterating, if max_iter < 1.
-    numpy stays silent about an iterate that overflows.
-
-    The residual is measured as hs_norm(lambda_eps(d) - g, 0), the l2
-    norm of the coefficients.
+    numpy stays silent about an iterate that overflows.  The residual is
+    hs_norm(lambda_eps(d) - g, 0), the l2 norm of the coefficients.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

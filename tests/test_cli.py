@@ -197,13 +197,15 @@ def test_readme_key_table_matches_config():
 
 def test_readme_memory_figures_match_count():
     # The pre-flight figures README gives for verify's 8 fields are the
-    # Picard contraction's count, in GB to two significant digits.
+    # Picard contraction's count, the larger of its build and pass stages,
+    # in GB to two significant digits.
     text = " ".join(README.read_text(encoding="utf-8").split())
     figures = re.findall(r"([\d.]+) GB at `(\d+) \2`",
                          text.split("for `verify` about", 1)[1][:120])
     assert [int(n) for _, n in figures] == [8, 10, 11]
     for value, n in figures:
-        need = picard._contraction_bytes(cli.LatticeBox(int(n), int(n)), 8)
+        box = cli.LatticeBox(int(n), int(n))
+        need = max(picard._build_bytes(box), picard._pass_bytes(box, 8))
         assert value == f"{need / 1e9:.2g}", n
 
 
@@ -785,8 +787,9 @@ def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
     monkeypatch.setattr(operators, "_physical_memory", lambda: 1000)
     picard._nested_plan.cache_clear()
     box = cli.LatticeBox(3, 2)
-    # verify contracts 8 fields; the scan and growth 8 samples each.
-    need = picard._contraction_bytes(box, 8)
+    # verify contracts 8 fields; the scan and growth 8 samples each.  The
+    # build's count, checked before the build, fails first.
+    need = picard._build_bytes(box)
     out_path = tmp_path / "report.csv"
     cfg = write_cfg(tmp_path, text + "box = 3 2\nsample_count = 8\n"
                     f"dt = 0.05\nout = {out_path}\n")
@@ -804,8 +807,8 @@ def test_memory_check_counts_batch_arrays(tmp_path, capsys, monkeypatch):
     # working set.  A machine that holds a pass over one sample cannot
     # hold a scan batch of 1024 at 4x4, and nothing is built.
     box = cli.LatticeBox(4, 4)
-    single = picard._contraction_bytes(box, 1)
-    need = picard._contraction_bytes(box, 1024)
+    single = picard._pass_bytes(box, 1)
+    need = picard._pass_bytes(box, 1024)
     assert need - single == 3 * 16 * 1023 * box.size
     memory = (single + need) // 2
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
@@ -870,7 +873,8 @@ def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     batch = ensemble._BATCH
     need = batch * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
     memory = need - 1
-    assert picard._contraction_bytes(box, batch) <= memory
+    assert max(picard._build_bytes(box),
+               picard._pass_bytes(box, batch)) <= memory
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
     monkeypatch.setattr(ensemble, "remainder_growth",
                         lambda *a, **k: pytest.fail("growth ran"))
@@ -893,7 +897,7 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
     # over three grid times pass the pre-flight on a machine that holds
     # the Picard contraction of the whole ensemble but not its states.
     box = cli.LatticeBox(2, 1)
-    memory = picard._contraction_bytes(box, 10 ** 6)
+    memory = max(picard._build_bytes(box), picard._pass_bytes(box, 10 ** 6))
     monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
     calls = []
 
@@ -910,6 +914,100 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
     assert main(["--config", cfg]) == 0
     assert calls == [10 ** 6]
     assert "# growth_exponent=0" in out_path.read_text().splitlines()
+
+
+def _scan_cfg(tmp_path, box, eps_count, count, rotations):
+    """A remainder-scan config over eps_count values from 0.05 to 0.2."""
+    out_path = tmp_path / "scan.csv"
+    eps = " ".join(f"{e:.6g}" for e in np.linspace(0.05, 0.2, eps_count))
+    return out_path, write_cfg(
+        tmp_path, f"command = remainder-scan\nbox = {box}\neps = {eps}\n"
+        f"sample_count = {count}\nrotations = {rotations}\nt = 0.05\n"
+        f"dt = 0.01\nout = {out_path}\n")
+
+
+def _scan_count(box, eps_count, count):
+    batch = min(ensemble._BATCH, count)
+    return (picard._pass_bytes(box, batch)
+            + ensemble._scan_bytes(box, eps_count, count))
+
+
+@pytest.mark.parametrize("box, eps_count, count, rotations", [
+    ("4 4", 24, 512, 1),
+    ("2 1", 24, 2048, 2),
+], ids=["4x4-24-eps-stacked", "2x1-2-rotations"])
+def test_scan_count_bounds_traced_peak(tmp_path, capsys, box, eps_count,
+                                       count, rotations):
+    # The scan's count, one batch's pass and its own arrays, bounds the
+    # handler's traced peak, report included; 512 samples step 4 eps per
+    # call.  Counting the pass alone read 9.4 MiB against a peak of
+    # 155.6 MiB at 4x4 over 24 eps and 2048 samples: the accumulators and
+    # the block-sum rows of the batch over every eps.
+    out_path, cfg = _scan_cfg(tmp_path, box, eps_count, count, rotations)
+    assert main(["--config", cfg]) in (0, 1)
+    peak = traced_peak(main, ["--config", cfg])
+    lattice = cli.LatticeBox(*map(int, box.split()))
+    assert peak <= _scan_count(lattice, eps_count, count)
+    capsys.readouterr()
+
+
+def test_scan_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
+                                                    monkeypatch):
+    # The contraction of one batch fits; its pass with the scan's arrays
+    # over 24 eps does not, and no sample is drawn.
+    box = cli.LatticeBox(2, 1)
+    need = _scan_count(box, 24, 2048)
+    memory = need - 1
+    assert max(picard._build_bytes(box),
+               picard._pass_bytes(box, 2048)) <= memory
+    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(ensemble, "sample_g_batch",
+                        lambda *a, **k: pytest.fail("sampled"))
+    out_path, cfg = _scan_cfg(tmp_path, "2 1", 24, 2048, 1)
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: sample_count: a batch of 2048 samples "
+                   f"of {box!r} over 24 eps values needs {need} bytes, more "
+                   f"than the {memory} bytes of physical memory\n")
+    assert out == "" and not out_path.exists()
+
+
+def _simulate_count(box, times):
+    return (times * box.size * (16 + cli._SIMULATE_ROW_BYTES)
+            + operators._squarer_bytes(box, 2 * dynamics._PHASE_CHUNK + 1))
+
+
+def test_simulate_beyond_memory_exits_2_before_stepping(tmp_path, capsys,
+                                                        monkeypatch):
+    # 2001 grid times of 3x3: 84,042 report rows besides the states; the
+    # step is neither calibrated nor taken.
+    box = cli.LatticeBox(3, 3)
+    need = _simulate_count(box, 2001)
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(dynamics, "_step",
+                        lambda *a, **k: pytest.fail("calibrated"))
+    monkeypatch.setattr(dynamics, "evolve_coeffs",
+                        lambda *a, **k: pytest.fail("stepped"))
+    out_path = tmp_path / "traj.csv"
+    cfg = write_cfg(tmp_path, "command = simulate\nbox = 3 3\n"
+                    f"t_grid = 0 1 0.0005\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: t_grid: 2001 grid times of {box!r} needs "
+                   f"{need} bytes, more than the {need - 1} bytes of "
+                   "physical memory\n")
+    assert out == "" and not out_path.exists()
+
+
+def test_simulate_count_bounds_traced_peak(tmp_path, capsys):
+    # The states and about 250 B per report row (10,020 rows here).
+    out_path = tmp_path / "traj.csv"
+    cfg = write_cfg(tmp_path, "command = simulate\nbox = 2 2\n"
+                    f"t_grid = 0 0.5 0.001\ndt = 0.001\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 0
+    peak = traced_peak(main, ["--config", cfg])
+    assert peak <= _simulate_count(cli.LatticeBox(2, 2), 501)
+    capsys.readouterr()
 
 
 def _ensemble_cfg(tmp_path, box, pairs, triples, count, threads=1):

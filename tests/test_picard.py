@@ -9,6 +9,7 @@ up as an O(1) relative deviation.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,14 +24,15 @@ from kpwaves.lattice import LatticeBox, apply_free_flow, phi1
 from kpwaves.operators import (dx_product, f_map, pair_table, s_map,
                                segment_sum)
 from kpwaves.picard import (
+    _build_bytes,
     _chunk_numbers,
-    _contraction_bytes,
     _group_sizes,
     _groups,
     _nested_plan,
     _omega_keys,
+    _key_ranks,
     _pair_keys,
-    _phase_bound,
+    _pass_bytes,
     _picard_coeffs,
     PhaseKeyOverflowError,
     MaxIterExceededError,
@@ -217,6 +219,27 @@ def _plan_numbers(box):
             for _, _, numbers in _chunk_numbers(box, plan, *chunk)]
 
 
+def _stage_peaks(box, U0):
+    """Peak bytes of the two pre-flight stages of box: building the key
+    ranks and the plan from cold, and one pass over U0 with both held,
+    each with the pair table's own arrays added, since the pair table is
+    built before the trace starts."""
+    pt = pair_table(box)
+    table = sum(value.nbytes for value in vars(pt).values()
+                if isinstance(value, np.ndarray))
+    _key_ranks.cache_clear()
+    _nested_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        _nested_plan(box)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _picard_coeffs(box, U0, 0.5)
+        return table + build, table + tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNestedPlan:
     """The plan groups the nested splits k + (j + q) = n by l = j + q."""
 
@@ -320,18 +343,21 @@ class TestPhaseKeys:
             np.testing.assert_allclose(keys, denom * box.omega,
                                        rtol=1e-12, atol=0)
 
-    def test_split_keys_are_four_wave_phases(self, box44):
-        pt = pair_table(box44)
-        plan = _nested_plan(box44)
-        denom, pair_key = _pair_keys(box44)[:2]
-        inner, outer = _nested_splits(box44)
+    @pytest.mark.parametrize("size", [(2, 1), (3, 3), (4, 4), (6, 6)],
+                             ids=["2x1", "3x3", "4x4", "6x6"])
+    def test_split_keys_are_four_wave_phases(self, size):
+        box = LatticeBox(*size)
+        pt = pair_table(box)
+        plan = _nested_plan(box)
+        denom, pair_key = _pair_keys(box)[:2]
+        inner, outer = _nested_splits(box)
         key = pair_key[inner] + pair_key[outer]
         four = pt.delta[inner] + pt.delta[outer]
         np.testing.assert_allclose(key / denom, four,
                                    rtol=1e-12, atol=1e-12)
         # Resonance decided in integers: the four-wave phase times the
         # product M of the four n1 is sum +-(M m1^3 - (M / m1) m2^2).
-        n1, n2 = box44.n1, box44.n2
+        n1, n2 = box.n1, box.n2
         modes = (pt.k_idx[inner], pt.l_idx[inner], pt.k_idx[outer],
                  pt.out_idx[outer])
         M = np.prod([n1[m] for m in modes], axis=0)
@@ -341,7 +367,7 @@ class TestPhaseKeys:
         np.testing.assert_array_equal(key == 0, numer == 0)
         # Each nested split's stored number points to the phase of its
         # key, and every key that occurs has exactly one phase.
-        numbers = _plan_numbers(box44)
+        numbers = _plan_numbers(box)
         number = np.concatenate([group.ravel() for group in numbers])
         np.testing.assert_array_equal(plan.phases[number], key / denom)
         assert len(np.unique(key)) == len(plan.phases)
@@ -407,35 +433,44 @@ class TestStreamedContraction:
         assert _group_sizes(box).sum() == 5_309_304
         U0 = rng.standard_normal((2, box.size)) \
             + 1j * rng.standard_normal((2, box.size))
+        need = max(_build_bytes(box), _pass_bytes(box, 2))
         _nested_plan.cache_clear()
         out = []
         peak = traced_peak(lambda: out.extend(_picard_coeffs(box, U0, 0.5)))
         assert all(np.isfinite(X).all() for X in out)
         assert peak <= 64 * 2 ** 20
-        assert peak <= _contraction_bytes(box, 2)
+        assert peak <= need
 
     def test_pass_at_8x8_holds_nothing_over_the_key_range(self, rng):
         # With the plan built, a pass takes phi1 of the phases that occur
         # (35,689 here), not a complex table over all 1,397,761 keys of
         # the key range (22 MB and a 30 MiB peak when it did).
         box = LatticeBox(8, 8)
-        assert _pair_keys(box)[3] == 1_397_761
+        keys = _key_ranks(box)[2]
+        assert 2 * int(keys[-1] - keys[0]) + 1 == 1_397_761
         assert len(_nested_plan(box).phases) == 35_689
         U0 = rng.standard_normal((2, box.size)) \
             + 1j * rng.standard_normal((2, box.size))
         peak = traced_peak(_picard_coeffs, box, U0, 0.5)
         assert peak <= 12 * 2 ** 20
 
-    def test_phase_bound_covers_the_plan(self):
-        # The memory count takes the phases from _phase_bound before the
-        # plan is built; at 8x8 the pairs of the 1,120 distinct pair keys
-        # bound them to 627,760, under the 1,397,761 slots of the key
-        # range.
+    def test_phase_count_is_the_plans(self):
+        # The pass is counted once the plan is built, from its phases: one
+        # per distinct four-wave key of the nested splits, 35,689 at 8x8,
+        # where the pairs of the 1,120 distinct pair keys would allow
+        # 627,760.
         for n1 in range(1, 9):
             for n2 in range(9):
                 box = LatticeBox(n1, n2)
-                assert _phase_bound(box) >= len(_nested_plan(box).phases), box
-        assert _phase_bound(LatticeBox(8, 8)) == 627_760
+                denom, key = _pair_keys(box)
+                by_l = key[np.argsort(pair_table(box).l_idx, kind="stable")]
+                occur = np.unique(np.concatenate(
+                    [np.unique(key[m0:m1, None] + by_l[m0:m1])
+                     for m0, m1 in _groups(box)] + [key[:0]]))
+                plan = _nested_plan(box)
+                assert len(occur) == len(plan.phases), box
+                np.testing.assert_array_equal(plan.phases, occur / denom)
+        assert len(_nested_plan(LatticeBox(8, 8)).phases) == 35_689
 
     def test_block_holds_three_pair_table_arrays(self, rng):
         # Each group's product overwrites its own operands, so a block of
@@ -454,14 +489,16 @@ class TestStreamedContraction:
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_peak_within_memory_check_at_6x6(self, rng, batch):
-        # The pre-flight check counts _contraction_bytes; the traced peak
-        # of building the plan and one pass must not exceed it.
+        # The pre-flight check counts _build_bytes, then _pass_bytes; the
+        # traced peak of building the plan and one pass must not exceed
+        # the larger.
         box = LatticeBox(6, 6)
         U0 = rng.standard_normal((batch, box.size)) \
             + 1j * rng.standard_normal((batch, box.size))
+        need = max(_build_bytes(box), _pass_bytes(box, batch))
         _nested_plan.cache_clear()
         peak = traced_peak(_picard_coeffs, box, U0, 0.5)
-        assert peak <= _contraction_bytes(box, batch)
+        assert peak <= need
 
     def test_block_holds_arrays_over_one_chunk(self, rng):
         # A block of 8 rows holds P, Q and S over one chunk of whole
@@ -562,17 +599,30 @@ class TestStreamedContraction:
 
     @pytest.mark.parametrize("n1", range(1, 9))
     def test_count_bounds_build_and_pass(self, rng, n1):
-        # The traced peak of building the plan and one pass stays within
-        # _contraction_bytes on every box up to 8x8, whether the table is
-        # one chunk or many.
+        # Each pre-flight stage bounds its own traced peak on every box up
+        # to 8x8, whether the table is one chunk or many: _build_bytes the
+        # build's from cold, _pass_bytes one pass's with the plan held.
         for n2 in range(9):
             box = LatticeBox(n1, n2)
             for batch in (1, 8):
                 U0 = rng.standard_normal((batch, box.size)) \
                     + 1j * rng.standard_normal((batch, box.size))
-                _nested_plan.cache_clear()
-                peak = traced_peak(_picard_coeffs, box, U0, 0.5)
-                assert peak <= _contraction_bytes(box, batch), (box, batch)
+                build, one_pass = _stage_peaks(box, U0)
+                assert build <= _build_bytes(box), (box, batch)
+                assert one_pass <= _pass_bytes(box, batch), (box, batch)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("size", [6, 8], ids=["6x6", "8x8"])
+    def test_count_is_within_twice_the_peak(self, rng, size, batch):
+        # The larger stage count is at most twice the peak of building the
+        # plan and one pass, the pair table included.  The count that
+        # bounded the phases before the build read 2.34 and 6.75 times it
+        # at batch 8.
+        box = LatticeBox(size, size)
+        U0 = rng.standard_normal((batch, box.size)) \
+            + 1j * rng.standard_normal((batch, box.size))
+        need = max(_build_bytes(box), _pass_bytes(box, batch))
+        assert need <= 2 * max(_stage_peaks(box, U0))
 
 
 class TestExtract:
