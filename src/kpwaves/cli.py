@@ -6,7 +6,8 @@ format-version line, so any result can be traced back to the run that
 produced it.
 
 Exit codes: 0 success, 1 scientific-check failure, 2 configuration
-error, 3 runtime failure.  Each command handler imports the layers it
+error (lattice.ConfigError, from the parser or a layer's pre-flight
+check), 3 runtime failure.  Each command handler imports the layers it
 runs, so a command loads no code it never calls.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .lattice import LatticeBox
+from .lattice import ConfigError, LatticeBox
 from .sampling import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_g_batch, sample_u0)
 
@@ -27,10 +28,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
 FORMAT_VERSION = "kpwaves-report-1"
 IDENTITY_TOL = 1e-10
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +384,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                "splits" if n_splits else "no interacting splits")]
 
     n_fields = 8
-    try:
-        _check_contraction(box, n_fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_contraction(box, n_fields)
     # Samples 2 i and 2 i + 1 form pair i; one pass builds the bundles of
     # the first field of every pair.
     samples = profile.lambdas() * sample_g_batch(
@@ -442,20 +436,17 @@ _SIMULATE_ROW_BYTES = 320
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
-    from .dynamics import (_PHASE_CHUNK, _diverged, _step, evolve_coeffs,
+    from .dynamics import (_diverged, _evolve_bytes, _step, evolve_coeffs,
                            NonFiniteError)
-    from .operators import _check_memory, _squarer_bytes
+    from .operators import _check_memory
     box, law, profile = _inputs(cfg)
     eps = cfg.eps[0]
     times = _time_grid(cfg) if cfg.t_grid is not None else np.array([cfg.t])
-    # The states at every grid time and the report's rows, counted before
-    # the step is calibrated or taken, with the stepper's fixed buffers.
-    try:
-        _check_memory(len(times) * box.size * (16 + _SIMULATE_ROW_BYTES)
-                      + _squarer_bytes(box, 2 * _PHASE_CHUNK + 1),
-                      f"t_grid: {len(times)} grid times of {box!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # The stepper's count of the sample over every grid time and the
+    # report's rows, before the step is calibrated or taken.
+    _check_memory(_evolve_bytes(box, 1, len(times))
+                  + len(times) * box.size * _SIMULATE_ROW_BYTES,
+                  f"t_grid: {len(times)} grid times of {box!r}")
     u0 = sample_u0(profile, law, cfg.seed, 0)
     dt, _ = _step(profile, law, cfg.seed, eps, float(times[-1]) or 1.0,
                   cfg.dt)
@@ -535,11 +526,8 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
     from .ensemble import MomentReport, estimate_moments, _check_moments
     box, law, profile = _inputs(cfg)
-    try:
-        _check_moments(box, cfg.sample_count, _moment_count(cfg, box),
-                       cfg.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_moments(box, cfg.sample_count, _moment_count(cfg, box),
+                   cfg.threads)
     report = estimate_moments(profile, law, cfg.eps[0], cfg.t,
                               cfg.sample_count,
                               pairs=_select_pairs(cfg, box),
@@ -566,14 +554,11 @@ def cmd_remainder_scan(cfg: ExperimentConfig) -> int:
         raise ConfigError(
             "eps: need at least three values for a slope fit, "
             "or a t_grid for the growth fit")
-    try:
-        if scanning:
-            _check_scan(box, cfg.eps, cfg.t, cfg.sample_count, cfg.triple,
-                        cfg.rotations)
-        if grid is not None:
-            _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if scanning:
+        _check_scan(box, cfg.eps, cfg.t, cfg.sample_count, cfg.triple,
+                    cfg.rotations)
+    if grid is not None:
+        _check_growth(box, cfg.eps[0], grid, cfg.sample_count)
     rows = []
     extras = {}
     status = 0
@@ -627,10 +612,7 @@ def cmd_box_limit(cfg: ExperimentConfig) -> int:
     if cfg.t == 0:
         raise ConfigError("t: the pair correction vanishes at t = 0; "
                           "need t != 0")
-    try:
-        _check_box_limit(cfg.mode, cfg.box_sizes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_box_limit(cfg.mode, cfg.box_sizes)
     rows = []
     ratios = []
     values = []

@@ -39,9 +39,10 @@ conjugate mirror.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times, and its callers find the samples that
-diverged with one per-sample mask, _diverged.  _step is the one step rule
-of the commands that evolve seeded samples: a configured dt, or the step
-calibrate_dt picks for sample 0.
+diverged with one per-sample mask, _diverged; _evolve_bytes counts what
+a call holds, for the pre-flight checks of its callers.  _step is the
+one step rule of the commands that evolve seeded samples: a configured
+dt, or the step calibrate_dt picks for sample 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeBox, _symmetry_defect
-from .operators import _squarer
+from .operators import _squarer, _squarer_bytes
 from .sampling import RandomLaw, SpectrumProfile, sample_u0
 
 __all__ = [
@@ -68,6 +69,14 @@ __all__ = [
 # 1.004 for 1000 of 3x3 and 1.009 for calibrating the step of a lone 3x3
 # sample, each within the noise of its rounds.
 _PHASE_CHUNK = 2
+
+# Box-sized complex arrays per field that evolve_coeffs holds past the
+# states it returns: the gauged input, the three registers and the
+# squarer's per-sample buffers.  The tracemalloc peak of 256 and 2048
+# fields over 1 and 16 times read up to 2.6 past the states on the dense
+# squarer (2x1, 3x3) and 6.7 on the FFT pair (4x4, 6x6); estimate_moments'
+# batches, boxes 1x0 to 6x6, read 3.5-4.3 and 7.0-7.3 with the state.
+_EVOLVE_ARRAYS = 7
 
 
 class NonFiniteError(RuntimeError):
@@ -152,6 +161,17 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
         modes *= np.exp(1j * om * t).ravel()
         # The box order puts -n at the mirror position of n.
         np.conjugate(U[..., :half - 1:-1], out=U[..., :half])
+
+
+def _evolve_bytes(box: LatticeBox, rows: int, times: int) -> int:
+    """Bytes evolve_coeffs holds at most for `rows` fields that return
+    `times` states: _EVOLVE_ARRAYS box-sized arrays per field past its
+    states, the squarer's fixed buffers, the stage phases P and Q of two
+    chunks with a transient, a read's gauge phase and 64 KiB of others."""
+    stages, half = 2 * _PHASE_CHUNK + 1, box.size // 2
+    return (16 * box.size * rows * (times + _EVOLVE_ARRAYS)
+            + _squarer_bytes(box, stages) + 16 * half * (6 * stages + 2)
+            + (1 << 16))
 
 
 def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeBox, apply_free_flow, hs_norm
+from .lattice import ConfigError, LatticeBox, apply_free_flow, hs_norm
 from . import operators
-from .dynamics import (_PHASE_CHUNK, _diverged, _step, evolve_coeffs,
+from .dynamics import (_diverged, _evolve_bytes, _step, evolve_coeffs,
                        NonFiniteError)
 from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
@@ -197,14 +197,6 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
     return _BlockSums(block_sum)
 
 
-# Box-sized complex arrays per sample of a batch that estimate_moments
-# holds while stepping it: its states and the stepper's workspace.  The
-# tracemalloc peak per sample (the rise from 1024 to 2048 samples of one
-# batch, diagonal pairs), over boxes 1x0 to 6x6, read 3.5-4.3 arrays on
-# the dense squarer (up to 3x3) and 7.0-7.3 on the FFT pair past it; the
-# largest is rounded up.
-_MOMENT_ARRAYS = 8
-
 # Bytes per moment past the chunk buffers: its modes as selected, its
 # indices and sums, its prediction, and the report's entry and row.  The
 # rise of the ensemble handler's tracemalloc peak over one sample, from
@@ -219,22 +211,21 @@ def _moment_bytes(box: LatticeBox, sample_count: int, moments: int,
     """Bytes an ensemble of `moments` moments takes at most, its report
     included.
 
-    _MOMENT_ARRAYS box-sized arrays per sample and the stepper's fixed
-    buffers for each batch held at once (one per thread, at most the
-    number of batches), a block's three chunk buffers and its
-    [conj(U), U] in _moment_sums, and _MOMENT_BYTES per moment.
+    The stepper's count of a batch stepped to one time for each batch
+    held at once (one per thread, at most the number of batches), a
+    block's three chunk buffers and its [conj(U), U] in _moment_sums,
+    and _MOMENT_BYTES per moment.
     """
     batch = min(_BATCH, sample_count)
     held = min(threads, -(-sample_count // _BATCH))
-    return (held * (batch * box.size * 16 * _MOMENT_ARRAYS
-                    + operators._squarer_bytes(box, 2 * _PHASE_CHUNK + 1))
+    return (held * _evolve_bytes(box, batch, 1)
             + _BLOCK * 16 * (3 * min(moments, _COLUMNS) + 2 * box.size)
             + moments * _MOMENT_BYTES)
 
 
 def _check_moments(box: LatticeBox, sample_count: int, moments: int,
                    threads: int) -> None:
-    """Raise ValueError when an ensemble of `moments` moments would not
+    """Raise ConfigError when an ensemble of `moments` moments would not
     fit in physical memory; the message names the moments, the box, the
     batch and the threads."""
     operators._check_memory(
@@ -260,7 +251,7 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     evolved state is non-finite are dropped and reported by index.  The
     result is a pure function of the arguments, including the seed; the
     batch size _BATCH and the thread count only affect speed.  Raises
-    ValueError before drawing a sample when the ensemble would not fit in
+    ConfigError before drawing a sample when the ensemble would not fit in
     physical memory (_moment_bytes).
     """
     box = profile.box
@@ -404,9 +395,10 @@ class ScanResult:
 # Box-sized complex arrays per sample of a batch that remainder_scan
 # holds besides its accumulators, its block-sum rows and one evolve call:
 # the batch's initial data, a, b, c and f, an evolved state and its
-# remainder terms.  The handler's tracemalloc peak less the pass's count
-# and the rest of _scan_bytes, over 2x1 to 4x4 boxes, 3 to 24 eps, batches
-# of 2048 and 1 or 2 rotations, read 2.6-4.3 of them; rounded up with room.
+# remainder terms, and one eps's columns as they are written.  The
+# handler's tracemalloc peak less the pass's count and the rest of
+# _scan_bytes, over 2x1 to 4x4 boxes, 3 to 24 eps, batches of 2048 and 1
+# or 2 rotations, read up to 5.8 of them; rounded up with room.
 _SCAN_ARRAYS = 8
 
 
@@ -414,60 +406,67 @@ def _scan_bytes(box: LatticeBox, eps_count: int, sample_count: int) -> int:
     """Bytes remainder_scan holds at most past one Picard pass.
 
     Per eps, a batch's accumulators (a float per sample and mode, a
-    complex per sample); then the larger of one evolve call's stacked
-    states with _MOMENT_ARRAYS box-sized arrays per row and the stepper's
-    fixed buffers, and the batch's block-sum rows, 2 N + 3 floats per
-    sample and eps, twice: the per-eps parts and the rows they are
-    concatenated into; besides _SCAN_ARRAYS box-sized arrays per sample.
+    complex per sample); _SCAN_ARRAYS box-sized arrays per sample; and
+    the larger of the stepper's count of one evolve call's stacked rows
+    and the batch's block-sum rows, 2 N + 3 floats per sample and eps.
     """
     batch = min(_BATCH, sample_count)
     stacked = min(eps_count, max(1, _BATCH // batch)) * batch
-    row = 16 * box.size
-    evolve = (stacked * row * _MOMENT_ARRAYS
-              + operators._squarer_bytes(box, 2 * _PHASE_CHUNK + 1))
-    rows = 2 * eps_count * batch * 8 * (2 * box.size + 3)
+    rows = eps_count * batch * 8 * (2 * box.size + 3)
     return (eps_count * batch * (8 * box.size + 16)
-            + _SCAN_ARRAYS * batch * row + max(evolve, rows))
+            + _SCAN_ARRAYS * batch * 16 * box.size
+            + max(_evolve_bytes(box, stacked, 1), rows))
+
+
+def _check_batch(box: LatticeBox, batch: int, held: int, over: str) -> None:
+    """Raise ConfigError when the Picard contraction of `batch` samples
+    (_check_contraction), or its pass with the `held` bytes an estimator
+    keeps across it, would exceed physical memory; caches no plan then."""
+    from .picard import _check_contraction, _nested_plan, _pass_bytes
+    _check_contraction(box, batch)
+    try:
+        operators._check_memory(
+            _pass_bytes(box, batch) + held,
+            f"sample_count: a batch of {batch} samples of {box!r} over "
+            f"{over}")
+    except ConfigError:
+        _nested_plan.cache_clear()
+        raise
 
 
 def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
                 triple, rotations: int) -> list:
     """Check the arguments of remainder_scan; return the triple's box indices.
 
-    Each ValueError starts with the configuration key it rejects, or
+    Each ConfigError starts with the configuration key it rejects, or
     names the Picard contraction of one batch when it would not fit in
     physical memory.  When the contraction fits but one batch's pass and
     the scan's own arrays (_scan_bytes) would not, sample_count is
     rejected before any sample is drawn.
     """
     if len(eps_grid) < 3:
-        raise ValueError("eps: a scan needs at least three values")
+        raise ConfigError("eps: a scan needs at least three values")
     if len(set(eps_grid)) < len(eps_grid):
-        raise ValueError("eps: a scan needs distinct values")
+        raise ConfigError("eps: a scan needs distinct values")
     if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps: values must be positive")
+        raise ConfigError("eps: values must be positive")
     if t == 0:
-        raise ValueError("t: every remainder vanishes at t = 0; "
-                         "need t != 0")
+        raise ConfigError("t: every remainder vanishes at t = 0; "
+                          "need t != 0")
     if rotations < 1:
-        raise ValueError("rotations: must be >= 1")
+        raise ConfigError("rotations: must be >= 1")
     if sample_count < 1:
-        raise ValueError("sample_count: must be >= 1")
+        raise ConfigError("sample_count: must be >= 1")
     if (sum(m[0] for m in triple) != 0
             or sum(m[1] for m in triple) != 0):
-        raise ValueError(f"triple: {triple} does not sum to zero")
+        raise ConfigError(f"triple: {triple} does not sum to zero")
     try:
         tri = [box.index(n) for n in triple]
     except ValueError as exc:
-        raise ValueError(f"triple: {exc}") from None
-    from .picard import _check_contraction, _pass_bytes
-    batch = min(_BATCH, sample_count)
-    _check_contraction(box, batch)
-    operators._check_memory(
-        _pass_bytes(box, batch)
-        + _scan_bytes(box, len(eps_grid), sample_count),
-        f"sample_count: a batch of {batch} samples of {box!r} over "
-        f"{len(eps_grid)} eps values")
+        raise ConfigError(f"triple: {exc}") from None
+    _check_batch(box, min(_BATCH, sample_count),
+                 _scan_bytes(box, len(eps_grid), sample_count),
+                 f"{len(eps_grid)} eps values")
     return tri
 
 
@@ -561,10 +560,14 @@ def remainder_scan(profile: SpectrumProfile, law: RandomLaw, eps_grid,
                                  + prod(a3, a3, c3) + prod(b3, b3, a3)
                                  + prod(b3, a3, b3) + prod(a3, b3, b3)))
                 acc3[e] += r3 / rotations
-        sums.add(np.concatenate(
-            [np.column_stack([acc2[e], acc2[e] ** 2, acc3[e].real,
-                              acc3[e].imag, np.abs(acc3[e]) ** 2])
-             for e in eps_grid], axis=1))
+        # Each eps's columns go once into the batch's rows.
+        rows = np.empty((nb, len(eps_grid), 2 * nm + 3))
+        for i, e in enumerate(eps_grid):
+            a2, a3 = acc2.pop(e), acc3.pop(e)
+            rows[:, i] = np.column_stack([a2, a2 ** 2, a3.real, a3.imag,
+                                          np.abs(a3) ** 2])
+        sums.add(rows.reshape(nb, -1))
+        del rows, a2, a3
         done += nb
 
     M = sample_count
@@ -606,40 +609,29 @@ class GrowthFit:
     stderr: float
 
 
-# Box-sized complex arrays per sample of a batch that remainder_growth
-# holds besides its evolved states.  The tracemalloc peak per sample (the
-# rise from 1024 to 2048 samples), over 2x1 to 4x4 boxes and 3 or 6 grid
-# times, read 2.5-6.3 arrays past the states in the stepper and 4.0 in
-# the closed-form subtraction after it; the largest is rounded up.
-_GROWTH_ARRAYS = 7
-
-
 def _check_growth(box: LatticeBox, eps: float, times,
                   sample_count: int) -> np.ndarray:
     """Check the arguments of remainder_growth; return the sorted times.
 
-    Each ValueError starts with the configuration key it rejects, or
+    Each ConfigError starts with the configuration key it rejects, or
     names the Picard contraction of one batch when it would not fit.  The
     samples are evolved in batches of _BATCH that keep the state at
-    every grid time; when one batch would exceed physical memory,
-    sample_count is rejected before any sample is drawn.
+    every grid time through a Picard pass at each; when one batch's
+    states with the stepper's count and the pass would exceed physical
+    memory, sample_count is rejected before any sample is drawn.
     """
     if eps == 0:
-        raise ValueError("eps: the remainder is undefined at eps = 0")
+        raise ConfigError("eps: the remainder is undefined at eps = 0")
     grid = np.array(sorted(float(t) for t in times))
     if grid.size < 3:
-        raise ValueError("t_grid: need at least three grid times")
+        raise ConfigError("t_grid: need at least three grid times")
     if grid[0] <= 0:
-        raise ValueError("t_grid: grid times must be positive")
+        raise ConfigError("t_grid: grid times must be positive")
     if sample_count < 1:
-        raise ValueError("sample_count: must be >= 1")
+        raise ConfigError("sample_count: must be >= 1")
     batch = min(_BATCH, sample_count)
-    from .picard import _check_contraction
-    _check_contraction(box, batch)
-    operators._check_memory(
-        batch * box.size * 16 * (grid.size + _GROWTH_ARRAYS),
-        f"sample_count: a batch of {batch} samples of {box!r} over "
-        f"{grid.size} grid times")
+    _check_batch(box, batch, _evolve_bytes(box, batch, grid.size),
+                 f"{grid.size} grid times")
     return grid
 
 

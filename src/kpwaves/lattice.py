@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "omega",
     "LatticeBox",
     "hs_weights",
@@ -24,6 +25,10 @@ __all__ = [
     "apply_free_flow",
     "phi1",
 ]
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent experiment configuration: exit 2."""
 
 
 def omega(n):

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeBox
+from .lattice import ConfigError, LatticeBox
 
 __all__ = [
     "PairTable",
@@ -123,12 +123,12 @@ def _physical_memory() -> int:
 
 
 def _check_memory(need: int, what: str) -> None:
-    """Raise ValueError when `what`, which needs `need` bytes, would
+    """Raise ConfigError when `what`, which needs `need` bytes, would
     exceed physical memory; the message starts with `what`."""
     memory = _physical_memory()
     if need > memory:
-        raise ValueError(f"{what} needs {need} bytes, more than the "
-                         f"{memory} bytes of physical memory")
+        raise ConfigError(f"{what} needs {need} bytes, more than the "
+                          f"{memory} bytes of physical memory")
 
 
 def segment_sum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:

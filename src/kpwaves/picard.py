@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import operators
-from .lattice import LatticeBox, apply_free_flow, hs_norm, phi1
+from .lattice import ConfigError, LatticeBox, apply_free_flow, hs_norm, phi1
 from .operators import pair_table, segment_sum, s_map, dx_product, f_map
 
 __all__ = [
@@ -83,7 +83,7 @@ class MaxIterExceededError(RuntimeError):
     """Fixed-point iteration hit its iteration cap before converging."""
 
 
-class PhaseKeyOverflowError(ValueError):
+class PhaseKeyOverflowError(ConfigError):
     """The exact four-wave phase keys of a box do not fit in int64."""
 
 
@@ -319,14 +319,14 @@ def _pass_bytes(box: LatticeBox, batch: int) -> int:
 
 
 def _check_contraction(box: LatticeBox, batch: int) -> None:
-    """Raise ValueError when building the plan of box (counted before the
+    """Raise ConfigError when building the plan of box (counted before the
     build) or a Picard pass over `batch` fields (counted from the built
     plan) would exceed physical memory; a failed check caches no plan."""
     what = f"Picard contraction of {box!r} over {batch} samples"
     operators._check_memory(_build_bytes(box), what)
     try:
         operators._check_memory(_pass_bytes(box, batch), what)
-    except ValueError:
+    except ConfigError:
         _nested_plan.cache_clear()
         raise
 

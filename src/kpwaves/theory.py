@@ -349,7 +349,7 @@ _BOX_LIMIT_POINT_BYTES = 104
 
 
 def _check_box_limit(n, sizes) -> None:
-    """Raise ValueError, before any grid is built, when box_limit_f2 at
+    """Raise ConfigError, before any grid is built, when box_limit_f2 at
     mode n and one of `sizes` would exceed physical memory; the message
     starts with the configuration key box_sizes."""
     for N in sizes:

@@ -846,6 +846,68 @@ def test_phase_key_overflow_exits_2(tmp_path, capsys, command, eps):
     assert err.endswith(", past int64\n")
 
 
+_TRIPLE = ((1, 0), (1, 0), (-2, 0))
+
+
+def _both_stages(box, batch):
+    """Memory that holds the build and the pass of box over batch."""
+    return max(picard._build_bytes(box), picard._pass_bytes(box, batch))
+
+
+@pytest.mark.parametrize("memory, check", [
+    (lambda: 1000, lambda: operators._check_memory(1001, "need")),
+    (lambda: 1000,
+     lambda: picard._check_contraction(cli.LatticeBox(3, 2), 8)),
+    (lambda: picard._build_bytes(cli.LatticeBox(4, 4)),
+     lambda: picard._check_contraction(cli.LatticeBox(4, 4), 10 ** 6)),
+    (None, lambda: picard._check_contraction(cli.LatticeBox(37, 0), 8)),
+    (None, lambda: ensemble._check_scan(cli.LatticeBox(2, 1), (0.1, 0.2),
+                                        1.0, 8, _TRIPLE, 1)),
+    (lambda: _both_stages(cli.LatticeBox(2, 1), 8),
+     lambda: ensemble._check_scan(cli.LatticeBox(2, 1), (0.05, 0.1, 0.2),
+                                  1.0, 8, _TRIPLE, 1)),
+    (None, lambda: ensemble._check_growth(cli.LatticeBox(2, 1), 0.0,
+                                          (0.5, 1.0, 1.5), 8)),
+    (lambda: _both_stages(cli.LatticeBox(2, 1), 8),
+     lambda: ensemble._check_growth(cli.LatticeBox(2, 1), 0.1,
+                                    (0.5, 1.0, 1.5), 8)),
+    (lambda: 1000,
+     lambda: ensemble._check_moments(cli.LatticeBox(2, 1), 8, 3, 1)),
+    (lambda: 1000, lambda: theory._check_box_limit((1, 0), (4,))),
+], ids=["memory", "contraction-build", "contraction-pass", "key-overflow",
+        "scan-arguments", "scan-memory", "growth-arguments", "growth-memory",
+        "moments", "box-limit"])
+def test_pre_flights_raise_config_error(monkeypatch, memory, check):
+    # Exit 2 is the type: main maps ConfigError to it, and no handler
+    # converts a layer's ValueError.
+    picard._nested_plan.cache_clear()
+    if memory is not None:
+        limit = memory()
+        monkeypatch.setattr(operators, "_physical_memory", lambda: limit)
+    with pytest.raises(ConfigError):
+        check()
+
+
+@pytest.mark.parametrize("check, need", [
+    (lambda box: ensemble._check_scan(box, np.linspace(0.05, 0.2, 24), 0.05,
+                                      2048, _TRIPLE, 1),
+     lambda box: _scan_count(box, 24, 2048)),
+    (lambda box: ensemble._check_growth(box, 0.1, (0.5, 1.0, 1.5), 2048),
+     lambda box: _growth_count(box, 3, 2048)),
+], ids=["scan", "growth"])
+def test_failed_batch_pre_flight_caches_no_plan(monkeypatch, check, need):
+    # The contraction passes and builds the plan; the pass with what the
+    # estimator holds across it does not, and the plan goes with the run.
+    box = cli.LatticeBox(2, 1)
+    memory = need(box) - 1
+    assert _both_stages(box, 2048) <= memory
+    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    picard._nested_plan.cache_clear()
+    with pytest.raises(ConfigError, match="^sample_count: "):
+        check(box)
+    assert picard._nested_plan.cache_info().currsize == 0
+
+
 def test_estimator_defaults_are_config_defaults():
     # An estimator keyword that names a configuration key defaults to that
     # key's default, so a call that leaves it out runs what a config file
@@ -865,13 +927,21 @@ def test_estimator_defaults_are_config_defaults():
     assert checked == {"seed", "dt", "threads", "triple", "rotations", "s"}
 
 
+def _growth_count(box, grid_times, count):
+    """One batch's Picard pass and its states at every grid time with the
+    stepper's count: the growth fit holds both at once."""
+    batch = min(ensemble._BATCH, count)
+    return (picard._pass_bytes(box, batch)
+            + dynamics._evolve_bytes(box, batch, grid_times))
+
+
 def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
                                                       monkeypatch):
-    # The contraction of one batch fits; keeping that batch at three grid
-    # times does not, and nothing is sampled or evolved.
+    # The contraction of one batch fits; its pass with that batch kept at
+    # three grid times does not, and nothing is sampled or evolved.
     box = cli.LatticeBox(2, 1)
     batch = ensemble._BATCH
-    need = batch * box.size * 16 * (3 + ensemble._GROWTH_ARRAYS)
+    need = _growth_count(box, 3, 10 ** 6)
     memory = need - 1
     assert max(picard._build_bytes(box),
                picard._pass_bytes(box, batch)) <= memory
@@ -914,6 +984,29 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
     assert main(["--config", cfg]) == 0
     assert calls == [10 ** 6]
     assert "# growth_exponent=0" in out_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("box, count", [("4 4", 512), ("5 5", 256),
+                                        ("6 6", 128)],
+                         ids=["4x4-512", "5x5-256", "6x6-128"])
+def test_growth_count_bounds_traced_peak(tmp_path, capsys, box, count):
+    # The growth fit holds one batch's states at every grid time while it
+    # runs the Picard pass at each: the count of both bounds the handler's
+    # traced peak, report included, within a factor of 2.  The states and
+    # the pass counted apart each fell below it.  A first run loads the
+    # modules; the plan is built again inside the traced run, as in a
+    # fresh process.
+    out_path = tmp_path / "growth.csv"
+    cfg = write_cfg(tmp_path, f"command = remainder-scan\nbox = {box}\n"
+                    "eps = 0.1\nt_grid = 0.5 1.5 0.5\n"
+                    f"sample_count = {count}\ndt = 0.05\nout = {out_path}\n")
+    assert main(["--config", cfg]) == 0
+    picard._nested_plan.cache_clear()
+    picard._key_ranks.cache_clear()
+    peak = traced_peak(main, ["--config", cfg])
+    need = _growth_count(cli.LatticeBox(*map(int, box.split())), 3, count)
+    assert peak <= need <= 2 * peak
+    capsys.readouterr()
 
 
 def _scan_cfg(tmp_path, box, eps_count, count, rotations):
@@ -973,8 +1066,8 @@ def test_scan_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
 
 
 def _simulate_count(box, times):
-    return (times * box.size * (16 + cli._SIMULATE_ROW_BYTES)
-            + operators._squarer_bytes(box, 2 * dynamics._PHASE_CHUNK + 1))
+    return (dynamics._evolve_bytes(box, 1, times)
+            + times * box.size * cli._SIMULATE_ROW_BYTES)
 
 
 def test_simulate_beyond_memory_exits_2_before_stepping(tmp_path, capsys,
@@ -1025,9 +1118,7 @@ def test_ensemble_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     # batches on two threads: one byte short, nothing is sampled.
     box = cli.LatticeBox(3, 3)
     need = ensemble._moment_bytes(box, 4000, 1569, 2)
-    assert need == (2 * (2048 * box.size * 16 * ensemble._MOMENT_ARRAYS
-                         + operators._squarer_bytes(
-                             box, 2 * dynamics._PHASE_CHUNK + 1))
+    assert need == (2 * dynamics._evolve_bytes(box, 2048, 1)
                     + 64 * 16 * (3 * 256 + 2 * box.size)
                     + 1569 * ensemble._MOMENT_BYTES)
     monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)

@@ -8,9 +8,12 @@ import pytest
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
 from kpwaves.operators import dx_product
-from kpwaves.dynamics import (_PHASE_CHUNK, _default_dt, CalibrationError,
-                              calibrate_dt, evolve_coeffs)
+from kpwaves.dynamics import (_PHASE_CHUNK, _default_dt, _evolve_bytes,
+                              CalibrationError, calibrate_dt, evolve_coeffs)
 from kpwaves.operators import _BLOCK_ROWS, _GRID_BLOCKS
+from kpwaves.sampling import RandomLaw, SpectrumProfile, sample_g_batch
+
+from conftest import traced_peak
 
 
 def test_default_dt_formula(box22):
@@ -244,6 +247,30 @@ def test_states_are_exactly_real(box33, make_field):
     states = evolve_coeffs(box33, U0, 0.2, [0.3, 1.0], 0.01)
     np.testing.assert_array_equal(states,
                                   np.conj(states[..., box33.conj_idx]))
+
+
+@pytest.mark.parametrize("size", [(2, 1), (3, 3), (4, 4), (6, 6)],
+                         ids=["2x1-dense", "3x3-dense", "4x4-fft", "6x6-fft"])
+def test_evolve_count_bounds_traced_peak(size):
+    # _evolve_bytes counts the states, _EVOLVE_ARRAYS box-sized arrays per
+    # field and the fixed buffers of the squarer and the stage phases.  A
+    # lone sample on the FFT path peaked at 17-22 arrays past its states,
+    # mostly fixed buffers; from 256 fields on, the rise per field stays
+    # within the arrays counted per field.
+    box = LatticeBox(*size)
+    profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
+    U0 = profile.lambdas() * sample_g_batch(box, RandomLaw.steinhaus(), 0,
+                                            np.arange(2048))
+    evolve_coeffs(box, U0[:1], 0.1, [0.01], 0.01)
+    for times in (1, 16):
+        grid = 0.01 * np.arange(1, times + 1)
+        peaks, needs = [], []
+        for rows in (1, 256, 2048):
+            peaks.append(traced_peak(evolve_coeffs, box, U0[:rows], 0.1,
+                                     grid, 0.01))
+            needs.append(_evolve_bytes(box, rows, times))
+            assert peaks[-1] <= needs[-1], (rows, times)
+        assert peaks[2] - peaks[1] <= needs[2] - needs[1], times
 
 
 def test_rejects_non_real_fields(box22, make_field):

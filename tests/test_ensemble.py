@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from kpwaves import ensemble
 from kpwaves.lattice import LatticeBox, hs_norm
-from kpwaves.dynamics import NonFiniteError, _default_dt, evolve_coeffs
+from kpwaves.dynamics import (NonFiniteError, _default_dt, _evolve_bytes,
+                              evolve_coeffs)
 from kpwaves.ensemble import (
     _moment_sums,
     ScanResult,
@@ -548,9 +549,10 @@ class TestGrowthValidation:
                      id="2x1-96-times"),
     ])
     def test_peak_per_sample_within_the_count(self, size, times):
-        # The pre-flight budgets the states and _GROWTH_ARRAYS box-sized
-        # arrays per sample; the traced peak's rise from 256 to 512
-        # samples is that per-sample cost (fixed tables cancel).  The
+        # The pre-flight budgets the states and the stepper's box-sized
+        # arrays per sample (dynamics._evolve_bytes) besides the Picard
+        # pass; the traced peak's rise from 256 to 512 samples is that
+        # per-sample cost (fixed tables cancel).  The
         # subtraction after stepping read 9 arrays when it formed A and D
         # beside B, C and F and kept the last pass's arrays into the next.
         # Over 96 grid times a divergence mask over every state at once
@@ -563,7 +565,9 @@ class TestGrowthValidation:
                      profile, law, 0.1, times, count, dt=0.05))
                  for count in (256, 512)]
         per_sample = (peaks[1] - peaks[0]) / (256 * box.size * 16)
-        assert per_sample <= len(times) + ensemble._GROWTH_ARRAYS
+        counts = [_evolve_bytes(box, count, len(times))
+                  for count in (256, 512)]
+        assert per_sample <= (counts[1] - counts[0]) / (256 * box.size * 16)
 
     def test_diverging_sample_raises(self, box22):
         profile, law, U0 = _diverging_start(box22)

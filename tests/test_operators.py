@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ def test_command_imports_only_its_layers(tmp_path, command, extra, layers,
                      f"assert kpwaves.cli.main(sys.argv[1:]) in {codes}",
                      "--config", str(cfg))
     assert set(out) == _CLI_MODULES | {f"kpwaves.{m}" for m in layers}
+
+
+def test_stepper_memory_model_has_one_owner():
+    # The stepper's phase chunk and the squarer's fixed buffers enter a
+    # pre-flight only through dynamics._evolve_bytes: no other module
+    # names them, so no other module keeps a copy of the stepper's count.
+    src = Path(kpwaves.__file__).parent
+    for name in ("_PHASE_CHUNK", "_squarer_bytes"):
+        owners = {f.name for f in src.glob("*.py") if name in f.read_text()}
+        assert owners <= {"dynamics.py", "operators.py"}, name
+        assert "dynamics.py" in owners, name
 
 
 def test_every_exported_name_resolves():
