@@ -480,32 +480,27 @@ def _parse_mode_groups(key: str, text: str, group: int,
     return out
 
 
-def _mode_tuples(box: LatticeBox, *idx) -> tuple:
-    """One tuple of mode tuples per position of the box-index arrays idx."""
-    return tuple(zip(*(map(tuple, box.modes[i].tolist()) for i in idx)))
-
-
-def _select_pairs(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
+def _select_pairs(cfg: ExperimentConfig, box: LatticeBox):
     text = cfg.pairs
     if text == "none":
         return ()
     diag = np.arange(box.size)
     if text == "diag":
-        return _mode_tuples(box, diag, diag)
+        return box.modes[np.stack([diag, diag], axis=1)]
     if text == "all":
         i, j = np.triu_indices(box.size, 1)
-        return _mode_tuples(box, np.concatenate([diag, i]),
-                            np.concatenate([diag, j]))
+        return box.modes[np.stack([np.concatenate([diag, i]),
+                                   np.concatenate([diag, j])], axis=1)]
     return tuple(_parse_mode_groups("pairs", text, 2, box))
 
 
-def _select_triples(cfg: ExperimentConfig, box: LatticeBox) -> tuple:
+def _select_triples(cfg: ExperimentConfig, box: LatticeBox):
     text = cfg.triples
     if text == "none":
         return ()
     if text == "zero-sum":
         from .theory import zero_sum_triples
-        return _mode_tuples(box, *zero_sum_triples(box))
+        return box.modes[np.stack(zero_sum_triples(box), axis=1)]
     return tuple(_parse_mode_groups("triples", text, 3, box))
 
 
@@ -538,8 +533,8 @@ def cmd_ensemble(cfg: ExperimentConfig) -> int:
     emit_table(cfg, MomentReport.COLUMNS, report.rows(), extras=extras)
     print(f"ensemble: {report.sample_count} samples, "
           f"{len(report.failed_samples)} failed, "
-          f"{len(report.pair_moments)} pair and "
-          f"{len(report.triple_moments)} triple moments -> {cfg.out}")
+          f"{len(report.pair_index)} pair and "
+          f"{len(report.triple_index)} triple moments -> {cfg.out}")
     return 0
 
 

@@ -166,11 +166,11 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
 def _evolve_bytes(box: LatticeBox, rows: int, times: int) -> int:
     """Bytes evolve_coeffs holds at most for `rows` fields that return
     `times` states: _EVOLVE_ARRAYS box-sized arrays per field past its
-    states, the squarer's fixed buffers, the stage phases P and Q of two
+    states, the squarer's matrices and grid, the stage phases P and Q of two
     chunks with a transient, a read's gauge phase and 64 KiB of others."""
     stages, half = 2 * _PHASE_CHUNK + 1, box.size // 2
     return (16 * box.size * rows * (times + _EVOLVE_ARRAYS)
-            + _squarer_bytes(box, stages) + 16 * half * (6 * stages + 2)
+            + _squarer_bytes(box, stages, rows) + 16 * half * (6 * stages + 2)
             + (1 << 16))
 
 

@@ -6,12 +6,12 @@ The three take plain arguments: the profile, the law, eps (an eps grid
 for the scan), the time (a time grid for the growth fit) and
 sample_count, then keywords whose defaults are those of the
 configuration keys of the same name.  They draw and evolve their samples
-in batches of _BATCH and take their step from dynamics._step.
+in batches of _BATCH and take their step from dynamics._step.  A moment
+is a row of box indices from the request to the report, MomentReport.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,6 @@ from .dynamics import (_diverged, _evolve_bytes, _step, evolve_coeffs,
 from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
 __all__ = [
-    "MomentEntry",
     "MomentReport",
     "estimate_moments",
     "ScanPoint",
@@ -43,29 +42,12 @@ _BATCH = 2048
 # ---------------------------------------------------------------------------
 # moment estimation
 
-@dataclass(frozen=True)
-class MomentEntry:
-    """One estimated moment with its standard error and prediction."""
-
-    modes: tuple
-    estimate: complex
-    std_error: float
-    prediction: complex
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.estimate - self.prediction)
-
-    @property
-    def z_score(self) -> float:
-        if self.std_error == 0:
-            return 0.0 if self.deviation == 0 else math.inf
-        return self.deviation / self.std_error
-
-
 @dataclass
 class MomentReport:
-    """Estimates, errors and predictions of one ensemble run."""
+    """One ensemble run as a table over box indices: the requested
+    moments' indices in request order, pair_index (P, 2) and triple_index
+    (T, 3), and estimate, std_error and prediction, one value per moment,
+    the P pairs first."""
 
     COLUMNS = ("kind", "n1", "n2", "m1", "m2", "p1", "p2",
                "re_est", "im_est", "std_error", "re_pred", "im_pred",
@@ -76,20 +58,34 @@ class MomentReport:
     seed: int
     sample_count: int
     failed_samples: tuple
-    pair_moments: dict
-    triple_moments: dict
+    box: LatticeBox
+    pair_index: np.ndarray
+    triple_index: np.ndarray
+    estimate: np.ndarray
+    std_error: np.ndarray
+    prediction: np.ndarray
+
+    @property
+    def z_score(self) -> np.ndarray:
+        """|estimate - prediction| / std_error: 0 where both vanish, inf
+        where only the error does."""
+        d = self.estimate - self.prediction
+        dev = np.hypot(d.real, d.imag)
+        return np.divide(dev, self.std_error, where=self.std_error != 0,
+                         out=np.where(dev == 0, 0.0, np.inf))
 
     def rows(self):
         """One tuple per moment, in the order of COLUMNS; pairs leave p1,
         p2 empty."""
+        stats = zip(*(a.tolist() for a in (
+            self.estimate.real, self.estimate.imag, self.std_error,
+            self.prediction.real, self.prediction.imag, self.z_score)))
         out = []
-        for kind, moments in (("pair", self.pair_moments),
-                              ("triple", self.triple_moments)):
-            for modes, e in moments.items():
-                n, m, p = (*modes, ("", ""))[:3]
-                out.append((kind, *n, *m, *p, e.estimate.real,
-                            e.estimate.imag, e.std_error, e.prediction.real,
-                            e.prediction.imag, e.z_score))
+        for kind, index in (("pair", self.pair_index),
+                            ("triple", self.triple_index)):
+            flat = self.box.modes[index].reshape(-1, 2 * index.shape[1])
+            for modes in flat.tolist():
+                out.append((kind, *modes, "", "")[:7] + next(stats))
         return out
 
 
@@ -139,12 +135,12 @@ class _BlockSums:
         return self.total + self.block_sum(self._rows)
 
 
-def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
-                 ) -> _BlockSums:
+def _moment_sums(box: LatticeBox, pair_idx: np.ndarray,
+                 trip_idx: np.ndarray) -> _BlockSums:
     """Block sums of the moment summands of evolved states.
 
-    Column r takes U_a conj(U_b) for the r-th pair (a, b) of pair_idx and
-    U_a U_b U_c for each triple (a, b, c) of trip_idx after them.  The
+    Column r takes U_a conj(U_b) for the r-th row (a, b) of pair_idx and
+    U_a U_b U_c for each row (a, b, c) of trip_idx after them.  The
     total is laid out as (2, columns, 2): the sums, then the sums of
     squares, of each column's real and imaginary parts.  A block forms
     its products _COLUMNS columns at a time and writes each chunk's sums
@@ -157,12 +153,11 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
     n_pairs = len(pair_idx)
     width = n_pairs + len(trip_idx)
     # Column r of a block's products is U_a times the column b of
-    # [conj(U), U], times U_c for a triple.  The indices come from
-    # box.index, so the gathers skip their bounds check (mode="clip").
-    a_idx = np.array([p[0] for p in pair_idx + trip_idx], dtype=np.int64)
-    b_idx = np.array([j for _, j in pair_idx]
-                     + [box.size + p[1] for p in trip_idx], dtype=np.int64)
-    c_idx = np.array([p[2] for p in trip_idx], dtype=np.int64)
+    # [conj(U), U], times U_c for a triple.  The indices are box indices,
+    # so the gathers skip their bounds check (mode="clip").
+    a_idx = np.concatenate([pair_idx[:, 0], trip_idx[:, 0]])
+    b_idx = np.concatenate([pair_idx[:, 1], box.size + trip_idx[:, 1]])
+    c_idx = trip_idx[:, 2]
 
     def block_sum(U):
         rows = len(U)
@@ -198,12 +193,12 @@ def _moment_sums(box: LatticeBox, pair_idx: list, trip_idx: list
 
 
 # Bytes per moment past the chunk buffers: its modes as selected, its
-# indices and sums, its prediction, and the report's entry and row.  The
-# rise of the ensemble handler's tracemalloc peak over one sample, from
-# diagonal pairs to every pair or to the zero-sum triples, read 710-780 B
-# per pair and 730-880 B per triple at 4x4 to 10x6; the largest is
-# rounded up.
-_MOMENT_BYTES = 1024
+# indices and sums, its prediction, and the report's row.  The rise of
+# the ensemble handler's tracemalloc peak over one sample from diagonal
+# pairs, at 4x4 to 12x12, read 406-469 B per moment to every pair,
+# 418-497 B to the zero-sum triples and 473-524 B to both; rounded up
+# with room.
+_MOMENT_BYTES = 640
 
 
 def _moment_bytes(box: LatticeBox, sample_count: int, moments: int,
@@ -235,6 +230,17 @@ def _check_moments(box: LatticeBox, sample_count: int, moments: int,
         f"thread{'s' * (threads > 1)}")
 
 
+def _box_indices(box: LatticeBox, groups, width: int) -> np.ndarray:
+    """The (len(groups), width) box indices of groups of `width` modes;
+    raises ValueError naming the first mode outside the box."""
+    modes = np.asarray(groups, dtype=np.int64).reshape(len(groups), width, 2)
+    idx = box.lookup(modes[..., 0], modes[..., 1])
+    if (idx < 0).any():
+        outside = tuple(modes[idx < 0][0].tolist())
+        raise ValueError(f"mode {outside} is outside {box!r}")
+    return idx
+
+
 def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
                      t: float, sample_count: int, *, pairs=(), triples=(),
                      seed: int = 0, dt: float | None = None,
@@ -242,9 +248,11 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     """Monte Carlo estimates of the requested pair and triple moments.
 
     pairs is a sequence of ((n), (m)) mode pairs for E u_n conj(u_m);
-    triples a sequence of (n, m, p) for E u_n u_m u_p.  dt = None picks
-    a step by halving until the step-doubling error of a probe sample
-    falls below 1e-8.
+    triples a sequence of (n, m, p) for E u_n u_m u_p, each possibly an
+    array.  They are taken to box indices once (ValueError for a mode
+    outside the box), and the report has a row per requested moment, in
+    request order.  dt = None picks a step by halving until the
+    step-doubling error of a probe sample falls below 1e-8.
 
     The estimator is the plain sample mean over sample_count draws, with
     componentwise standard errors combined in quadrature.  Samples whose
@@ -256,12 +264,11 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     """
     box = profile.box
     _check_moments(box, sample_count, len(pairs) + len(triples), threads)
+    pair_idx, trip_idx = (_box_indices(box, groups, width)
+                          for groups, width in ((pairs, 2), (triples, 3)))
     lam = profile.lambdas()
     dt, _ = _step(profile, law, seed, eps, t, dt)
 
-    pair_idx = [(box.index(n), box.index(m)) for n, m in pairs]
-    trip_idx = [(box.index(n), box.index(m), box.index(p))
-                for n, m, p in triples]
     sums = _moment_sums(box, pair_idx, trip_idx)
     failed: list[int] = []
     good = 0
@@ -312,9 +319,12 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     if good == 0:
         if sample_count > 0:
             raise RuntimeError("every sample diverged; nothing to estimate")
+        empty = np.zeros(0, dtype=complex)
         return MomentReport(eps=eps, t=t, seed=seed,
-                            sample_count=0, failed_samples=(),
-                            pair_moments={}, triple_moments={})
+                            sample_count=0, failed_samples=(), box=box,
+                            pair_index=pair_idx[:0], triple_index=trip_idx[:0],
+                            estimate=empty, std_error=empty.real,
+                            prediction=empty)
 
     from . import theory
     ctx = theory.TheoryContext.from_profile(profile, law)
@@ -325,25 +335,15 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     var_im = np.maximum(tot_im2 / good - mean.imag ** 2, 0.0)
     se = np.sqrt((var_re + var_im) / max(good - 1, 1))
 
-    n_pairs = len(pair_idx)
-    moments = []
-    for cols, groups, idx, predict in (
-            (slice(0, n_pairs), pairs, pair_idx, theory.pair_prediction),
-            (slice(n_pairs, None), triples, trip_idx,
-             theory.triple_prediction)):
-        pred = (predict(ctx, *np.transpose(idx), t, eps)
-                if idx else ())
-        entries = {}
-        for group, est, err, p in zip(groups, mean[cols], se[cols], pred):
-            modes = tuple(map(tuple, group))
-            entries[modes] = MomentEntry(
-                modes=modes, estimate=complex(est), std_error=float(err),
-                prediction=complex(p))
-        moments.append(entries)
+    pred = np.concatenate([np.zeros(0, dtype=complex)] + [
+        predict(ctx, *idx.T, t, eps) for idx, predict in (
+            (pair_idx, theory.pair_prediction),
+            (trip_idx, theory.triple_prediction)) if len(idx)])
 
     return MomentReport(eps=eps, t=t, seed=seed,
                         sample_count=good, failed_samples=tuple(failed),
-                        pair_moments=moments[0], triple_moments=moments[1])
+                        box=box, pair_index=pair_idx, triple_index=trip_idx,
+                        estimate=mean, std_error=se, prediction=pred)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def _check_batch(box: LatticeBox, batch: int, held: int, over: str) -> None:
 
 
 def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
-                triple, rotations: int) -> list:
+                triple, rotations: int) -> np.ndarray:
     """Check the arguments of remainder_scan; return the triple's box indices.
 
     Each ConfigError starts with the configuration key it rejects, or
@@ -461,7 +461,7 @@ def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
             or sum(m[1] for m in triple) != 0):
         raise ConfigError(f"triple: {triple} does not sum to zero")
     try:
-        tri = [box.index(n) for n in triple]
+        tri = _box_indices(box, [triple], 3)[0]
     except ValueError as exc:
         raise ConfigError(f"triple: {exc}") from None
     _check_batch(box, min(_BATCH, sample_count),

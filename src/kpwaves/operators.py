@@ -310,17 +310,19 @@ def _squarer(box: LatticeBox, modes: np.ndarray, times: int):
     return state, read, stages
 
 
-def _squarer_bytes(box: LatticeBox, times: int) -> int:
-    """Bytes _squarer holds past its per-sample arrays over `times` stage
-    times: on the dense path the DFT matrices, their per-mode pairs, the
-    stage matrices and a grid of _GRID_BLOCKS blocks; none on the FFT
-    path, whose buffers are all per sample."""
+def _squarer_bytes(box: LatticeBox, times: int, rows: int) -> int:
+    """Bytes _squarer holds past its per-sample arrays for `rows` samples
+    over `times` stage times: on the dense path the DFT matrices, their
+    per-mode pairs, the stage matrices and a grid of the blocks of rows,
+    at most _GRID_BLOCKS; none on the FFT path, whose buffers are all per
+    sample."""
     half = box.size // 2
     length = _fft_embedding(box)[0]
     if half * length > _DENSE_MAX:
         return 0
+    blocks = min(_GRID_BLOCKS, -(-rows // _BLOCK_ROWS))
     return 8 * ((14 + 4 * times) * half * length
-                + _GRID_BLOCKS * _BLOCK_ROWS * length)
+                + blocks * _BLOCK_ROWS * length)
 
 
 def _split_sum(box: LatticeBox, U: np.ndarray, V: np.ndarray,

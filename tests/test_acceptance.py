@@ -178,30 +178,25 @@ def moment_run():
     return ctx, report, len(zero_sum)
 
 
-def _indices(box, entries):
-    """Box-index arrays of the modes of moment entries, one per position."""
-    return np.array([[box.index(v) for v in e.modes] for e in entries]).T
-
-
 def test_pair_moment_match(moment_run):
     ctx, report, _ = moment_run
     budget = 10.0 * EPS_MOMENTS ** 4
     worst_diag = worst_off = 0.0
     fails = 0
-    entries = list(report.pair_moments.values())
-    preds = pair_prediction(ctx, *_indices(ctx.box, entries), T_MOMENTS,
+    n_total = len(report.pair_index)
+    preds = pair_prediction(ctx, *report.pair_index.T, T_MOMENTS,
                             EPS_MOMENTS)
-    for entry, pred in zip(entries, preds):
-        n, m = entry.modes
-        dev = abs(entry.estimate - pred)
-        allow = 4.0 * entry.std_error + budget
+    for (n, m), estimate, std_error, pred in zip(
+            report.pair_index, report.estimate.tolist(),
+            report.std_error.tolist(), preds):
+        dev = abs(estimate - pred)
+        allow = 4.0 * std_error + budget
         if dev > allow:
             fails += 1
         if n == m:
             worst_diag = max(worst_diag, dev / allow)
         else:
             worst_off = max(worst_off, dev / allow)
-    n_total = len(report.pair_moments)
     _gate("pair moments", fails == 0,
           f"all {n_total} pair moments within 4 SE + 10 eps^4; "
           f"worst margin use: diagonal {worst_diag:.3f}, "
@@ -213,17 +208,19 @@ def test_triple_moment_match(moment_run):
     budget = 10.0 * EPS_MOMENTS ** 3
     worst = 0.0
     fails = 0
-    entries = list(report.triple_moments.values())
-    preds = triple_prediction(ctx, *_indices(ctx.box, entries), T_MOMENTS,
+    n_pairs = len(report.pair_index)
+    preds = triple_prediction(ctx, *report.triple_index.T, T_MOMENTS,
                               EPS_MOMENTS)
-    for entry, pred in zip(entries, preds):
-        n, m, p = entry.modes
+    for (n, m, p), estimate, std_error, pred in zip(
+            ctx.box.modes[report.triple_index].tolist(),
+            report.estimate[n_pairs:].tolist(),
+            report.std_error[n_pairs:].tolist(), preds):
         if (n[0] + m[0] + p[0], n[1] + m[1] + p[1]) == (0, 0):
-            allow = 4.0 * entry.std_error + budget
+            allow = 4.0 * std_error + budget
         else:
             pred = 0.0
-            allow = 4.0 * entry.std_error
-        dev = abs(entry.estimate - pred)
+            allow = 4.0 * std_error
+        dev = abs(estimate - pred)
         if dev > allow:
             fails += 1
         worst = max(worst, dev / allow)
@@ -275,7 +272,7 @@ def test_triple_moment_match(moment_run):
           and z_sign >= 25.0 and z_kron >= 25.0)
     _gate("triple moments", ok,
           f"{n_zero_sum} zero-sum triples within 4 SE + 10 eps^3 and "
-          f"{len(report.triple_moments) - n_zero_sum} free triples within "
+          f"{len(report.triple_index) - n_zero_sum} free triples within "
           f"4 SE (worst margin use {worst:.3f}); convention check: "
           f"half_opposite/+1 at {z_chosen:.1f} SE, sign flip {z_sign:.0f} SE "
           f"away, repeated-kron {z_kron:.0f} SE away")

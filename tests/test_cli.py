@@ -209,6 +209,27 @@ def test_readme_memory_figures_match_count():
         assert value == f"{need / 1e9:.2g}", n
 
 
+def test_readme_pre_flight_figures_match_constants():
+    # The pre-flight paragraphs give the constants of the counts: the
+    # bytes per moment, the box-sized arrays per sample of an ensemble
+    # batch (its state and the stepper's arrays) and per field past the
+    # states, simulate's bytes a row and box-limit's bytes a point.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+
+    def figure(pattern):
+        found = re.findall(pattern, text)
+        assert len(found) == 1, pattern
+        return int(found[0])
+
+    assert figure(r"(\d+) bytes per moment") == ensemble._MOMENT_BYTES
+    assert (figure(r"(\d+) box-sized arrays per sample of each batch")
+            == dynamics._EVOLVE_ARRAYS + 1)
+    assert (figure(r"(\d+) box-sized arrays per field past the states")
+            == dynamics._EVOLVE_ARRAYS)
+    assert figure(r"\((\d+) bytes a row\)") == cli._SIMULATE_ROW_BYTES
+    assert figure(r"at (\d+) bytes a point") == theory._BOX_LIMIT_POINT_BYTES
+
+
 def _benchmark_check():
     """The benchmark's output check, perfbench/check.py, loaded by path."""
     spec = importlib.util.spec_from_file_location(
@@ -435,6 +456,30 @@ class TestEnsemble:
         body = [l for l in lines if not l.startswith("#")]
         # header plus one diagonal pair row per mode
         assert len(body) == 1 + 20
+
+    def test_repeated_moment_keeps_its_row(self, tmp_path, capsys):
+        # One row per requested moment, in request order: the pre-flight
+        # counts a repeated moment twice, and the report writes it twice.
+        out_path = tmp_path / "report.csv"
+        cfg = write_cfg(tmp_path,
+                        "command = ensemble\nbox = 2 2\neps = 0.1\nt = 0.5\n"
+                        "sample_count = 16\ndt = 0.05\n"
+                        "pairs = 2 1 2 1; 1 0 1 0; 2 1 2 1\n"
+                        "triples = 1 0 1 0 -2 0; 1 0 1 0 -2 0\n"
+                        f"out = {out_path}\n")
+        assert main(["--config", cfg]) == 0
+        assert "3 pair and 2 triple moments" in capsys.readouterr().out
+        rows = list(csv.reader(l for l in out_path.read_text().splitlines()
+                               if not l.startswith("#")))[1:]
+        assert [row[:7] for row in rows] == [
+            ["pair", "2", "1", "2", "1", "", ""],
+            ["pair", "1", "0", "1", "0", "", ""],
+            ["pair", "2", "1", "2", "1", "", ""],
+            ["triple", "1", "0", "1", "0", "-2", "0"],
+            ["triple", "1", "0", "1", "0", "-2", "0"]]
+        assert rows[0] == rows[2] and rows[3] == rows[4]
+        assert len(rows) == cli._moment_count(load_config(cfg),
+                                              cli.LatticeBox(2, 2))
 
     @pytest.mark.parametrize("extra, key", [
         ("pairs = 1 0 1 0; 5 0 5 0\ntriples = none\n", "pairs"),
@@ -1176,6 +1221,9 @@ def test_ensemble_pre_flight_passes_what_fits(tmp_path, capsys, monkeypatch):
                  id="3x3-all-1000-threads"),
     pytest.param("4 4", "all", "zero-sum", 256, 1, None,
                  id="4x4-all-256"),
+    # 23,676 moments of one sample: the bytes per moment are most of the
+    # count.
+    pytest.param("6 6", "all", "zero-sum", 1, 1, None, id="6x6-all-1"),
 ])
 def test_ensemble_count_bounds_traced_peak(tmp_path, capsys, monkeypatch,
                                            box, pairs, triples, count,

@@ -249,14 +249,18 @@ def test_states_are_exactly_real(box33, make_field):
                                   np.conj(states[..., box33.conj_idx]))
 
 
-@pytest.mark.parametrize("size", [(2, 1), (3, 3), (4, 4), (6, 6)],
+@pytest.mark.parametrize("size, dense", [((2, 1), True), ((3, 3), True),
+                                         ((4, 4), False), ((6, 6), False)],
                          ids=["2x1-dense", "3x3-dense", "4x4-fft", "6x6-fft"])
-def test_evolve_count_bounds_traced_peak(size):
+def test_evolve_count_bounds_traced_peak(size, dense):
     # _evolve_bytes counts the states, _EVOLVE_ARRAYS box-sized arrays per
     # field and the fixed buffers of the squarer and the stage phases.  A
     # lone sample on the FFT path peaked at 17-22 arrays past its states,
     # mostly fixed buffers; from 256 fields on, the rise per field stays
-    # within the arrays counted per field.
+    # within the arrays counted per field.  The dense squarer's grid holds
+    # only the blocks of rows it is given: a lone sample is counted one
+    # block, and its count read 1.2-2.0 times its peak, where a grid of
+    # _GRID_BLOCKS blocks read 1.9-3.8 (3x3, 2x1).
     box = LatticeBox(*size)
     profile = SpectrumProfile.power_decay(box, 0.3, 1.0)
     U0 = profile.lambdas() * sample_g_batch(box, RandomLaw.steinhaus(), 0,
@@ -271,6 +275,8 @@ def test_evolve_count_bounds_traced_peak(size):
             needs.append(_evolve_bytes(box, rows, times))
             assert peaks[-1] <= needs[-1], (rows, times)
         assert peaks[2] - peaks[1] <= needs[2] - needs[1], times
+        if dense:
+            assert needs[0] <= 2.5 * peaks[0], times
 
 
 def test_rejects_non_real_fields(box22, make_field):

@@ -14,6 +14,7 @@ from kpwaves.dynamics import (NonFiniteError, _default_dt, _evolve_bytes,
                               evolve_coeffs)
 from kpwaves.ensemble import (
     _moment_sums,
+    MomentReport,
     ScanResult,
     estimate_moments,
     fit_log_slope,
@@ -194,19 +195,62 @@ class TestEstimateMoments:
         # with vanishing standard error.
         report = self.estimate(box22)
         lam = SpectrumProfile.power_decay(box22, 0.5, 1.0).lambdas()
-        for (n, m), entry in report.pair_moments.items():
-            expected = lam[box22.index(n)] ** 2
-            assert entry.estimate.real == pytest.approx(expected, rel=1e-12)
-            assert abs(entry.estimate.imag) < 1e-14
+        for (n, m), estimate, std_error, prediction in zip(
+                report.pair_index, report.estimate, report.std_error,
+                report.prediction):
+            expected = lam[n] ** 2
+            assert estimate.real == pytest.approx(expected, rel=1e-12)
+            assert abs(estimate.imag) < 1e-14
             # the one-pass variance leaves a cancellation floor of about
             # |mean| * sqrt(machine eps), far below any physical scale
-            assert entry.std_error < 1e-8
-            assert abs(entry.estimate - entry.prediction) < 1e-12
+            assert std_error < 1e-8
+            assert abs(estimate - prediction) < 1e-12
 
     def test_zero_samples_yield_empty_report(self, box22):
         report = self.estimate(box22, sample_count=0)
         assert report.sample_count == 0
-        assert report.pair_moments == {} and report.triple_moments == {}
+        assert len(report.pair_index) == 0 and len(report.triple_index) == 0
+        assert report.rows() == []
+
+    def test_z_score_at_zero_error(self, box22):
+        # 0 where both the deviation and the error vanish, inf where only
+        # the error does; the z_score column is the property's.
+        report = MomentReport(
+            eps=0.1, t=1.0, seed=0, sample_count=2, failed_samples=(),
+            box=box22, pair_index=np.array([[0, 0], [1, 1], [2, 2]]),
+            triple_index=np.zeros((0, 3), dtype=np.int64),
+            estimate=np.array([1 + 1j, 1 + 1j, 2.0]),
+            std_error=np.array([0.0, 0.0, 0.5]),
+            prediction=np.array([1 + 1j, 1.0, 1.5]))
+        assert report.z_score.tolist() == [0.0, math.inf, 1.0]
+        assert [row[-1] for row in report.rows()] == [0.0, math.inf, 1.0]
+
+    def test_z_score_column_is_the_scalar_quotient(self, box22):
+        # abs(complex(e - p)) / s to the last bit, on every pair and
+        # zero-sum triple of 2x2; np.abs of a complex array rounds the
+        # modulus differently from abs of a Python complex.
+        modes = mode_list(box22)
+        i, j = np.triu_indices(box22.size)
+        report = self.estimate(
+            box22, eps=0.3, sample_count=64,
+            pairs=[(modes[a], modes[b]) for a, b in zip(i, j)],
+            triples=[tuple(modes[k] for k in trip)
+                     for trip in zip(*zero_sum_triples(box22))])
+        rows = report.rows()
+        assert len(rows) == len(i) + len(zero_sum_triples(box22)[0])
+        for row in rows:
+            e, s, p = complex(*row[7:9]), row[9], complex(*row[10:12])
+            assert s > 0 and row[12] == abs(complex(e - p)) / s, row
+
+    @pytest.mark.parametrize("kw", [
+        dict(pairs=(((1, 0), (1, 0)), ((5, 0), (1, 0)))),
+        dict(pairs=np.array([[[1, 0], [5, 0]]])),
+        dict(triples=(((1, 0), (1, 0), (-2, 0)), ((1, 0), (5, 0), (-6, 0)))),
+    ], ids=["pairs", "pair-array", "triples"])
+    def test_mode_outside_box_names_it(self, box22, kw):
+        with pytest.raises(ValueError) as info:
+            self.estimate(box22, **kw)
+        assert str(info.value) == "mode (5, 0) is outside LatticeBox(2, 2)"
 
     def test_batch_size_does_not_change_results(self, box22, monkeypatch):
         diagonal = tuple((n, n) for n in mode_list(box22))
@@ -216,12 +260,10 @@ class TestEstimateMoments:
             reports.append(self.estimate(box22, eps=0.1, sample_count=200,
                                          pairs=diagonal))
         for other in reports[1:]:
-            for key, entry in reports[0].pair_moments.items():
-                assert other.pair_moments[key].estimate == entry.estimate
-                assert other.pair_moments[key].std_error == entry.std_error
-            for key, entry in reports[0].triple_moments.items():
-                assert other.triple_moments[key].estimate == entry.estimate
-                assert other.triple_moments[key].std_error == entry.std_error
+            for name in ("pair_index", "triple_index", "estimate",
+                         "std_error"):
+                np.testing.assert_array_equal(getattr(other, name),
+                                              getattr(reports[0], name))
 
     def test_block_sums_match_fsum(self, box22):
         # 150 evolved samples fed in batches of 50, so that batches cut
@@ -233,7 +275,7 @@ class TestEstimateMoments:
         U = evolve_coeffs(box22, profile.lambdas() * G, 0.1, [0.5], 0.05)[0]
         pair_idx = [(0, 0), (3, 3), (3, 7), (12, 2)]
         trip_idx = [(5, 5, 12), (16, 1, 10)]
-        sums = _moment_sums(box22, pair_idx, trip_idx)
+        sums = _moment_sums(box22, np.array(pair_idx), np.array(trip_idx))
         for lo in range(0, 150, 50):
             sums.add(U[lo:lo + 50])
         got = sums.finish().reshape(2, 6, 2)
@@ -285,17 +327,16 @@ class TestEstimateMoments:
         monkeypatch.setattr(ensemble, "_BATCH", 16)
         serial = self.estimate(box22, eps=0.1, sample_count=64, threads=1)
         threaded = self.estimate(box22, eps=0.1, sample_count=64, threads=3)
-        for key in serial.pair_moments:
-            assert (serial.pair_moments[key].estimate
-                    == threaded.pair_moments[key].estimate)
-        for key in serial.triple_moments:
-            assert (serial.triple_moments[key].estimate
-                    == threaded.triple_moments[key].estimate)
+        np.testing.assert_array_equal(serial.pair_index, threaded.pair_index)
+        np.testing.assert_array_equal(serial.triple_index,
+                                      threaded.triple_index)
+        np.testing.assert_array_equal(serial.estimate, threaded.estimate)
 
 
 def _whole_width_sums(box, pair_idx, trip_idx):
     """_moment_sums with the products of every column of a block formed at
     once: the block sum of the moment summands, written out."""
+    pair_idx, trip_idx = pair_idx.tolist(), trip_idx.tolist()
     n_pairs = len(pair_idx)
     a_idx = np.array([p[0] for p in pair_idx + trip_idx], dtype=np.int64)
     b_idx = np.array([j for _, j in pair_idx]
@@ -337,10 +378,8 @@ class TestStreamedReduction:
         # [256, 512); and 1569 columns, whose last chunk holds 33.  The
         # 150 samples come in batches of 50, which cut the blocks.
         assert ensemble._COLUMNS == 256
-        i, j = np.triu_indices(box33.size)
-        pairs = list(zip(i.tolist(), j.tolist()))[:n_pairs]
-        triples = list(zip(*(a.tolist()
-                             for a in zero_sum_triples(box33))))[:n_triples]
+        pairs = np.stack(np.triu_indices(box33.size), axis=1)[:n_pairs]
+        triples = np.stack(zero_sum_triples(box33), axis=1)[:n_triples]
         assert len(pairs) == n_pairs and len(triples) == n_triples
         chunked = _moment_sums(box33, pairs, triples)
         whole = _whole_width_sums(box33, pairs, triples)
