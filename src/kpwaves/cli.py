@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .lattice import ConfigError, LatticeBox
+from .lattice import ConfigError, LatticeBox, _check_memory
 from .sampling import (RandomLaw, SpectrumProfile, normalize_profile,
                        sample_g_batch, sample_u0)
 
@@ -438,7 +438,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Integrate one seeded sample and write its trajectory."""
     from .dynamics import (_diverged, _evolve_bytes, _step, evolve_coeffs,
                            NonFiniteError)
-    from .operators import _check_memory
     box, law, profile = _inputs(cfg)
     eps = cfg.eps[0]
     times = _time_grid(cfg) if cfg.t_grid is not None else np.array([cfg.t])

@@ -10,32 +10,60 @@ remaining nonautonomous system is stepped with classical RK4.  The
 quadratic term conserves sum |u_n|^2 exactly at the level of the ODE, so
 any drift in that quantity is integrator error.
 
-A right-hand side at stage time tau is Q * square(P * w), with the gauge
-phases P = e^{i omega tau} and Q = coef conj(P) folding in the coupling
-coef = -i eps n1 / 2.  The stepper takes P and Q of the stage times
-t0 + j h / 2 of up to _PHASE_CHUNK = 2 steps with one np.exp, t0 the
-start of the segment, from the clock: a phase carried from step to step
-by e^{i omega h} would gather roundoff.  The squarer takes them into its
-kernel (operators._squarer): folded into its DFT matrices up to 3x3,
-multiplied in past that.  The four stages run in place in three
-registers: the state, the sum of the slopes, and a stage's state, which
-its slope overwrites.  Stepping 1000 samples of the 3x3 box through 56
-steps took 125 ms of process CPU on one core, against 196 ms with the
-phases multiplied into every stage's state and square; 1000 samples of
-the 2x2 box through 72 steps, the remainder scan's four eps at once,
-took 50 against 90 ms, and 250 samples 16 against 24 ms (medians of 21
-alternating runs on a shared 2-core machine).  Calibrating the step on
-a lone sample at 3x3, where the fold costs about what it saves, took
-117 against 114 ms.  The registers and the squarer's buffers are
-dropped before the last requested state is read into the output, whose
-pages that read writes first.
-
 Only real fields, u_{-n} = conj(u_n), are evolved.  The stepper keeps the
-n1 > 0 half of the spectrum; each right-hand side squares the real grid
-that those modes span (operators._squarer) and reads the n1 > 0 modes of
-the square's spectrum back: the one split sum k + l = n not taken over
-the pair table.  The n1 < 0 half of each returned state is the exact
-conjugate mirror.
+H = N1 (2 N2 + 1) modes with n1 > 0; the n1 < 0 half of each returned
+state is the exact conjugate mirror.  A right-hand side at stage time tau
+is Q * square(P * w), with the gauge phases P = e^{i omega tau} and
+Q = coef conj(P) folding in the coupling coef = -i eps n1 / 2: it squares
+the real grid that the modes of P w span and reads the n1 > 0 modes of
+the square's spectrum back (_squarer), the one split sum k + l = n not
+taken over the pair table.  The grid is 1-D, zero-padded to a length L
+at which it is alias-free on the box (_fft_embedding).
+
+While H L <= _DENSE_MAX = 4096 (2x1, 2x2 and 3x3) the two transforms
+are real matrix products with the grid's DFT on the H modes
+(_dense_embedding): grid = X E, square, spec = grid F; larger boxes
+keep an irfft/rfft pair on the grid's half-spectrum (_positive_rows).
+The BLAS rounds a sample differently with the number of samples in its
+call, so the samples go in zero-padded blocks of _BLOCK_ROWS = 32
+through products of one fixed shape, with the grid of at most
+_GRID_BLOCKS = 16 blocks held at a time to cap its memory, and a
+sample's bits do not depend on its batch.
+The two paths agree to roundoff, not bitwise.  One square on one core
+(medians of 40 rounds of 50 calls) cost 39 us against 111 us for the
+FFT pair at 2x2 (250 samples) and 467 against 839 us at 3x3 (1000
+samples); blocks of 8 rows cost 48 and 523 us.  A lone sample pays for
+the padding: 22 us at 3x3 against 12 us in blocks of 8 and 19 us by
+FFT, and 237 us against 28 by FFT at 6x6.
+
+The dense path folds the phases into its matrices, P into the rows of E
+and Q into the columns of F, so that a right-hand side is two products
+and a square of the state itself; a block keeps its samples in columns,
+and the products run as E^T X^T and F^T grid^T, which the BLAS ran
+10-15% faster than X E and grid F at 1 and 32 blocks of 2x2 and 3x3.
+The FFT path multiplies the phases in.  A right-hand side took 135 us
+at 2x2 and 450 us at 3x3 (1000 samples), against 226 and 700 us with
+the phases multiplied into the state and the square, and 22 against
+32 us for a lone sample at 3x3.  The stepper takes P and Q of the stage
+times t0 + j h / 2 of up to _PHASE_CHUNK = 2 steps with one np.exp, t0
+the start of the segment, from the clock: a phase carried from step to
+step by e^{i omega h} would gather roundoff.  Folding the 5 stage times
+of a chunk of 2 steps took 12 and 26 us for 1000 samples, against 20
+and 62 us for the 17 of a chunk of 8 (medians of 40 rounds of 50
+calls).
+
+The four stages run in place in three registers: the state, the sum of
+the slopes, and a stage's state, which its slope overwrites.  Stepping
+1000 samples of the 3x3 box through 56 steps took 125 ms of process CPU
+on one core, against 196 ms with the phases multiplied into every
+stage's state and square; 1000 samples of the 2x2 box through 72 steps,
+the remainder scan's four eps at once, took 50 against 90 ms, and 250
+samples 16 against 24 ms (medians of 21 alternating runs on a shared
+2-core machine).  Calibrating the step on a lone sample at 3x3, where
+the fold costs about what it saves, took 117 against 114 ms.  The
+registers and the squarer's buffers are dropped before the last
+requested state is read into the output, whose pages that read writes
+first.
 
 evolve_coeffs is the one front end of the RK4 stepper; it returns the
 states at the requested times, and its callers find the samples that
@@ -47,10 +75,12 @@ dt, or the step calibrate_dt picks for sample 0.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .lattice import LatticeBox, _symmetry_defect
-from .operators import _squarer, _squarer_bytes
 from .sampling import RandomLaw, SpectrumProfile, sample_u0
 
 __all__ = [
@@ -78,6 +108,14 @@ _PHASE_CHUNK = 2
 # batches, boxes 1x0 to 6x6, read 3.5-4.3 and 7.0-7.3 with the state.
 _EVOLVE_ARRAYS = 7
 
+# The dense path of _squarer: samples per block of the matrix products
+# (the last block padded with zero samples), the largest H L it runs at,
+# and the most blocks whose grid it holds at once; see the module
+# docstring.
+_BLOCK_ROWS = 32
+_DENSE_MAX = 4096
+_GRID_BLOCKS = 16
+
 
 class NonFiniteError(RuntimeError):
     """An evolved state contained NaN or infinity."""
@@ -102,6 +140,162 @@ def _default_dt(box: LatticeBox) -> float:
 default_dt = _default_dt
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@lru_cache(maxsize=None)
+def _fft_embedding(box: LatticeBox) -> tuple[int, np.ndarray]:
+    """Grid length L and the grid position of every mode of the box.
+
+    Mode n sits at (n1 S + n2) mod L on a periodic 1-D grid, S = 3 N2 + 1,
+    L the smallest 5-smooth length >= 3 N1 S + 3 N2 + 1, so the grid's
+    cyclic convolution is alias-free on the box: |k2 + l2| <= 2 N2 keeps
+    rows apart, and the linear index of k + l differs from that of any box
+    mode by at most 3 N1 S + 3 N2 < L, so it wraps onto n only if
+    k + l = n.  The n1 > 0 modes sit at 1..N1 S + N2, inside the
+    half-spectrum 0..L/2 of a real grid.
+    """
+    stride = 3 * box.n2_max + 1
+    length = _smooth_length(3 * box.n1_max * stride + 3 * box.n2_max + 1)
+    return length, (box.n1 * stride + box.n2) % length
+
+
+@lru_cache(maxsize=None)
+def _dense_embedding(box: LatticeBox) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode row pairs of the grid's real DFT on the H modes of the box
+    with n1 > 0, the operands into which _squarer folds the stage phases.
+
+    E is (2 H, L) and F is (L, 2 H), real and imaginary parts interleaved
+    as in a complex array viewed as float.  For the n1 > 0 half u of a real
+    field, u.view(float) @ E is the real grid of its half-spectrum (the
+    irfft of _positive_rows's buffer), and (grid @ F).view(complex) the
+    rfft of a real grid at those modes, both with norm="forward".  Returns
+    (pairs_e, pairs_f), each (H, 2, 2 L): for mode h, rows 2h and 2h + 1
+    of E (which take Re u_h and Im u_h) and of F^T (which give the
+    spectrum's Re and Im at h) end to end, then the same rows for a factor
+    i, so that c + i s folds in as c times the first pair plus s times the
+    second.  Every caller gets the cached pairs, read-only.
+    """
+    length, pos = _fft_embedding(box)
+    # p x is reduced mod L in integers, so every angle lies in [0, 2 pi).
+    phase = np.outer(pos[box.size // 2:], np.arange(length)) % length
+    theta = (2.0 * np.pi / length) * phase
+    cos, sin = np.cos(theta), np.sin(theta)
+    shape = (len(theta), 2, 2 * length)
+    pairs_e = np.stack([2.0 * cos, -2.0 * sin, -2.0 * sin, -2.0 * cos],
+                       axis=1).reshape(shape)
+    pairs_f = (np.stack([cos, -sin, sin, cos], axis=1) / length).reshape(shape)
+    pairs_e.flags.writeable = pairs_f.flags.writeable = False
+    return pairs_e, pairs_f
+
+
+def _positive_rows(box: LatticeBox, half_spectrum: np.ndarray) -> np.ndarray:
+    """View of the n1 > 0 modes in the last axis of a half-spectrum of the
+    grid (length L // 2 + 1), shaped (..., N1, 2 N2 + 1) in box order."""
+    stride = 3 * box.n2_max + 1
+    lo = stride - box.n2_max
+    rows = half_spectrum[..., lo:lo + box.n1_max * stride]
+    rows = rows.reshape(rows.shape[:-1] + (box.n1_max, stride))
+    return rows[..., :2 * box.n2_max + 1]
+
+
+def _squarer(box: LatticeBox, modes: np.ndarray):
+    """State and quadratic kernel of the gauged flow for a batch of states.
+
+    modes holds the n1 > 0 modes of a batch of real fields, shaped
+    batch + (N1, 2 N2 + 1).  Returns (state, read, stages): state holds
+    them in the kernel's layout, read(a, out) writes the modes of an
+    array of that layout into out, shaped (batch size, H) with its last
+    axis contiguous, and zeroed arrays of the same layout serve as the
+    stepper's other registers.  stages(P, Q) takes the gauge phases of
+    the stage times of up to _PHASE_CHUNK steps, shaped
+    (T, N1, 2 N2 + 1), and returns rhs(j, Y, out), which writes Q[j]
+    times the spectrum of the square of the grid of P[j] Y into the
+    register out; out may be Y.  Padding stays zero under linear
+    combinations of registers.  The buffers are allocated per call, so
+    calls are independent.
+    """
+    half = box.size // 2
+    batch = modes.shape[:-2]
+    length = _fft_embedding(box)[0]
+    if half * length <= _DENSE_MAX:
+        pairs_e, pairs_f = _dense_embedding(box)
+        n = math.prod(batch)
+        blocks = -(-n // _BLOCK_ROWS)
+        # A block holds the real and imaginary part of mode h of its
+        # samples in rows 2h and 2h + 1 (see the module docstring).
+        state = np.zeros((blocks, 2 * half, _BLOCK_ROWS))
+        given = np.ascontiguousarray(modes).reshape(n, half).view(float)
+        for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+            state[b, :, :n - lo] = given[lo:lo + _BLOCK_ROWS].T
+        grid = np.empty((min(_GRID_BLOCKS, blocks), length, _BLOCK_ROWS))
+        groups = [(slice(lo, lo + _GRID_BLOCKS), grid[:blocks - lo])
+                  for lo in range(0, blocks, _GRID_BLOCKS)]
+        stage_e = np.empty((2 * _PHASE_CHUNK + 1, 2 * half, length))
+        stage_f = np.empty_like(stage_e)
+
+        def fold(phases, pairs, out):
+            # One product per mode of its (c, s) over the stage times.
+            T = len(phases)
+            np.matmul(phases.view(float).reshape(T, half, 2)
+                      .transpose(1, 0, 2), pairs,
+                      out=out[:T].reshape(T, half, -1).transpose(1, 0, 2))
+
+        def stages(P, Q):
+            fold(P, pairs_e, stage_e)
+            fold(Q, pairs_f, stage_f)
+
+            def rhs(j, Y, out):
+                # Each block is its own GEMM, and every GEMM has one shape.
+                for part, x in groups:
+                    np.matmul(stage_e[j].T, Y[part], out=x)
+                    np.square(x, out=x)
+                    np.matmul(stage_f[j], x, out=out[part])
+
+            return rhs
+
+        def read(a, out):
+            dst = out.view(float)
+            for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+                dst[lo:lo + _BLOCK_ROWS] = a[b, :, :n - lo].T
+
+        return state, read, stages
+    # Half-spectrum of the real grid (zero off the box), the grid, and the
+    # spectrum of its square.
+    state = np.ascontiguousarray(modes, dtype=np.complex128)
+    buf = np.zeros(batch + (length // 2 + 1,), dtype=np.complex128)
+    grid = np.empty(batch + (length,))
+    spec = np.empty_like(buf)
+    src, dst = _positive_rows(box, buf), _positive_rows(box, spec)
+
+    def stages(P, Q):
+        def rhs(j, Y, out):
+            np.multiply(P[j], Y, out=src)
+            # irfft gives the grid with its index reversed, which the
+            # square and the forward rfft undo: spec is the cyclic
+            # convolution of buf.
+            np.fft.irfft(buf, length, norm="forward", out=grid)
+            np.square(grid, out=grid)
+            np.fft.rfft(grid, norm="forward", out=spec)
+            np.multiply(Q[j], dst, out=out)
+
+        return rhs
+
+    def read(a, out):
+        out[...] = a.reshape(-1, half)
+
+    return state, read, stages
+
+
 def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
                   segments, out: np.ndarray) -> None:
     """Step a real U0 from t0 through (n_steps, h, t_end) segments by RK4.
@@ -117,8 +311,7 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
     coef = (-0.5j * eps) * box.n1[half:].reshape(rows)
     batch = U0.shape[:-1]
     W, read, stages = _squarer(
-        box, U0[..., half:].reshape(batch + rows) * np.exp(-1j * om * t0),
-        2 * _PHASE_CHUNK + 1)
+        box, U0[..., half:].reshape(batch + rows) * np.exp(-1j * om * t0))
     # acc sums ((k1 + 2 k2) + 2 k3) + k4; y holds the next stage's state,
     # then that stage's slope.
     acc, y = np.zeros_like(W), np.zeros_like(W)
@@ -166,12 +359,20 @@ def _rk4_segments(box: LatticeBox, U0: np.ndarray, eps: float, t0: float,
 def _evolve_bytes(box: LatticeBox, rows: int, times: int) -> int:
     """Bytes evolve_coeffs holds at most for `rows` fields that return
     `times` states: _EVOLVE_ARRAYS box-sized arrays per field past its
-    states, the squarer's matrices and grid, the stage phases P and Q of two
-    chunks with a transient, a read's gauge phase and 64 KiB of others."""
+    states, the stage phases P and Q of two chunks with a transient, a
+    read's gauge phase and 64 KiB of others; on the dense path also the
+    folded pairs, the stage matrices and a grid of the blocks of rows, at
+    most _GRID_BLOCKS, as _squarer allocates them (the FFT path's buffers
+    are all per field)."""
     stages, half = 2 * _PHASE_CHUNK + 1, box.size // 2
-    return (16 * box.size * rows * (times + _EVOLVE_ARRAYS)
-            + _squarer_bytes(box, stages, rows) + 16 * half * (6 * stages + 2)
-            + (1 << 16))
+    length = _fft_embedding(box)[0]
+    dense = 0
+    if half * length <= _DENSE_MAX:
+        blocks = min(_GRID_BLOCKS, -(-rows // _BLOCK_ROWS))
+        dense = 8 * ((8 + 4 * stages) * half * length
+                     + blocks * _BLOCK_ROWS * length)
+    return (16 * box.size * rows * (times + _EVOLVE_ARRAYS) + dense
+            + 16 * half * (6 * stages + 2) + (1 << 16))
 
 
 def evolve_coeffs(box: LatticeBox, U0: np.ndarray, eps: float,

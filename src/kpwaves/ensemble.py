@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ConfigError, LatticeBox, apply_free_flow, hs_norm
-from . import operators
+from .lattice import (ConfigError, LatticeBox, _check_memory,
+                      apply_free_flow, hs_norm)
 from .dynamics import (_diverged, _evolve_bytes, _step, evolve_coeffs,
                        NonFiniteError)
 from .sampling import RandomLaw, SpectrumProfile, sample_g_batch
@@ -223,7 +223,7 @@ def _check_moments(box: LatticeBox, sample_count: int, moments: int,
     """Raise ConfigError when an ensemble of `moments` moments would not
     fit in physical memory; the message names the moments, the box, the
     batch and the threads."""
-    operators._check_memory(
+    _check_memory(
         _moment_bytes(box, sample_count, moments, threads),
         f"ensemble: {moments} moments of {box!r} over batches of "
         f"{min(_BATCH, sample_count)} samples on {threads} "
@@ -252,7 +252,8 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     array.  They are taken to box indices once (ValueError for a mode
     outside the box), and the report has a row per requested moment, in
     request order.  dt = None picks a step by halving until the
-    step-doubling error of a probe sample falls below 1e-8.
+    step-doubling error of a probe sample falls below 1e-8; with no
+    samples the report is empty and no step is picked.
 
     The estimator is the plain sample mean over sample_count draws, with
     componentwise standard errors combined in quadrature.  Samples whose
@@ -266,6 +267,13 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     _check_moments(box, sample_count, len(pairs) + len(triples), threads)
     pair_idx, trip_idx = (_box_indices(box, groups, width)
                           for groups, width in ((pairs, 2), (triples, 3)))
+    if sample_count <= 0:
+        empty = np.zeros(0, dtype=complex)
+        return MomentReport(eps=eps, t=t, seed=seed,
+                            sample_count=0, failed_samples=(), box=box,
+                            pair_index=pair_idx[:0], triple_index=trip_idx[:0],
+                            estimate=empty, std_error=empty.real,
+                            prediction=empty)
     lam = profile.lambdas()
     dt, _ = _step(profile, law, seed, eps, t, dt)
 
@@ -317,14 +325,7 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
         reduce_all(run_batch(*ab) for ab in batches)
 
     if good == 0:
-        if sample_count > 0:
-            raise RuntimeError("every sample diverged; nothing to estimate")
-        empty = np.zeros(0, dtype=complex)
-        return MomentReport(eps=eps, t=t, seed=seed,
-                            sample_count=0, failed_samples=(), box=box,
-                            pair_index=pair_idx[:0], triple_index=trip_idx[:0],
-                            estimate=empty, std_error=empty.real,
-                            prediction=empty)
+        raise RuntimeError("every sample diverged; nothing to estimate")
 
     from . import theory
     ctx = theory.TheoryContext.from_profile(profile, law)
@@ -425,7 +426,7 @@ def _check_batch(box: LatticeBox, batch: int, held: int, over: str) -> None:
     from .picard import _check_contraction, _nested_plan, _pass_bytes
     _check_contraction(box, batch)
     try:
-        operators._check_memory(
+        _check_memory(
             _pass_bytes(box, batch) + held,
             f"sample_count: a batch of {batch} samples of {box!r} over "
             f"{over}")

@@ -10,9 +10,15 @@ broadcast through.  Physical fields obey the reality symmetry
 u(-n) = conj(u(n)), which evolve_coeffs checks of its initial data.
 phi1 is the time integral of a free-flow phase, shared by the Picard
 corrections and the closed-form triple moment.
+
+ConfigError is exit 2, raised by the configuration parser and by the
+pre-flight checks of every layer; _check_memory is the one memory check
+among them, against the machine's physical memory.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -29,6 +35,20 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration: exit 2."""
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Raise ConfigError when `what`, which needs `need` bytes, would
+    exceed physical memory; the message starts with `what`."""
+    memory = _physical_memory()
+    if need > memory:
+        raise ConfigError(f"{what} needs {need} bytes, more than the "
+                          f"{memory} bytes of physical memory")
 
 
 def omega(n):
@@ -53,7 +73,7 @@ class LatticeBox:
     """
 
     __slots__ = ("n1_max", "n2_max", "modes", "n1", "n2", "size",
-                 "conj_idx", "omega", "_index", "_grid")
+                 "conj_idx", "omega", "_grid")
 
     def __init__(self, n1_max: int, n2_max: int):
         if n1_max < 1 or n2_max < 0:
@@ -67,7 +87,6 @@ class LatticeBox:
         self.n1 = self.modes[:, 0].copy()
         self.n2 = self.modes[:, 1].copy()
         self.size = len(modes)
-        self._index = {m: i for i, m in enumerate(modes)}
         # Offset-indexed lookup grid, -1 marks vectors outside the box.
         grid = np.full((2 * self.n1_max + 1, 2 * self.n2_max + 1), -1,
                        dtype=np.int64)
@@ -77,26 +96,31 @@ class LatticeBox:
         self.conj_idx = self.lookup(-self.n1, -self.n2)
         self.omega = omega((self.n1, self.n2))
 
+    def _inside(self, a1, a2):
+        """Whether (a1, a2) is a mode of the box, elementwise for arrays."""
+        return (abs(a1) >= 1) & (abs(a1) <= self.n1_max) \
+            & (abs(a2) <= self.n2_max)
+
     def index(self, n) -> int:
         """Position of mode n in the canonical ordering."""
-        try:
-            return self._index[(int(n[0]), int(n[1]))]
-        except KeyError:
-            raise ValueError(f"mode {tuple(n)} is outside {self!r}") from None
+        a1, a2 = int(n[0]), int(n[1])
+        if not self._inside(a1, a2):
+            raise ValueError(f"mode {tuple(n)} is outside {self!r}")
+        # Not through lookup, which perfbench/tracer.py wraps and counts.
+        return int(self._grid[a1 + self.n1_max, a2 + self.n2_max])
 
     def lookup(self, a1, a2):
         """Vectorized index lookup; returns -1 where (a1, a2) is not in the box."""
         a1 = np.asarray(a1, dtype=np.int64)
         a2 = np.asarray(a2, dtype=np.int64)
-        inside = (np.abs(a1) >= 1) & (np.abs(a1) <= self.n1_max) \
-            & (np.abs(a2) <= self.n2_max)
+        inside = self._inside(a1, a2)
         out = np.full(np.broadcast(a1, a2).shape, -1, dtype=np.int64)
         out[inside] = self._grid[a1[inside] + self.n1_max,
                                  a2[inside] + self.n2_max]
         return out
 
     def __contains__(self, n) -> bool:
-        return (int(n[0]), int(n[1])) in self._index
+        return self._inside(int(n[0]), int(n[1]))
 
     def __eq__(self, other):
         return (isinstance(other, LatticeBox)

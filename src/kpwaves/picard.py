@@ -42,8 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import operators
-from .lattice import ConfigError, LatticeBox, apply_free_flow, hs_norm, phi1
+from .lattice import (ConfigError, LatticeBox, _check_memory,
+                      apply_free_flow, hs_norm, phi1)
 from .operators import pair_table, segment_sum, s_map, dx_product, f_map
 
 __all__ = [
@@ -323,9 +323,9 @@ def _check_contraction(box: LatticeBox, batch: int) -> None:
     build) or a Picard pass over `batch` fields (counted from the built
     plan) would exceed physical memory; a failed check caches no plan."""
     what = f"Picard contraction of {box!r} over {batch} samples"
-    operators._check_memory(_build_bytes(box), what)
+    _check_memory(_build_bytes(box), what)
     try:
-        operators._check_memory(_pass_bytes(box, batch), what)
+        _check_memory(_pass_bytes(box, batch), what)
     except ConfigError:
         _nested_plan.cache_clear()
         raise

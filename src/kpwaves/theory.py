@@ -38,8 +38,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import LatticeBox, hs_weights, omega, phi1
-from .operators import _check_memory, pair_table
+from .lattice import LatticeBox, _check_memory, hs_weights, omega, phi1
+from .operators import pair_table
 
 __all__ = [
     "TheoryContext",

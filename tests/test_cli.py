@@ -16,7 +16,7 @@ import pytest
 
 import numpy as np
 
-from kpwaves import cli, dynamics, ensemble, operators, picard, theory
+from kpwaves import cli, dynamics, ensemble, lattice, picard, theory
 from kpwaves.cli import ConfigError, load_config, main
 from kpwaves.dynamics import calibrate_dt
 from kpwaves.ensemble import MomentReport
@@ -443,6 +443,25 @@ class TestEnsemble:
         assert data["results"] == {"columns": list(MomentReport.COLUMNS),
                                    "rows": []}
 
+    def test_zero_samples_skip_the_calibration(self, tmp_path, monkeypatch,
+                                               capsys):
+        # With no dt the step would be calibrated on sample 0, which a
+        # zero-sample ensemble never draws.
+        def fail(*args, **kwargs):
+            raise dynamics.CalibrationError("calibrated")
+
+        monkeypatch.setattr(dynamics, "calibrate_dt", fail)
+        out_path = tmp_path / "report.json"
+        cfg = write_cfg(tmp_path,
+                        "command = ensemble\nbox = 3 3\neps = 0.1\nt = 20\n"
+                        "sample_count = 0\nformat = json\n"
+                        f"out = {out_path}\n")
+        assert main(["--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        data = json.loads(out_path.read_text())
+        assert data["results"] == {"columns": list(MomentReport.COLUMNS),
+                                   "rows": []}
+
     def test_small_run_writes_rows(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
         cfg = write_cfg(tmp_path,
@@ -688,7 +707,7 @@ class TestBoxLimit:
         need = theory._BOX_LIMIT_POINT_BYTES * (2 * 9 + 1) * (2 * 8 + 1)
         memory = need - 1
         assert theory._BOX_LIMIT_POINT_BYTES * 11 * 9 <= memory
-        monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
         monkeypatch.setattr(theory, "box_limit_f2",
                             lambda *a, **k: pytest.fail("a size ran"))
         out_path = tmp_path / "bl.csv"
@@ -829,7 +848,7 @@ class TestReportLayout:
 ], ids=["verify", "scan", "growth"])
 def test_table_beyond_memory_exits_2_before_building(tmp_path, capsys,
                                                      monkeypatch, text):
-    monkeypatch.setattr(operators, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 1000)
     picard._nested_plan.cache_clear()
     box = cli.LatticeBox(3, 2)
     # verify contracts 8 fields; the scan and growth 8 samples each.  The
@@ -856,7 +875,7 @@ def test_memory_check_counts_batch_arrays(tmp_path, capsys, monkeypatch):
     need = picard._pass_bytes(box, 1024)
     assert need - single == 3 * 16 * 1023 * box.size
     memory = (single + need) // 2
-    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
     picard._nested_plan.cache_clear()
     picard._check_contraction(box, 1)
     with pytest.raises(ValueError, match=f"needs {need} bytes"):
@@ -900,7 +919,7 @@ def _both_stages(box, batch):
 
 
 @pytest.mark.parametrize("memory, check", [
-    (lambda: 1000, lambda: operators._check_memory(1001, "need")),
+    (lambda: 1000, lambda: lattice._check_memory(1001, "need")),
     (lambda: 1000,
      lambda: picard._check_contraction(cli.LatticeBox(3, 2), 8)),
     (lambda: picard._build_bytes(cli.LatticeBox(4, 4)),
@@ -928,7 +947,7 @@ def test_pre_flights_raise_config_error(monkeypatch, memory, check):
     picard._nested_plan.cache_clear()
     if memory is not None:
         limit = memory()
-        monkeypatch.setattr(operators, "_physical_memory", lambda: limit)
+        monkeypatch.setattr(lattice, "_physical_memory", lambda: limit)
     with pytest.raises(ConfigError):
         check()
 
@@ -946,7 +965,7 @@ def test_failed_batch_pre_flight_caches_no_plan(monkeypatch, check, need):
     box = cli.LatticeBox(2, 1)
     memory = need(box) - 1
     assert _both_stages(box, 2048) <= memory
-    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
     picard._nested_plan.cache_clear()
     with pytest.raises(ConfigError, match="^sample_count: "):
         check(box)
@@ -990,7 +1009,7 @@ def test_growth_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     memory = need - 1
     assert max(picard._build_bytes(box),
                picard._pass_bytes(box, batch)) <= memory
-    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
     monkeypatch.setattr(ensemble, "remainder_growth",
                         lambda *a, **k: pytest.fail("growth ran"))
     picard._nested_plan.cache_clear()
@@ -1013,7 +1032,7 @@ def test_streamed_growth_fits_where_whole_ensemble_did_not(tmp_path, capsys,
     # the Picard contraction of the whole ensemble but not its states.
     box = cli.LatticeBox(2, 1)
     memory = max(picard._build_bytes(box), picard._pass_bytes(box, 10 ** 6))
-    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
     calls = []
 
     def growth(profile, law, eps, grid, sample_count, **kwargs):
@@ -1098,7 +1117,7 @@ def test_scan_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     memory = need - 1
     assert max(picard._build_bytes(box),
                picard._pass_bytes(box, 2048)) <= memory
-    monkeypatch.setattr(operators, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: memory)
     monkeypatch.setattr(ensemble, "sample_g_batch",
                         lambda *a, **k: pytest.fail("sampled"))
     out_path, cfg = _scan_cfg(tmp_path, "2 1", 24, 2048, 1)
@@ -1121,7 +1140,7 @@ def test_simulate_beyond_memory_exits_2_before_stepping(tmp_path, capsys,
     # step is neither calibrated nor taken.
     box = cli.LatticeBox(3, 3)
     need = _simulate_count(box, 2001)
-    monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(dynamics, "_step",
                         lambda *a, **k: pytest.fail("calibrated"))
     monkeypatch.setattr(dynamics, "evolve_coeffs",
@@ -1166,7 +1185,7 @@ def test_ensemble_beyond_memory_exits_2_before_sampling(tmp_path, capsys,
     assert need == (2 * dynamics._evolve_bytes(box, 2048, 1)
                     + 64 * 16 * (3 * 256 + 2 * box.size)
                     + 1569 * ensemble._MOMENT_BYTES)
-    monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(ensemble, "sample_g_batch",
                         lambda *a, **k: pytest.fail("a sample was drawn"))
     out_path, cfg = _ensemble_cfg(tmp_path, "3 3", "all", "zero-sum", 4000,
@@ -1187,7 +1206,7 @@ def test_ensemble_counts_moments_without_forming_them(tmp_path, capsys,
     # counts them from the box alone.
     box = cli.LatticeBox(60, 60)
     moments = box.size * (box.size + 1) // 2 + theory._zero_sum_count(box)
-    monkeypatch.setattr(operators, "_physical_memory", lambda: 10 ** 9)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 10 ** 9)
     for name in ("_select_pairs", "_select_triples"):
         monkeypatch.setattr(cli, name,
                             lambda *a: pytest.fail("moments were formed"))
@@ -1204,7 +1223,7 @@ def test_ensemble_pre_flight_passes_what_fits(tmp_path, capsys, monkeypatch):
     # Exactly the counted bytes: the run goes ahead.
     box = cli.LatticeBox(2, 2)
     need = ensemble._moment_bytes(box, 100, 3, 1)
-    monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: need)
     out_path, cfg = _ensemble_cfg(
         tmp_path, "2 2", "1 0 1 0; 2 1 2 1", "1 0 1 0 -2 0", 100)
     assert main(["--config", cfg]) == 0

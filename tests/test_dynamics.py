@@ -8,9 +8,10 @@ import pytest
 from kpwaves import LatticeBox
 from kpwaves.lattice import apply_free_flow
 from kpwaves.operators import dx_product
-from kpwaves.dynamics import (_PHASE_CHUNK, _default_dt, _evolve_bytes,
-                              CalibrationError, calibrate_dt, evolve_coeffs)
-from kpwaves.operators import _BLOCK_ROWS, _GRID_BLOCKS
+from kpwaves.dynamics import (_BLOCK_ROWS, _GRID_BLOCKS, _PHASE_CHUNK,
+                              _default_dt, _dense_embedding, _evolve_bytes,
+                              _fft_embedding, CalibrationError, calibrate_dt,
+                              evolve_coeffs)
 from kpwaves.sampling import RandomLaw, SpectrumProfile, sample_g_batch
 
 from conftest import traced_peak
@@ -132,6 +133,36 @@ def test_split_batch_is_bitwise_identical(shape, make_field):
     split = [evolve_coeffs(box, part, 0.15, [0.05], 0.01)
              for part in np.split(batch, [cut])]
     np.testing.assert_array_equal(joint, np.concatenate(split, axis=1))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 3)],
+                         ids=["2x1", "2x2", "3x3"])
+def test_folded_pairs_are_the_dft(shape):
+    # Mode h at grid position p enters the grid x as 2 Re(u_h e^{i theta})
+    # and leaves the spectrum as the sum of grid e^{-i theta} / L,
+    # theta = 2 pi p x / L: rows 2h and 2h + 1 of E are 2 cos and -2 sin,
+    # of F^T cos / L and -sin / L.  A phase c + i s folds in as c times
+    # those rows plus s times the rows of a factor i, which sends
+    # (Re, Im) to (-Im, Re) in the state and in the spectrum.
+    box = LatticeBox(*shape)
+    length, pos = _fft_embedding(box)
+    half = box.size // 2
+    theta = (2.0 * np.pi / length) * (
+        np.outer(pos[half:], np.arange(length)) % length)
+    cos, sin = np.cos(theta), np.sin(theta)
+    e = np.stack([2.0 * cos, -2.0 * sin], axis=1)
+    ft = np.stack([cos / length, -sin / length], axis=1)
+    want_e = np.stack([e, np.stack([e[:, 1], -e[:, 0]], axis=1)], axis=1)
+    want_f = np.stack([ft, np.stack([-ft[:, 1], ft[:, 0]], axis=1)], axis=1)
+    pairs = _dense_embedding(box)
+    assert pairs[0] is _dense_embedding(box)[0]
+    for got, want in zip(pairs, (want_e, want_f)):
+        assert got.shape == (half, 2, 2 * length)
+        np.testing.assert_array_equal(
+            got.view(np.int64), want.reshape(got.shape).view(np.int64))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0, 0] = 0.0
 
 
 def test_step_shrinks_to_land_on_end(box22, make_field):

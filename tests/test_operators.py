@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -176,7 +177,7 @@ def test_cli_import_leaves_fft_unloaded():
     ("verify", "", {"operators", "picard"}, (0,)),
     ("box-limit", "law = two_point 0 1.4142135623730951 0.5\n",
      {"operators", "theory"}, (0,)),
-    ("simulate", "", {"dynamics", "operators"}, (0,)),
+    ("simulate", "", {"dynamics"}, (0,)),
     ("ensemble", "sample_count = 4\ndt = 0.05\n",
      {"operators", "dynamics", "ensemble", "theory"}, (0,)),
     # The scan and the growth fit; a scan this small may exit 1 as
@@ -202,14 +203,75 @@ def test_command_imports_only_its_layers(tmp_path, command, extra, layers,
 
 
 def test_stepper_memory_model_has_one_owner():
-    # The stepper's phase chunk and the squarer's fixed buffers enter a
-    # pre-flight only through dynamics._evolve_bytes: no other module
-    # names them, so no other module keeps a copy of the stepper's count.
+    # The stepper's phase chunk, its squarer and the squarer's blocks and
+    # fixed buffers enter a pre-flight only through dynamics._evolve_bytes:
+    # no other module names them, so no other module keeps a copy of the
+    # stepper's count.
     src = Path(kpwaves.__file__).parent
-    for name in ("_PHASE_CHUNK", "_squarer_bytes"):
+    for name in ("_PHASE_CHUNK", "_squarer", "_BLOCK_ROWS", "_GRID_BLOCKS",
+                 "_DENSE_MAX"):
         owners = {f.name for f in src.glob("*.py") if name in f.read_text()}
-        assert owners <= {"dynamics.py", "operators.py"}, name
-        assert "dynamics.py" in owners, name
+        assert owners == {"dynamics.py"}, name
+
+
+# The stepper's grid square and its constants.
+_STEPPER_NAMES = {"_PHASE_CHUNK", "_BLOCK_ROWS", "_DENSE_MAX",
+                  "_GRID_BLOCKS", "_smooth_length", "_fft_embedding",
+                  "_dense_embedding", "_positive_rows", "_squarer"}
+
+
+def _defined(tree):
+    """Names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _imported(tree):
+    """(module, name) of every name a module takes from the package, at
+    any depth: `from .m import x` gives ("m", "x"), `from . import m`
+    ("", "m"), and `import kpwaves.m` ("", "m")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level or node.module.split(".")[0] == "kpwaves"
+            module = (node.module or "").removeprefix("kpwaves")
+            for alias in node.names if package else ():
+                yield module.lstrip("."), alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "kpwaves" and rest:
+                    yield "", rest
+
+
+def test_module_boundaries():
+    # Each decision has one module: the stepper owns its grid square, and
+    # lattice owns the memory check beside ConfigError, so the squarer
+    # never crosses into operators and operators never into dynamics.
+    src = Path(kpwaves.__file__).parent
+    trees = {f.stem: ast.parse(f.read_text()) for f in src.glob("*.py")}
+    assert {"dynamics", "lattice", "operators"} <= set(trees)
+    for owner, names in (("dynamics", _STEPPER_NAMES),
+                         ("lattice", {"_check_memory", "_physical_memory"})):
+        for name in names:
+            definers = {m for m, tree in trees.items()
+                        if name in _defined(tree)}
+            assert definers == {owner}, name
+    for module, tree in trees.items():
+        if module == "dynamics":
+            continue
+        taken = {name for _, name in _imported(tree)}
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}
+        assert not (taken | read) & _STEPPER_NAMES, module
+    assert not [(m, name) for m, name in _imported(trees["dynamics"])
+                if "operators" in (m, name)]
 
 
 def test_every_exported_name_resolves():
