@@ -289,9 +289,10 @@ def _inputs(cfg: ExperimentConfig) -> tuple:
 
 
 def _check_in_box(key: str, modes, box: LatticeBox) -> None:
-    for n in modes:
-        if n not in box:
-            raise ConfigError(f"{key}: mode {n} is outside {box!r}")
+    try:
+        box.index(modes)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -479,53 +480,17 @@ def _parse_mode_groups(key: str, text: str, group: int,
     return out
 
 
-def _select_pairs(cfg: ExperimentConfig, box: LatticeBox):
-    text = cfg.pairs
-    if text == "none":
-        return ()
-    diag = np.arange(box.size)
-    if text == "diag":
-        return box.modes[np.stack([diag, diag], axis=1)]
-    if text == "all":
-        i, j = np.triu_indices(box.size, 1)
-        return box.modes[np.stack([np.concatenate([diag, i]),
-                                   np.concatenate([diag, j])], axis=1)]
-    return tuple(_parse_mode_groups("pairs", text, 2, box))
-
-
-def _select_triples(cfg: ExperimentConfig, box: LatticeBox):
-    text = cfg.triples
-    if text == "none":
-        return ()
-    if text == "zero-sum":
-        from .theory import zero_sum_triples
-        return box.modes[np.stack(zero_sum_triples(box), axis=1)]
-    return tuple(_parse_mode_groups("triples", text, 3, box))
-
-
-def _moment_count(cfg: ExperimentConfig, box: LatticeBox) -> int:
-    """The number of moments the pairs and triples keys select, counted
-    without forming the modes of `all` and `zero-sum`."""
-    from .theory import _zero_sum_count
-    size = box.size
-    pairs = {"none": 0, "diag": size, "all": size * (size + 1) // 2}
-    triples = {"none": 0, "zero-sum": _zero_sum_count(box)}
-    return ((pairs[cfg.pairs] if cfg.pairs in pairs
-             else len(_select_pairs(cfg, box)))
-            + (triples[cfg.triples] if cfg.triples in triples
-               else len(_select_triples(cfg, box))))
-
-
 def cmd_ensemble(cfg: ExperimentConfig) -> int:
     """Monte Carlo moment estimation against the closed-form predictions."""
-    from .ensemble import MomentReport, estimate_moments, _check_moments
+    from .ensemble import MomentReport, estimate_moments, _SELECTIONS
     box, law, profile = _inputs(cfg)
-    _check_moments(box, cfg.sample_count, _moment_count(cfg, box),
-                   cfg.threads)
+    pairs, triples = (
+        text if text in _SELECTIONS[key]
+        else _parse_mode_groups(key, text, width, box)
+        for key, text, width in (("pairs", cfg.pairs, 2),
+                                 ("triples", cfg.triples, 3)))
     report = estimate_moments(profile, law, cfg.eps[0], cfg.t,
-                              cfg.sample_count,
-                              pairs=_select_pairs(cfg, box),
-                              triples=_select_triples(cfg, box),
+                              cfg.sample_count, pairs=pairs, triples=triples,
                               seed=cfg.seed, dt=cfg.dt, threads=cfg.threads)
     extras = ({"failed_samples": list(report.failed_samples)}
               if report.failed_samples else None)

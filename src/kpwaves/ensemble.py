@@ -5,9 +5,12 @@ expansion remainders in eps, and the growth fit of the cubic remainder.
 The three take plain arguments: the profile, the law, eps (an eps grid
 for the scan), the time (a time grid for the growth fit) and
 sample_count, then keywords whose defaults are those of the
-configuration keys of the same name.  They draw and evolve their samples
-in batches of _BATCH and take their step from dynamics._step.  A moment
-is a row of box indices from the request to the report, MomentReport.
+configuration keys of the same name, pairs and triples included: the
+moment estimator takes a request as the configuration states it, a
+selection or groups of modes, and counts, checks and forms it itself.
+They draw and evolve their samples in batches of _BATCH and take their
+step from dynamics._step.  A moment is a row of box indices from the
+request to the report, MomentReport.
 """
 
 from __future__ import annotations
@@ -230,28 +233,57 @@ def _check_moments(box: LatticeBox, sample_count: int, moments: int,
         f"thread{'s' * (threads > 1)}")
 
 
-def _box_indices(box: LatticeBox, groups, width: int) -> np.ndarray:
-    """The (len(groups), width) box indices of groups of `width` modes;
-    raises ValueError naming the first mode outside the box."""
-    modes = np.asarray(groups, dtype=np.int64).reshape(len(groups), width, 2)
-    idx = box.lookup(modes[..., 0], modes[..., 1])
-    if (idx < 0).any():
-        outside = tuple(modes[idx < 0][0].tolist())
-        raise ValueError(f"mode {outside} is outside {box!r}")
-    return idx
+# The selections of the pairs and triples requests.
+_SELECTIONS = {"pairs": ("none", "diag", "all"),
+               "triples": ("none", "zero-sum")}
+
+
+def _moment_count(box: LatticeBox, pairs, triples) -> int:
+    """The number of moments requested, a selection's counted from the box
+    alone; ValueError for a string that is no selection of its request."""
+    from .theory import _zero_sum_count
+    size = box.size
+    counts = {"none": 0, "diag": size, "all": size * (size + 1) // 2,
+              "zero-sum": _zero_sum_count(box)}
+    count = 0
+    for key, request in (("pairs", pairs), ("triples", triples)):
+        if isinstance(request, str) and request not in _SELECTIONS[key]:
+            raise ValueError(f"{key}: unknown selection {request!r}")
+        count += (counts[request] if isinstance(request, str)
+                  else len(request))
+    return count
+
+
+def _moment_indices(box: LatticeBox, key: str, request) -> np.ndarray:
+    """The (M, width) box indices of a request _moment_count took, in
+    request order: all pairs are the diagonal, then those above it row by
+    row.  ValueError naming the first mode outside the box."""
+    if isinstance(request, str):
+        if request == "zero-sum":
+            from .theory import zero_sum_triples
+            return np.stack(zero_sum_triples(box), axis=1)
+        if request != "none":
+            diag = np.arange(box.size).repeat(2).reshape(-1, 2)
+            return diag if request == "diag" else np.concatenate(
+                [diag, np.stack(np.triu_indices(box.size, 1), axis=1)])
+        request = ()  # "none": no groups of modes
+    return box.index(np.asarray(request, dtype=np.int64).reshape(
+        len(request), 2 if key == "pairs" else 3, 2))
 
 
 def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
-                     t: float, sample_count: int, *, pairs=(), triples=(),
-                     seed: int = 0, dt: float | None = None,
+                     t: float, sample_count: int, *, pairs="diag",
+                     triples="zero-sum", seed: int = 0,
+                     dt: float | None = None,
                      threads: int = 1) -> MomentReport:
     """Monte Carlo estimates of the requested pair and triple moments.
 
-    pairs is a sequence of ((n), (m)) mode pairs for E u_n conj(u_m);
-    triples a sequence of (n, m, p) for E u_n u_m u_p, each possibly an
-    array.  They are taken to box indices once (ValueError for a mode
-    outside the box), and the report has a row per requested moment, in
-    request order.  dt = None picks a step by halving until the
+    pairs requests E u_n conj(u_m) and triples E u_n u_m u_p, each as
+    one of its _SELECTIONS or as groups of modes, ((n), (m)) pairs and
+    (n, m, p) triples, possibly an array.  They are counted, checked and
+    taken to box indices once (ValueError for an unknown selection or a
+    mode outside the box), and the report has a row per requested moment,
+    in request order.  dt = None picks a step by halving until the
     step-doubling error of a probe sample falls below 1e-8; with no
     samples the report is empty and no step is picked.
 
@@ -260,13 +292,14 @@ def estimate_moments(profile: SpectrumProfile, law: RandomLaw, eps: float,
     evolved state is non-finite are dropped and reported by index.  The
     result is a pure function of the arguments, including the seed; the
     batch size _BATCH and the thread count only affect speed.  Raises
-    ConfigError before drawing a sample when the ensemble would not fit in
-    physical memory (_moment_bytes).
+    ConfigError before anything is formed when the ensemble would not fit
+    in physical memory (_moment_bytes).
     """
     box = profile.box
-    _check_moments(box, sample_count, len(pairs) + len(triples), threads)
-    pair_idx, trip_idx = (_box_indices(box, groups, width)
-                          for groups, width in ((pairs, 2), (triples, 3)))
+    _check_moments(box, sample_count, _moment_count(box, pairs, triples),
+                   threads)
+    pair_idx, trip_idx = (_moment_indices(box, key, request) for key, request
+                          in (("pairs", pairs), ("triples", triples)))
     if sample_count <= 0:
         empty = np.zeros(0, dtype=complex)
         return MomentReport(eps=eps, t=t, seed=seed,
@@ -462,7 +495,7 @@ def _check_scan(box: LatticeBox, eps_grid, t: float, sample_count: int,
             or sum(m[1] for m in triple) != 0):
         raise ConfigError(f"triple: {triple} does not sum to zero")
     try:
-        tri = _box_indices(box, [triple], 3)[0]
+        tri = box.index(triple)
     except ValueError as exc:
         raise ConfigError(f"triple: {exc}") from None
     _check_batch(box, min(_BATCH, sample_count),

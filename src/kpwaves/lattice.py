@@ -101,13 +101,19 @@ class LatticeBox:
         return (abs(a1) >= 1) & (abs(a1) <= self.n1_max) \
             & (abs(a2) <= self.n2_max)
 
-    def index(self, n) -> int:
-        """Position of mode n in the canonical ordering."""
-        a1, a2 = int(n[0]), int(n[1])
-        if not self._inside(a1, a2):
-            raise ValueError(f"mode {tuple(n)} is outside {self!r}")
+    def index(self, n):
+        """Position of mode n in the canonical ordering, an int; an int64
+        array of them for an array whose last axis is (n1, n2).  Raises
+        ValueError naming the first mode outside the box."""
+        n = np.asarray(n, dtype=np.int64)
+        a1, a2 = n[..., 0], n[..., 1]
+        inside = self._inside(a1, a2)
+        if not inside.all():
+            outside = tuple(n[~inside][0].tolist())
+            raise ValueError(f"mode {outside} is outside {self!r}")
         # Not through lookup, which perfbench/tracer.py wraps and counts.
-        return int(self._grid[a1 + self.n1_max, a2 + self.n2_max])
+        idx = self._grid[a1 + self.n1_max, a2 + self.n2_max]
+        return int(idx) if n.ndim == 1 else idx
 
     def lookup(self, a1, a2):
         """Vectorized index lookup; returns -1 where (a1, a2) is not in the box."""

@@ -493,11 +493,6 @@ class PicardBundle:
         return [cls(box=box, u0=u, t=t, eps=eps, a=a, b=b, c=c, f=f)
                 for u, a, b, c, f in zip(U0, A, B, C, F)]
 
-    @classmethod
-    def build(cls, box: LatticeBox, u0: np.ndarray, t: float,
-              eps: float) -> "PicardBundle":
-        return cls.build_batch(box, u0[None], t, eps)[0]
-
 
 def lambda_eps(d: np.ndarray, bundle: PicardBundle) -> np.ndarray:
     """Polynomial map sending the remainder d to the gauged coefficient w.

@@ -79,7 +79,7 @@ def test_exact_identity_suite():
     worst = 0.0
     for _ in range(50):
         u, v = field(), field()
-        bundle = PicardBundle.build(box, u, t, eps)
+        bundle = PicardBundle.build_batch(box, u[None], t, eps)[0]
         worst = max(worst, *identity_residuals(bundle, v).values())
         worst = max(worst, w_residual(field(), bundle))
 

@@ -497,8 +497,10 @@ class TestEnsemble:
             ["triple", "1", "0", "1", "0", "-2", "0"],
             ["triple", "1", "0", "1", "0", "-2", "0"]]
         assert rows[0] == rows[2] and rows[3] == rows[4]
-        assert len(rows) == cli._moment_count(load_config(cfg),
-                                              cli.LatticeBox(2, 2))
+        box, config = cli.LatticeBox(2, 2), load_config(cfg)
+        assert len(rows) == ensemble._moment_count(
+            box, cli._parse_mode_groups("pairs", config.pairs, 2, box),
+            cli._parse_mode_groups("triples", config.triples, 3, box))
 
     @pytest.mark.parametrize("extra, key", [
         ("pairs = 1 0 1 0; 5 0 5 0\ntriples = none\n", "pairs"),
@@ -975,8 +977,7 @@ def test_failed_batch_pre_flight_caches_no_plan(monkeypatch, check, need):
 def test_estimator_defaults_are_config_defaults():
     # An estimator keyword that names a configuration key defaults to that
     # key's default, so a call that leaves it out runs what a config file
-    # that leaves the key unset runs.  pairs and triples are excepted: the
-    # configuration holds their text, the estimator the parsed modes.
+    # that leaves the key unset runs.
     defaults = {f.name: f.default
                 for f in dataclasses.fields(cli.ExperimentConfig)}
     checked = set()
@@ -984,11 +985,12 @@ def test_estimator_defaults_are_config_defaults():
                       ensemble.remainder_growth):
         for name, param in inspect.signature(estimator).parameters.items():
             if (param.default is inspect.Parameter.empty
-                    or name not in defaults or name in ("pairs", "triples")):
+                    or name not in defaults):
                 continue
             assert param.default == defaults[name], (estimator, name)
             checked.add(name)
-    assert checked == {"seed", "dt", "threads", "triple", "rotations", "s"}
+    assert checked == {"seed", "dt", "threads", "triple", "rotations", "s",
+                       "pairs", "triples"}
 
 
 def _growth_count(box, grid_times, count):
@@ -1207,8 +1209,9 @@ def test_ensemble_counts_moments_without_forming_them(tmp_path, capsys,
     box = cli.LatticeBox(60, 60)
     moments = box.size * (box.size + 1) // 2 + theory._zero_sum_count(box)
     monkeypatch.setattr(lattice, "_physical_memory", lambda: 10 ** 9)
-    for name in ("_select_pairs", "_select_triples"):
-        monkeypatch.setattr(cli, name,
+    for module, name in ((ensemble, "_moment_indices"),
+                         (theory, "zero_sum_triples")):
+        monkeypatch.setattr(module, name,
                             lambda *a: pytest.fail("moments were formed"))
     out_path, cfg = _ensemble_cfg(tmp_path, "60 60", "all", "zero-sum", 10)
     assert main(["--config", cfg]) == 2
@@ -1228,6 +1231,31 @@ def test_ensemble_pre_flight_passes_what_fits(tmp_path, capsys, monkeypatch):
         tmp_path, "2 2", "1 0 1 0; 2 1 2 1", "1 0 1 0 -2 0", 100)
     assert main(["--config", cfg]) == 0
     assert "2 pair and 1 triple moments" in capsys.readouterr().out
+
+
+def test_ensemble_checks_and_parses_its_request_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # The estimator owns the moment request: the handler parses each key's
+    # groups once, and the memory is checked once, from the estimator.
+    calls = {"check": [], "pairs": 0, "triples": 0}
+    check, parse = ensemble._check_moments, cli._parse_mode_groups
+
+    def spy_check(*args):
+        calls["check"].append(args)
+        return check(*args)
+
+    def spy_parse(key, *args):
+        calls[key] += 1
+        return parse(key, *args)
+
+    monkeypatch.setattr(ensemble, "_check_moments", spy_check)
+    monkeypatch.setattr(cli, "_parse_mode_groups", spy_parse)
+    _, cfg = _ensemble_cfg(tmp_path, "2 2", "1 0 1 0; 2 1 2 1",
+                           "1 0 1 0 -2 0", 4)
+    assert main(["--config", cfg]) == 0
+    assert "2 pair and 1 triple moments" in capsys.readouterr().out
+    assert calls == {"check": [(cli.LatticeBox(2, 2), 4, 3, 1)],
+                     "pairs": 1, "triples": 1}
 
 
 @pytest.mark.parametrize("box, pairs, triples, count, threads, batch", [
@@ -1257,6 +1285,6 @@ def test_ensemble_count_bounds_traced_peak(tmp_path, capsys, monkeypatch,
     theory.zero_sum_triples.cache_clear()
     peak = traced_peak(main, ["--config", cfg])
     lattice = cli.LatticeBox(*map(int, box.split()))
-    moments = cli._moment_count(load_config(cfg), lattice)
+    moments = ensemble._moment_count(lattice, pairs, triples)
     assert peak <= ensemble._moment_bytes(lattice, count, moments, threads)
     capsys.readouterr()

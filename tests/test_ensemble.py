@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kpwaves import ensemble
-from kpwaves.lattice import LatticeBox, hs_norm
+from kpwaves import ensemble, lattice, theory
+from kpwaves.lattice import ConfigError, LatticeBox, hs_norm
 from kpwaves.dynamics import (NonFiniteError, _default_dt, _evolve_bytes,
                               evolve_coeffs)
 from kpwaves.ensemble import (
@@ -251,6 +251,54 @@ class TestEstimateMoments:
         with pytest.raises(ValueError) as info:
             self.estimate(box22, **kw)
         assert str(info.value) == "mode (5, 0) is outside LatticeBox(2, 2)"
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(triples="diag"), "triples: unknown selection 'diag'"),
+        (dict(pairs="upper"), "pairs: unknown selection 'upper'"),
+    ], ids=["triples-diag", "pairs-upper"])
+    def test_unknown_selection_raises_before_sampling(self, box22,
+                                                      monkeypatch, kw,
+                                                      message):
+        monkeypatch.setattr(ensemble, "sample_g_batch",
+                            lambda *a: pytest.fail("a sample was drawn"))
+        with pytest.raises(ValueError) as info:
+            self.estimate(box22, **kw)
+        assert str(info.value) == message
+
+    def test_selections_are_counted_before_they_are_formed(self,
+                                                           monkeypatch):
+        # Every pair and zero-sum triple of 60x60, called as a library:
+        # the memory check counts them from the box alone and raises
+        # before any index is formed.
+        box = LatticeBox(60, 60)
+        moments = box.size * (box.size + 1) // 2 + theory._zero_sum_count(box)
+        monkeypatch.setattr(lattice, "_physical_memory", lambda: 10 ** 9)
+        for module, name in ((ensemble, "_moment_indices"),
+                             (theory, "zero_sum_triples")):
+            monkeypatch.setattr(module, name,
+                                lambda *a: pytest.fail("moments were formed"))
+        with pytest.raises(ConfigError) as info:
+            estimate_moments(SpectrumProfile.power_decay(box, 1.0, 1.5),
+                             RandomLaw.steinhaus(), 0.1, 1.0, 10,
+                             pairs="all", triples="zero-sum")
+        assert str(info.value).startswith(
+            f"ensemble: {moments} moments of {box!r} over batches of 10 "
+            "samples on 1 thread needs ")
+
+    def test_default_request_is_the_config_default(self, box22):
+        # pairs = diag and triples = zero-sum, in the report's order.
+        report = self.estimate(box22, pairs="diag", triples="zero-sum")
+        default = estimate_moments(
+            SpectrumProfile.power_decay(box22, 0.5, 1.0),
+            RandomLaw.steinhaus(), 0.0, 0.8, 32, seed=3, dt=0.05)
+        diag = np.arange(box22.size)
+        assert np.array_equal(default.pair_index,
+                              np.stack([diag, diag], axis=1))
+        assert np.array_equal(default.triple_index,
+                              np.stack(zero_sum_triples(box22), axis=1))
+        for name in ("pair_index", "triple_index", "estimate", "std_error"):
+            np.testing.assert_array_equal(getattr(default, name),
+                                          getattr(report, name))
 
     def test_batch_size_does_not_change_results(self, box22, monkeypatch):
         diagonal = tuple((n, n) for n in mode_list(box22))

@@ -86,6 +86,25 @@ class TestLatticeBox:
         with pytest.raises(ValueError):
             box22.index((3, 0))
 
+    @pytest.mark.parametrize("n1_max", range(1, 5))
+    @pytest.mark.parametrize("n2_max", range(5))
+    def test_index_of_arrays_is_lookup(self, n1_max, n2_max):
+        # Every mode at once, as rows, and as groups of two modes; then a
+        # mode outside the box is named with plain ints, as one mode too.
+        box = LatticeBox(n1_max, n2_max)
+        expected = box.lookup(box.n1, box.n2)
+        got = box.index(box.modes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(box.index(box.modes.reshape(-1, 2, 2)),
+                              expected.reshape(-1, 2))
+        message = f"mode ({n1_max + 1}, 0) is outside {box!r}"
+        outside = np.array([box.modes[0], [n1_max + 1, 0], [0, 0]])
+        for modes in (outside, outside[1]):
+            with pytest.raises(ValueError) as info:
+                box.index(modes)
+            assert str(info.value) == message
+
     def test_conjugation_is_involution(self, box33):
         ci = box33.conj_idx
         assert np.array_equal(ci[ci], np.arange(box33.size))

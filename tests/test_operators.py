@@ -272,6 +272,18 @@ def test_module_boundaries():
         assert not (taken | read) & _STEPPER_NAMES, module
     assert not [(m, name) for m, name in _imported(trees["dynamics"])
                 if "operators" in (m, name)]
+    # The ensemble owns the moment request, counted, checked and formed
+    # there; the handler only parses it.  The out-of-box message of a mode
+    # is built in lattice alone.
+    for name in ("_SELECTIONS", "_moment_count", "_moment_indices"):
+        assert {m for m, tree in trees.items()
+                if name in _defined(tree)} == {"ensemble"}, name
+    assert not {"_moment_count", "_select_pairs",
+                "_select_triples"} & _defined(trees["cli"])
+    assert "_check_moments" not in {name for _, name
+                                    in _imported(trees["cli"])}
+    assert {f.stem for f in src.glob("*.py")
+            if "is outside {" in f.read_text()} == {"lattice"}
 
 
 def test_every_exported_name_resolves():

@@ -114,7 +114,7 @@ class TestPhi1:
 
 def test_picard_corrections_vanish_at_time_zero(box22, make_field):
     u0 = make_field(box22)
-    bundle = PicardBundle.build(box22, u0, 0.0, 0.1)
+    bundle = PicardBundle.build_batch(box22, u0[None], 0.0, 0.1)[0]
     for out in (bundle.b, bundle.c, bundle.f):
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
@@ -128,7 +128,7 @@ def test_picard_b_matches_duhamel_quadrature(box22, make_field):
     integrand = np.exp(-1j * np.outer(taus, om)) * dx_product(box22, A, A)
     integral = simpson(integrand, x=taus, axis=0)
     expected = -0.5 * np.exp(1j * om * t) * integral
-    got = PicardBundle.build(box22, u0, t, 0.1).b
+    got = PicardBundle.build_batch(box22, u0[None], t, 0.1)[0].b
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -143,7 +143,7 @@ def test_picard_c_matches_duhamel_quadrature(box21, make_field):
     integrand = np.exp(-1j * np.outer(taus, om)) * dx_product(box21, A, B)
     integral = simpson(integrand, x=taus, axis=0)
     expected = -np.exp(1j * om * t) * integral
-    got = PicardBundle.build(box21, u0, t, 0.1).c
+    got = PicardBundle.build_batch(box21, u0[None], t, 0.1)[0].c
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-7 * np.abs(expected).max())
 
@@ -158,7 +158,7 @@ def test_f_integral_matches_duhamel_quadrature(box21, make_field):
     integrand = np.exp(-1j * np.outer(taus, om)) * forcing
     integral = simpson(integrand, x=taus, axis=0)
     expected = np.exp(1j * om * t) * integral
-    got = PicardBundle.build(box21, u0, t, 0.1).f
+    got = PicardBundle.build_batch(box21, u0[None], t, 0.1)[0].f
     np.testing.assert_allclose(got, expected, rtol=0,
                                atol=1e-8 * np.abs(expected).max())
 
@@ -167,7 +167,7 @@ def test_b_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
     a = apply_free_flow(box33, u0, t)
-    lhs = PicardBundle.build(box33, u0, t, 0.1).b
+    lhs = PicardBundle.build_batch(box33, u0[None], t, 0.1)[0].b
     rhs = -s_map(box33, a, a) \
         + apply_free_flow(box33, s_map(box33, u0, u0), t)
     np.testing.assert_allclose(lhs, rhs, rtol=0,
@@ -178,7 +178,7 @@ def test_c_decomposition(box33, make_field):
     u0 = make_field(box33)
     t = 0.9
     a = apply_free_flow(box33, u0, t)
-    bundle = PicardBundle.build(box33, u0, t, 0.1)
+    bundle = PicardBundle.build_batch(box33, u0[None], t, 0.1)[0]
     lhs = bundle.c
     rhs = -2.0 * s_map(box33, a, bundle.b) + bundle.f
     np.testing.assert_allclose(lhs, rhs, rtol=0,
@@ -188,7 +188,7 @@ def test_c_decomposition(box33, make_field):
 def test_corrections_preserve_reality(box22, make_field):
     u0 = make_field(box22, hermitian=True)
     assert is_real_symmetric(box22, u0, tol=1e-12)
-    bundle = PicardBundle.build(box22, u0, 0.8, 0.1)
+    bundle = PicardBundle.build_batch(box22, u0[None], 0.8, 0.1)[0]
     for out in (bundle.b, bundle.c, bundle.f):
         assert is_real_symmetric(box22, out, tol=1e-11)
 
@@ -631,7 +631,7 @@ class TestExtract:
         u_t = make_field(box22)
         t, eps = 0.5, 0.3
         a = apply_free_flow(box22, u0, t)
-        bundle = PicardBundle.build(box22, u0, t, eps)
+        bundle = PicardBundle.build_batch(box22, u0[None], t, eps)[0]
         b = bundle.b
         c = bundle.c
         expected = (u_t - a - eps * b - (eps ** 2) * c) / eps ** 3
@@ -645,7 +645,7 @@ class TestExtract:
         v = u_t + eps * s_map(box22, u_t, u_t)
         a = apply_free_flow(box22, u0, t)
         s00 = apply_free_flow(box22, s_map(box22, u0, u0), t)
-        bundle = PicardBundle.build(box22, u0, t, eps)
+        bundle = PicardBundle.build_batch(box22, u0[None], t, eps)[0]
         f = bundle.f
         expected = (v - a - eps * s00 - (eps ** 2) * f) / eps ** 3
         got = extract_w(u_t, bundle)
@@ -654,9 +654,11 @@ class TestExtract:
     def test_extract_rejects_zero_eps(self, box22, make_field):
         u0 = make_field(box22)
         with pytest.raises(ValueError):
-            extract_d(u0, PicardBundle.build(box22, u0, 0.5, 0.0))
+            extract_d(u0, PicardBundle.build_batch(box22, u0[None], 0.5,
+                                                   0.0)[0])
         with pytest.raises(ValueError):
-            extract_w(u0, PicardBundle.build(box22, u0, 0.5, 0.0))
+            extract_w(u0, PicardBundle.build_batch(box22, u0[None], 0.5,
+                                                   0.0)[0])
 
     def test_w_equals_gauged_remainder(self, box22, make_field):
         # Algebraic identity valid for every state u_t, not only ODE
@@ -665,7 +667,7 @@ class TestExtract:
         u0 = make_field(box22)
         u_t = make_field(box22)
         t, eps = 0.4, 0.25
-        bundle = PicardBundle.build(box22, u0, t, eps)
+        bundle = PicardBundle.build_batch(box22, u0[None], t, eps)[0]
         a, b, c = bundle.a, bundle.b, bundle.c
         d = extract_d(u_t, bundle)
         w = extract_w(u_t, bundle)
@@ -691,7 +693,7 @@ def test_w_residual_holds_off_trajectory(shape, make_field):
     rough = 4.0 * _default_dt(box)
     with pytest.raises(CalibrationError):
         calibrate_dt(box, u0, eps, t, dt0=rough, max_halvings=1)
-    bundle = PicardBundle.build(box, u0, t, eps)
+    bundle = PicardBundle.build_batch(box, u0[None], t, eps)[0]
     for u_t in (make_field(box, hermitian=True),
                 evolve_coeffs(box, u0, eps, [t], rough)[0]):
         assert np.isfinite(u_t).all()
@@ -704,7 +706,8 @@ def test_each_bilinear_split_sum_is_taken_once(box22, make_field,
     # terms in one, through 2 eps (a + eps b + eps^2 c) + eps^4 d,
     # w_residual its three s(., c) terms in one, and extract_w two more
     # (4 and 10 expanded).
-    bundle = PicardBundle.build(box22, make_field(box22), 0.4, 0.25)
+    bundle = PicardBundle.build_batch(box22, make_field(box22)[None], 0.4,
+                                      0.25)[0]
     calls = []
     split_sum = operators._split_sum
 
@@ -724,7 +727,7 @@ class TestLambdaEps:
         u0 = make_field(box22)
         d = make_field(box22)
         t, eps = 0.6, 0.2
-        bundle = PicardBundle.build(box22, u0, t, eps)
+        bundle = PicardBundle.build_batch(box22, u0[None], t, eps)[0]
         a, b, c = bundle.a, bundle.b, bundle.c
 
         def s(x, y):
@@ -739,7 +742,7 @@ class TestLambdaEps:
     def test_roundtrip(self, box22, make_field):
         u0 = make_field(box22)
         d = make_field(box22)
-        bundle = PicardBundle.build(box22, u0, 0.6, 0.1)
+        bundle = PicardBundle.build_batch(box22, u0[None], 0.6, 0.1)[0]
         g = lambda_eps(d, bundle)
         rec = invert_lambda_eps(g, bundle)
         np.testing.assert_allclose(rec, d, rtol=0,
@@ -748,7 +751,7 @@ class TestLambdaEps:
     def test_non_contracting_regime_raises(self, box22, make_field):
         u0 = 50.0 * make_field(box22)
         g = 50.0 * make_field(box22)
-        bundle = PicardBundle.build(box22, u0, 0.5, 1.0)
+        bundle = PicardBundle.build_batch(box22, u0[None], 0.5, 1.0)[0]
         # Overflowing iterates raise no RuntimeWarning (an error under
         # the suite's filters): the iteration silences numpy itself.
         with pytest.raises(NonContractionError):
@@ -757,7 +760,7 @@ class TestLambdaEps:
     def test_max_iter_exceeded(self, box22, make_field):
         u0 = 0.5 * make_field(box22)
         d = 0.5 * make_field(box22)
-        bundle = PicardBundle.build(box22, u0, 0.5, 0.05)
+        bundle = PicardBundle.build_batch(box22, u0[None], 0.5, 0.05)[0]
         g = lambda_eps(d, bundle)
         with pytest.raises(MaxIterExceededError):
             invert_lambda_eps(g, bundle, tol=1e-30, max_iter=2)
@@ -766,7 +769,8 @@ class TestLambdaEps:
     def test_max_iter_below_one_rejected(self, box22, make_field, max_iter):
         # Rejected before iterating: with no iteration there is no residual
         # to report.
-        bundle = PicardBundle.build(box22, make_field(box22), 0.5, 0.05)
+        bundle = PicardBundle.build_batch(box22, make_field(box22)[None],
+                                          0.5, 0.05)[0]
         with pytest.raises(ValueError, match="^max_iter must be >= 1"):
             invert_lambda_eps(make_field(box22), bundle, max_iter=max_iter)
 
@@ -774,7 +778,7 @@ class TestLambdaEps:
 def test_bundle_build_matches_parts(box22, make_field):
     u0 = make_field(box22)
     t, eps = 0.7, 0.15
-    bundle = PicardBundle.build(box22, u0, t, eps)
+    bundle = PicardBundle.build_batch(box22, u0[None], t, eps)[0]
     assert bundle.box is box22
     assert bundle.t == t and bundle.eps == eps
     np.testing.assert_array_equal(bundle.u0, u0)
